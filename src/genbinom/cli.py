@@ -20,13 +20,14 @@ from typing import Dict
 
 from .coefficients import (
     C_METHODS,
+    DEFAULT_C_METHOD,
     Composition,
     c_coeff,
     c_table,
     linearization_d,
 )
-from .exactnum import rat_str
-from .identities import IDENTITY_IDS, sweep
+from .exactnum import value_str
+from .identities import sweep
 
 _BASIS_VARIANTS = {
     "falling": "d",
@@ -35,102 +36,72 @@ _BASIS_VARIANTS = {
 }
 
 
-def _fmt(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else rat_str(v)
-
-
 def _emit_table(values: Dict[int, Fraction], fmt: str) -> None:
     keys = sorted(values)
     if fmt == "json":
-        print(json.dumps({str(k): _fmt(values[k]) for k in keys}, separators=(",", ":")))
+        print(json.dumps({str(k): value_str(values[k]) for k in keys}, separators=(",", ":")))
     elif fmt == "csv":
         print("k,value")
         for k in keys:
-            print(f"{k},{_fmt(values[k])}")
+            print(f"{k},{value_str(values[k])}")
     else:
         for k in keys:
-            print(f"{k} {_fmt(values[k])}")
+            print(f"{k} {value_str(values[k])}")
 
 
 def _emit_scalar(k: int, v: Fraction, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(_fmt(v)))
+        print(json.dumps(value_str(v)))
     elif fmt == "csv":
         print("k,value")
-        print(f"{k},{_fmt(v)}")
+        print(f"{k},{value_str(v)}")
     else:
-        print(_fmt(v))
+        print(value_str(v))
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
-    try:
-        r = Composition.parse(args.r)
+    r = Composition.parse(args.r)
+    if args.k is not None and args.k < 1:
+        raise ValueError(f"k must be positive, got {args.k}")
+    try:  # shape rules live in the library, e.g. hyp3f2 needs m = 2
+        if args.k is None:
+            values = c_table(r, args.method).values
+        else:
+            values = {args.k: c_coeff(r, args.k, args.method)}
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    method = args.method
-    if method == "hyp3f2" and r.m != 2:
-        print(f"error: method hyp3f2 needs exactly two species, got {r.m}", file=sys.stderr)
         return 3
-    if args.k is not None:
-        if args.k < 1:
-            print(f"error: k must be positive, got {args.k}", file=sys.stderr)
-            return 2
-        value = c_coeff(r, args.k, method)
-        if args.k <= r.total and (value.denominator != 1 or value < 1):
-            print(f"error: c_{args.k}({r}) = {value} is not a positive integer", file=sys.stderr)
-            return 1
-        _emit_scalar(args.k, value, args.format)
-        return 0
-    table = c_table(r, method)
-    bad = [k for k in table.values if not table.is_integral(k) or table.value(k) < 1]
+    bad = [k for k, v in values.items() if k <= r.total and (v.denominator != 1 or v < 1)]
     if bad:
-        print(f"error: non-integral or non-positive entries at k={bad}", file=sys.stderr)
+        print(f"error: c_k({r}) is not a positive integer at k={bad}", file=sys.stderr)
         return 1
-    _emit_table(table.values, args.format)
+    if args.k is None:
+        _emit_table(values, args.format)
+    else:
+        _emit_scalar(args.k, values[args.k], args.format)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.id not in IDENTITY_IDS:
-        print(f"error: unknown identity {args.id!r}; known: {', '.join(IDENTITY_IDS)}", file=sys.stderr)
-        return 2
-    fixed_r = None
-    if args.r is not None:
-        try:
-            fixed_r = Composition.parse(args.r)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if (args.n is not None and args.n < 1) or (args.p is not None and args.p < 1):
-        print("error: --n and --p must be positive", file=sys.stderr)
-        return 2
+    # sweep rejects a bad id or grid when called, before any report is printed
+    reports = sweep(
+        args.id,
+        n_max=args.n_max,
+        m_max=args.m_max,
+        r_max=args.r_max,
+        n=args.n,
+        p=args.p,
+        r=None if args.r is None else Composition.parse(args.r),
+    )
     all_ok = True
-    try:
-        for report in sweep(
-            args.id,
-            n_max=args.n_max,
-            m_max=args.m_max,
-            r_max=args.r_max,
-            n=args.n,
-            p=args.p,
-            r=fixed_r,
-        ):
-            print(report.to_json_line())
-            all_ok &= report.verified
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for report in reports:
+        print(report.to_json_line())
+        all_ok &= report.verified
     return 0 if all_ok else 1
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
-    try:
-        r = Composition.parse(args.r)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    table = linearization_d(r, _BASIS_VARIANTS[args.basis])
+    table = linearization_d(Composition.parse(args.r), _BASIS_VARIANTS[args.basis])
     _emit_table(table.values, args.format)
     return 0
 
@@ -145,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeff = sub.add_parser("coeff", help="print c_k values for a composition")
     p_coeff.add_argument("--r", required=True, help="composition, e.g. 2,1")
     p_coeff.add_argument("--k", type=int, default=None, help="single k instead of the whole table")
-    p_coeff.add_argument("--method", choices=C_METHODS, default="genfun")
+    p_coeff.add_argument("--method", choices=C_METHODS, default=DEFAULT_C_METHOD)
     p_coeff.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_coeff.set_defaults(func=cmd_coeff)
 
@@ -179,7 +150,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    try:  # every rejected input (composition, k, identity id, bounds) is a usage error
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ computable by several independent routes that must agree exactly:
   recurrence           merge two species at a time down to m = 1
   hyp3f2               terminating 3F2 evaluation (m = 2 only)
 
+The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
+one.  The others stay as independent cross-checks.
+
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator.
 
@@ -27,7 +30,7 @@ from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Dict, Iterator, Sequence, Tuple
 
-from .exactnum import Rat, binomial, factorial, multinomial, rat_str
+from .exactnum import Rat, binomial, factorial, multinomial, value_str
 from .polybasis import UPoly, falling_poly, rising_poly, to_falling_basis
 from .series import MPoly, geom_inverse_product
 
@@ -40,6 +43,7 @@ C_METHODS = (
     "recurrence",
     "hyp3f2",
 )
+DEFAULT_C_METHOD = "inclusion_exclusion"
 
 
 class Composition:
@@ -93,10 +97,6 @@ def iter_compositions(m_max: int, r_max: int, min_entry: int = 0) -> Iterator[Co
                 yield Composition(parts)
 
 
-def _fmt_value(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else rat_str(v)
-
-
 @dataclass
 class CoeffTable:
     """A computed coefficient family: mapping k -> exact rational.
@@ -119,7 +119,7 @@ class CoeffTable:
         return {
             "family": self.family,
             "r": list(self.r.parts),
-            "values": {str(k): _fmt_value(self.values[k]) for k in sorted(self.values)},
+            "values": {str(k): value_str(self.values[k]) for k in sorted(self.values)},
         }
 
 
@@ -156,7 +156,8 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
 # seating counts around a k-chair table
 # ---------------------------------------------------------------------------
 
-def _check_positive_species(r: Composition) -> None:
+def check_positive_species(r: Composition) -> None:
+    """Raise ValueError if some species of r has zero representatives."""
     if any(p == 0 for p in r.parts):
         raise ValueError("a species with zero representatives cannot send a delegation")
 
@@ -170,7 +171,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     """
     if k < 1:
         raise ValueError(f"seating_counts: k must be positive, got {k}")
-    _check_positive_species(r)
+    check_positive_species(r)
     if which == "F":
         out = 1
         for rl in r.parts:
@@ -193,7 +194,7 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
     S_k(r) * r_j / (k * r_1 ... r_m)."""
     if not 1 <= j <= r.m:
         raise ValueError(f"t_coeff: species index {j} out of range 1..{r.m}")
-    _check_positive_species(r)
+    check_positive_species(r)
     s = seating_counts(r, k, "S")
     return Fraction(s * r.parts[j - 1], k * math.prod(r.parts))
 
@@ -276,8 +277,6 @@ def _c_rec_entry(r: "Composition", k: int) -> Fraction:
 
 
 def _c_hyp3f2(r: Composition, k: int) -> Fraction:
-    if r.m != 2:
-        raise ValueError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
     r1, r2 = r.parts
     val = hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
     return (-1) ** (k - 1) * (r1 + r2) * val
@@ -294,7 +293,7 @@ _C_DISPATCH = {
 }
 
 
-def c_coeff(r: Composition, k: int, method: str = "genfun") -> Fraction:
+def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
     """The generalized binomial coefficient c_k(r).
 
     Defined for 1 <= k <= |r| (a positive integer there); k > |r| gives 0.
@@ -312,7 +311,7 @@ def c_coeff(r: Composition, k: int, method: str = "genfun") -> Fraction:
     return _C_DISPATCH[method](r, k)
 
 
-def c_table(r: Composition, method: str = "genfun") -> CoeffTable:
+def c_table(r: Composition, method: str = DEFAULT_C_METHOD) -> CoeffTable:
     """All of c_1(r) .. c_|r|(r) by the chosen method."""
     return CoeffTable(
         "c", r, {k: c_coeff(r, k, method) for k in range(1, r.total + 1)}
@@ -346,7 +345,7 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
         return CoeffTable("d_tilde", r, {k: v for k, v in vals.items() if v})
     if variant == "c_tilde":
         vals = {
-            k: Fraction(k) * c_coeff(r, k, "genfun") / r.total
+            k: Fraction(k) * c_coeff(r, k) / r.total
             for k in range(1, r.total + 1)
         }
         return CoeffTable("c_tilde", r, {k: v for k, v in vals.items() if v})

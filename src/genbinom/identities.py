@@ -6,7 +6,7 @@ equality.  Supported identity ids:
 
   las         partition sum against the c_k expansion in binomial(X+n-1, n-k)
   bigeq       scenario count: partition sum vs the S_k / F_k / c_k forms
-  las0p       partition sum vs the per-k product form (alias: vraif)
+  las0p       partition sum vs the per-k product form
   las0pp      the same with a marked-cells factor <mu, p>
   mac         weighted partition sums against binomial(X+n-1, n) and its
               alternating companion
@@ -19,8 +19,10 @@ equality.  Supported identity ids:
   binom2      two-factor normalized linearization with alternating signs
   injections  cycle-count polynomial of injections vs a rising factorial
 
-Each (id, params) verification is independent, so sweeps can be fanned out;
-`sweep` itself yields reports in a fixed deterministic parameter order.
+Each id has one entry in a table holding its checker and its parameter
+grid.  Each (id, params) verification is independent, so sweeps can be
+fanned out; `sweep` validates the whole grid before checking any instance,
+then yields reports in a fixed deterministic parameter order.
 """
 
 from __future__ import annotations
@@ -36,12 +38,14 @@ from .coefficients import (
     CoeffTable,
     Composition,
     c_coeff,
+    check_positive_species,
     iter_compositions,
     linearization_d,
     seating_counts,
 )
 from .exactnum import binomial, factorial, multinomial, rising
 from .oracles import (
+    INJECTION_N_MAX,
     oracle_covering_choices,
     oracle_injection_cycle_poly,
     oracle_transversal_partitions,
@@ -121,13 +125,12 @@ def _check_las(n: int, r: Composition) -> List[Pair]:
     lhs = _las_lhs(n, r)
     rhs = UPoly.zero()
     for k in range(1, min(n, r.total) + 1):
-        rhs = rhs + shifted_binom_poly(n, k).scale(c_coeff(r, k, "genfun"))
+        rhs = rhs + shifted_binom_poly(n, k).scale(c_coeff(r, k))
     return [(lhs, rhs.scale(Fraction(1, r.total)))]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
-    if any(rl < 1 for rl in r.parts):
-        raise ValueError("bigeq needs every species nonempty")
+    check_positive_species(r)
     coeffs = [Fraction(0)] * max(n, 1)
     for mu in partitions_of(n):
         inner = 0
@@ -138,7 +141,7 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
 
     rhs_c = UPoly.zero()
     for k in range(1, min(n, r.total) + 1):
-        w = c_coeff(r, k, "genfun") * factorial(k) * binomial(n, k)
+        w = c_coeff(r, k) * factorial(k) * binomial(n, k)
         rhs_c = rhs_c + rising_poly(n - k, shift=k).scale(w)
     rhs_c = rhs_c.scale(Fraction(math.prod(r.parts), r.total))
 
@@ -234,7 +237,7 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
             continue
         r = Composition(parts)
         for k in range(1, min(t_max, r.total) + 1):
-            lhs = lhs + MPoly(full, {(k,) + parts: c_coeff(r, k, "genfun")})
+            lhs = lhs + MPoly(full, {(k,) + parts: c_coeff(r, k)})
     rhs = MPoly.zero(full)
     for size in range(1, sum(caps) + 1):
         for lam in partitions_of(size):
@@ -291,7 +294,7 @@ def _check_linbin(r: Composition) -> List[Pair]:
         pairs.append((lhs, closed))
     if r.total <= 6:
         oracle = UPoly.zero()
-        for k in range(1, min(r.total, 6) + 1):
+        for k in range(1, r.total + 1):
             oracle = oracle + binom_poly(k).scale(oracle_covering_choices(r, k, "set"))
         pairs.append((lhs, oracle))
     return pairs
@@ -308,7 +311,7 @@ def _check_linlas(r: Composition) -> List[Pair]:
     pairs: List[Pair] = [(lhs, rhs)]
     if r.total <= 6:
         oracle = UPoly.zero()
-        for k in range(1, min(r.total, 6) + 1):
+        for k in range(1, r.total + 1):
             oracle = oracle + binom_poly(k).scale(oracle_covering_choices(r, k, "multiset"))
         pairs.append((lhs, oracle))
     return pairs
@@ -333,25 +336,6 @@ def _check_injections(n: int, k: int) -> List[Pair]:
     return [(oracle_injection_cycle_poly(n, k), rising_poly(n - k, shift=k))]
 
 
-_CHECKERS = {
-    "las": _check_las,
-    "bigeq": _check_bigeq,
-    "las0p": _check_las0p,
-    "vraif": _check_las0p,
-    "las0pp": _check_las0pp,
-    "mac": _check_mac,
-    "lemma1": _check_lemma1,
-    "waring": _check_waring,
-    "linm": _check_linm,
-    "linbin": _check_linbin,
-    "linlas": _check_linlas,
-    "binom2": _check_binom2,
-    "injections": _check_injections,
-}
-
-IDENTITY_IDS = tuple(sorted(_CHECKERS))
-
-
 def _jsonable(value):
     if isinstance(value, Composition):
         return list(value.parts)
@@ -362,10 +346,10 @@ def _jsonable(value):
 
 def verify(identity: str, **params) -> IdentityReport:
     """Check one identity instance; exact equality decides the verdict."""
-    if identity not in _CHECKERS:
+    if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     shown = {k: _jsonable(v) for k, v in params.items()}
-    pairs = _CHECKERS[identity](**params)
+    pairs = _IDENTITIES[identity][0](**params)
     for lhs, rhs in pairs:
         if lhs != rhs:
             return IdentityReport(identity, shown, "failed", lhs=str(lhs), rhs=str(rhs))
@@ -395,6 +379,69 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     return CoeffTable("c", r, values)
 
 
+# ---------------------------------------------------------------------------
+# parameter grids: each turns the sweep bounds into the checker's kwargs
+# ---------------------------------------------------------------------------
+
+def _grid_n(ns, **_) -> List[dict]:
+    return [dict(n=n) for n in ns]
+
+
+def _grid_r(comps, **_) -> List[dict]:
+    return [dict(r=r) for r in comps()]
+
+
+def _grid_n_r(ns, comps, **_) -> List[dict]:
+    return [dict(n=n, r=r) for n in ns for r in comps()]
+
+
+def _grid_bigeq(ns, comps, **_) -> List[dict]:
+    return [dict(n=n, r=r) for n in ns for r in comps() if 0 not in r.parts]
+
+
+def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
+    return [dict(n=n, p=q, r=r) for n in ns for q in ([p] if p else range(1, n + 1))
+            if q <= n for r in comps()]
+
+
+def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
+    # caps go through Composition, so negative or all-zero caps are rejected
+    caps = [r] if r is not None else [Composition((r_max,) * m) for m in range(1, m_max + 1)]
+    return [dict(caps=c.parts, t_max=t_max) for c in caps]
+
+
+def _grid_binom2(r, r_max, **_) -> List[dict]:
+    if r is None:
+        return [dict(r1=a, r2=b) for a in range(r_max + 1) for b in range(r_max + 1) if a + b]
+    if r.m != 2:
+        raise ValueError("binom2 needs a two-entry composition")
+    return [dict(r1=r.parts[0], r2=r.parts[1])]
+
+
+def _grid_injections(ns, **_) -> List[dict]:
+    if any(n > INJECTION_N_MAX for n in ns):
+        raise ValueError(f"injections: n = {max(ns)} is over the oracle budget {INJECTION_N_MAX}")
+    return [dict(n=n, k=k) for n in ns for k in range(n + 1)]
+
+
+_IDENTITIES = {
+    "las": (_check_las, _grid_n_r),
+    "bigeq": (_check_bigeq, _grid_bigeq),
+    "las0p": (_check_las0p, _grid_n_r),
+    "las0pp": (_check_las0pp, _grid_las0pp),
+    "mac": (_check_mac, _grid_n),
+    "lemma1": (_check_lemma1, _grid_n),
+    "waring": (_check_waring, _grid_waring),
+    "linm": (_check_linm, _grid_r),
+    "linbin": (_check_linbin, _grid_r),
+    "linlas": (_check_linlas, _grid_r),
+    "binom2": (_check_binom2, _grid_binom2),
+    "injections": (_check_injections, _grid_injections),
+}
+
+IDENTITY_IDS = tuple(sorted(_IDENTITIES))
+
+
 def sweep(
     identity: str,
     *,
@@ -408,54 +455,23 @@ def sweep(
 ) -> Iterator[IdentityReport]:
     """Verify an identity over its bounded parameter grid, in deterministic
     order.  Which bounds apply depends on the identity; fixing ``n``, ``p``
-    or ``r`` narrows the corresponding range to that single value."""
-    if identity not in _CHECKERS:
-        raise ValueError(f"unknown identity {identity!r}")
+    or ``r`` narrows the corresponding range to that single value.
+
+    The grid is built before any instance runs, so an unknown id, ``n`` or
+    ``p`` below 1, ``p > n``, an oracle budget overrun or an empty grid
+    raises ValueError here, not midway through the returned iterator."""
+    if identity not in _IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
+    if (n is not None and n < 1) or (p is not None and p < 1):
+        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
+    if n is not None and p is not None and p > n:
+        raise ValueError(f"need p <= n, got p={p}, n={n}")
     ns = [n] if n is not None else list(range(1, n_max + 1))
 
-    def comps(min_entry: int = 0):
-        if r is not None:
-            return [r]
-        return list(iter_compositions(m_max, r_max, min_entry=min_entry))
+    def comps() -> List[Composition]:  # built only for the ids that take r
+        return [r] if r is not None else list(iter_compositions(m_max, r_max))
 
-    if identity in ("las", "las0p", "vraif"):
-        for nn in ns:
-            for rr in comps():
-                yield verify(identity, n=nn, r=rr)
-    elif identity == "las0pp":
-        for nn in ns:
-            for pp in [p] if p is not None else range(1, nn + 1):
-                if not 1 <= pp <= nn:
-                    continue
-                for rr in comps():
-                    yield verify(identity, n=nn, p=pp, r=rr)
-    elif identity == "bigeq":
-        for nn in ns:
-            for rr in comps(min_entry=1):
-                yield verify(identity, n=nn, r=rr)
-    elif identity in ("mac", "lemma1"):
-        for nn in ns:
-            yield verify(identity, n=nn)
-    elif identity == "waring":
-        if r is not None:
-            yield verify(identity, caps=r.parts, t_max=t_max)
-        else:
-            for m in range(1, m_max + 1):
-                yield verify(identity, caps=(r_max,) * m, t_max=t_max)
-    elif identity in ("linm", "linbin", "linlas"):
-        for rr in comps():
-            yield verify(identity, r=rr)
-    elif identity == "binom2":
-        if r is not None:
-            if r.m != 2:
-                raise ValueError("binom2 needs a two-entry composition")
-            yield verify(identity, r1=r.parts[0], r2=r.parts[1])
-        else:
-            for r1 in range(r_max + 1):
-                for r2 in range(r_max + 1):
-                    if r1 + r2 > 0:
-                        yield verify(identity, r1=r1, r2=r2)
-    elif identity == "injections":
-        for nn in ns:
-            for k in range(nn + 1):
-                yield verify(identity, n=nn, k=k)
+    grid = _IDENTITIES[identity][1](ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max)
+    if not grid:
+        raise ValueError(f"{identity}: no instance within the given bounds")
+    return (verify(identity, **params) for params in grid)

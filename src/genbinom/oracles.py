@@ -15,8 +15,10 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import Iterator, List, Sequence, Tuple
 
-from .coefficients import Composition
+from .coefficients import Composition, check_positive_species
 from .polybasis import UPoly
+
+INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! injections)
 
 
 def _set_partitions(items: Sequence) -> Iterator[List[list]]:
@@ -109,8 +111,7 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if any(rl < 1 for rl in r.parts):
-        raise ValueError("a species with zero representatives cannot send a delegation")
+    check_positive_species(r)
     if which not in ("F", "S", "T"):
         raise ValueError(f"unknown kind {which!r}")
     if which == "T":
@@ -155,8 +156,8 @@ def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    if n > 7:
-        raise ValueError(f"budget exceeded: n = {n} > 7")
+    if n > INJECTION_N_MAX:
+        raise ValueError(f"budget exceeded: n = {n} > {INJECTION_N_MAX}")
     dom = n - k
     counts: dict[int, int] = {}
     for image in permutations(range(1, n + 1), dom):

@@ -135,16 +135,6 @@ class UPoly:
         return " ".join(chunks)
 
 
-def falling_poly(n: int) -> UPoly:
-    """X(X-1)...(X-n+1) as a polynomial; n = 0 gives 1."""
-    if n < 0:
-        raise ValueError(f"falling_poly: n must be nonnegative, got {n}")
-    out = UPoly.one()
-    for i in range(n):
-        out = out * UPoly((-i, 1))
-    return out
-
-
 def rising_poly(n: int, shift: int = 0) -> UPoly:
     """(X+shift)(X+shift+1)...(X+shift+n-1); n = 0 gives 1."""
     if n < 0:
@@ -155,15 +145,19 @@ def rising_poly(n: int, shift: int = 0) -> UPoly:
     return out
 
 
+def falling_poly(n: int) -> UPoly:
+    """X(X-1)...(X-n+1) = (X-n+1)...(X) as a polynomial; n = 0 gives 1."""
+    if n < 0:
+        raise ValueError(f"falling_poly: n must be nonnegative, got {n}")
+    return rising_poly(n, shift=1 - n)
+
+
 def shifted_binom_poly(n: int, k: int) -> UPoly:
-    """binomial(X+n-1, n-k) as a polynomial of degree n-k, for 0 <= k <= n."""
+    """binomial(X+n-1, n-k) = (X+k)...(X+n-1)/(n-k)! as a polynomial of
+    degree n-k, for 0 <= k <= n."""
     if not 0 <= k <= n:
         raise ValueError(f"shifted_binom_poly: need 0 <= k <= n, got n={n}, k={k}")
-    d = n - k
-    out = UPoly.one()
-    for i in range(d):
-        out = out * UPoly((n - 1 - i, 1))
-    return out.scale(Fraction(1, factorial(d)))
+    return rising_poly(n - k, shift=k).scale(Fraction(1, factorial(n - k)))
 
 
 def binom_poly(k: int) -> UPoly:

@@ -1,7 +1,11 @@
 import json
 from fractions import Fraction
+from itertools import product
+
+import pytest
 
 from genbinom.cli import main
+from genbinom.identities import IDENTITY_IDS
 
 
 def run(capsys, *argv):
@@ -122,6 +126,32 @@ def test_verify_bad_fixed_args(capsys):
     assert code == 2
     code, _, _ = run(capsys, "verify", "--id", "binom2", "--r", "1,1,1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--id", "las", "--n-max", "-1"],
+        ["--id", "las0pp", "--n", "3", "--p", "9"],
+        ["--id", "injections", "--n-max", "8"],
+        ["--id", "mac", "--n-max", "0"],
+    ],
+    ids=["negative-n-max", "p-above-n", "over-oracle-budget", "zero-n-max"],
+)
+def test_verify_rejects_grid_before_output(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
+def test_verify_never_prints_then_rejects(capsys):
+    # degenerate bounds either check at least one instance or print nothing
+    for ident in IDENTITY_IDS:
+        for n_max, m_max, r_max in product(("-1", "0", "2"), repeat=3):
+            argv = ["verify", "--id", ident, "--n-max", n_max, "--m-max", m_max, "--r-max", r_max]
+            code, out, _ = run(capsys, *argv)
+            assert (code, bool(out)) in ((0, True), (2, False)), argv
 
 
 def test_verify_unknown_id(capsys):

@@ -40,10 +40,20 @@ def test_all_identities_verify_small():
             assert report.verified, (ident, report.params, report.lhs, report.rhs)
 
 
-def test_vraif_alias():
-    a = [r.params for r in sweep("las0p", n_max=3, m_max=1, r_max=2)]
-    b = [r.params for r in sweep("vraif", n_max=3, m_max=1, r_max=2)]
-    assert a == b
+def test_sweep_rejects_bad_grid_up_front():
+    assert len(IDENTITY_IDS) == 12 and "vraif" not in IDENTITY_IDS
+    # sweep raises on the call itself, before any instance is checked
+    for ident, bounds in [
+        ("vraif", {}),
+        ("las", {"n_max": -1}),
+        ("las", {"n": 0}),
+        ("las0pp", {"n": 3, "p": 9}),
+        ("injections", {"n_max": 8}),
+        ("mac", {"n_max": 0}),
+        ("bigeq", {"r": Composition([1, 0])}),
+    ]:
+        with pytest.raises(ValueError):
+            sweep(ident, **bounds)
 
 
 def test_sweep_deterministic():
