@@ -5,10 +5,13 @@ computable by several independent routes that must agree exactly:
 
   explicit             alternating single sum over inner index i
   entiere              integer-valued double sum (one term per species)
-  genfun               (|r|/k) * [x^r] (1/((1-x_1)...(1-x_m)) - 1)^k
+  genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
+                       powers kept as dense integer arrays over the box
+                       prod (r_i + 1); multiplying by G is a prefix sum
   inclusion_exclusion  |r| * S_k(r) / (k * prod r_j) via seating counts
   finite_diff          Newton expansion of prod (x)_{r_i} in falling basis
-  recurrence           merge two species at a time down to m = 1
+  recurrence           merge two species at a time down to m = 1, on the
+                       integers e_k(r) = k c_k(r) / |r| = [x^r] (G - 1)^k
   hyp3f2               terminating 3F2 evaluation (m = 2 only)
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
@@ -17,8 +20,15 @@ one.  The others stay as independent cross-checks.
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator.
 
-Everything is pure except two internal memo tables behind
-``functools.lru_cache`` (safe for concurrent use).
+Everything is pure except three internal memo tables behind
+``functools.lru_cache`` (safe for concurrent use).  Each is keyed by one
+composition, never by k, holds the values for every k at once, and is
+bounded:
+
+  _geom_minus_one_powers  genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
+  _rising_product_newton  finite_diff: Newton coefficients A_k    1024 entries
+  _merge_recurrence       recurrence: integers k c_k / |r|        4096 entries
+                          (one per sorted sub-composition reached)
 """
 
 from __future__ import annotations
@@ -28,11 +38,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Dict, Iterator, Sequence, Tuple
+from operator import add, sub
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .exactnum import Rat, binomial, factorial, multinomial, value_str
 from .polybasis import UPoly, falling_poly, rising_poly, to_falling_basis
-from .series import MPoly, geom_inverse_product
 
 C_METHODS = (
     "explicit",
@@ -226,16 +236,38 @@ def _c_entiere(r: Composition, k: int) -> Fraction:
     return Fraction(acc)
 
 
-@lru_cache(maxsize=None)
-def _geom_minus_one_power(caps: Tuple[int, ...], k: int) -> MPoly:
-    if k == 1:
-        return geom_inverse_product(caps) - MPoly.const(caps, 1)
-    return _geom_minus_one_power(caps, k - 1) * _geom_minus_one_power(caps, 1)
+def _times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
+    """q * (G - 1) truncated to the box, for q flat over the mixed-radix box
+    with the last axis fastest.  Multiplying by the truncated
+    G = 1/prod(1 - x_i) is a prefix sum along every axis."""
+    g = q[:]
+    size, stride = len(g), 1
+    for n in reversed(radices):
+        block = n * stride
+        for start in range(0, size, block):
+            for j in range(start + stride, start + block, stride):
+                g[j:j + stride] = map(add, g[j:j + stride], g[j - stride:j])
+        stride = block
+    return list(map(sub, g, q))
+
+
+@lru_cache(maxsize=1024)
+def _geom_minus_one_powers(caps: Tuple[int, ...]) -> Tuple[int, ...]:
+    """[x^caps] (G - 1)^k for k = 1..sum(caps), from dense integer powers of
+    G - 1 over the box prod(caps_i + 1)."""
+    radices = [c + 1 for c in caps]
+    q = [1] * math.prod(radices)  # G - 1: every coefficient 1 but the constant
+    q[0] = 0
+    out = []
+    for k in range(1, sum(caps) + 1):
+        if k > 1:
+            q = _times_geom_minus_one(q, radices)
+        out.append(q[-1])
+    return tuple(out)
 
 
 def _c_genfun(r: Composition, k: int) -> Fraction:
-    q = _geom_minus_one_power(r.parts, k)
-    return Fraction(r.total, k) * q.coeff(r.parts)
+    return Fraction(r.total * _geom_minus_one_powers(r.parts)[k - 1], k)
 
 
 def _c_inclusion_exclusion(r: Composition, k: int) -> Fraction:
@@ -244,36 +276,41 @@ def _c_inclusion_exclusion(r: Composition, k: int) -> Fraction:
     return Fraction(r.total * s, k * math.prod(stripped.parts))
 
 
-@lru_cache(maxsize=None)
-def _rising_product_newton(parts: Tuple[int, ...]) -> Dict[int, Fraction]:
+@lru_cache(maxsize=1024)
+def _rising_product_newton(parts: Tuple[int, ...]) -> Tuple[Fraction, ...]:
+    """Newton coefficients A_0..A_|r| of prod (x)_{r_i} in the falling basis."""
     p = UPoly.one()
     for ri in parts:
         p = p * rising_poly(ri)
-    return to_falling_basis(p)
+    newton = to_falling_basis(p)
+    return tuple(newton.get(k, Fraction(0)) for k in range(sum(parts) + 1))
 
 
 def _c_finite_diff(r: Composition, k: int) -> Fraction:
-    a = _rising_product_newton(r.parts).get(k, Fraction(0))
+    a = _rising_product_newton(r.parts)[k]
     return r.total * factorial(k - 1) * a / math.prod(factorial(ri) for ri in r.parts)
 
 
-@lru_cache(maxsize=None)
-def _c_recurrence(parts: Tuple[int, ...], k: int) -> Fraction:
-    # parts arrive sorted descending with zeros stripped (see _c_rec_entry)
+@lru_cache(maxsize=4096)
+def _merge_recurrence(parts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """e_k(parts) = k c_k / |parts| for k = 1..|parts|, an integer, by merging
+    the first two species; parts are sorted descending without zeros."""
     if len(parts) == 1:
-        return Fraction(binomial(parts[0], k))
+        n = parts[0]
+        return tuple(binomial(n - 1, k - 1) for k in range(1, n + 1))
     r1, r2, rest = parts[0], parts[1], parts[2:]
-    acc = Fraction(0)
+    acc = [0] * sum(parts)
     for l in range(min(r1, r2) + 1):
         merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
         coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
-        acc += coef * _c_recurrence(merged, k) / sum(merged)
-    return sum(parts) * acc
+        e = _merge_recurrence(merged)
+        acc[:len(e)] = map(add, acc, map(coef.__mul__, e))
+    return tuple(acc)
 
 
-def _c_rec_entry(r: "Composition", k: int) -> Fraction:
+def _c_recurrence(r: Composition, k: int) -> Fraction:
     parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
-    return _c_recurrence(parts, k)
+    return Fraction(r.total * _merge_recurrence(parts)[k - 1], k)
 
 
 def _c_hyp3f2(r: Composition, k: int) -> Fraction:
@@ -288,7 +325,7 @@ _C_DISPATCH = {
     "genfun": _c_genfun,
     "inclusion_exclusion": _c_inclusion_exclusion,
     "finite_diff": _c_finite_diff,
-    "recurrence": _c_rec_entry,
+    "recurrence": _c_recurrence,
     "hyp3f2": _c_hyp3f2,
 }
 

@@ -9,10 +9,18 @@ polynomials in the monomial basis.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from operator import sub
+from typing import Dict, Iterable, List, Tuple
 
 from .exactnum import Rat, binomial, factorial, rat_str
+
+
+def _integer_coeffs(p: "UPoly") -> Tuple[int, List[int]]:
+    """(den, coefficients of den * p), den the lcm of p's denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
 
 
 class UPoly:
@@ -20,6 +28,7 @@ class UPoly:
 
     Trailing zero coefficients are stripped; the zero polynomial has an
     empty coefficient tuple.  Instances are immutable and hashable.
+    Products are convolved in integers over a common denominator.
     """
 
     __slots__ = ("coeffs",)
@@ -80,13 +89,16 @@ class UPoly:
             return self.scale(other)
         if not self.coeffs or not other.coeffs:
             return UPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
+        den_a, a = _integer_coeffs(self)
+        den_b, b = _integer_coeffs(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
                 continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UPoly(out)
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        den = den_a * den_b
+        return UPoly(Fraction(c, den) for c in out)
 
     def __rmul__(self, other) -> "UPoly":
         return self.scale(other)
@@ -182,14 +194,27 @@ def delta_at_zero(p: UPoly, k: int) -> Fraction:
 def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
     """Newton coefficients A_k with p = sum_k A_k * falling(k).
 
-    A_k = delta_at_zero(p, k)/k!; only nonzero entries are returned, and
-    there are at most deg(p)+1 of them.
+    A_k = Delta^k p(0) / k!.  The forward differences are taken in
+    integers: p is scaled by the lcm ``den`` of its coefficient
+    denominators, evaluated once at 0..deg(p), and differenced in a table,
+    so A_k = Delta^k (den p)(0) / (den k!) is the one division.  Only
+    nonzero entries are returned, and there are at most deg(p)+1 of them.
     """
+    den, scaled = _integer_coeffs(p)
+    row = []
+    for x in range(len(scaled)):
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * x + c
+        row.append(acc)
     out: Dict[int, Fraction] = {}
-    for k in range(p.degree + 1):
-        a = delta_at_zero(p, k) / factorial(k)
-        if a:
-            out[k] = a
+    k_factorial = 1
+    for k in range(len(row)):
+        if k:
+            k_factorial *= k
+            row = list(map(sub, row[1:], row[:-1]))
+        if row[0]:
+            out[k] = Fraction(row[0], den * k_factorial)
     return out
 
 

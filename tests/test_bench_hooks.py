@@ -1,9 +1,13 @@
 """The benchmark's tracer wraps package functions by "module:attribute"
 name.  A hook it cannot resolve is reported as absent rather than failing
-the run, so this guard makes a rename in the package fail here instead."""
+the run, so this guard makes a rename in the package fail here instead.
+The benchmark's self-test also runs here, so a package change that breaks
+its tracer or output checks fails the package's own tests."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -28,3 +32,12 @@ def test_tracer_hooks_resolve():
         if owner is None:
             missing.append(target)
     assert missing == []
+
+
+def test_bench_selftest_passes():
+    # the benchmark's own tests: generators, output checks and tracer
+    proc = subprocess.run(
+        [sys.executable, str(TRACER.parent / "selftest.py")],
+        cwd=TRACER.parent.parent, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from genbinom import coefficients
 from genbinom.coefficients import (
     C_METHODS,
     Composition,
@@ -15,6 +17,7 @@ from genbinom.coefficients import (
     t_coeff,
 )
 from genbinom.exactnum import binomial, factorial, multinomial, rising
+from genbinom.series import MPoly, geom_inverse_product
 
 AGREEING = [m for m in C_METHODS if m != "hyp3f2"]
 
@@ -75,9 +78,79 @@ def test_method_agreement_small():
             assert v.denominator == 1 and v >= 1
 
 
-def test_c_symmetry_and_zero_entries():
-    import itertools
+def test_routes_agree_on_large_compositions():
+    # beyond the acceptance grid (r_i <= 4): genfun only where its box is small
+    cases = [
+        ((20,) * 6, [m for m in AGREEING if m != "genfun"]),
+        ((12, 9, 7, 5), AGREEING),
+        ((17, 13), list(C_METHODS)),
+    ]
+    for parts, methods in cases:
+        r = Composition(parts)
+        tables = {m: c_table(r, m).values for m in methods}
+        reference = tables[methods[0]]
+        assert sorted(reference) == list(range(1, r.total + 1))
+        assert all(v.denominator == 1 and v >= 1 for v in reference.values())
+        for m, values in tables.items():
+            assert values == reference, (parts, m)
 
+
+def _memos():
+    return [f for f in vars(coefficients).values() if callable(getattr(f, "cache_info", None))]
+
+
+def test_memos_are_bounded():
+    memos = _memos()
+    assert len(memos) == 3
+    assert all(f.cache_info().maxsize is not None for f in memos)
+
+
+@pytest.mark.parametrize("method", ["genfun", "finite_diff", "recurrence"])
+def test_route_memos_keyed_by_composition_only(method):
+    for f in _memos():
+        f.cache_clear()
+    r = Composition([4, 1, 3])
+    c_coeff(r, 1, method)
+    misses = sum(f.cache_info().misses for f in _memos())
+    assert misses > 0
+    for k in range(2, r.total + 1):
+        c_coeff(r, k, method)
+    assert sum(f.cache_info().misses for f in _memos()) == misses
+
+
+def test_dense_genfun_matches_mpoly_powers():
+    # reference: truncated MPoly powers of G - 1
+    for m in range(1, 4):
+        for caps in itertools.product(range(4), repeat=m):
+            base = geom_inverse_product(caps) - MPoly.const(caps, 1)
+            power, expected = MPoly.const(caps, 1), []
+            for _ in range(sum(caps)):
+                power = power * base
+                expected.append(power.coeff(caps))
+            assert coefficients._geom_minus_one_powers(caps) == tuple(expected), caps
+
+
+def _fraction_recurrence(parts, k):
+    """Reference: the merge recurrence on Fractions c_k(parts)."""
+    if len(parts) == 1:
+        return Fraction(binomial(parts[0], k))
+    r1, r2, rest = parts[0], parts[1], parts[2:]
+    acc = Fraction(0)
+    for l in range(min(r1, r2) + 1):
+        merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
+        coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
+        acc += coef * _fraction_recurrence(merged, k) / sum(merged)
+    return sum(parts) * acc
+
+
+def test_integer_recurrence_matches_fraction_recurrence():
+    for r in iter_compositions(3, 3):
+        parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
+        for k in range(1, r.total + 1):
+            assert c_coeff(r, k, "recurrence") == _fraction_recurrence(parts, k), (r, k)
+
+
+def test_c_symmetry_and_zero_entries():
     for parts in [(2, 1), (3, 0, 1), (1, 2, 2)]:
         r = Composition(parts)
         for perm in itertools.permutations(parts):

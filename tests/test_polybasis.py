@@ -71,6 +71,38 @@ def test_falling_basis_round_trip(coeffs):
     assert from_falling_basis(to_falling_basis(p)) == p
 
 
+@given(st.lists(rational, max_size=8), st.lists(rational, max_size=8))
+def test_mul_matches_fraction_convolution(a, b):
+    expected = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            expected[i + j] += x * y
+    assert UPoly(a) * UPoly(b) == UPoly(expected)
+
+
+def _falling_basis_by_deltas(p):
+    """Reference Newton coefficients: one delta_at_zero per k."""
+    out = {}
+    for k in range(p.degree + 1):
+        a = delta_at_zero(p, k) / factorial(k)
+        if a:
+            out[k] = a
+    return out
+
+
+@given(st.lists(st.fractions(max_denominator=30, min_value=-50, max_value=50), max_size=12))
+def test_to_falling_basis_matches_delta_reference(coeffs):
+    p = UPoly(coeffs)
+    newton = to_falling_basis(p)
+    assert newton == _falling_basis_by_deltas(p)
+    assert all(isinstance(a, Fraction) for a in newton.values())
+
+
+def test_to_falling_basis_zero_and_constant():
+    assert to_falling_basis(UPoly.zero()) == {}
+    assert to_falling_basis(UPoly((Fraction(-7, 3),))) == {0: Fraction(-7, 3)}
+
+
 def test_newton_coefficient_count():
     for d in range(9):
         p = falling_poly(d) + rising_poly(max(d - 1, 0))
