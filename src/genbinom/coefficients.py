@@ -1,34 +1,42 @@
 """Coefficient families attached to a composition r = (r_1, ..., r_m).
 
 The central quantity is the generalized binomial coefficient c_k(r),
-computable by several independent routes that must agree exactly:
+computable by several independent routes that must agree exactly.  Each
+route is one kernel that returns c_1..c_K in one exact integer pass:
+``c_table`` runs it with K = |r| and ``c_coeff(r, k)`` reads entry k of
+a run with K = k.
 
-  explicit             alternating single sum over inner index i
-  entiere              integer-valued double sum (one term per species)
+  explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
+                       differences of the integers lcm(1..K) P_i / i
+  entiere              integer-valued double sum (one term per species):
+                       differences of the integers Q_i
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
                        prod (r_i + 1); multiplying by G is a prefix sum
-  inclusion_exclusion  |r| * S_k(r) / (k * prod r_j) via seating counts
-  finite_diff          Newton expansion of prod (x)_{r_i} in falling basis
+  inclusion_exclusion  |r| * S_k(r) / (k * prod r_j), S_k the differences
+                       of the seating counts F_0..F_K
+  finite_diff          Newton expansion of f(x) = prod (x)_{r_i}: integer
+                       difference table of f(0..|r|)
   recurrence           merge two species at a time down to m = 1, on the
                        integers e_k(r) = k c_k(r) / |r| = [x^r] (G - 1)^k
-  hyp3f2               terminating 3F2 evaluation (m = 2 only)
+  hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
 one.  The others stay as independent cross-checks.
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
-tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator.
+tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
+on integer numerator/denominator pairs.
 
 Everything is pure except three internal memo tables behind
 ``functools.lru_cache`` (safe for concurrent use).  Each is keyed by one
-composition, never by k, holds the values for every k at once, and is
+composition, never by k, holds the integers for every k at once, and is
 bounded:
 
-  _geom_minus_one_powers  genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
-  _rising_product_newton  finite_diff: Newton coefficients A_k    1024 entries
-  _merge_recurrence       recurrence: integers k c_k / |r|        4096 entries
-                          (one per sorted sub-composition reached)
+  _geom_minus_one_powers       genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
+  _rising_product_differences  finite_diff: Delta^k f(0), k = 0..|r|  1024 entries
+  _merge_recurrence            recurrence: integers k c_k / |r|       4096 entries
+                               (one per sorted sub-composition reached)
 """
 
 from __future__ import annotations
@@ -41,8 +49,16 @@ from itertools import product as _cartesian
 from operator import add, sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import Rat, binomial, factorial, multinomial, value_str
-from .polybasis import UPoly, falling_poly, rising_poly, to_falling_basis
+from .exactnum import (
+    Rat,
+    binomial,
+    factorial,
+    forward_differences,
+    multinomial,
+    rising,
+    value_str,
+)
+from .polybasis import UPoly, falling_poly, to_falling_basis
 
 C_METHODS = (
     "explicit",
@@ -143,23 +159,31 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
     Requires a nonpositive-integer numerator parameter (else ValueError).
     A denominator parameter whose Pochhammer factor vanishes within the
     summation range raises ZeroDivisionError.
+
+    Each parameter p/q enters the term ratio as p/q + j = (p + j q)/q, so
+    the terms are integer numerator/denominator pairs, the sum is kept over
+    the running common denominator (each term's denominator divides the
+    next one's) and one Fraction is built at the end.
     """
-    nums = [Fraction(a) for a in numer]
-    dens = [Fraction(b) for b in denom]
-    z = Fraction(z)
-    stops = [-a for a in nums if a.denominator == 1 and a <= 0]
+    nums = [(a.numerator, a.denominator) for a in numer]
+    dens = [(b.numerator, b.denominator) for b in denom]
+    stops = [-p for p, q in nums if q == 1 and p <= 0]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
-    nmax = int(min(stops))
-    for b in dens:
-        if b.denominator == 1 and 0 >= b > -nmax:
-            raise ZeroDivisionError(f"denominator parameter {b} hits zero within the summation range")
-    total = term = Fraction(1)
+    nmax = min(stops)
+    for p, q in dens:
+        if q == 1 and 0 >= p > -nmax:
+            raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
+    zn, zd = z.numerator, z.denominator
+    num_scale = zn * math.prod(q for _, q in dens)
+    den_scale = zd * math.prod(q for _, q in nums)
+    term = total = den = 1  # term / den is the current term, total / den the sum
     for j in range(nmax):
-        term = term * math.prod(a + j for a in nums) * z
-        term /= math.prod(b + j for b in dens) * (j + 1)
-        total += term
-    return total
+        step = den_scale * math.prod(p + j * q for p, q in dens) * (j + 1)
+        term = term * num_scale * math.prod(p + j * q for p, q in nums)
+        total = total * step + term
+        den *= step
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +194,18 @@ def check_positive_species(r: Composition) -> None:
     """Raise ValueError if some species of r has zero representatives."""
     if any(p == 0 for p in r.parts):
         raise ValueError("a species with zero representatives cannot send a delegation")
+
+
+def _seating_f(parts: Sequence[int], k: int) -> int:
+    """F_k: per species with r_l representatives, r_l * C(k+r_l-1, r_l)
+    seatings, multiplied over the species (F_0 = 0)."""
+    return math.prod(rl * binomial(k + rl - 1, rl) for rl in parts)
+
+
+def _seating_s(parts: Sequence[int], k_max: int) -> List[int]:
+    """S_0 .. S_k_max: S_k = sum_i (-1)^(k-i) C(k, i) F_i = Delta^k F(0), the
+    binomial inverse of F, from one integer difference table."""
+    return forward_differences([_seating_f(parts, i) for i in range(k_max + 1)])
 
 
 def seating_counts(r: Composition, k: int, which: str) -> int:
@@ -183,18 +219,9 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
         raise ValueError(f"seating_counts: k must be positive, got {k}")
     check_positive_species(r)
     if which == "F":
-        out = 1
-        for rl in r.parts:
-            out *= rl * binomial(k + rl - 1, rl)
-        return out
+        return _seating_f(r.parts, k)
     if which == "S":
-        acc = 0
-        for i in range(1, k + 1):
-            term = binomial(k, i)
-            for rl in r.parts:
-                term *= rl * binomial(i + rl - 1, rl)
-            acc += (-1) ** (k - i) * term
-        return acc
+        return _seating_s(r.parts, k)[k]
     raise ValueError(f"seating_counts: unknown kind {which!r}")
 
 
@@ -210,30 +237,31 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# c_k(r) by each route
+# c_k(r) by each route: one kernel per route returns [c_1, ..., c_K]
 # ---------------------------------------------------------------------------
 
-def _c_explicit(r: Composition, k: int) -> Fraction:
-    acc = Fraction(0)
-    for i in range(1, k + 1):
-        term = Fraction((-1) ** (k - i) * binomial(k - 1, i - 1), i)
-        for rl in r.parts:
-            term *= binomial(rl + i - 1, rl)
-        acc += term
-    return r.total * acc
+def _explicit(r: Composition, k_max: int) -> List[Fraction]:
+    # c_k = |r| sum_i (-1)^(k-i) C(k-1, i-1) P_i / i, P_i = prod C(r_l+i-1, r_l):
+    # over L = lcm(1..K) the sum is Delta^(k-1) of the integers L P_i / i
+    lcm = math.lcm(*range(1, k_max + 1))
+    scaled = [
+        lcm // i * math.prod(binomial(rl + i - 1, rl) for rl in r.parts)
+        for i in range(1, k_max + 1)
+    ]
+    return [Fraction(r.total * d, lcm) for d in forward_differences(scaled)]
 
 
-def _c_entiere(r: Composition, k: int) -> Fraction:
-    acc = 0
-    for j in range(r.m):
-        for i in range(1, k + 1):
-            term = (-1) ** (k - i) * binomial(k - 1, i - 1)
-            term *= binomial(i + r.parts[j] - 1, r.parts[j] - 1)
-            for l, rl in enumerate(r.parts):
-                if l != j:
-                    term *= binomial(rl + i - 1, rl)
-            acc += term
-    return Fraction(acc)
+def _entiere(r: Composition, k_max: int) -> List[Fraction]:
+    # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i,
+    # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l)
+    q = []
+    for i in range(1, k_max + 1):
+        col = [binomial(rl + i - 1, rl) for rl in r.parts]
+        q.append(sum(
+            binomial(i + rj - 1, rj - 1) * math.prod(col[:j]) * math.prod(col[j + 1:])
+            for j, rj in enumerate(r.parts)
+        ))
+    return [Fraction(d) for d in forward_differences(q)]
 
 
 def _times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
@@ -266,29 +294,36 @@ def _geom_minus_one_powers(caps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _c_genfun(r: Composition, k: int) -> Fraction:
-    return Fraction(r.total * _geom_minus_one_powers(r.parts)[k - 1], k)
+def _scaled_by_total(r: Composition, e: Sequence[int], k_max: int) -> List[Fraction]:
+    """c_k = |r| e_k / k for k = 1..k_max, from the integers e_k = k c_k / |r|."""
+    return [Fraction(r.total * e[k - 1], k) for k in range(1, k_max + 1)]
 
 
-def _c_inclusion_exclusion(r: Composition, k: int) -> Fraction:
-    stripped = Composition([p for p in r.parts if p > 0])
-    s = seating_counts(stripped, k, "S")
-    return Fraction(r.total * s, k * math.prod(stripped.parts))
+def _genfun(r: Composition, k_max: int) -> List[Fraction]:
+    return _scaled_by_total(r, _geom_minus_one_powers(r.parts), k_max)
+
+
+def _inclusion_exclusion(r: Composition, k_max: int) -> List[Fraction]:
+    # c_k = |r| S_k / (k prod r_j) over the nonzero species
+    stripped = [p for p in r.parts if p > 0]
+    s = _seating_s(stripped, k_max)
+    denom = math.prod(stripped)
+    return [Fraction(r.total * s[k], k * denom) for k in range(1, k_max + 1)]
 
 
 @lru_cache(maxsize=1024)
-def _rising_product_newton(parts: Tuple[int, ...]) -> Tuple[Fraction, ...]:
-    """Newton coefficients A_0..A_|r| of prod (x)_{r_i} in the falling basis."""
-    p = UPoly.one()
-    for ri in parts:
-        p = p * rising_poly(ri)
-    newton = to_falling_basis(p)
-    return tuple(newton.get(k, Fraction(0)) for k in range(sum(parts) + 1))
+def _rising_product_differences(parts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Delta^k f(0) for k = 0..|r|, f(x) = prod (x)_{r_i}, from f(0..|r|)."""
+    return tuple(forward_differences(
+        [math.prod(rising(x, ri) for ri in parts) for x in range(sum(parts) + 1)]
+    ))
 
 
-def _c_finite_diff(r: Composition, k: int) -> Fraction:
-    a = _rising_product_newton(r.parts)[k]
-    return r.total * factorial(k - 1) * a / math.prod(factorial(ri) for ri in r.parts)
+def _finite_diff(r: Composition, k_max: int) -> List[Fraction]:
+    # Newton coefficient A_k = Delta^k f(0) / k!, c_k = |r| (k-1)! A_k / prod r_i!
+    d = _rising_product_differences(r.parts)
+    denom = math.prod(factorial(ri) for ri in r.parts)
+    return [Fraction(r.total * d[k], k * denom) for k in range(1, k_max + 1)]
 
 
 @lru_cache(maxsize=4096)
@@ -308,26 +343,38 @@ def _merge_recurrence(parts: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(acc)
 
 
-def _c_recurrence(r: Composition, k: int) -> Fraction:
+def _recurrence(r: Composition, k_max: int) -> List[Fraction]:
     parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
-    return Fraction(r.total * _merge_recurrence(parts)[k - 1], k)
+    return _scaled_by_total(r, _merge_recurrence(parts), k_max)
 
 
-def _c_hyp3f2(r: Composition, k: int) -> Fraction:
+def _hyp3f2(r: Composition, k_max: int) -> List[Fraction]:
+    # c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
     r1, r2 = r.parts
-    val = hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
-    return (-1) ** (k - 1) * (r1 + r2) * val
+    return [
+        (-1) ** (k - 1) * r.total * hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
+        for k in range(1, k_max + 1)
+    ]
 
 
-_C_DISPATCH = {
-    "explicit": _c_explicit,
-    "entiere": _c_entiere,
-    "genfun": _c_genfun,
-    "inclusion_exclusion": _c_inclusion_exclusion,
-    "finite_diff": _c_finite_diff,
-    "recurrence": _c_recurrence,
-    "hyp3f2": _c_hyp3f2,
+_KERNELS = {
+    "explicit": _explicit,
+    "entiere": _entiere,
+    "genfun": _genfun,
+    "inclusion_exclusion": _inclusion_exclusion,
+    "finite_diff": _finite_diff,
+    "recurrence": _recurrence,
+    "hyp3f2": _hyp3f2,
 }
+
+
+def _kernel(r: Composition, method: str):
+    """The route's kernel, after checking the method and its shape rule."""
+    if method not in _KERNELS:
+        raise ValueError(f"c_coeff: unknown method {method!r}")
+    if method == "hyp3f2" and r.m != 2:
+        raise ValueError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
+    return _KERNELS[method]
 
 
 def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
@@ -335,24 +382,22 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
 
     Defined for 1 <= k <= |r| (a positive integer there); k > |r| gives 0.
     All methods agree; returning Fraction lets an integrality bug surface
-    as a failed downstream check instead of silent rounding.
+    as a failed downstream check instead of silent rounding.  Runs the
+    route's kernel up to k; a caller needing several k should take
+    ``c_table`` once.
     """
     if k < 1:
         raise ValueError(f"c_coeff: k must be positive, got {k}")
-    if method not in _C_DISPATCH:
-        raise ValueError(f"c_coeff: unknown method {method!r}")
-    if method == "hyp3f2" and r.m != 2:
-        raise ValueError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
+    kernel = _kernel(r, method)
     if k > r.total:
         return Fraction(0)
-    return _C_DISPATCH[method](r, k)
+    return kernel(r, k)[k - 1]
 
 
 def c_table(r: Composition, method: str = DEFAULT_C_METHOD) -> CoeffTable:
-    """All of c_1(r) .. c_|r|(r) by the chosen method."""
-    return CoeffTable(
-        "c", r, {k: c_coeff(r, k, method) for k in range(1, r.total + 1)}
-    )
+    """All of c_1(r) .. c_|r|(r) by the chosen method, in one kernel pass."""
+    values = _kernel(r, method)(r, r.total)
+    return CoeffTable("c", r, dict(enumerate(values, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +426,6 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
         vals = {k: factorial(k) * a / denom for k, a in base.items()}
         return CoeffTable("d_tilde", r, {k: v for k, v in vals.items() if v})
     if variant == "c_tilde":
-        vals = {
-            k: Fraction(k) * c_coeff(r, k) / r.total
-            for k in range(1, r.total + 1)
-        }
+        vals = {k: k * c / r.total for k, c in c_table(r).values.items()}
         return CoeffTable("c_tilde", r, {k: v for k, v in vals.items() if v})
     raise ValueError(f"linearization_d: unknown variant {variant!r}")

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from operator import sub
+from typing import Iterable, List, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -65,6 +66,19 @@ def multinomial(n: int, parts: Iterable[int]) -> int:
     out = factorial(n)
     for a in parts:
         out //= factorial(a)
+    return out
+
+
+def forward_differences(values: Sequence[int]) -> List[int]:
+    """Delta^k f(0) for k = 0..len(values)-1, given values = f(0), f(1), ...
+
+    Taken as an integer difference table, one row per k: no products and
+    no division, and Delta^k f(0) = sum_j (-1)^(k-j) C(k, j) f(j).
+    """
+    row, out = list(values), []
+    while row:
+        out.append(row[0])
+        row = list(map(sub, row[1:], row[:-1]))
     return out
 
 

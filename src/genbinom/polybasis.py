@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
 from typing import Dict, Iterable, List, Tuple
 
-from .exactnum import Rat, binomial, factorial, rat_str
+from .exactnum import Rat, binomial, factorial, forward_differences, rat_str
 
 
 def _integer_coeffs(p: "UPoly") -> Tuple[int, List[int]]:
@@ -34,7 +33,7 @@ class UPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Fraction, ...] = tuple(cs)
@@ -109,9 +108,13 @@ class UPoly:
     def __pow__(self, e: int) -> "UPoly":
         if e < 0:
             raise ValueError(f"negative power: {e}")
-        out = UPoly.one()
-        for _ in range(e):
-            out = out * self
+        out, base = UPoly.one(), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def __call__(self, x: Rat) -> Fraction:
@@ -209,12 +212,11 @@ def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
         row.append(acc)
     out: Dict[int, Fraction] = {}
     k_factorial = 1
-    for k in range(len(row)):
+    for k, d in enumerate(forward_differences(row)):
         if k:
             k_factorial *= k
-            row = list(map(sub, row[1:], row[:-1]))
-        if row[0]:
-            out[k] = Fraction(row[0], den * k_factorial)
+        if d:
+            out[k] = Fraction(d, den * k_factorial)
     return out
 
 

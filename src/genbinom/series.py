@@ -140,9 +140,14 @@ class MPoly:
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:
             raise ValueError(f"negative power: {e}")
-        out = MPoly.const(self.caps, 1)
-        for _ in range(e):
-            out = out * self
+        # truncation is a quotient ring, so square-and-multiply is exact
+        out, base = MPoly.const(self.caps, 1), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     # -- inspection --------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genbinom import coefficients
 from genbinom.coefficients import (
@@ -17,6 +19,7 @@ from genbinom.coefficients import (
     t_coeff,
 )
 from genbinom.exactnum import binomial, factorial, multinomial, rising
+from genbinom.polybasis import UPoly, rising_poly, to_falling_basis
 from genbinom.series import MPoly, geom_inverse_product
 
 AGREEING = [m for m in C_METHODS if m != "hyp3f2"]
@@ -148,6 +151,123 @@ def test_integer_recurrence_matches_fraction_recurrence():
         parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
         for k in range(1, r.total + 1):
             assert c_coeff(r, k, "recurrence") == _fraction_recurrence(parts, k), (r, k)
+
+
+# The per-k formulas the route kernels replaced, kept as references.
+
+def _old_hypergeom(numer, denom, z):
+    nums = [Fraction(a) for a in numer]
+    dens = [Fraction(b) for b in denom]
+    z = Fraction(z)
+    stops = [-a for a in nums if a.denominator == 1 and a <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
+    nmax = int(min(stops))
+    for b in dens:
+        if b.denominator == 1 and 0 >= b > -nmax:
+            raise ZeroDivisionError(f"denominator parameter {b} hits zero within the summation range")
+    total = term = Fraction(1)
+    for j in range(nmax):
+        term = term * math.prod(a + j for a in nums) * z
+        term /= math.prod(b + j for b in dens) * (j + 1)
+        total += term
+    return total
+
+
+def _old_explicit(r, k):
+    acc = Fraction(0)
+    for i in range(1, k + 1):
+        term = Fraction((-1) ** (k - i) * binomial(k - 1, i - 1), i)
+        for rl in r.parts:
+            term *= binomial(rl + i - 1, rl)
+        acc += term
+    return r.total * acc
+
+
+def _old_entiere(r, k):
+    acc = 0
+    for j in range(r.m):
+        for i in range(1, k + 1):
+            term = (-1) ** (k - i) * binomial(k - 1, i - 1)
+            term *= binomial(i + r.parts[j] - 1, r.parts[j] - 1)
+            for l, rl in enumerate(r.parts):
+                if l != j:
+                    term *= binomial(rl + i - 1, rl)
+            acc += term
+    return Fraction(acc)
+
+
+def _old_inclusion_exclusion(r, k):
+    stripped = [p for p in r.parts if p > 0]
+    s = 0
+    for i in range(1, k + 1):
+        term = binomial(k, i)
+        for rl in stripped:
+            term *= rl * binomial(i + rl - 1, rl)
+        s += (-1) ** (k - i) * term
+    return Fraction(r.total * s, k * math.prod(stripped))
+
+
+def _old_finite_diff(r, k):
+    p = UPoly.one()
+    for ri in r.parts:
+        p = p * rising_poly(ri)
+    a = to_falling_basis(p).get(k, Fraction(0))
+    return r.total * factorial(k - 1) * a / math.prod(factorial(ri) for ri in r.parts)
+
+
+def _old_hyp3f2(r, k):
+    r1, r2 = r.parts
+    val = _old_hypergeom([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
+    return (-1) ** (k - 1) * (r1 + r2) * val
+
+
+_OLD_ROUTES = {
+    "explicit": _old_explicit,
+    "entiere": _old_entiere,
+    "inclusion_exclusion": _old_inclusion_exclusion,
+    "finite_diff": _old_finite_diff,
+    "hyp3f2": _old_hyp3f2,
+}
+
+_KERNEL_CASES = list(iter_compositions(3, 4)) + [
+    Composition(p) for p in [(20,) * 6, (12, 9, 7, 5), (17, 13)]
+]
+
+
+@pytest.mark.parametrize("method", sorted(_OLD_ROUTES))
+def test_route_kernels_match_per_k_formulas(method):
+    for r in _KERNEL_CASES:
+        if method == "hyp3f2" and r.m != 2:
+            continue
+        table = c_table(r, method).values
+        assert list(table) == list(range(1, r.total + 1))
+        for k, value in table.items():
+            expected = _OLD_ROUTES[method](r, k)
+            assert type(value) is Fraction and value == expected, (r, method, k)
+        k = r.total // 2 + 1  # a kernel run short of |r|
+        assert c_coeff(r, k, method) == table[k]
+
+
+rational = st.fractions(max_denominator=9, min_value=-6, max_value=6)
+
+
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.lists(rational, max_size=3),
+    st.lists(rational, max_size=3),
+    rational,
+)
+def test_hypergeom_matches_termwise_fractions(n, numer, denom, z):
+    numer = [-n] + numer
+    try:
+        expected = _old_hypergeom(numer, denom, z)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            hypergeom_terminating(numer, denom, z)
+        return
+    value = hypergeom_terminating(numer, denom, z)
+    assert type(value) is Fraction and value == expected
 
 
 def test_c_symmetry_and_zero_entries():

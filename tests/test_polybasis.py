@@ -80,6 +80,14 @@ def test_mul_matches_fraction_convolution(a, b):
     assert UPoly(a) * UPoly(b) == UPoly(expected)
 
 
+@given(st.lists(rational, max_size=4), st.integers(min_value=0, max_value=9))
+def test_pow_matches_repeated_product(coeffs, e):
+    p, expected = UPoly(coeffs), UPoly.one()
+    for _ in range(e):
+        expected = expected * p
+    assert p**e == expected
+
+
 def _falling_basis_by_deltas(p):
     """Reference Newton coefficients: one delta_at_zero per k."""
     out = {}

@@ -127,6 +127,15 @@ def test_mul_distributes(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(small_mpoly(), st.integers(min_value=0, max_value=9))
+def test_pow_matches_repeated_product(a, e):
+    # truncation is a quotient ring, so square-and-multiply gives the same power
+    expected = MPoly.const(a.caps, 1)
+    for _ in range(e):
+        expected = expected * a
+    assert a**e == expected
+
+
 def test_debug_serialization():
     p = MPoly((2, 2), {(1, 0): Fraction(1, 2), (0, 2): -3})
     assert p.debug_lines() == ["-3/1 * x1^0x2^2", "1/2 * x1^1x2^0"]
