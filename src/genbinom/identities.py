@@ -19,6 +19,11 @@ equality.  Supported identity ids:
   binom2      two-factor normalized linearization with alternating signs
   injections  cycle-count polynomial of injections vs a rising factorial
 
+The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
+read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
+built by enumerating partitions, not from sum_mu X^l(mu) t^|mu| / z_mu =
+(1-t)^(-X): that is las0p's right side, so las0p would then check nothing.
+
 Each id has one entry in a table holding its checker and its parameter
 grid.  Each (id, params) verification is independent, so sweeps can be
 fanned out; `sweep` validates the whole grid before checking any instance,
@@ -31,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as _cartesian
 from typing import Dict, Iterator, List, Sequence, Tuple
 
@@ -85,33 +91,37 @@ class IdentityReport:
 # shared building blocks
 # ---------------------------------------------------------------------------
 
-def _las_lhs(n: int, r: Composition, weight=None) -> UPoly:
-    """sum over |mu| = n of weight(mu) * X^(l(mu)-1) / z_mu *
-    sum_i prod_k rising(mu_i, r_k)/r_k!."""
-    coeffs = [Fraction(0)] * max(n, 1)
-    rfact = [factorial(rk) for rk in r.parts]
+@lru_cache(maxsize=256)
+def _class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
+    """T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) * n!/z_mu, for
+    j <= n + 1 - l, the largest part; w = ferrers_choose(., p), or 1 if p is
+    None.  Memoized by (n, p): sweeps repeat each (n, p) across compositions."""
+    nfact = factorial(n)
+    table = [[0] * (n + 2 - l) for l in range(n + 1)]
     for mu in partitions_of(n):
-        inner = Fraction(0)
-        for part in mu.parts:
-            term = Fraction(1)
-            for rk, fk in zip(r.parts, rfact):
-                term *= Fraction(rising(part, rk), fk)
-            inner += term
-        w = inner / z_mu(mu)
-        if weight is not None:
-            w *= weight(mu)
-        coeffs[mu.length - 1] += w
-    return UPoly(coeffs)
+        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(mu, p))
+        row = table[mu.length]
+        for part, mult in mu.mults.items():
+            row[part] += w * mult
+    return tuple(tuple(row) for row in table)
+
+
+def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
+    """n! times the X^(l-1) coefficients, l = 1..n, of the sum over mu |- n of
+    w(mu) * X^(l(mu)-1) / z_mu * sum_i g[mu_i]; w as in `_class_table`."""
+    return [sum(gj * t for gj, t in zip(g, row)) for row in _class_table(n, p)[1:]]
+
+
+def _las_lhs(n: int, r: Composition, p: int | None = None) -> UPoly:
+    """`_partition_sum` / n! at g(j) = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!."""
+    g = [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
+    nfact = factorial(n)
+    return UPoly(Fraction(s, nfact) for s in _partition_sum(n, g, p))
 
 
 def _mchoose(a: int, q: int) -> int:
     """Multisets of size q from a symbols: rising(a, q)/q!; (0, 0) -> 1."""
     return rising(a, q) // factorial(q)
-
-
-def _seating_f1(j: int, rl: int) -> int:
-    """Seatings of one species with rl representatives at a j-chair table."""
-    return j * binomial(j + rl - 1, rl - 1)
 
 
 Pair = Tuple[object, object]
@@ -132,13 +142,9 @@ def _check_las(n: int, r: Composition) -> List[Pair]:
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     check_positive_species(r)
-    coeffs = [Fraction(0)] * max(n, 1)
-    for mu in partitions_of(n):
-        inner = 0
-        for part in mu.parts:
-            inner += math.prod(_seating_f1(part, rl) for rl in r.parts)
-        coeffs[mu.length - 1] += Fraction(factorial(n) * inner, z_mu(mu))
-    lhs = UPoly(coeffs)
+    # g(j): seatings of every species, r_l representatives each, at one j-chair table
+    g = [0] + [math.prod(j * binomial(j + rl - 1, rl - 1) for rl in r.parts) for j in range(1, n + 1)]
+    lhs = UPoly(_partition_sum(n, g))
 
     c = c_table(r).values
     rhs_c = UPoly.zero()
@@ -166,9 +172,7 @@ def _check_las0p(n: int, r: Composition) -> List[Pair]:
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
-    if not 1 <= p <= n:
-        raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")
-    lhs = _las_lhs(n, r, weight=lambda mu: ferrers_choose(mu, p))
+    lhs = _las_lhs(n, r, p)
     rhs = UPoly.zero()
     for k in range(1, min(p, n) + 1):
         inner = 0
@@ -183,11 +187,10 @@ def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
 
 
 def _check_mac(n: int) -> List[Pair]:
-    body = [Fraction(0)] * (n + 1)
-    deriv = [Fraction(0)] * max(n, 1)
-    for mu in partitions_of(n):
-        body[mu.length] += Fraction(1, z_mu(mu))
-        deriv[mu.length - 1] += Fraction(mu.length, z_mu(mu))
+    # sum_j m_j(mu) = l(mu), so g = 1 weights each mu by its length
+    nfact = factorial(n)
+    deriv = [Fraction(s, nfact) for s in _partition_sum(n, [1] * (n + 1))]
+    body = [0] + [d / l for l, d in enumerate(deriv, 1)]
     rhs_deriv = UPoly.zero()
     for k in range(1, n + 1):
         rhs_deriv = rhs_deriv + shifted_binom_poly(n, k).scale(Fraction((-1) ** (k - 1), k))
@@ -209,16 +212,14 @@ def _embed(p: UPoly, caps: Tuple[int, ...], var: int) -> MPoly:
 
 
 def _check_lemma1(n: int) -> List[Pair]:
-    # variables (X, y), caps (n-1, n)
-    caps = (max(n - 1, 0), n)
-    lhs = MPoly.zero(caps)
-    for mu in partitions_of(n):
-        ypoly: Dict[Tuple[int, int], Fraction] = {}
-        for part in mu.parts:
-            ypoly[(0, part)] = ypoly.get((0, part), Fraction(0)) + 1
-        ypoly[(0, 0)] = ypoly.get((0, 0), Fraction(0)) - mu.length
-        xfac = MPoly(caps, {(mu.length - 1, 0): Fraction(1, z_mu(mu))})
-        lhs = lhs + xfac * MPoly(caps, ypoly)
+    # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)), in (X, y)
+    caps = (n - 1, n)
+    nfact = factorial(n)
+    terms = {}
+    for l, row in enumerate(_class_table(n)[1:]):
+        terms.update({(l, j): Fraction(t, nfact) for j, t in enumerate(row) if t})
+        terms[(l, 0)] = Fraction(-sum(row), nfact)
+    lhs = MPoly(caps, terms)
     rhs = MPoly.zero(caps)
     ym1 = MPoly(caps, {(0, 1): 1, (0, 0): -1})
     power = MPoly.const(caps, 1)  # (y - 1)^k, one product per k
@@ -349,10 +350,19 @@ def _jsonable(value):
     return value
 
 
+def _check_n_p(n: int | None, p: int | None) -> None:
+    """The rule on the shared parameters: n >= 1 and 1 <= p <= n."""
+    if (n is not None and n < 1) or (p is not None and p < 1):
+        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
+    if n is not None and p is not None and p > n:
+        raise ValueError(f"need p <= n, got p={p}, n={n}")
+
+
 def verify(identity: str, **params) -> IdentityReport:
     """Check one identity instance; exact equality decides the verdict."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
+    _check_n_p(params.get("n"), params.get("p"))
     shown = {k: _jsonable(v) for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
     for lhs, rhs in pairs:
@@ -369,8 +379,7 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     Entries come out as |r| times the expansion coefficients; zero entries
     are dropped.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _check_n_p(n, None)
     residue = _las_lhs(n, r)
     values: Dict[int, Fraction] = {}
     for k in range(1, n + 1):
@@ -467,10 +476,7 @@ def sweep(
     raises ValueError here, not midway through the returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
-    if (n is not None and n < 1) or (p is not None and p < 1):
-        raise ValueError(f"n and p must be positive, got n={n}, p={p}")
-    if n is not None and p is not None and p > n:
-        raise ValueError(f"need p <= n, got p={p}, n={n}")
+    _check_n_p(n, p)
     ns = [n] if n is not None else list(range(1, n_max + 1))
 
     def comps() -> List[Composition]:  # built only for the ids that take r

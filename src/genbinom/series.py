@@ -54,13 +54,6 @@ class MPoly:
     def const(cls, caps: Sequence[int], value: Rat) -> "MPoly":
         return cls(caps, {(0,) * len(tuple(caps)): value})
 
-    @classmethod
-    def variable(cls, caps: Sequence[int], index: int) -> "MPoly":
-        caps = tuple(caps)
-        e = [0] * len(caps)
-        e[index] = 1
-        return cls(caps, {tuple(e): 1})
-
     # -- basic protocol --------------------------------------------------
 
     @property

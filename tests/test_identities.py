@@ -1,9 +1,18 @@
+import inspect
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
+from genbinom import identities
+from genbinom.cli import main
 from genbinom.coefficients import Composition, c_coeff, iter_compositions
+from genbinom.exactnum import binomial, factorial, rising
 from genbinom.identities import IDENTITY_IDS, extract_c_from_las, sweep, verify
+from genbinom.partitions import ferrers_choose, partitions_of, z_mu
+from genbinom.polybasis import UPoly
+from genbinom.series import MPoly
 
 
 def test_las_example():
@@ -110,3 +119,123 @@ def test_las_requires_valid_params():
         verify("bigeq", n=2, r=Composition([1, 0]))
     with pytest.raises(ValueError):
         extract_c_from_las(0, Composition([1]))
+
+
+def _takes(ident):
+    return inspect.signature(identities._IDENTITIES[ident][0]).parameters
+
+
+@pytest.mark.parametrize("ident", [i for i in IDENTITY_IDS if "n" in _takes(i)])
+def test_verify_rejects_empty_instance(ident):
+    # n = 0 has no instance to check, so it is not "verified"
+    sample = {"n": 0, "p": 1, "r": Composition([1]), "k": 0}
+    with pytest.raises(ValueError):
+        verify(ident, **{name: sample[name] for name in _takes(ident)})
+
+
+def test_ids_taking_n():
+    expected = {"las", "bigeq", "las0p", "las0pp", "mac", "lemma1", "injections"}
+    assert {i for i in IDENTITY_IDS if "n" in _takes(i)} == expected
+
+
+def test_failed_check_end_to_end(monkeypatch, capsys):
+    def unequal(n):
+        return [(UPoly.one(), UPoly.one()), (UPoly.x(), UPoly([n]))]
+
+    monkeypatch.setitem(identities._IDENTITIES, "mac", (unequal, identities._IDENTITIES["mac"][1]))
+    report = verify("mac", n=2)
+    assert report.status == "failed" and not report.verified
+    assert (report.lhs, report.rhs) == ("X", "2")
+    assert main(["verify", "--id", "mac", "--n", "2"]) == 1
+    line = capsys.readouterr().out.strip()
+    assert json.loads(line) == {"id": "mac", "params": {"n": 2}, "status": "failed"}
+
+
+# The partition loops the class-size table replaced, kept as references.
+
+def _old_las_lhs(n, r, weight=None):
+    """sum over |mu| = n of weight(mu) * X^(l(mu)-1) / z_mu *
+    sum_i prod_k rising(mu_i, r_k)/r_k!."""
+    coeffs = [Fraction(0)] * max(n, 1)
+    rfact = [factorial(rk) for rk in r.parts]
+    for mu in partitions_of(n):
+        inner = Fraction(0)
+        for part in mu.parts:
+            term = Fraction(1)
+            for rk, fk in zip(r.parts, rfact):
+                term *= Fraction(rising(part, rk), fk)
+            inner += term
+        w = inner / z_mu(mu)
+        if weight is not None:
+            w *= weight(mu)
+        coeffs[mu.length - 1] += w
+    return UPoly(coeffs)
+
+
+def _seating_f1(j, rl):
+    """Seatings of one species with rl representatives at a j-chair table."""
+    return j * binomial(j + rl - 1, rl - 1)
+
+
+def _old_bigeq_lhs(n, r):
+    coeffs = [Fraction(0)] * max(n, 1)
+    for mu in partitions_of(n):
+        inner = 0
+        for part in mu.parts:
+            inner += math.prod(_seating_f1(part, rl) for rl in r.parts)
+        coeffs[mu.length - 1] += Fraction(factorial(n) * inner, z_mu(mu))
+    return UPoly(coeffs)
+
+
+def _old_mac_lhs(n):
+    body = [Fraction(0)] * (n + 1)
+    deriv = [Fraction(0)] * max(n, 1)
+    for mu in partitions_of(n):
+        body[mu.length] += Fraction(1, z_mu(mu))
+        deriv[mu.length - 1] += Fraction(mu.length, z_mu(mu))
+    return [UPoly(body), UPoly(deriv)]
+
+
+def _old_lemma1_lhs(n):
+    caps = (max(n - 1, 0), n)
+    lhs = MPoly.zero(caps)
+    for mu in partitions_of(n):
+        ypoly = {}
+        for part in mu.parts:
+            ypoly[(0, part)] = ypoly.get((0, part), Fraction(0)) + 1
+        ypoly[(0, 0)] = ypoly.get((0, 0), Fraction(0)) - mu.length
+        xfac = MPoly(caps, {(mu.length - 1, 0): Fraction(1, z_mu(mu))})
+        lhs = lhs + xfac * MPoly(caps, ypoly)
+    return lhs
+
+
+def test_class_table_matches_las_loop():
+    for n in range(1, 10):
+        for r in iter_compositions(3, 2):
+            assert identities._las_lhs(n, r) == _old_las_lhs(n, r), (n, r)
+            for p in range(1, n + 1):
+                expected = _old_las_lhs(n, r, weight=lambda mu: ferrers_choose(mu, p))
+                assert identities._las_lhs(n, r, p) == expected, (n, p, r)
+
+
+def test_class_table_matches_bigeq_loop():
+    for n in range(1, 10):
+        for r in iter_compositions(3, 2):
+            if 0 not in r.parts:
+                assert identities._check_bigeq(n, r)[0][0] == _old_bigeq_lhs(n, r), (n, r)
+
+
+def test_class_table_matches_mac_and_lemma1_loops():
+    for n in range(1, 15):
+        assert [lhs for lhs, _ in identities._check_mac(n)] == _old_mac_lhs(n), n
+        assert identities._check_lemma1(n)[0][0] == _old_lemma1_lhs(n), n
+
+
+def test_class_table_invariants():
+    assert identities._class_table.cache_info().maxsize is not None
+    for n in range(1, 15):
+        table = identities._class_table(n)
+        # each mu |- n counts its class size once per part, l(mu) times in all
+        assert sum(Fraction(sum(row), l) for l, row in enumerate(table) if l) == factorial(n)
+        assert table[n][1] == n  # mu = 1^n, the identity class
+        assert table[1][n] == factorial(n - 1)  # mu = (n), the n-cycles

@@ -63,8 +63,8 @@ def test_geom_times_one_minus_x_collapses():
     for caps in ((3,), (1, 1), (2, 3), (1, 2, 2)):
         prod = geom_inverse_product(caps)
         for i in range(len(caps)):
-            one_minus = MPoly.const(caps, 1) - MPoly.variable(caps, i)
-            prod = prod * one_minus
+            x_i = tuple(int(k == i) for k in range(len(caps)))
+            prod = prod * MPoly(caps, {(0,) * len(caps): 1, x_i: -1})
         assert prod == MPoly.const(caps, 1)
 
 
