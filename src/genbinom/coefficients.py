@@ -415,9 +415,7 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     d_tilde (an empty species contributes the factor 1).
     """
     if variant == "d":
-        p = UPoly.one()
-        for ri in r.parts:
-            p = p * falling_poly(ri)
+        p = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
         vals = {k: a for k, a in to_falling_basis(p).items() if k >= 1}
         return CoeffTable("d", r, vals)
     if variant == "d_tilde":

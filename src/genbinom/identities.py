@@ -25,13 +25,15 @@ built by enumerating partitions, not from sum_mu X^l(mu) t^|mu| / z_mu =
 (1-t)^(-X): that is las0p's right side, so las0p would then check nothing.
 
 Each id has one entry in a table holding its checker and its parameter
-grid.  Each (id, params) verification is independent, so sweeps can be
-fanned out; `sweep` validates the whole grid before checking any instance,
-then yields reports in a fixed deterministic parameter order.
+grid; the fixed parameters (n, p, r) an id takes are those its grid
+function reads.  Each (id, params) verification is independent, so sweeps
+can be fanned out; `sweep` validates the whole grid before checking any
+instance, then yields reports in a fixed deterministic parameter order.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -51,6 +53,7 @@ from .coefficients import (
 )
 from .exactnum import binomial, factorial, multinomial, rising
 from .oracles import (
+    COVERING_K_MAX,
     INJECTION_N_MAX,
     oracle_covering_choices,
     oracle_injection_cycle_poly,
@@ -115,8 +118,7 @@ def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
 def _las_lhs(n: int, r: Composition, p: int | None = None) -> UPoly:
     """`_partition_sum` / n! at g(j) = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!."""
     g = [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
-    nfact = factorial(n)
-    return UPoly(Fraction(s, nfact) for s in _partition_sum(n, g, p))
+    return UPoly(_partition_sum(n, g, p)).scale(Fraction(1, factorial(n)))
 
 
 def _mchoose(a: int, q: int) -> int:
@@ -134,10 +136,8 @@ Pair = Tuple[object, object]
 def _check_las(n: int, r: Composition) -> List[Pair]:
     lhs = _las_lhs(n, r)
     c = c_table(r).values
-    rhs = UPoly.zero()
-    for k in range(1, min(n, r.total) + 1):
-        rhs = rhs + shifted_binom_poly(n, k).scale(c[k])
-    return [(lhs, rhs.scale(Fraction(1, r.total)))]
+    terms = (shifted_binom_poly(n, k).scale(c[k]) for k in range(1, min(n, r.total) + 1))
+    return [(lhs, sum(terms, UPoly.zero()).scale(Fraction(1, r.total)))]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
@@ -147,43 +147,35 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     lhs = UPoly(_partition_sum(n, g))
 
     c = c_table(r).values
-    rhs_c = UPoly.zero()
-    for k in range(1, min(n, r.total) + 1):
-        w = c[k] * factorial(k) * binomial(n, k)
-        rhs_c = rhs_c + rising_poly(n - k, shift=k).scale(w)
-    rhs_c = rhs_c.scale(Fraction(math.prod(r.parts), r.total))
-
-    rhs_s = UPoly.zero()
-    rhs_f = UPoly.zero()
-    for k in range(1, n + 1):
-        w = factorial(k - 1) * binomial(n, k)
-        rhs_s = rhs_s + rising_poly(n - k, shift=k).scale(w * seating_counts(r, k, "S"))
-        rhs_f = rhs_f + rising_poly(n - k).scale(w * seating_counts(r, k, "F"))
-    return [(lhs, rhs_c), (lhs, rhs_s), (lhs, rhs_f)]
+    terms_c = (rising_poly(n - k, shift=k).scale(c[k] * factorial(k) * binomial(n, k))
+               for k in range(1, min(n, r.total) + 1))
+    rhs_c = sum(terms_c, UPoly.zero()).scale(Fraction(math.prod(r.parts), r.total))
+    w = {k: factorial(k - 1) * binomial(n, k) for k in range(1, n + 1)}
+    terms_s = (rising_poly(n - k, shift=k).scale(wk * seating_counts(r, k, "S")) for k, wk in w.items())
+    terms_f = (rising_poly(n - k).scale(wk * seating_counts(r, k, "F")) for k, wk in w.items())
+    return [(lhs, rhs_c), (lhs, sum(terms_s, UPoly.zero())), (lhs, sum(terms_f, UPoly.zero()))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
     lhs = _las_lhs(n, r)
-    rhs = UPoly.zero()
-    for k in range(1, n + 1):
-        w = Fraction(math.prod(binomial(rl + k - 1, rl) for rl in r.parts), k)
-        rhs = rhs + shifted_binom_poly(n - k, 0).scale(w)
-    return [(lhs, rhs)]
+    g = {k: math.prod(binomial(rl + k - 1, rl) for rl in r.parts) for k in range(1, n + 1)}
+    terms = (shifted_binom_poly(n - k, 0).scale(Fraction(gk, k)) for k, gk in g.items())
+    return [(lhs, sum(terms, UPoly.zero()))]
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
     lhs = _las_lhs(n, r, p)
-    rhs = UPoly.zero()
-    for k in range(1, min(p, n) + 1):
-        inner = 0
-        for j in range(k, n - p + k + 1):
-            inner += (
-                binomial(j - 1, k - 1)
-                * _mchoose(p - k, n - p - j + k)
-                * math.prod(binomial(rl + j - 1, rl) for rl in r.parts)
-            )
-        rhs = rhs + shifted_binom_poly(p - k, 0).scale(Fraction(inner, k))
-    return [(lhs, rhs)]
+    inner = {
+        k: sum(
+            binomial(j - 1, k - 1)
+            * _mchoose(p - k, n - p - j + k)
+            * math.prod(binomial(rl + j - 1, rl) for rl in r.parts)
+            for j in range(k, n - p + k + 1)
+        )
+        for k in range(1, min(p, n) + 1)
+    }
+    terms = (shifted_binom_poly(p - k, 0).scale(Fraction(s, k)) for k, s in inner.items())
+    return [(lhs, sum(terms, UPoly.zero()))]
 
 
 def _check_mac(n: int) -> List[Pair]:
@@ -191,12 +183,10 @@ def _check_mac(n: int) -> List[Pair]:
     nfact = factorial(n)
     deriv = [Fraction(s, nfact) for s in _partition_sum(n, [1] * (n + 1))]
     body = [0] + [d / l for l, d in enumerate(deriv, 1)]
-    rhs_deriv = UPoly.zero()
-    for k in range(1, n + 1):
-        rhs_deriv = rhs_deriv + shifted_binom_poly(n, k).scale(Fraction((-1) ** (k - 1), k))
+    terms = (shifted_binom_poly(n, k).scale(Fraction((-1) ** (k - 1), k)) for k in range(1, n + 1))
     return [
         (UPoly(body), shifted_binom_poly(n, 0)),
-        (UPoly(deriv), rhs_deriv),
+        (UPoly(deriv), sum(terms, UPoly.zero())),
     ]
 
 
@@ -261,81 +251,53 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 def _check_linm(r: Composition) -> List[Pair]:
-    lhs = UPoly.one()
-    for ri in r.parts:
-        lhs = lhs * falling_poly(ri)
-    table = linearization_d(r, "d")
-    rhs = from_falling_basis(table.values)
-    pairs: List[Pair] = [(lhs, rhs)]
+    lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
+    pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
     if r.m == 2:
         r1, r2 = r.parts
-        closed = UPoly.zero()
-        for k in range(min(r1, r2) + 1):
-            w = binomial(r1, k) * binomial(r2, k) * factorial(k)
-            closed = closed + falling_poly(r1 + r2 - k).scale(w)
-        pairs.append((lhs, closed))
+        closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
+        pairs.append((lhs, from_falling_basis(closed)))
     if r.total <= 7:
-        oracle = UPoly.zero()
-        for k in range(1, r.total + 1):
-            oracle = oracle + falling_poly(k).scale(oracle_transversal_partitions(r, k))
-        pairs.append((lhs, oracle))
+        oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
+        pairs.append((lhs, from_falling_basis(oracle)))
     return pairs
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
-    lhs = UPoly.one()
-    for ri in r.parts:
-        lhs = lhs * binom_poly(ri)
-    table = linearization_d(r, "d_tilde")
-    rhs = UPoly.zero()
-    for k, v in table.values.items():
-        rhs = rhs + binom_poly(k).scale(v)
-    pairs: List[Pair] = [(lhs, rhs)]
+    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
+    table = linearization_d(r, "d_tilde").values
+    pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
     if r.m == 2:
         r1, r2 = r.parts
-        closed = UPoly.zero()
-        for k in range(min(r1, r2) + 1):
-            w = multinomial(r1 + r2 - k, (k, r1 - k, r2 - k))
-            closed = closed + binom_poly(r1 + r2 - k).scale(w)
-        pairs.append((lhs, closed))
-    if r.total <= 6:
-        oracle = UPoly.zero()
-        for k in range(1, r.total + 1):
-            oracle = oracle + binom_poly(k).scale(oracle_covering_choices(r, k, "set"))
-        pairs.append((lhs, oracle))
+        closed = (binom_poly(r1 + r2 - k).scale(multinomial(r1 + r2 - k, (k, r1 - k, r2 - k)))
+                  for k in range(min(r1, r2) + 1))
+        pairs.append((lhs, sum(closed, UPoly.zero())))
+    if r.total <= COVERING_K_MAX:  # k runs up to |r|
+        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "set")) for k in range(1, r.total + 1))
+        pairs.append((lhs, sum(oracle, UPoly.zero())))
     return pairs
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
-    lhs = UPoly.one()
-    for ri in r.parts:
-        lhs = lhs * rising_poly(ri).scale(Fraction(1, factorial(ri)))
-    table = linearization_d(r, "c_tilde")
-    rhs = UPoly.zero()
-    for k, v in table.values.items():
-        rhs = rhs + binom_poly(k).scale(v)
-    pairs: List[Pair] = [(lhs, rhs)]
-    if r.total <= 6:
-        oracle = UPoly.zero()
-        for k in range(1, r.total + 1):
-            oracle = oracle + binom_poly(k).scale(oracle_covering_choices(r, k, "multiset"))
-        pairs.append((lhs, oracle))
+    lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
+    table = linearization_d(r, "c_tilde").values
+    pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
+    if r.total <= COVERING_K_MAX:  # k runs up to |r|
+        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "multiset")) for k in range(1, r.total + 1))
+        pairs.append((lhs, sum(oracle, UPoly.zero())))
     return pairs
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     if r1 < 0 or r2 < 0 or r1 + r2 == 0:
         raise ValueError(f"need nonnegative r1, r2 with r1+r2 > 0, got {r1}, {r2}")
-    lhs = rising_poly(r1).scale(Fraction(1, factorial(r1)))
-    lhs = lhs * rising_poly(r2).scale(Fraction(1, factorial(r2)))
-    rhs = UPoly.zero()
-    for l in range(min(r1, r2) + 1):
-        w = Fraction(
-            (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l)),
-            factorial(r1 + r2 - l),
-        )
-        rhs = rhs + rising_poly(r1 + r2 - l).scale(w)
-    return [(lhs, rhs)]
+    lhs = rising_poly(r1).scale(Fraction(1, factorial(r1))) * rising_poly(r2).scale(Fraction(1, factorial(r2)))
+    terms = (
+        rising_poly(r1 + r2 - l).scale(
+            Fraction((-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l)), factorial(r1 + r2 - l)))
+        for l in range(min(r1, r2) + 1)
+    )
+    return [(lhs, sum(terms, UPoly.zero()))]
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:
@@ -438,6 +400,9 @@ def _grid_injections(ns, **_) -> List[dict]:
     return [dict(n=n, k=k) for n in ns for k in range(n + 1)]
 
 
+# grid-function parameter -> the fixed sweep() parameter it consumes
+_FIXES = {"ns": "n", "comps": "r", "r": "r", "p": "p"}
+
 _IDENTITIES = {
     "las": (_check_las, _grid_n_r),
     "bigeq": (_check_bigeq, _grid_bigeq),
@@ -469,20 +434,27 @@ def sweep(
 ) -> Iterator[IdentityReport]:
     """Verify an identity over its bounded parameter grid, in deterministic
     order.  Which bounds apply depends on the identity; fixing ``n``, ``p``
-    or ``r`` narrows the corresponding range to that single value.
+    or ``r`` narrows the corresponding range to that single value.  An
+    identity takes the fixed parameters its grid function reads.
 
-    The grid is built before any instance runs, so an unknown id, ``n`` or
-    ``p`` below 1, ``p > n``, an oracle budget overrun or an empty grid
-    raises ValueError here, not midway through the returned iterator."""
+    The grid is built before any instance runs, so an unknown id, a fixed
+    parameter the identity does not take, ``n`` or ``p`` below 1,
+    ``p > n``, an oracle budget overrun or an empty grid raises ValueError
+    here, not midway through the returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
+    grid_fn = _IDENTITIES[identity][1]
+    takes = {_FIXES[a] for a in inspect.signature(grid_fn).parameters if a in _FIXES}
+    ignored = [name for name, v in (("n", n), ("p", p), ("r", r)) if v is not None and name not in takes]
+    if ignored:
+        raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)
     ns = [n] if n is not None else list(range(1, n_max + 1))
 
     def comps() -> List[Composition]:  # built only for the ids that take r
         return [r] if r is not None else list(iter_compositions(m_max, r_max))
 
-    grid = _IDENTITIES[identity][1](ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max)
+    grid = grid_fn(ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max)
     if not grid:
         raise ValueError(f"{identity}: no instance within the given bounds")
     return (verify(identity, **params) for params in grid)

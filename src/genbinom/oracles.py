@@ -19,6 +19,7 @@ from .coefficients import Composition, check_positive_species
 from .polybasis import UPoly
 
 INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! injections)
+COVERING_K_MAX = 6  # largest k oracle_covering_choices enumerates (binomial(k, r_l) picks per species)
 
 
 def _set_partitions(items: Sequence) -> Iterator[List[list]]:
@@ -70,8 +71,8 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if mode not in ("multiset", "set"):
         raise ValueError(f"unknown mode {mode!r}")
-    if r.total > 8 or k > 6:
-        raise ValueError(f"budget exceeded: need |r| <= 8 and k <= 6, got |r|={r.total}, k={k}")
+    if r.total > 8 or k > COVERING_K_MAX:
+        raise ValueError(f"budget exceeded: need |r| <= 8 and k <= {COVERING_K_MAX}, got |r|={r.total}, k={k}")
     if mode == "set" and any(rl > k for rl in r.parts):
         return 0
     universe = range(1, k + 1)

@@ -1,42 +1,61 @@
 """Dense univariate polynomials over exact rationals.
 
-Provides the factorial bases (falling, rising, shifted binomial), the
-forward-difference operator evaluated at zero, and the Newton expansion
-of a polynomial in the falling-factorial basis.  Identities elsewhere in
-the package are decided by exact coefficientwise comparison of these
-polynomials in the monomial basis.
+A `UPoly` is stored in FLINT's ``fmpq_poly`` layout: a tuple of integer
+numerators over one positive common denominator, kept in lowest terms, so
+all of its arithmetic is integer work.  The module also provides the
+factorial bases (falling, rising, shifted binomial), the forward-difference
+operator evaluated at zero, and the Newton expansion of a polynomial in the
+falling-factorial basis.  Identities elsewhere in the package are decided
+by exact coefficientwise comparison of these polynomials in the monomial
+basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Tuple
+from itertools import zip_longest
+from typing import Dict, Iterable, List
 
 from .exactnum import Rat, binomial, factorial, forward_differences, rat_str
 
 
-def _integer_coeffs(p: "UPoly") -> Tuple[int, List[int]]:
-    """(den, coefficients of den * p), den the lcm of p's denominators."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
 class UPoly:
-    """Polynomial in one indeterminate, coefficients indexed by degree.
+    """Polynomial in one indeterminate: sum_d coeffs[d] X^d / den.
 
-    Trailing zero coefficients are stripped; the zero polynomial has an
-    empty coefficient tuple.  Instances are immutable and hashable.
-    Products are convolved in integers over a common denominator.
+    ``coeffs`` holds integer numerators indexed by degree and ``den`` one
+    positive common denominator.  Every instance is canonical: den > 0,
+    gcd(den, *coeffs) == 1 and no trailing zero numerator, so the zero
+    polynomial is ``((), 1)`` and equal polynomials have equal
+    (coeffs, den).  Sums, products, scaling, powers, equality and hashing
+    are integer work; `coeff` is the one method that builds a Fraction.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _set(self, nums: List[int], den: int) -> None:
+        """Store nums / den (den > 0) in canonical form; nums is consumed."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.coeffs: tuple[int, ...] = tuple(nums)
+        self.den: int = den
+
+    @classmethod
+    def _of(cls, nums: List[int], den: int = 1) -> "UPoly":
+        """The polynomial sum_d nums[d] X^d / den; nums is consumed."""
+        out = cls.__new__(cls)
+        out._set(nums, den)
+        return out
 
     @classmethod
     def zero(cls) -> "UPoly":
@@ -57,7 +76,7 @@ class UPoly:
 
     def coeff(self, d: int) -> Fraction:
         if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
+            return Fraction(self.coeffs[d], self.den)
         return Fraction(0)
 
     def __bool__(self) -> bool:
@@ -66,19 +85,19 @@ class UPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, UPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.coeffs, self.den))
 
     def __add__(self, other: "UPoly") -> "UPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UPoly(
-            (self.coeff(d) + other.coeff(d) for d in range(n))
-        )
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UPoly._of([x * sa + y * sb for x, y in pairs], den)
 
     def __neg__(self) -> "UPoly":
-        return UPoly((-c for c in self.coeffs))
+        return UPoly._of([-c for c in self.coeffs], self.den)
 
     def __sub__(self, other: "UPoly") -> "UPoly":
         return self + (-other)
@@ -86,24 +105,23 @@ class UPoly:
     def __mul__(self, other) -> "UPoly":
         if not isinstance(other, UPoly):
             return self.scale(other)
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return UPoly()
-        den_a, a = _integer_coeffs(self)
-        den_b, b = _integer_coeffs(other)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
             for j, y in enumerate(b):
                 out[i + j] += x * y
-        den = den_a * den_b
-        return UPoly(Fraction(c, den) for c in out)
+        return UPoly._of(out, self.den * other.den)
 
     def __rmul__(self, other) -> "UPoly":
         return self.scale(other)
 
     def scale(self, value: Rat) -> "UPoly":
-        return UPoly((c * value for c in self.coeffs))
+        num, den = value.numerator, value.denominator
+        return UPoly._of([c * num for c in self.coeffs], self.den * den)
 
     def __pow__(self, e: int) -> "UPoly":
         if e < 0:
@@ -118,25 +136,28 @@ class UPoly:
         return out
 
     def __call__(self, x: Rat) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
+        """Evaluate by Horner's rule in integers: with x = u/v, p(x) is
+        sum_d coeffs[d] u^d v^(deg-d) / (den v^deg)."""
+        u, v = x.numerator, x.denominator
+        acc, vpow = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * u + c * vpow
+            vpow *= v
+        return Fraction(acc * v, self.den * vpow)
 
     def to_strs(self) -> list[str]:
         """Serialization: "num/den" strings, lowest degree first."""
-        return [rat_str(c) for c in self.coeffs]
+        return [rat_str(self.coeff(d)) for d in range(len(self.coeffs))]
 
     def __repr__(self) -> str:
-        return f"UPoly({[str(c) for c in self.coeffs]})"
+        return f"UPoly({[str(self.coeff(d)) for d in range(len(self.coeffs))]})"
 
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
         chunks = []
         for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
+            c = self.coeff(d)
             if not c:
                 continue
             mono = "1" if d == 0 else ("X" if d == 1 else f"X^{d}")
@@ -154,10 +175,10 @@ def rising_poly(n: int, shift: int = 0) -> UPoly:
     """(X+shift)(X+shift+1)...(X+shift+n-1); n = 0 gives 1."""
     if n < 0:
         raise ValueError(f"rising_poly: n must be nonnegative, got {n}")
-    out = UPoly.one()
-    for i in range(n):
-        out = out * UPoly((shift + i, 1))
-    return out
+    cs = [1]
+    for a in range(shift, shift + n):  # cs times (X + a)
+        cs = [a * c + b for c, b in zip(cs + [0], [0] + cs)]
+    return UPoly._of(cs)
 
 
 def falling_poly(n: int) -> UPoly:
@@ -198,16 +219,15 @@ def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
     """Newton coefficients A_k with p = sum_k A_k * falling(k).
 
     A_k = Delta^k p(0) / k!.  The forward differences are taken in
-    integers: p is scaled by the lcm ``den`` of its coefficient
-    denominators, evaluated once at 0..deg(p), and differenced in a table,
-    so A_k = Delta^k (den p)(0) / (den k!) is the one division.  Only
-    nonzero entries are returned, and there are at most deg(p)+1 of them.
+    integers: the numerators ``p.coeffs`` (that is, den * p) are evaluated
+    once at 0..deg(p) and differenced in a table, so
+    A_k = Delta^k (den p)(0) / (den k!) is the one division.  Only nonzero
+    entries are returned, and there are at most deg(p)+1 of them.
     """
-    den, scaled = _integer_coeffs(p)
     row = []
-    for x in range(len(scaled)):
+    for x in range(len(p.coeffs)):
         acc = 0
-        for c in reversed(scaled):
+        for c in reversed(p.coeffs):
             acc = acc * x + c
         row.append(acc)
     out: Dict[int, Fraction] = {}
@@ -216,13 +236,10 @@ def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
         if k:
             k_factorial *= k
         if d:
-            out[k] = Fraction(d, den * k_factorial)
+            out[k] = Fraction(d, p.den * k_factorial)
     return out
 
 
 def from_falling_basis(coeffs: Dict[int, Rat]) -> UPoly:
     """Reassemble sum_k A_k * falling(k)."""
-    out = UPoly.zero()
-    for k, a in coeffs.items():
-        out = out + falling_poly(k).scale(a)
-    return out
+    return sum((falling_poly(k).scale(a) for k, a in coeffs.items()), UPoly.zero())

@@ -145,6 +145,31 @@ def test_verify_rejects_grid_before_output(capsys, argv):
     assert "error" in err
 
 
+# the fixed parameters each id takes; verify rejects any other one
+_TAKES = {"las": "nr", "bigeq": "nr", "las0p": "nr", "las0pp": "npr", "mac": "n", "lemma1": "n",
+          "waring": "r", "linm": "r", "linbin": "r", "linlas": "r", "binom2": "r", "injections": "n"}
+_FIXED_VALUE = {"n": "2", "p": "1", "r": "2,1"}
+
+
+def test_takes_table_covers_every_id():
+    assert sorted(_TAKES) == sorted(IDENTITY_IDS)
+
+
+@pytest.mark.parametrize("ident,flag", [(i, f) for i in sorted(_TAKES) for f in "npr" if f not in _TAKES[i]])
+def test_verify_rejects_unused_fixed_parameter(capsys, ident, flag):
+    argv = ["verify", "--id", ident, "--n-max", "2", "--m-max", "1", "--r-max", "2"]
+    code, out, err = run(capsys, *argv, f"--{flag}", _FIXED_VALUE[flag])
+    assert (code, out) == (2, "")
+    assert f"{ident} takes no fixed {flag}" in err
+
+
+@pytest.mark.parametrize("ident,flag", [(i, f) for i in sorted(_TAKES) for f in _TAKES[i]])
+def test_verify_accepts_used_fixed_parameter(capsys, ident, flag):
+    argv = ["verify", "--id", ident, "--n-max", "2", "--m-max", "1", "--r-max", "2"]
+    code, out, _ = run(capsys, *argv, f"--{flag}", _FIXED_VALUE[flag])
+    assert code == 0 and out
+
+
 def test_verify_never_prints_then_rejects(capsys):
     # degenerate bounds either check at least one instance or print nothing
     for ident in IDENTITY_IDS:

@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
+from typing import Iterable, List, Tuple
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbinom.exactnum import binomial, factorial, rising
+from genbinom.exactnum import Rat, binomial, factorial, rat_str, rising
 from genbinom.polybasis import (
     UPoly,
     binom_poly,
@@ -165,3 +167,212 @@ def test_serialization():
     assert UPoly.zero().to_strs() == []
     assert str(UPoly((1, -1, 1))) == "X^2 - X + 1"
     assert str(UPoly.zero()) == "0"
+
+
+# ---------------------------------------------------------------------------
+# reference: the former Fraction-tuple UPoly, kept verbatim (renamed
+# RefUPoly), and the former rising_poly as a product of linear factors
+# ---------------------------------------------------------------------------
+
+def _integer_coeffs(p: "RefUPoly") -> Tuple[int, List[int]]:
+    """(den, coefficients of den * p), den the lcm of p's denominators."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+class RefUPoly:
+    """Polynomial in one indeterminate, coefficients indexed by degree.
+
+    Trailing zero coefficients are stripped; the zero polynomial has an
+    empty coefficient tuple.  Instances are immutable and hashable.
+    Products are convolved in integers over a common denominator.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[Rat] = ()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+
+    @classmethod
+    def zero(cls) -> "RefUPoly":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "RefUPoly":
+        return cls((1,))
+
+    @classmethod
+    def x(cls) -> "RefUPoly":
+        return cls((0, 1))
+
+    @property
+    def degree(self) -> int:
+        """Degree, with the convention deg 0 = -1."""
+        return len(self.coeffs) - 1
+
+    def coeff(self, d: int) -> Fraction:
+        if 0 <= d < len(self.coeffs):
+            return self.coeffs[d]
+        return Fraction(0)
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RefUPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __add__(self, other: "RefUPoly") -> "RefUPoly":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefUPoly(
+            (self.coeff(d) + other.coeff(d) for d in range(n))
+        )
+
+    def __neg__(self) -> "RefUPoly":
+        return RefUPoly((-c for c in self.coeffs))
+
+    def __sub__(self, other: "RefUPoly") -> "RefUPoly":
+        return self + (-other)
+
+    def __mul__(self, other) -> "RefUPoly":
+        if not isinstance(other, RefUPoly):
+            return self.scale(other)
+        if not self.coeffs or not other.coeffs:
+            return RefUPoly()
+        den_a, a = _integer_coeffs(self)
+        den_b, b = _integer_coeffs(other)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        den = den_a * den_b
+        return RefUPoly(Fraction(c, den) for c in out)
+
+    def __rmul__(self, other) -> "RefUPoly":
+        return self.scale(other)
+
+    def scale(self, value: Rat) -> "RefUPoly":
+        return RefUPoly((c * value for c in self.coeffs))
+
+    def __pow__(self, e: int) -> "RefUPoly":
+        if e < 0:
+            raise ValueError(f"negative power: {e}")
+        out, base = RefUPoly.one(), self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def __call__(self, x: Rat) -> Fraction:
+        """Evaluate by Horner's rule."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def to_strs(self) -> list[str]:
+        """Serialization: "num/den" strings, lowest degree first."""
+        return [rat_str(c) for c in self.coeffs]
+
+    def __repr__(self) -> str:
+        return f"UPoly({[str(c) for c in self.coeffs]})"
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        chunks = []
+        for d in range(self.degree, -1, -1):
+            c = self.coeffs[d]
+            if not c:
+                continue
+            mono = "1" if d == 0 else ("X" if d == 1 else f"X^{d}")
+            if d == 0:
+                body = str(c) if c > 0 else str(-c)
+            elif abs(c) == 1:
+                body = mono
+            else:
+                body = f"{abs(c)}*{mono}"
+            chunks.append(("- " if c < 0 else ("+ " if chunks else "")) + body)
+        return " ".join(chunks)
+
+
+def _ref_rising_poly(n: int, shift: int = 0) -> RefUPoly:
+    out = RefUPoly.one()
+    for i in range(n):
+        out = out * RefUPoly((shift + i, 1))
+    return out
+
+
+def _matches(p: UPoly, ref: RefUPoly) -> bool:
+    return p.degree == ref.degree and all(p.coeff(d) == c for d, c in enumerate(ref.coeffs))
+
+
+def _assert_canonical(p: UPoly) -> None:
+    assert all(type(c) is int for c in p.coeffs) and type(p.den) is int
+    assert p.den > 0
+    assert math.gcd(p.den, *p.coeffs) == 1
+    assert not p.coeffs or p.coeffs[-1] != 0
+    if not p.coeffs:
+        assert p.den == 1
+
+
+small_rational = st.fractions(max_denominator=12, min_value=Fraction(-20), max_value=Fraction(20))
+coeff_lists = st.lists(st.one_of(small_rational, st.integers(-20, 20)), max_size=7)
+
+
+@given(coeff_lists, coeff_lists, small_rational, small_rational)
+def test_integer_layout_matches_fraction_reference(a, b, value, x):
+    p, q = UPoly(a), UPoly(b)
+    rp, rq = RefUPoly(a), RefUPoly(b)
+    for got, want in ((p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
+                      (p * q, rp * rq), (p.scale(value), rp.scale(value)), (p * value, rp * value),
+                      (p ** 2, rp ** 2)):
+        _assert_canonical(got)
+        assert _matches(got, want)
+        assert str(got) == str(want)
+        assert repr(got) == repr(want)
+        assert got.to_strs() == want.to_strs()
+        assert got(x) == want(x) and isinstance(got(x), Fraction)
+        assert got.coeff(-1) == want.coeff(-1) and got.coeff(9) == want.coeff(9)
+    assert (p == q) == (rp == rq)
+    if p == q:
+        assert hash(p) == hash(q)
+    assert (p - p) == UPoly.zero() and hash(p - p) == hash(UPoly.zero())
+
+
+def test_canonical_form():
+    half = UPoly((Fraction(2, 4),))
+    assert half == UPoly((Fraction(1, 2),)) and hash(half) == hash(UPoly((Fraction(1, 2),)))
+    assert (half.coeffs, half.den) == ((1,), 2)
+    p = UPoly((Fraction(2, 3), 4, Fraction(-4, 6), 0, 0))
+    assert (p.coeffs, p.den) == ((2, 12, -2), 3)
+    assert (p.scale(Fraction(3, 2)).coeffs, p.scale(Fraction(3, 2)).den) == ((1, 6, -1), 1)
+    assert p.scale(3) == UPoly((2, 12, -2))
+    assert (UPoly.zero().coeffs, UPoly.zero().den) == ((), 1)
+    assert UPoly((0, 0)) == UPoly.zero() and not UPoly((Fraction(0, 5),))
+    assert (p - p).den == 1 and p.scale(0) == UPoly.zero()
+    for q in (half, p, p * p, p + half, p.scale(Fraction(-5, 7)), UPoly.x() ** 3):
+        _assert_canonical(q)
+
+
+def test_rising_poly_matches_linear_factor_product():
+    for n in range(13):
+        for shift in range(-12, 13):
+            p = rising_poly(n, shift)
+            _assert_canonical(p)
+            assert p.den == 1
+            assert _matches(p, _ref_rising_poly(n, shift)), (n, shift)
+    with pytest.raises(ValueError):
+        rising_poly(-1)

@@ -1,7 +1,8 @@
-"""Independent oracle: every c_k route against sympy.
+"""Independent oracle: every c_k route and the factorial bases against sympy.
 
 sympy computes c_k(r) = |r|/k [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
-from truncated sympy Poly powers; nothing in genbinom is used on that side.
+from truncated sympy Poly powers, and the bases from its expanded rf, ff and
+binomial; nothing in genbinom is used on that side.
 """
 
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from genbinom.coefficients import C_METHODS, c_table, iter_compositions
+from genbinom.polybasis import UPoly, binom_poly, falling_poly, rising_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,3 +45,18 @@ def test_every_route_matches_sympy():
             if method == "hyp3f2" and r.m != 2:
                 continue
             assert c_table(r, method).values == expected, (r, method)
+
+
+def _sympy_upoly(expr, x):
+    """The expanded polynomial expr in x as a UPoly, lowest degree first."""
+    coeffs = sympy.Poly(sympy.expand(expr), x).all_coeffs()[::-1]
+    return UPoly([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+def test_bases_match_sympy():
+    x = sympy.Symbol("x")
+    for n in range(10):
+        assert falling_poly(n) == _sympy_upoly(sympy.ff(x, n), x), n
+        assert binom_poly(n) == _sympy_upoly(sympy.expand_func(sympy.binomial(x, n)), x), n
+        for shift in range(-6, 7):
+            assert rising_poly(n, shift) == _sympy_upoly(sympy.rf(x + shift, n), x), (n, shift)
