@@ -17,8 +17,10 @@ a run with K = k.
                        of the seating counts F_0..F_K
   finite_diff          Newton expansion of f(x) = prod (x)_{r_i}: integer
                        difference table of f(0..|r|)
-  recurrence           merge two species at a time down to m = 1, on the
-                       integers e_k(r) = k c_k(r) / |r| = [x^r] (G - 1)^k
+  recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
+                       merged left to right one species at a time by the
+                       two-factor linearization (the binom2 identity); then
+                       the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
   hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
@@ -28,15 +30,13 @@ Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
 on integer numerator/denominator pairs.
 
-Everything is pure except three internal memo tables behind
+Everything is pure except two internal memo tables behind
 ``functools.lru_cache`` (safe for concurrent use).  Each is keyed by one
 composition, never by k, holds the integers for every k at once, and is
 bounded:
 
   _geom_minus_one_powers       genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
   _rising_product_differences  finite_diff: Delta^k f(0), k = 0..|r|  1024 entries
-  _merge_recurrence            recurrence: integers k c_k / |r|       4096 entries
-                               (one per sorted sub-composition reached)
 """
 
 from __future__ import annotations
@@ -54,21 +54,11 @@ from .exactnum import (
     binomial,
     factorial,
     forward_differences,
-    multinomial,
     rising,
     value_str,
 )
 from .polybasis import UPoly, falling_poly, to_falling_basis
 
-C_METHODS = (
-    "explicit",
-    "entiere",
-    "genfun",
-    "inclusion_exclusion",
-    "finite_diff",
-    "recurrence",
-    "hyp3f2",
-)
 DEFAULT_C_METHOD = "inclusion_exclusion"
 
 
@@ -326,26 +316,26 @@ def _finite_diff(r: Composition, k_max: int) -> List[Fraction]:
     return [Fraction(r.total * d[k], k * denom) for k in range(1, k_max + 1)]
 
 
-@lru_cache(maxsize=4096)
-def _merge_recurrence(parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    """e_k(parts) = k c_k / |parts| for k = 1..|parts|, an integer, by merging
-    the first two species; parts are sorted descending without zeros."""
-    if len(parts) == 1:
-        n = parts[0]
-        return tuple(binomial(n - 1, k - 1) for k in range(1, n + 1))
-    r1, r2, rest = parts[0], parts[1], parts[2:]
-    acc = [0] * sum(parts)
-    for l in range(min(r1, r2) + 1):
-        merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
-        coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
-        e = _merge_recurrence(merged)
-        acc[:len(e)] = map(add, acc, map(coef.__mul__, e))
-    return tuple(acc)
-
-
 def _recurrence(r: Composition, k_max: int) -> List[Fraction]:
-    parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
-    return _scaled_by_total(r, _merge_recurrence(parts), k_max)
+    # prod mc(x, r_i) = sum_s w_s mc(x, s), mc(x, n) = C(x+n-1, n), merging one
+    # species b into w at a time by mc(x, a) mc(x, b) = sum_l t_l mc(x, a+b-l),
+    # t_l = (-1)^l C(a+b-l; l, a-l, b-l); then e_k = sum_s w_s C(s-1, k-1)
+    first, *rest = (p for p in r.parts if p > 0)
+    w = [0] * (r.total + 1)
+    w[first] = 1
+    for b in rest:
+        merged = [0] * (r.total + 1)
+        for a, wa in enumerate(w):
+            if wa:
+                t = wa * binomial(a + b, a)  # w_a t_0
+                for l in range(min(a, b) + 1):
+                    merged[a + b - l] += t
+                    t = -t * (a - l) * (b - l) // ((l + 1) * (a + b - l))  # exact
+        w = merged
+    e: List[int] = []  # Horner in (1 + y): e_k = [y^(k-1)] sum_s w_s (1 + y)^(s-1)
+    for ws in reversed(w[1:]):
+        e = list(map(add, [ws] + e, e + [0]))
+    return _scaled_by_total(r, e, k_max)
 
 
 def _hyp3f2(r: Composition, k_max: int) -> List[Fraction]:
@@ -366,6 +356,7 @@ _KERNELS = {
     "recurrence": _recurrence,
     "hyp3f2": _hyp3f2,
 }
+C_METHODS = tuple(_KERNELS)
 
 
 def _kernel(r: Composition, method: str):

@@ -226,14 +226,15 @@ def _box(caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
 def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     caps = tuple(int(c) for c in caps)
     full = (t_max,) + caps
-    lhs = MPoly.zero(full)
+    terms = {}
     for parts in _box(caps):
         if sum(parts) == 0:
             continue
         r = Composition(parts)
         c = c_table(r).values
         for k in range(1, min(t_max, r.total) + 1):
-            lhs = lhs + MPoly(full, {(k,) + parts: c[k]})
+            terms[(k,) + parts] = c[k]
+    lhs = MPoly(full, terms)
     rhs = MPoly.zero(full)
     for size in range(1, sum(caps) + 1):
         for lam in partitions_of(size):

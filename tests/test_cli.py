@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from genbinom import cli
 from genbinom.cli import main
 from genbinom.identities import IDENTITY_IDS
 
@@ -213,6 +214,17 @@ def test_linearize_bad_args(capsys):
     assert code == 2
     code, _, _ = run(capsys, "linearize", "--r", "2", "--basis", "nosuch")
     assert code == 2
+
+
+def test_main_builds_parser_once(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert main(["coeff", "--r", "2,1"]) == 0
+    assert main(["coeff", "--r", "3", "--k", "2"]) == 0
+    assert capsys.readouterr().out == '{"1":"3","2":"6","3":"3"}\n"3"\n'
+    assert len(built) == 1
 
 
 def test_output_deterministic(capsys):

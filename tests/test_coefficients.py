@@ -1,6 +1,9 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
+from typing import Tuple
 
 import pytest
 from hypothesis import given
@@ -104,11 +107,11 @@ def _memos():
 
 def test_memos_are_bounded():
     memos = _memos()
-    assert len(memos) == 3
+    assert len(memos) == 2
     assert all(f.cache_info().maxsize is not None for f in memos)
 
 
-@pytest.mark.parametrize("method", ["genfun", "finite_diff", "recurrence"])
+@pytest.mark.parametrize("method", ["genfun", "finite_diff"])
 def test_route_memos_keyed_by_composition_only(method):
     for f in _memos():
         f.cache_clear()
@@ -151,6 +154,46 @@ def test_integer_recurrence_matches_fraction_recurrence():
         parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
         for k in range(1, r.total + 1):
             assert c_coeff(r, k, "recurrence") == _fraction_recurrence(parts, k), (r, k)
+
+
+@lru_cache(maxsize=4096)
+def _merge_recurrence(parts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """e_k(parts) = k c_k / |parts| for k = 1..|parts|, an integer, by merging
+    the first two species; parts are sorted descending without zeros."""
+    if len(parts) == 1:
+        n = parts[0]
+        return tuple(binomial(n - 1, k - 1) for k in range(1, n + 1))
+    r1, r2, rest = parts[0], parts[1], parts[2:]
+    acc = [0] * sum(parts)
+    for l in range(min(r1, r2) + 1):
+        merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
+        coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
+        e = _merge_recurrence(merged)
+        acc[:len(e)] = map(add, acc, map(coef.__mul__, e))
+    return tuple(acc)
+
+
+def _sorted_merge_table(r):
+    """Reference: c_1..c_|r| from the sorted, memoized two-species merge."""
+    e = _merge_recurrence(tuple(sorted((p for p in r.parts if p > 0), reverse=True)))
+    return {k: Fraction(r.total * e[k - 1], k) for k in range(1, r.total + 1)}
+
+
+def test_merge_chain_matches_sorted_merge_recurrence():
+    large = [(20,) * 6, (12, 9, 7, 5), (30, 30, 30), (60,) * 4, (17, 13), (0, 6, 0, 3, 0)]
+    for r in [*iter_compositions(3, 4), *map(Composition, large)]:
+        values = c_table(r, "recurrence").values
+        assert values == _sorted_merge_table(r), r
+        assert all(type(v) is Fraction for v in values.values()), r
+
+
+def test_merge_chain_c_coeff_below_total():
+    for parts in [(4, 1, 3), (0, 6, 0, 3, 0), (12, 9, 7, 5)]:
+        r = Composition(parts)
+        reference = _sorted_merge_table(r)
+        for k in range(1, r.total):
+            v = c_coeff(r, k, "recurrence")
+            assert v == reference[k] and type(v) is Fraction, (parts, k)
 
 
 # The per-k formulas the route kernels replaced, kept as references.
