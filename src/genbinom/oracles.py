@@ -3,7 +3,11 @@
 Each counter here realizes a definition directly — set partitions into
 transversals, covering selections, delegations seated around a table,
 cycle counts of injections — with no shortcuts, so it can serve as ground
-truth for the closed forms at tiny scale.  Budgets are hard errors; an
+truth for the closed forms at tiny scale.  "No shortcuts" means every
+counted object is enumerated and tested one at a time, and no closed form
+or count of a class of objects stands in for them.  Pruning is allowed
+only where a partial assignment already breaks the definition (a block
+holding a species twice, more than k blocks).  Budgets are hard errors; an
 oracle never returns a partial count.
 
 Conventions shared with the closed forms: species elements are labeled
@@ -13,7 +17,7 @@ Conventions shared with the closed forms: species elements are labeled
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 from .coefficients import Composition, check_positive_species
 from .polybasis import UPoly
@@ -22,43 +26,37 @@ INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! i
 COVERING_K_MAX = 6  # largest k oracle_covering_choices enumerates (binomial(k, r_l) picks per species)
 
 
-def _set_partitions(items: Sequence) -> Iterator[List[list]]:
-    """All set partitions, via restricted-growth strings."""
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            blocks: List[list] = [[] for _ in range(mx + 1)]
-            for j, b in enumerate(a):
-                blocks[b].append(items[j])
-            yield blocks
-            return
-        for b in range(mx + 2):
-            a[i] = b
-            yield from rec(i + 1, max(mx, b))
-
-    yield from rec(1, 0)
-
-
 def oracle_transversal_partitions(r: Composition, k: int) -> int:
     """Partitions of the disjoint union E = [r_1] + ... + [r_m] into exactly
-    k nonempty blocks, each block meeting every species at most once."""
+    k nonempty blocks, each block meeting every species at most once.
+
+    Restricted-growth backtracking: element i joins an earlier block that
+    lacks its species, or opens a new block while fewer than k are open; a
+    block is the bitmask of the species it holds.  Each full assignment
+    with k blocks is one counted partition."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    elements = [(sp, idx) for sp, rl in enumerate(r.parts) for idx in range(1, rl + 1)]
-    if len(elements) > 10:
-        raise ValueError(f"budget exceeded: |E| = {len(elements)} > 10")
-    count = 0
-    for blocks in _set_partitions(elements):
-        if len(blocks) != k:
-            continue
-        if all(len({sp for sp, _ in block}) == len(block) for block in blocks):
-            count += 1
-    return count
+    species = [1 << sp for sp, rl in enumerate(r.parts) for _ in range(rl)]
+    if len(species) > 10:
+        raise ValueError(f"budget exceeded: |E| = {len(species)} > 10")
+    blocks: List[int] = []
+
+    def place(i: int) -> int:
+        if i == len(species):
+            return len(blocks) == k
+        bit, count = species[i], 0
+        for b, held in enumerate(blocks):
+            if not held & bit:
+                blocks[b] = held | bit
+                count += place(i + 1)
+                blocks[b] = held
+        if len(blocks) < k:
+            blocks.append(bit)
+            count += place(i + 1)
+            blocks.pop()
+        return count
+
+    return place(0)
 
 
 def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
@@ -66,6 +64,11 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
 
     mode "multiset": species l picks a multiset of size r_l (repeats allowed).
     mode "set":      species l picks an r_l-subset (0 if some r_l > k).
+
+    A selection is the bitmask of its distinct elements.  The union of every
+    tuple over all species but the longest-listed one is kept, one entry per
+    tuple, and each is completed with every selection of that species: a
+    full tuple covers [k] when its union is the full mask.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -75,17 +78,14 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
         raise ValueError(f"budget exceeded: need |r| <= 8 and k <= {COVERING_K_MAX}, got |r|={r.total}, k={k}")
     if mode == "set" and any(rl > k for rl in r.parts):
         return 0
-    universe = range(1, k + 1)
     pick = combinations_with_replacement if mode == "multiset" else combinations
-    full = set(universe)
-    count = 0
-    for choice in product(*(list(pick(universe, rl)) for rl in r.parts)):
-        union = set()
-        for sel in choice:
-            union.update(sel)
-        if union == full:
-            count += 1
-    return count
+    masks = [[sum(1 << e for e in set(sel)) for sel in pick(range(k), rl)] for rl in r.parts]
+    *heads, last = sorted(masks, key=len)
+    unions = [0]
+    for selections in heads:
+        unions = [u | mask for u in unions for mask in selections]
+    full = (1 << k) - 1
+    return sum(u | mask == full for u in unions for mask in last)
 
 
 def _species_seatings(rl: int, k: int) -> List[Tuple[frozenset, frozenset, int]]:

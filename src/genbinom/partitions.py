@@ -5,13 +5,18 @@ statistics cached here are the ones that weight partition sums: the length,
 the multiplicities of each part value, and the centralizer size
 z = prod_i i^{m_i} m_i!.  Partitions are immutable values, so enumeration
 results can be handed to parallel workers freely.
+
+`partition_mults` is the one enumerator: it yields each partition of n in
+multiplicity form with its length and z, carried from step to step, and
+builds no object; `partitions_of` wraps its output in `Partition`s.
+`ferrers_poly` is the one Ferrers-diagram product, read by `ferrers_choose`
+and by the class-size tables of `identities`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence, Tuple
-
-from .exactnum import binomial
+import math
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 
 class Partition:
@@ -54,25 +59,57 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in reverse-lexicographic order.
+def partition_mults(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
+    """Yield (mults, length, z) for every partition of n exactly once, in
+    reverse-lexicographic order: mults lists the (part, multiplicity) pairs
+    by decreasing part, length is l(mu) and z the centralizer size z_mu.
 
-    n = 0 yields the single empty partition.  The descending-parts recursion
-    makes the order deterministic, which keeps sweep logs diffable.
+    This is the multiplicity form of Zoghbi and Stojmenovic's ZS1 (1998;
+    Knuth, TAOCP 4A, 7.2.1.4): the next partition takes one copy of the
+    smallest part j > 1, adds it to the trailing ones and refills them with
+    parts j - 1 and one remainder part.  Each pair keeps the length and z
+    of the pairs up to it, so a step touches only the pairs it changes and
+    no `Partition` is built.  n = 0 yields the empty partition.
     """
     if n < 0:
         raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
+    mults: List[Tuple[int, int]] = []
+    prefix = [(0, 1)]  # (length, z) of mults[:i], i = 0..len(mults)
 
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
+    def push(part: int, mult: int) -> None:
+        length, z = prefix[-1]
+        mults.append((part, mult))
+        prefix.append((length + mult, z * part**mult * math.factorial(mult)))
+
+    def pop() -> Tuple[int, int]:
+        prefix.pop()
+        return mults.pop()
+
+    if n:
+        push(n, 1)
+    while True:
+        yield (tuple(mults), *prefix[-1])
+        ones = pop()[1] if mults and mults[-1][0] == 1 else 0
+        if not mults:
             return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
+        part, mult = pop()
+        if mult > 1:
+            push(part, mult - 1)
+        refill, rest = divmod(ones + part, part - 1)
+        push(part - 1, refill)
+        if rest:
+            push(rest, 1)
 
-    for parts in gen(n, n):
-        yield Partition(parts)
+
+def partitions_of(n: int) -> Iterator[Partition]:
+    """Yield every partition of n exactly once, in reverse-lexicographic order,
+    as read from `partition_mults`.
+
+    n = 0 yields the single empty partition.  The fixed order keeps sweep
+    logs diffable.
+    """
+    for mults, _, _ in partition_mults(n):
+        yield Partition([part for part, mult in mults for _ in range(mult)])
 
 
 def z_mu(mu: Partition) -> int:
@@ -85,33 +122,32 @@ def z_mu(mu: Partition) -> int:
     return out
 
 
-def _mul_trunc(a: list, b: list, cap: int) -> list:
-    out = [0] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ca * cb
-    return out
+def ferrers_poly(mults: Iterable[Tuple[int, int]], n: int) -> List[int]:
+    """Coefficients of x^0..x^n in prod_j ((1+x)^j - 1)^{m_j}, for the
+    (part j, multiplicity m_j) pairs of a partition of n: the coefficient of
+    x^p counts the p-cell choices in its Ferrers diagram that hit every row.
+
+    The coefficients are nonnegative and add up to prod_j (2^j - 1)^{m_j}
+    <= 2^n, so each fits in n + 1 bits: the product is taken as one integer
+    at x = 2^(n+1) (Kronecker substitution) and its bit fields are read off.
+    """
+    width = n + 1
+    base = 1 << width
+    value = 1
+    for part, mult in mults:
+        value *= ((1 + base) ** part - 1) ** mult
+    mask = base - 1
+    return [(value >> (width * p)) & mask for p in range(n + 1)]
 
 
 def ferrers_choose(mu: Partition, p: int) -> int:
     """Number of ways to pick p cells of the Ferrers diagram of mu hitting
-    every row at least once.
+    every row at least once: the coefficient of x^p in `ferrers_poly`.
 
-    Computed as the coefficient of x^p in prod_k ((1+x)^k - 1)^{m_k(mu)} by
-    exact integer polynomial multiplication.  For the empty partition the
-    product is empty, so p = 0 gives 1 and every p > 0 gives 0.
+    For the empty partition the product is empty, so p = 0 gives 1 and every
+    p > 0 gives 0.
     """
     if p < 0 or p < mu.length or p > mu.n:
         # fewer picks than rows, or more picks than cells
         return 0
-    poly = [1]
-    for part, mult in sorted(mu.mults.items()):
-        row = [binomial(part, j) for j in range(part + 1)]
-        row[0] -= 1  # (1+x)^part - 1
-        for _ in range(mult):
-            poly = _mul_trunc(poly, row, p)
-    return poly[p] if p < len(poly) else 0
+    return ferrers_poly(mu.mults.items(), mu.n)[p]

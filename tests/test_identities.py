@@ -2,6 +2,8 @@ import inspect
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
+from typing import Tuple
 
 import pytest
 
@@ -232,10 +234,40 @@ def test_class_table_matches_mac_and_lemma1_loops():
 
 
 def test_class_table_invariants():
-    assert identities._class_table.cache_info().maxsize is not None
+    assert identities._class_tables.cache_info().maxsize is not None
     for n in range(1, 15):
         table = identities._class_table(n)
         # each mu |- n counts its class size once per part, l(mu) times in all
         assert sum(Fraction(sum(row), l) for l, row in enumerate(table) if l) == factorial(n)
         assert table[n][1] == n  # mu = 1^n, the identity class
         assert table[1][n] == factorial(n - 1)  # mu = (n), the n-cycles
+        for p in range(1, n + 1):
+            # fewer picks than rows: no cell choice hits all l(mu) rows
+            assert all(not any(row) for row in identities._class_table(n, p)[p + 1:]), (n, p)
+
+
+# The per-p class-size table the one-pass (n, weighted) tables replaced, kept
+# verbatim.  Its partitions_of, z_mu and ferrers_choose are the package's,
+# each checked against its own former version in test_partitions.py.
+
+@lru_cache(maxsize=256)
+def _old_class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
+    """T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) * n!/z_mu, for
+    j <= n + 1 - l, the largest part; w = ferrers_choose(., p), or 1 if p is
+    None.  Memoized by (n, p): sweeps repeat each (n, p) across compositions."""
+    nfact = factorial(n)
+    table = [[0] * (n + 2 - l) for l in range(n + 1)]
+    for mu in partitions_of(n):
+        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(mu, p))
+        row = table[mu.length]
+        for part, mult in mu.mults.items():
+            row[part] += w * mult
+    return tuple(tuple(row) for row in table)
+
+
+def test_class_tables_match_per_p_reference():
+    for n in range(1, 29):
+        assert identities._class_table(n) == _old_class_table(n), n
+    for n in range(1, 16):
+        for p in range(1, n + 1):
+            assert identities._class_table(n, p) == _old_class_table(n, p), (n, p)

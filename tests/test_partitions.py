@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from genbinom.exactnum import binomial, factorial
-from genbinom.partitions import Partition, ferrers_choose, partitions_of, z_mu
+from genbinom.partitions import Partition, ferrers_choose, partition_mults, partitions_of, z_mu
 from genbinom.polybasis import UPoly, shifted_binom_poly
 
 
@@ -110,3 +110,82 @@ def test_ferrers_choose_at_zero():
     for n in range(1, 6):
         for mu in partitions_of(n):
             assert ferrers_choose(mu, 0) == 0
+
+
+# The descending-parts recursion and the truncated Ferrers product that the
+# multiplicity-form enumerator and `ferrers_poly` replaced, kept verbatim.
+
+def _old_partitions_of(n: int):
+    """Yield every partition of n exactly once, in reverse-lexicographic order.
+
+    n = 0 yields the single empty partition.  The descending-parts recursion
+    makes the order deterministic, which keeps sweep logs diffable.
+    """
+    if n < 0:
+        raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
+
+    def gen(remaining: int, max_part: int):
+        if remaining == 0:
+            yield ()
+            return
+        for part in range(min(remaining, max_part), 0, -1):
+            for rest in gen(remaining - part, part):
+                yield (part,) + rest
+
+    for parts in gen(n, n):
+        yield Partition(parts)
+
+
+def _mul_trunc(a: list, b: list, cap: int) -> list:
+    out = [0] * min(len(a) + len(b) - 1, cap + 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            if i + j > cap:
+                break
+            out[i + j] += ca * cb
+    return out
+
+
+def _old_ferrers_choose(mu: Partition, p: int) -> int:
+    if p < 0 or p < mu.length or p > mu.n:
+        # fewer picks than rows, or more picks than cells
+        return 0
+    poly = [1]
+    for part, mult in sorted(mu.mults.items()):
+        row = [binomial(part, j) for j in range(part + 1)]
+        row[0] -= 1  # (1+x)^part - 1
+        for _ in range(mult):
+            poly = _mul_trunc(poly, row, p)
+    return poly[p] if p < len(poly) else 0
+
+
+def test_partitions_of_matches_recursion_reference():
+    for n in range(21):
+        got, expected = list(partitions_of(n)), list(_old_partitions_of(n))
+        assert [mu.parts for mu in got] == [mu.parts for mu in expected], n
+        assert [(mu.length, z_mu(mu)) for mu in got] == [(mu.length, z_mu(mu)) for mu in expected], n
+
+
+def test_partition_mults_statistics():
+    for n in range(21):
+        rows = list(partition_mults(n))
+        expected = list(_old_partitions_of(n))
+        assert len(rows) == len(expected), n
+        for (mults, length, z), mu in zip(rows, expected):
+            assert mults == tuple(mu.mults.items()), (n, mu)
+            assert (length, z) == (mu.length, z_mu(mu)), (n, mu)
+
+
+def test_partition_mults_rejects_negative():
+    for enumerate_ in (partition_mults, partitions_of):
+        with pytest.raises(ValueError):
+            next(enumerate_(-1))
+
+
+def test_ferrers_choose_matches_truncated_product():
+    for n in range(13):
+        for mu in partitions_of(n):
+            for p in range(-1, n + 2):
+                assert ferrers_choose(mu, p) == _old_ferrers_choose(mu, p), (mu, p)
