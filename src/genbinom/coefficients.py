@@ -57,7 +57,6 @@ from .exactnum import (
     rising,
     value_str,
 )
-from .polybasis import UPoly, falling_poly, to_falling_basis
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
 
@@ -406,8 +405,12 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     d_tilde (an empty species contributes the factor 1).
     """
     if variant == "d":
-        p = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-        vals = {k: a for k, a in to_falling_basis(p).items() if k >= 1}
+        # Newton coefficients d_k = Delta^k f(0) / k! of f(x) = prod falling(x, r_i),
+        # from one integer difference table of f(0..|r|); falling(x, r) = perm(x, r)
+        diffs = forward_differences(
+            [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
+        )
+        vals = {k: Fraction(d, factorial(k)) for k, d in enumerate(diffs) if k and d}
         return CoeffTable("d", r, vals)
     if variant == "d_tilde":
         base = linearization_d(r, "d").values

@@ -1,8 +1,11 @@
 """Exact verification of the package's polynomial identities.
 
-Every check compares two explicitly constructed polynomials (UPoly in X,
-or a truncated MPoly) coefficient by coefficient; "verified" means exact
-equality.  Supported identity ids:
+Every check compares pairs of explicitly constructed polynomials
+coefficient by coefficient; "verified" means exact equality.  A pair is
+two UPoly in X, except for the two identities in an extra variable, which
+compare one pair per power of it: lemma1 one UPoly pair in X per power
+of y, waring one MPoly pair in the x variables (truncated to the caps)
+per power of t.  Supported identity ids:
 
   las         partition sum against the c_k expansion in binomial(X+n-1, n-k)
   bigeq       scenario count: partition sum vs the S_k / F_k / c_k forms
@@ -134,9 +137,14 @@ def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
     return [sum(gj * t for gj, t in zip(g, row)) for row in _class_table(n, p)[1:]]
 
 
-def _las_lhs(n: int, r: Composition, p: int | None = None) -> UPoly:
-    """`_partition_sum` / n! at g(j) = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!."""
-    g = [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
+def _species_products(n: int, r: Composition) -> List[int]:
+    """[0, P_1, ..., P_n], P_j = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!."""
+    return [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
+
+
+def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | None = None) -> UPoly:
+    """`_partition_sum` / n! at g = P, the `_species_products` of r unless given."""
+    g = _species_products(n, r) if P is None else P
     return UPoly(_partition_sum(n, g, p)).scale(Fraction(1, factorial(n)))
 
 
@@ -160,10 +168,9 @@ def _check_las(n: int, r: Composition) -> List[Pair]:
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
-    check_positive_species(r)
-    # g(j): seatings of every species, r_l representatives each, at one j-chair table
-    g = [0] + [math.prod(j * binomial(j + rl - 1, rl - 1) for rl in r.parts) for j in range(1, n + 1)]
-    lhs = UPoly(_partition_sum(n, g))
+    # F_j: seatings of every species, r_l representatives each, at one j-chair table
+    F = [0] + [seating_counts(r, j, "F") for j in range(1, n + 1)]
+    lhs = UPoly(_partition_sum(n, F))
 
     c = c_table(r).values
     terms_c = (rising_poly(n - k, shift=k).scale(c[k] * factorial(k) * binomial(n, k))
@@ -171,30 +178,25 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     rhs_c = sum(terms_c, UPoly.zero()).scale(Fraction(math.prod(r.parts), r.total))
     w = {k: factorial(k - 1) * binomial(n, k) for k in range(1, n + 1)}
     terms_s = (rising_poly(n - k, shift=k).scale(wk * seating_counts(r, k, "S")) for k, wk in w.items())
-    terms_f = (rising_poly(n - k).scale(wk * seating_counts(r, k, "F")) for k, wk in w.items())
+    terms_f = (rising_poly(n - k).scale(wk * F[k]) for k, wk in w.items())
     return [(lhs, rhs_c), (lhs, sum(terms_s, UPoly.zero())), (lhs, sum(terms_f, UPoly.zero()))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
-    lhs = _las_lhs(n, r)
-    g = {k: math.prod(binomial(rl + k - 1, rl) for rl in r.parts) for k in range(1, n + 1)}
-    terms = (shifted_binom_poly(n - k, 0).scale(Fraction(gk, k)) for k, gk in g.items())
-    return [(lhs, sum(terms, UPoly.zero()))]
+    P = _species_products(n, r)
+    terms = (shifted_binom_poly(n - k, 0).scale(Fraction(P[k], k)) for k in range(1, n + 1))
+    return [(_las_lhs(n, r, P=P), sum(terms, UPoly.zero()))]
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
-    lhs = _las_lhs(n, r, p)
+    P = _species_products(n, r)
     inner = {
-        k: sum(
-            binomial(j - 1, k - 1)
-            * _mchoose(p - k, n - p - j + k)
-            * math.prod(binomial(rl + j - 1, rl) for rl in r.parts)
-            for j in range(k, n - p + k + 1)
-        )
+        k: sum(binomial(j - 1, k - 1) * _mchoose(p - k, n - p - j + k) * P[j]
+               for j in range(k, n - p + k + 1))
         for k in range(1, min(p, n) + 1)
     }
     terms = (shifted_binom_poly(p - k, 0).scale(Fraction(s, k)) for k, s in inner.items())
-    return [(lhs, sum(terms, UPoly.zero()))]
+    return [(_las_lhs(n, r, p, P), sum(terms, UPoly.zero()))]
 
 
 def _check_mac(n: int) -> List[Pair]:
@@ -209,65 +211,39 @@ def _check_mac(n: int) -> List[Pair]:
     ]
 
 
-def _embed(p: UPoly, caps: Tuple[int, ...], var: int) -> MPoly:
-    terms = {}
-    for d in range(p.degree + 1):
-        c = p.coeff(d)
-        if c:
-            e = [0] * len(caps)
-            e[var] = d
-            terms[tuple(e)] = c
-    return MPoly(caps, terms)
-
-
 def _check_lemma1(n: int) -> List[Pair]:
-    # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)), in (X, y)
-    caps = (n - 1, n)
-    nfact = factorial(n)
-    terms = {}
-    for l, row in enumerate(_class_table(n)[1:]):
-        terms.update({(l, j): Fraction(t, nfact) for j, t in enumerate(row) if t})
-        terms[(l, 0)] = Fraction(-sum(row), nfact)
-    lhs = MPoly(caps, terms)
-    rhs = MPoly.zero(caps)
-    ym1 = MPoly(caps, {(0, 1): 1, (0, 0): -1})
-    power = MPoly.const(caps, 1)  # (y - 1)^k, one product per k
-    for k in range(1, n + 1):
-        power = power * ym1
-        rhs = rhs + _embed(shifted_binom_poly(n, k), caps, 0) * power.scale(Fraction(1, k))
-    return [(lhs, rhs)]
-
-
-def _box(caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    yield from _cartesian(*(range(c + 1) for c in caps))
+    # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)) against
+    # sum_k binomial(X+n-1, n-k) (y-1)^k / k: one UPoly pair in X per power y^j
+    rows = _class_table(n)[1:]
+    bases = {k: shifted_binom_poly(n, k) for k in range(1, n + 1)}
+    pairs: List[Pair] = []
+    for j in range(n + 1):
+        # row l has n+2-l entries, so the rows too short for column j are a suffix
+        col = [row[j] if j else -sum(row) for row in rows if j < len(row)]
+        terms = (bases[k].scale(Fraction((-1) ** (k - j) * binomial(k, j), k))
+                 for k in range(max(j, 1), n + 1))
+        pairs.append((UPoly(col).scale(Fraction(1, factorial(n))), sum(terms, UPoly.zero())))
+    return pairs
 
 
 def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
+    # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
+    # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
     caps = tuple(int(c) for c in caps)
-    full = (t_max,) + caps
-    terms = {}
-    for parts in _box(caps):
-        if sum(parts) == 0:
-            continue
-        r = Composition(parts)
-        c = c_table(r).values
-        for k in range(1, min(t_max, r.total) + 1):
-            terms[(k,) + parts] = c[k]
-    lhs = MPoly(full, terms)
-    rhs = MPoly.zero(full)
-    for size in range(1, sum(caps) + 1):
+    tables = [(parts, c_table(Composition(parts)).values)
+              for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
+    h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
+    # h_lambda by parts: lambda less its last part has a smaller size, so it is
+    # already here and each h_lambda is one product
+    h_lam = {(): MPoly.const(caps, 1)}
+    rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
+    for size in h:
         for lam in partitions_of(size):
-            if lam.length > t_max:
-                continue
-            coef = Fraction(size * factorial(lam.length - 1))
-            for mult in lam.mults.values():
-                coef /= factorial(mult)
-            hpart = MPoly.const(caps, 1)
-            for part in lam.parts:
-                hpart = hpart * homogeneous_h(part, caps)
-            lifted = MPoly(full, {(lam.length,) + e: c for e, c in hpart.terms.items()})
-            rhs = rhs + lifted.scale(coef)
-    return [(lhs, rhs)]
+            if lam.length <= t_max:
+                h_lam[lam.parts] = h_lam[lam.parts[:-1]] * h[lam.parts[-1]]
+                coef = Fraction(size * factorial(lam.length - 1), math.prod(map(factorial, lam.mults.values())))
+                rhs[lam.length] = rhs[lam.length] + h_lam[lam.parts].scale(coef)
+    return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
 
 
 def _check_linm(r: Composition) -> List[Pair]:
@@ -391,8 +367,10 @@ def _grid_n_r(ns, comps, **_) -> List[dict]:
     return [dict(n=n, r=r) for n in ns for r in comps()]
 
 
-def _grid_bigeq(ns, comps, **_) -> List[dict]:
-    return [dict(n=n, r=r) for n in ns for r in comps() if 0 not in r.parts]
+def _grid_bigeq(ns, comps, r, **_) -> List[dict]:
+    if r is not None:  # a fixed r is rejected, not dropped from the grid
+        check_positive_species(r)
+    return [dict(n=n, r=q) for n in ns for q in comps() if 0 not in q.parts]
 
 
 def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
@@ -440,6 +418,12 @@ _IDENTITIES = {
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
+# id -> the fixed sweep() parameters it takes: those its grid function reads
+_TAKES = {
+    ident: {_FIXES[a] for a in inspect.signature(grid_fn).parameters if a in _FIXES}
+    for ident, (_, grid_fn) in _IDENTITIES.items()
+}
+
 
 def sweep(
     identity: str,
@@ -464,8 +448,8 @@ def sweep(
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
     grid_fn = _IDENTITIES[identity][1]
-    takes = {_FIXES[a] for a in inspect.signature(grid_fn).parameters if a in _FIXES}
-    ignored = [name for name, v in (("n", n), ("p", p), ("r", r)) if v is not None and name not in takes]
+    fixed = (("n", n), ("p", p), ("r", r))
+    ignored = [name for name, v in fixed if v is not None and name not in _TAKES[identity]]
     if ignored:
         raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)

@@ -129,6 +129,14 @@ def test_verify_bad_fixed_args(capsys):
     assert code == 2
 
 
+def test_verify_bigeq_rejects_fixed_zero_species(capsys):
+    # the fixed composition is rejected by the species rule, not dropped from the grid
+    code, out, err = run(capsys, "verify", "--id", "bigeq", "--n", "2", "--r", "1,0")
+    assert (code, out) == (2, "")
+    assert "a species with zero representatives cannot send a delegation" in err
+    assert "no instance" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

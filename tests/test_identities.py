@@ -3,18 +3,19 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from itertools import product as _cartesian
+from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
 from genbinom import identities
 from genbinom.cli import main
-from genbinom.coefficients import Composition, c_coeff, iter_compositions
+from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions
 from genbinom.exactnum import binomial, factorial, rising
-from genbinom.identities import IDENTITY_IDS, extract_c_from_las, sweep, verify
+from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
 from genbinom.partitions import ferrers_choose, partitions_of, z_mu
-from genbinom.polybasis import UPoly
-from genbinom.series import MPoly
+from genbinom.polybasis import UPoly, shifted_binom_poly
+from genbinom.series import MPoly, homogeneous_h
 
 
 def test_las_example():
@@ -227,10 +228,20 @@ def test_class_table_matches_bigeq_loop():
                 assert identities._check_bigeq(n, r)[0][0] == _old_bigeq_lhs(n, r), (n, r)
 
 
+def _nonzero(p):
+    """Stored nonzero coefficients of a UPoly or an MPoly."""
+    return sum(1 for c in p.coeffs if c) if isinstance(p, UPoly) else len(p.terms)
+
+
 def test_class_table_matches_mac_and_lemma1_loops():
     for n in range(1, 15):
         assert [lhs for lhs, _ in identities._check_mac(n)] == _old_mac_lhs(n), n
-        assert identities._check_lemma1(n)[0][0] == _old_lemma1_lhs(n), n
+        old = _old_lemma1_lhs(n)
+        slices = [lhs for lhs, _ in identities._check_lemma1(n)]
+        assert len(slices) == n + 1 and all(lhs.degree < n for lhs in slices), n
+        for l, j in _box(old.caps):
+            assert slices[j].coeff(l) == old.coeff((l, j)), (n, l, j)
+        assert sum(map(_nonzero, slices)) == len(old.terms), n
 
 
 def test_class_table_invariants():
@@ -271,3 +282,118 @@ def test_class_tables_match_per_p_reference():
     for n in range(1, 16):
         for p in range(1, n + 1):
             assert identities._class_table(n, p) == _old_class_table(n, p), (n, p)
+
+
+# The lemma1 and waring checkers as they were before each became one pair per
+# power of its extra variable, kept verbatim: one truncated MPoly pair, lemma1
+# in (X, y) with its UPoly bases embedded, waring in (t,) + caps with every
+# h_lambda lifted by t^l(lambda).
+
+def _embed(p: UPoly, caps: Tuple[int, ...], var: int) -> MPoly:
+    terms = {}
+    for d in range(p.degree + 1):
+        c = p.coeff(d)
+        if c:
+            e = [0] * len(caps)
+            e[var] = d
+            terms[tuple(e)] = c
+    return MPoly(caps, terms)
+
+
+def _old_check_lemma1(n: int) -> List[Pair]:
+    # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)), in (X, y)
+    caps = (n - 1, n)
+    nfact = factorial(n)
+    terms = {}
+    for l, row in enumerate(_class_table(n)[1:]):
+        terms.update({(l, j): Fraction(t, nfact) for j, t in enumerate(row) if t})
+        terms[(l, 0)] = Fraction(-sum(row), nfact)
+    lhs = MPoly(caps, terms)
+    rhs = MPoly.zero(caps)
+    ym1 = MPoly(caps, {(0, 1): 1, (0, 0): -1})
+    power = MPoly.const(caps, 1)  # (y - 1)^k, one product per k
+    for k in range(1, n + 1):
+        power = power * ym1
+        rhs = rhs + _embed(shifted_binom_poly(n, k), caps, 0) * power.scale(Fraction(1, k))
+    return [(lhs, rhs)]
+
+
+def _box(caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    yield from _cartesian(*(range(c + 1) for c in caps))
+
+
+def _old_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
+    caps = tuple(int(c) for c in caps)
+    full = (t_max,) + caps
+    terms = {}
+    for parts in _box(caps):
+        if sum(parts) == 0:
+            continue
+        r = Composition(parts)
+        c = c_table(r).values
+        for k in range(1, min(t_max, r.total) + 1):
+            terms[(k,) + parts] = c[k]
+    lhs = MPoly(full, terms)
+    rhs = MPoly.zero(full)
+    for size in range(1, sum(caps) + 1):
+        for lam in partitions_of(size):
+            if lam.length > t_max:
+                continue
+            coef = Fraction(size * factorial(lam.length - 1))
+            for mult in lam.mults.values():
+                coef /= factorial(mult)
+            hpart = MPoly.const(caps, 1)
+            for part in lam.parts:
+                hpart = hpart * homogeneous_h(part, caps)
+            lifted = MPoly(full, {(lam.length,) + e: c for e, c in hpart.terms.items()})
+            rhs = rhs + lifted.scale(coef)
+    return [(lhs, rhs)]
+
+
+def test_lemma1_slices_match_reference():
+    for n in range(1, 15):
+        [ref] = _old_check_lemma1(n)
+        slices = identities._check_lemma1(n)
+        assert len(slices) == n + 1, n
+        for side in (0, 1):
+            # every slice is a UPoly in X of degree below n, so the box is all of it
+            assert all(isinstance(pair[side], UPoly) and pair[side].degree < n for pair in slices), n
+            for l, j in _box(ref[side].caps):
+                assert slices[j][side].coeff(l) == ref[side].coeff((l, j)), (n, side, l, j)
+            assert sum(_nonzero(pair[side]) for pair in slices) == len(ref[side].terms), (n, side)
+
+
+def test_waring_slices_match_reference():
+    for caps in iter_compositions(3, 3):
+        for t_max in range(1, 6):
+            [ref] = _old_check_waring(caps.parts, t_max)
+            slices = identities._check_waring(caps.parts, t_max)
+            assert len(slices) == t_max, (caps, t_max)
+            for side in (0, 1):
+                assert all(pair[side].caps == caps.parts for pair in slices), (caps, t_max)
+                for e in _box(ref[side].caps):
+                    got = slices[e[0] - 1][side].coeff(e[1:]) if e[0] else 0
+                    assert got == ref[side].coeff(e), (caps, t_max, side, e)
+                assert sum(_nonzero(pair[side]) for pair in slices) == len(ref[side].terms), (caps, t_max)
+
+
+def _plus_one(basis):
+    """The basis polynomial plus 1: a wrong basis for every checker below."""
+    def wrong(*args, **kwargs):
+        p = basis(*args, **kwargs)
+        return p + (UPoly.one() if isinstance(p, UPoly) else MPoly.const(p.caps, 1))
+    return wrong
+
+
+@pytest.mark.parametrize("ident,basis,params", [
+    ("lemma1", "shifted_binom_poly", dict(n=4)),
+    ("waring", "homogeneous_h", dict(caps=(2, 1), t_max=3)),
+    ("las0p", "shifted_binom_poly", dict(n=4, r=Composition([2, 1]))),
+    ("las0pp", "shifted_binom_poly", dict(n=4, p=2, r=Composition([2, 1]))),
+    ("bigeq", "rising_poly", dict(n=4, r=Composition([2, 1]))),
+    ("linm", "falling_poly", dict(r=Composition([2, 1]))),
+])
+def test_wrong_basis_fails(monkeypatch, ident, basis, params):
+    assert verify(ident, **params).verified
+    monkeypatch.setattr(identities, basis, _plus_one(getattr(identities, basis)))
+    assert verify(ident, **params).status == "failed"
