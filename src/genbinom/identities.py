@@ -22,6 +22,10 @@ per power of t.  Supported identity ids:
   binom2      two-factor normalized linearization with alternating signs
   injections  cycle-count polynomial of injections vs a rising factorial
 
+Each univariate right side is one `newton_sum` over its coefficients on
+binomial(X+n-1, j), binomial(X+j-1, j) or binomial(X, j); product sides keep
+the basis constructors' own loops, so no identity's two sides share code.
+
 The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
 built by enumerating partitions, not from sum_mu X^l(mu) t^|mu| / z_mu =
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .coefficients import (
     CoeffTable,
@@ -68,14 +72,7 @@ from .oracles import (
     oracle_transversal_partitions,
 )
 from .partitions import ferrers_poly, partition_mults, partitions_of
-from .polybasis import (
-    UPoly,
-    binom_poly,
-    falling_poly,
-    from_falling_basis,
-    rising_poly,
-    shifted_binom_poly,
-)
+from .polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly
 from .series import MPoly, homogeneous_h
 
 
@@ -161,42 +158,35 @@ Pair = Tuple[object, object]
 # ---------------------------------------------------------------------------
 
 def _check_las(n: int, r: Composition) -> List[Pair]:
-    lhs = _las_lhs(n, r)
     c = c_table(r).values
-    terms = (shifted_binom_poly(n, k).scale(c[k]) for k in range(1, min(n, r.total) + 1))
-    return [(lhs, sum(terms, UPoly.zero()).scale(Fraction(1, r.total)))]
+    return [(_las_lhs(n, r), newton_sum(1 - n, 1, [Fraction(c.get(k, 0), r.total) for k in range(n, 0, -1)]))]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     # F_j: seatings of every species, r_l representatives each, at one j-chair table
     F = [0] + [seating_counts(r, j, "F") for j in range(1, n + 1)]
     lhs = UPoly(_partition_sum(n, F))
-
-    c = c_table(r).values
-    terms_c = (rising_poly(n - k, shift=k).scale(c[k] * factorial(k) * binomial(n, k))
-               for k in range(1, min(n, r.total) + 1))
-    rhs_c = sum(terms_c, UPoly.zero()).scale(Fraction(math.prod(r.parts), r.total))
-    w = {k: factorial(k - 1) * binomial(n, k) for k in range(1, n + 1)}
-    terms_s = (rising_poly(n - k, shift=k).scale(wk * seating_counts(r, k, "S")) for k, wk in w.items())
-    terms_f = (rising_poly(n - k).scale(wk * F[k]) for k, wk in w.items())
-    return [(lhs, rhs_c), (lhs, sum(terms_s, UPoly.zero())), (lhs, sum(terms_f, UPoly.zero()))]
+    # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c and S
+    # forms, of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
+    nfact, c = factorial(n), c_table(r).values
+    form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
+    form_s = [nfact // k * seating_counts(r, k, "S") for k in range(n, 0, -1)]
+    form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
+    return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
+            (lhs, newton_sum(0, -1, form_f))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
     P = _species_products(n, r)
-    terms = (shifted_binom_poly(n - k, 0).scale(Fraction(P[k], k)) for k in range(1, n + 1))
-    return [(_las_lhs(n, r, P=P), sum(terms, UPoly.zero()))]
+    return [(_las_lhs(n, r, P=P), newton_sum(0, -1, [Fraction(P[k], k) for k in range(n, 0, -1)]))]
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
     P = _species_products(n, r)
-    inner = {
-        k: sum(binomial(j - 1, k - 1) * _mchoose(p - k, n - p - j + k) * P[j]
-               for j in range(k, n - p + k + 1))
-        for k in range(1, min(p, n) + 1)
-    }
-    terms = (shifted_binom_poly(p - k, 0).scale(Fraction(s, k)) for k, s in inner.items())
-    return [(_las_lhs(n, r, p, P), sum(terms, UPoly.zero()))]
+    a = [Fraction(sum(binomial(j - 1, k - 1) * _mchoose(p - k, n - p - j + k) * P[j]
+                      for j in range(k, n - p + k + 1)), k)
+         for k in range(p, 0, -1)]  # indexed by p-k, on binomial(X+p-k-1, p-k)
+    return [(_las_lhs(n, r, p, P), newton_sum(0, -1, a))]
 
 
 def _check_mac(n: int) -> List[Pair]:
@@ -204,10 +194,9 @@ def _check_mac(n: int) -> List[Pair]:
     nfact = factorial(n)
     deriv = [Fraction(s, nfact) for s in _partition_sum(n, [1] * (n + 1))]
     body = [0] + [d / l for l, d in enumerate(deriv, 1)]
-    terms = (shifted_binom_poly(n, k).scale(Fraction((-1) ** (k - 1), k)) for k in range(1, n + 1))
     return [
-        (UPoly(body), shifted_binom_poly(n, 0)),
-        (UPoly(deriv), sum(terms, UPoly.zero())),
+        (UPoly(body), newton_sum(1 - n, 1, [0] * n + [1])),
+        (UPoly(deriv), newton_sum(1 - n, 1, [Fraction((-1) ** (k - 1), k) for k in range(n, 0, -1)])),
     ]
 
 
@@ -215,14 +204,12 @@ def _check_lemma1(n: int) -> List[Pair]:
     # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)) against
     # sum_k binomial(X+n-1, n-k) (y-1)^k / k: one UPoly pair in X per power y^j
     rows = _class_table(n)[1:]
-    bases = {k: shifted_binom_poly(n, k) for k in range(1, n + 1)}
     pairs: List[Pair] = []
     for j in range(n + 1):
         # row l has n+2-l entries, so the rows too short for column j are a suffix
         col = [row[j] if j else -sum(row) for row in rows if j < len(row)]
-        terms = (bases[k].scale(Fraction((-1) ** (k - j) * binomial(k, j), k))
-                 for k in range(max(j, 1), n + 1))
-        pairs.append((UPoly(col).scale(Fraction(1, factorial(n))), sum(terms, UPoly.zero())))
+        a = [Fraction((-1) ** (k + j) * binomial(k, j), k) for k in range(n, 0, -1)]
+        pairs.append((UPoly(col).scale(Fraction(1, factorial(n))), newton_sum(1 - n, 1, a)))
     return pairs
 
 
@@ -259,41 +246,38 @@ def _check_linm(r: Composition) -> List[Pair]:
     return pairs
 
 
+def _two_factor(r1: int, r2: int, sign: int) -> List[int]:
+    # a[i] = sign^l multinomial(i, (l, r1-l, r2-l)) at l = r1+r2-i <= min(r1, r2), else 0
+    return [sign ** (r1 + r2 - i) * multinomial(i, (r1 + r2 - i, i - r2, i - r1)) if i >= max(r1, r2) else 0
+            for i in range(r1 + r2 + 1)]
+
+
 def _check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
-    table = linearization_d(r, "d_tilde").values
-    pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
+    table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
+    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.m == 2:
-        r1, r2 = r.parts
-        closed = (binom_poly(r1 + r2 - k).scale(multinomial(r1 + r2 - k, (k, r1 - k, r2 - k)))
-                  for k in range(min(r1, r2) + 1))
-        pairs.append((lhs, sum(closed, UPoly.zero())))
+        sides.append(_two_factor(*r.parts, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "set")) for k in range(1, r.total + 1))
-        pairs.append((lhs, sum(oracle, UPoly.zero())))
-    return pairs
+        sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
+    return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
     lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
-    pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
-    if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "multiset")) for k in range(1, r.total + 1))
-        pairs.append((lhs, sum(oracle, UPoly.zero())))
-    return pairs
+    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    if r.total <= COVERING_K_MAX:
+        sides.append([0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])
+    return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     if r1 < 0 or r2 < 0 or r1 + r2 == 0:
         raise ValueError(f"need nonnegative r1, r2 with r1+r2 > 0, got {r1}, {r2}")
     lhs = rising_poly(r1).scale(Fraction(1, factorial(r1))) * rising_poly(r2).scale(Fraction(1, factorial(r2)))
-    terms = (
-        rising_poly(r1 + r2 - l).scale(
-            Fraction((-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l)), factorial(r1 + r2 - l)))
-        for l in range(min(r1, r2) + 1)
-    )
-    return [(lhs, sum(terms, UPoly.zero()))]
+    # rising(X, i)/i! = binomial(X+i-1, i)
+    return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:
@@ -317,12 +301,15 @@ def _check_n_p(n: int | None, p: int | None) -> None:
 
 
 def verify(identity: str, **params) -> IdentityReport:
-    """Check one identity instance; exact equality decides the verdict."""
+    """Check one identity instance; exact equality decides the verdict.  An
+    instance with no pair to compare raises ValueError."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     _check_n_p(params.get("n"), params.get("p"))
     shown = {k: _jsonable(v) for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
+    if not pairs:  # comparing nothing verifies nothing
+        raise ValueError(f"{identity}: no pair to compare at {shown}")
     for lhs, rhs in pairs:
         if lhs != rhs:
             return IdentityReport(identity, shown, "failed", lhs=str(lhs), rhs=str(rhs))
@@ -332,23 +319,17 @@ def verify(identity: str, **params) -> IdentityReport:
 def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     """Recover the c_k(r) from the degree-(n-1) partition sum alone.
 
-    The basis {binomial(X+n-1, n-k)}, k = 1..n, is triangular in degree, so
-    back-substitution from the top degree solves the expansion uniquely.
+    The basis {binomial(X+n-1, n-k)}, k = 1..n, is the Newton basis at the
+    nodes 1-n, 2-n, ..., so one `newton_coeffs` pass solves the expansion
+    uniquely.
     Entries come out as |r| times the expansion coefficients; zero entries
     are dropped.
     """
     _check_n_p(n, None)
-    residue = _las_lhs(n, r)
-    values: Dict[int, Fraction] = {}
-    for k in range(1, n + 1):
-        d = n - k
-        a = residue.coeff(d) * factorial(d)  # basis leading coefficient is 1/d!
-        if a:
-            values[k] = r.total * a
-            residue = residue - shifted_binom_poly(n, k).scale(a)
-    if residue:
-        raise AssertionError("triangular back-substitution left a nonzero residue")
-    return CoeffTable("c", r, values)
+    a = newton_coeffs(_las_lhs(n, r), 1 - n, 1) + [0] * n  # a[n-k] on binomial(X+n-1, n-k)
+    if any(a[n:]):
+        raise AssertionError("the partition sum has a term outside binomial(X+n-1, n-k), k = 1..n")
+    return CoeffTable("c", r, {k: r.total * a[n - k] for k in range(1, n + 1) if a[n - k]})
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +360,8 @@ def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
 
 
 def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
+    if t_max < 1:
+        raise ValueError(f"waring: t_max must be positive, got {t_max}")
     # caps go through Composition, so negative or all-zero caps are rejected
     caps = [r] if r is not None else [Composition((r_max,) * m) for m in range(1, m_max + 1)]
     return [dict(caps=c.parts, t_max=t_max) for c in caps]
@@ -442,8 +425,8 @@ def sweep(
     identity takes the fixed parameters its grid function reads.
 
     The grid is built before any instance runs, so an unknown id, a fixed
-    parameter the identity does not take, ``n`` or ``p`` below 1,
-    ``p > n``, an oracle budget overrun or an empty grid raises ValueError
+    parameter the identity does not take, ``n``, ``p`` or ``t_max`` below
+    1, ``p > n``, an oracle budget overrun or an empty grid raises ValueError
     here, not midway through the returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")

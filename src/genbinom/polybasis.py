@@ -3,21 +3,22 @@
 A `UPoly` is stored in FLINT's ``fmpq_poly`` layout: a tuple of integer
 numerators over one positive common denominator, kept in lowest terms, so
 all of its arithmetic is integer work.  The module also provides the
-factorial bases (falling, rising, shifted binomial), the forward-difference
-operator evaluated at zero, and the Newton expansion of a polynomial in the
-falling-factorial basis.  Identities elsewhere in the package are decided
-by exact coefficientwise comparison of these polynomials in the monomial
-basis.
+factorial bases (falling, rising, shifted binomial), each its own product
+loop; `delta_at_zero`, the forward difference at zero as one alternating
+sum; and `newton_sum`/`newton_coeffs`, the one Newton-form pair (Horner's
+rule, synthetic division) behind every basis expansion, the falling-factorial
+conversions included.  Identities elsewhere in the package are decided by
+exact coefficientwise comparison of these polynomials in the monomial basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Dict, Iterable, List
+from itertools import accumulate, zip_longest
+from typing import Dict, Iterable, List, Sequence
 
-from .exactnum import Rat, binomial, factorial, forward_differences, rat_str
+from .exactnum import Rat, binomial, factorial, rat_str
 
 
 class UPoly:
@@ -215,31 +216,44 @@ def delta_at_zero(p: UPoly, k: int) -> Fraction:
     return acc
 
 
-def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
-    """Newton coefficients A_k with p = sum_k A_k * falling(k).
+def newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
+    """sum_j a[j] prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
+    binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
+    at (1-n, 1).  Horner's rule on the integers b_j = a[j] L d!/j!, with L the
+    lcm of a's denominators and d = len(a) - 1, then one division by L d!."""
+    den = math.lcm(*(x.denominator for x in a))
+    acc: List[int] = []
+    ratio = 1  # d!/j!
+    for j in range(len(a) - 1, -1, -1):
+        b = a[j].numerator * (den // a[j].denominator) * ratio
+        s = start + j * step
+        acc = [x - s * y for x, y in zip([b] + acc, acc + [0])]  # acc * (X - s) + b
+        ratio *= j or 1
+    return UPoly._of(acc, den * ratio)
 
-    A_k = Delta^k p(0) / k!.  The forward differences are taken in
-    integers: the numerators ``p.coeffs`` (that is, den * p) are evaluated
-    once at 0..deg(p) and differenced in a table, so
-    A_k = Delta^k (den p)(0) / (den k!) is the one division.  Only nonzero
-    entries are returned, and there are at most deg(p)+1 of them.
-    """
-    row = []
-    for x in range(len(p.coeffs)):
-        acc = 0
-        for c in reversed(p.coeffs):
-            acc = acc * x + c
-        row.append(acc)
-    out: Dict[int, Fraction] = {}
-    k_factorial = 1
-    for k, d in enumerate(forward_differences(row)):
-        if k:
-            k_factorial *= k
-        if d:
-            out[k] = Fraction(d, p.den * k_factorial)
+
+def newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
+    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p:
+    the numerators divided by X - s_0, the quotient by X - s_1, and so on,
+    synthetically; the j-th remainder is a[j] den / j!."""
+    nums, out, jfact = list(p.coeffs), [], 1
+    for j in range(len(nums)):
+        jfact *= j or 1
+        s = start + j * step
+        carries = list(accumulate(reversed(nums), lambda acc, c: acc * s + c))
+        out.append(Fraction(carries.pop() * jfact, p.den))
+        nums = carries[::-1]
     return out
 
 
+def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
+    """Newton coefficients A_k with p = sum_k A_k * falling(k): the
+    binomial(X, k) coefficients over k!.  Only nonzero entries are
+    returned, and there are at most deg(p)+1 of them."""
+    return {k: a / factorial(k) for k, a in enumerate(newton_coeffs(p, 0, 1)) if a}
+
+
 def from_falling_basis(coeffs: Dict[int, Rat]) -> UPoly:
-    """Reassemble sum_k A_k * falling(k)."""
-    return sum((falling_poly(k).scale(a) for k, a in coeffs.items()), UPoly.zero())
+    """Reassemble sum_k A_k * falling(k) = sum_k A_k k! * binomial(X, k)."""
+    a = [coeffs.get(k, 0) * factorial(k) for k in range(max(coeffs, default=-1) + 1)]
+    return newton_sum(0, 1, a)

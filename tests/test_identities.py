@@ -63,6 +63,7 @@ def test_sweep_rejects_bad_grid_up_front():
         ("injections", {"n_max": 8}),
         ("mac", {"n_max": 0}),
         ("bigeq", {"r": Composition([1, 0])}),
+        ("waring", {"t_max": 0}),
     ]:
         with pytest.raises(ValueError):
             sweep(ident, **bounds)
@@ -122,6 +123,15 @@ def test_las_requires_valid_params():
         verify("bigeq", n=2, r=Composition([1, 0]))
     with pytest.raises(ValueError):
         extract_c_from_las(0, Composition([1]))
+
+
+def test_verify_rejects_instance_without_pairs(monkeypatch):
+    # no pair compared is no instance checked, so it is not "verified"
+    with pytest.raises(ValueError):
+        verify("waring", caps=(2,), t_max=-3)
+    monkeypatch.setitem(identities._IDENTITIES, "mac", (lambda n: [], identities._IDENTITIES["mac"][1]))
+    with pytest.raises(ValueError):
+        verify("mac", n=2)
 
 
 def _takes(ident):
@@ -378,7 +388,8 @@ def test_waring_slices_match_reference():
 
 
 def _plus_one(basis):
-    """The basis polynomial plus 1: a wrong basis for every checker below."""
+    """The basis polynomial (or, for newton_sum, the whole expansion) plus 1:
+    a wrong right side for every checker below."""
     def wrong(*args, **kwargs):
         p = basis(*args, **kwargs)
         return p + (UPoly.one() if isinstance(p, UPoly) else MPoly.const(p.caps, 1))
@@ -386,11 +397,11 @@ def _plus_one(basis):
 
 
 @pytest.mark.parametrize("ident,basis,params", [
-    ("lemma1", "shifted_binom_poly", dict(n=4)),
+    ("lemma1", "newton_sum", dict(n=4)),
     ("waring", "homogeneous_h", dict(caps=(2, 1), t_max=3)),
-    ("las0p", "shifted_binom_poly", dict(n=4, r=Composition([2, 1]))),
-    ("las0pp", "shifted_binom_poly", dict(n=4, p=2, r=Composition([2, 1]))),
-    ("bigeq", "rising_poly", dict(n=4, r=Composition([2, 1]))),
+    ("las0p", "newton_sum", dict(n=4, r=Composition([2, 1]))),
+    ("las0pp", "newton_sum", dict(n=4, p=2, r=Composition([2, 1]))),
+    ("bigeq", "newton_sum", dict(n=4, r=Composition([2, 1]))),
     ("linm", "falling_poly", dict(r=Composition([2, 1]))),
 ])
 def test_wrong_basis_fails(monkeypatch, ident, basis, params):

@@ -13,6 +13,8 @@ from genbinom.polybasis import (
     delta_at_zero,
     falling_poly,
     from_falling_basis,
+    newton_coeffs,
+    newton_sum,
     rising_poly,
     shifted_binom_poly,
     to_falling_basis,
@@ -376,3 +378,43 @@ def test_rising_poly_matches_linear_factor_product():
             assert _matches(p, _ref_rising_poly(n, shift)), (n, shift)
     with pytest.raises(ValueError):
         rising_poly(-1)
+
+
+# ---------------------------------------------------------------------------
+# the Newton-form pair, against a direct Fraction evaluation of its sum
+# ---------------------------------------------------------------------------
+
+def _newton_value(start: int, step: int, a, x: int) -> Fraction:
+    """sum_j a[j] prod_{t<j} (x - start - t*step) / j!, term by term."""
+    total, term = Fraction(0), Fraction(1)
+    for j, aj in enumerate(a):
+        if j:
+            term = term * (x - start - (j - 1) * step) / j
+        total += aj * term
+    return total
+
+
+@given(st.lists(rational, max_size=10), st.sampled_from(["binomial", "multichoose", "shifted"]),
+       st.integers(min_value=1, max_value=12))
+def test_newton_pair_round_trip_and_values(a, family, n):
+    start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
+    p = newton_sum(start, step, a)
+    _assert_canonical(p)
+    trimmed = list(a)
+    while trimmed and not trimmed[-1]:
+        trimmed.pop()
+    assert p.degree == len(trimmed) - 1  # basis j has leading coefficient 1/j!
+    got = newton_coeffs(p, start, step)
+    assert got == trimmed and all(type(c) is Fraction for c in got)
+    for x in range(-4, 9):
+        assert p(x) == _newton_value(start, step, a, x), x
+
+
+def test_newton_sum_families_are_the_bases():
+    for j in range(9):
+        unit = [0] * j + [1]
+        assert newton_sum(0, 1, unit) == binom_poly(j)
+        assert newton_sum(0, -1, unit) == rising_poly(j).scale(Fraction(1, factorial(j)))
+        for n in range(max(j, 1), 10):
+            assert newton_sum(1 - n, 1, unit) == shifted_binom_poly(n, n - j)
+    assert newton_sum(0, 1, []) == UPoly.zero() and newton_coeffs(UPoly.zero(), 0, 1) == []
