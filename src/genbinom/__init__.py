@@ -1,6 +1,9 @@
 """Exact computation of generalized binomial coefficients and the
 linearization tables of factorial-polynomial products, with brute-force
-combinatorial oracles and an identity-verification harness."""
+combinatorial oracles and an identity-verification harness.
+
+The names below are the paper's objects; the building blocks (polynomials,
+partitions, bases, exact primitives) import from their own modules."""
 
 from .coefficients import (
     C_METHODS,
@@ -8,13 +11,10 @@ from .coefficients import (
     Composition,
     c_coeff,
     c_table,
-    hypergeom_terminating,
-    iter_compositions,
     linearization_d,
     seating_counts,
     t_coeff,
 )
-from .exactnum import binomial, factorial, falling, multinomial, rising
 from .identities import IDENTITY_IDS, IdentityReport, extract_c_from_las, sweep, verify
 from .oracles import (
     oracle_covering_choices,
@@ -22,18 +22,6 @@ from .oracles import (
     oracle_seatings,
     oracle_transversal_partitions,
 )
-from .partitions import Partition, ferrers_choose, partitions_of, z_mu
-from .polybasis import (
-    UPoly,
-    binom_poly,
-    delta_at_zero,
-    falling_poly,
-    from_falling_basis,
-    rising_poly,
-    shifted_binom_poly,
-    to_falling_basis,
-)
-from .series import MPoly, geom_inverse_product, homogeneous_h
 
 __all__ = [
     "C_METHODS",
@@ -41,38 +29,16 @@ __all__ = [
     "Composition",
     "IDENTITY_IDS",
     "IdentityReport",
-    "MPoly",
-    "Partition",
-    "UPoly",
-    "binom_poly",
-    "binomial",
     "c_coeff",
     "c_table",
-    "delta_at_zero",
     "extract_c_from_las",
-    "factorial",
-    "falling",
-    "falling_poly",
-    "ferrers_choose",
-    "from_falling_basis",
-    "geom_inverse_product",
-    "homogeneous_h",
-    "hypergeom_terminating",
-    "iter_compositions",
     "linearization_d",
-    "multinomial",
     "oracle_covering_choices",
     "oracle_injection_cycle_poly",
     "oracle_seatings",
     "oracle_transversal_partitions",
-    "partitions_of",
-    "rising",
-    "rising_poly",
     "seating_counts",
-    "shifted_binom_poly",
     "sweep",
     "t_coeff",
-    "to_falling_basis",
     "verify",
-    "z_mu",
 ]

@@ -2,19 +2,19 @@
 
 The central quantity is the generalized binomial coefficient c_k(r),
 computable by several independent routes that must agree exactly.  Each
-route is one kernel that returns c_1..c_K in one exact integer pass:
-``c_table`` runs it with K = |r| and ``c_coeff(r, k)`` reads entry k of
-a run with K = k.
+route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
+in one exact integer pass: ``c_table`` returns its list and
+``c_coeff(r, k)`` reads entry k of it.
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
-                       differences of the integers lcm(1..K) P_i / i
+                       differences of the integers lcm(1..|r|) P_i / i
   entiere              integer-valued double sum (one term per species):
                        differences of the integers Q_i
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
                        prod (r_i + 1); multiplying by G is a prefix sum
   inclusion_exclusion  |r| * S_k(r) / (k * prod r_j), S_k the differences
-                       of the seating counts F_0..F_K
+                       of the seating counts F_0..F_|r|
   finite_diff          Newton expansion of f(x) = prod (x)_{r_i}: integer
                        difference table of f(0..|r|)
   recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
@@ -30,13 +30,16 @@ Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
 on integer numerator/denominator pairs.
 
-Everything is pure except two internal memo tables behind
-``functools.lru_cache`` (safe for concurrent use).  Each is keyed by one
-composition, never by k, holds the integers for every k at once, and is
+Everything is pure except one internal memo behind ``functools.lru_cache``
+(safe for concurrent use), keyed by one composition, never by k, and
 bounded:
 
-  _geom_minus_one_powers       genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
-  _rising_product_differences  finite_diff: Delta^k f(0), k = 0..|r|  1024 entries
+  _geom_minus_one_powers  genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
+
+genfun keeps it because its powers over the box prod (r_i + 1) are by far
+the costliest table to rebuild, and ``c_coeff`` loops over k rerun the
+whole kernel for each k.  The other routes recompute their one-dimensional
+tables.  The benchmark's ``coefficients.memo.*`` counters read this memo.
 """
 
 from __future__ import annotations
@@ -49,14 +52,7 @@ from itertools import product as _cartesian
 from operator import add, sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import (
-    Rat,
-    binomial,
-    factorial,
-    forward_differences,
-    rising,
-    value_str,
-)
+from .exactnum import Rat, as_int, binomial, factorial, forward_differences, rising
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
 
@@ -67,7 +63,7 @@ class Composition:
     __slots__ = ("parts", "m", "total")
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(as_int, parts))
         if not parts:
             raise ValueError("composition needs at least one entry")
         if any(p < 0 for p in parts):
@@ -103,11 +99,11 @@ class Composition:
         return ",".join(str(p) for p in self.parts)
 
 
-def iter_compositions(m_max: int, r_max: int, min_entry: int = 0) -> Iterator[Composition]:
-    """All compositions with 1 <= m <= m_max and min_entry <= r_i <= r_max,
+def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
+    """All compositions with 1 <= m <= m_max and 0 <= r_i <= r_max,
     positive total, in deterministic order (length, then lexicographic)."""
     for m in range(1, m_max + 1):
-        for parts in _cartesian(range(min_entry, r_max + 1), repeat=m):
+        for parts in _cartesian(range(r_max + 1), repeat=m):
             if sum(parts) > 0:
                 yield Composition(parts)
 
@@ -116,8 +112,7 @@ def iter_compositions(m_max: int, r_max: int, min_entry: int = 0) -> Iterator[Co
 class CoeffTable:
     """A computed coefficient family: mapping k -> exact rational.
 
-    Absent keys are implicitly zero.  ``is_integral`` reports whether an
-    entry has denominator 1.
+    Absent keys are implicitly zero.
     """
 
     family: str
@@ -126,16 +121,6 @@ class CoeffTable:
 
     def value(self, k: int) -> Fraction:
         return self.values.get(k, Fraction(0))
-
-    def is_integral(self, k: int) -> bool:
-        return self.value(k).denominator == 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "r": list(self.r.parts),
-            "values": {str(k): value_str(self.values[k]) for k in sorted(self.values)},
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -226,25 +211,25 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# c_k(r) by each route: one kernel per route returns [c_1, ..., c_K]
+# c_k(r) by each route: one kernel per route returns [c_1, ..., c_|r|]
 # ---------------------------------------------------------------------------
 
-def _explicit(r: Composition, k_max: int) -> List[Fraction]:
+def _explicit(r: Composition) -> List[Fraction]:
     # c_k = |r| sum_i (-1)^(k-i) C(k-1, i-1) P_i / i, P_i = prod C(r_l+i-1, r_l):
-    # over L = lcm(1..K) the sum is Delta^(k-1) of the integers L P_i / i
-    lcm = math.lcm(*range(1, k_max + 1))
+    # over L = lcm(1..|r|) the sum is Delta^(k-1) of the integers L P_i / i
+    lcm = math.lcm(*range(1, r.total + 1))
     scaled = [
         lcm // i * math.prod(binomial(rl + i - 1, rl) for rl in r.parts)
-        for i in range(1, k_max + 1)
+        for i in range(1, r.total + 1)
     ]
     return [Fraction(r.total * d, lcm) for d in forward_differences(scaled)]
 
 
-def _entiere(r: Composition, k_max: int) -> List[Fraction]:
+def _entiere(r: Composition) -> List[Fraction]:
     # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i,
     # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l)
     q = []
-    for i in range(1, k_max + 1):
+    for i in range(1, r.total + 1):
         col = [binomial(rl + i - 1, rl) for rl in r.parts]
         q.append(sum(
             binomial(i + rj - 1, rj - 1) * math.prod(col[:j]) * math.prod(col[j + 1:])
@@ -283,39 +268,34 @@ def _geom_minus_one_powers(caps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _scaled_by_total(r: Composition, e: Sequence[int], k_max: int) -> List[Fraction]:
-    """c_k = |r| e_k / k for k = 1..k_max, from the integers e_k = k c_k / |r|."""
-    return [Fraction(r.total * e[k - 1], k) for k in range(1, k_max + 1)]
+def _scaled_by_total(r: Composition, e: Sequence[int]) -> List[Fraction]:
+    """c_k = |r| e_k / k for k = 1..|r|, from the integers e_k = k c_k / |r|."""
+    return [Fraction(r.total * e[k - 1], k) for k in range(1, r.total + 1)]
 
 
-def _genfun(r: Composition, k_max: int) -> List[Fraction]:
-    return _scaled_by_total(r, _geom_minus_one_powers(r.parts), k_max)
+def _genfun(r: Composition) -> List[Fraction]:
+    return _scaled_by_total(r, _geom_minus_one_powers(r.parts))
 
 
-def _inclusion_exclusion(r: Composition, k_max: int) -> List[Fraction]:
+def _inclusion_exclusion(r: Composition) -> List[Fraction]:
     # c_k = |r| S_k / (k prod r_j) over the nonzero species
     stripped = [p for p in r.parts if p > 0]
-    s = _seating_s(stripped, k_max)
+    s = _seating_s(stripped, r.total)
     denom = math.prod(stripped)
-    return [Fraction(r.total * s[k], k * denom) for k in range(1, k_max + 1)]
+    return [Fraction(r.total * s[k], k * denom) for k in range(1, r.total + 1)]
 
 
-@lru_cache(maxsize=1024)
-def _rising_product_differences(parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Delta^k f(0) for k = 0..|r|, f(x) = prod (x)_{r_i}, from f(0..|r|)."""
-    return tuple(forward_differences(
-        [math.prod(rising(x, ri) for ri in parts) for x in range(sum(parts) + 1)]
-    ))
-
-
-def _finite_diff(r: Composition, k_max: int) -> List[Fraction]:
-    # Newton coefficient A_k = Delta^k f(0) / k!, c_k = |r| (k-1)! A_k / prod r_i!
-    d = _rising_product_differences(r.parts)
+def _finite_diff(r: Composition) -> List[Fraction]:
+    # Newton coefficient A_k = Delta^k f(0) / k! of f(x) = prod (x)_{r_i}, from
+    # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
+    d = forward_differences(
+        [math.prod(rising(x, ri) for ri in r.parts) for x in range(r.total + 1)]
+    )
     denom = math.prod(factorial(ri) for ri in r.parts)
-    return [Fraction(r.total * d[k], k * denom) for k in range(1, k_max + 1)]
+    return [Fraction(r.total * d[k], k * denom) for k in range(1, r.total + 1)]
 
 
-def _recurrence(r: Composition, k_max: int) -> List[Fraction]:
+def _recurrence(r: Composition) -> List[Fraction]:
     # prod mc(x, r_i) = sum_s w_s mc(x, s), mc(x, n) = C(x+n-1, n), merging one
     # species b into w at a time by mc(x, a) mc(x, b) = sum_l t_l mc(x, a+b-l),
     # t_l = (-1)^l C(a+b-l; l, a-l, b-l); then e_k = sum_s w_s C(s-1, k-1)
@@ -334,15 +314,15 @@ def _recurrence(r: Composition, k_max: int) -> List[Fraction]:
     e: List[int] = []  # Horner in (1 + y): e_k = [y^(k-1)] sum_s w_s (1 + y)^(s-1)
     for ws in reversed(w[1:]):
         e = list(map(add, [ws] + e, e + [0]))
-    return _scaled_by_total(r, e, k_max)
+    return _scaled_by_total(r, e)
 
 
-def _hyp3f2(r: Composition, k_max: int) -> List[Fraction]:
+def _hyp3f2(r: Composition) -> List[Fraction]:
     # c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
     r1, r2 = r.parts
     return [
         (-1) ** (k - 1) * r.total * hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
-        for k in range(1, k_max + 1)
+        for k in range(1, r.total + 1)
     ]
 
 
@@ -373,7 +353,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
     Defined for 1 <= k <= |r| (a positive integer there); k > |r| gives 0.
     All methods agree; returning Fraction lets an integrality bug surface
     as a failed downstream check instead of silent rounding.  Runs the
-    route's kernel up to k; a caller needing several k should take
+    route's whole kernel; a caller needing several k should take
     ``c_table`` once.
     """
     if k < 1:
@@ -381,12 +361,12 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
     kernel = _kernel(r, method)
     if k > r.total:
         return Fraction(0)
-    return kernel(r, k)[k - 1]
+    return kernel(r)[k - 1]
 
 
 def c_table(r: Composition, method: str = DEFAULT_C_METHOD) -> CoeffTable:
     """All of c_1(r) .. c_|r|(r) by the chosen method, in one kernel pass."""
-    values = _kernel(r, method)(r, r.total)
+    values = _kernel(r, method)(r)
     return CoeffTable("c", r, dict(enumerate(values, 1)))
 
 

@@ -11,10 +11,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
+from operator import index, sub
 from typing import Iterable, List, Sequence, Union
 
 Rat = Union[int, Fraction]
+
+
+def as_int(value) -> int:
+    """``value`` as an int, for anything that is an integer; a float, a
+    string or any other non-integer raises ValueError instead of being
+    truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
 
 
 def binomial(n: int, k: int) -> int:

@@ -216,7 +216,7 @@ def _check_lemma1(n: int) -> List[Pair]:
 def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
     # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
-    caps = tuple(int(c) for c in caps)
+    caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
     tables = [(parts, c_table(Composition(parts)).values)
               for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
     h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}

@@ -6,9 +6,10 @@ the multiplicities of each part value, and the centralizer size
 z = prod_i i^{m_i} m_i!.  Partitions are immutable values, so enumeration
 results can be handed to parallel workers freely.
 
-`partition_mults` is the one enumerator: it yields each partition of n in
-multiplicity form with its length and z, carried from step to step, and
-builds no object; `partitions_of` wraps its output in `Partition`s.
+`partition_mults` is the one enumerator and the one computation of z: it
+yields each partition of n in multiplicity form with its length and z,
+carried from step to step, and builds no object; `partitions_of` wraps its
+output in `Partition`s.
 `ferrers_poly` is the one Ferrers-diagram product, read by `ferrers_choose`
 and by the class-size tables of `identities`.
 """
@@ -18,6 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
+from .exactnum import as_int
+
 
 class Partition:
     """Weakly decreasing positive parts with cached multiplicities."""
@@ -25,7 +28,7 @@ class Partition:
     __slots__ = ("parts", "n", "length", "mults")
 
     def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(as_int, parts))
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -72,7 +75,7 @@ def partition_mults(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, 
     no `Partition` is built.  n = 0 yields the empty partition.
     """
     if n < 0:
-        raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
+        raise ValueError(f"partition_mults: n must be nonnegative, got {n}")
     mults: List[Tuple[int, int]] = []
     prefix = [(0, 1)]  # (length, z) of mults[:i], i = 0..len(mults)
 
@@ -110,16 +113,6 @@ def partitions_of(n: int) -> Iterator[Partition]:
     """
     for mults, _, _ in partition_mults(n):
         yield Partition([part for part, mult in mults for _ in range(mult)])
-
-
-def z_mu(mu: Partition) -> int:
-    """Centralizer size prod_i i^{m_i(mu)} * m_i(mu)!."""
-    out = 1
-    for part, mult in mu.mults.items():
-        out *= part**mult
-        for j in range(2, mult + 1):
-            out *= j
-    return out
 
 
 def ferrers_poly(mults: Iterable[Tuple[int, int]], n: int) -> List[int]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, zip_longest
 from typing import Dict, Iterable, List, Sequence
 
-from .exactnum import Rat, binomial, factorial, rat_str
+from .exactnum import Rat, binomial, factorial
 
 
 class UPoly:
@@ -36,7 +36,10 @@ class UPoly:
     __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:  # exact values only: a float or string is not converted
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError(f"UPoly coefficients must be int or Fraction, got {c!r}")
         den = math.lcm(*(c.denominator for c in cs))
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -145,10 +148,6 @@ class UPoly:
             acc = acc * u + c * vpow
             vpow *= v
         return Fraction(acc * v, self.den * vpow)
-
-    def to_strs(self) -> list[str]:
-        """Serialization: "num/den" strings, lowest degree first."""
-        return [rat_str(self.coeff(d)) for d in range(len(self.coeffs))]
 
     def __repr__(self) -> str:
         return f"UPoly({[str(self.coeff(d)) for d in range(len(self.coeffs))]})"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .exactnum import Rat, rat_str
+from .exactnum import Rat, as_int, rat_str
 
 Expt = Tuple[int, ...]
 
@@ -27,12 +27,12 @@ class MPoly:
     __slots__ = ("caps", "terms")
 
     def __init__(self, caps: Sequence[int], terms: Mapping[Expt, Rat] | None = None):
-        caps = tuple(int(c) for c in caps)
+        caps = tuple(map(as_int, caps))
         if any(c < 0 for c in caps):
             raise ValueError(f"caps must be nonnegative: {caps}")
         clean: Dict[Expt, Rat] = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
+            e = tuple(map(as_int, e))
             if len(e) != len(caps):
                 raise ValueError(f"exponent {e} has wrong arity for caps {caps}")
             if any(x < 0 for x in e):
@@ -151,7 +151,7 @@ class MPoly:
         Asking beyond the caps is an error: that coefficient was truncated
         away and is unknown.
         """
-        e = tuple(int(x) for x in e)
+        e = tuple(map(as_int, e))
         if len(e) != self.nvars:
             raise ValueError(f"exponent {e} has wrong arity")
         if any(x < 0 for x in e) or any(x > cap for x, cap in zip(e, self.caps)):
@@ -173,7 +173,7 @@ class MPoly:
 def geom_inverse_product(caps: Sequence[int]) -> MPoly:
     """prod_i (1 + x_i + ... + x_i^{cap_i}): the truncation of
     1/((1-x_1)...(1-x_m)).  Every coefficient within the caps is 1."""
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(map(as_int, caps))
     return MPoly(caps, {e: 1 for e in product(*(range(c + 1) for c in caps))})
 
 
@@ -185,7 +185,7 @@ def homogeneous_h(n: int, caps: Sequence[int]) -> MPoly:
     """
     if n < 0:
         raise ValueError(f"homogeneous_h: n must be nonnegative, got {n}")
-    caps = tuple(int(c) for c in caps)
+    caps = tuple(map(as_int, caps))
     prefixes: Dict[Expt, int] = {(): 0}  # exponent prefix -> total degree
     for cap in caps:
         nxt: Dict[Expt, int] = {}

@@ -48,6 +48,8 @@ def test_coeff_bad_composition(capsys):
     assert "error" in err
     code, _, _ = run(capsys, "coeff", "--r", "2,x")
     assert code == 2
+    code, out, _ = run(capsys, "coeff", "--r", "2.5")
+    assert (code, out) == (2, "")
 
 
 def test_coeff_hyp3f2_shape_mismatch(capsys):

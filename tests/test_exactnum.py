@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbinom.coefficients import Composition
 from genbinom.exactnum import (
     binomial,
     factorial,
@@ -13,6 +14,9 @@ from genbinom.exactnum import (
     rat_str,
     rising,
 )
+from genbinom.partitions import Partition, partition_mults
+from genbinom.polybasis import UPoly
+from genbinom.series import MPoly
 
 
 def test_binomial_values():
@@ -77,3 +81,23 @@ def test_serialization():
     assert rat_str(Fraction(3, 4)) == "3/4"
     assert rat_str(Fraction(5)) == "5/1"
     assert Fraction(rat_str(Fraction(-7, 12))) == Fraction(-7, 12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Composition((2.9, 1)),
+    lambda: Composition(("3",)),
+    lambda: MPoly((2.5,)),
+    lambda: MPoly((2,), {(1.9,): 1}),
+    lambda: Partition([2.5, 1]),
+    lambda: UPoly([0.1]),
+    lambda: UPoly(["1/2"]),
+])
+def test_constructors_reject_non_integers(build):
+    # truncating 2.9 to 2 would answer for another input
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_partition_mults_names_itself():
+    with pytest.raises(ValueError, match="^partition_mults:"):
+        next(partition_mults(-1))

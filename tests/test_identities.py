@@ -13,9 +13,10 @@ from genbinom.cli import main
 from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions
 from genbinom.exactnum import binomial, factorial, rising
 from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
-from genbinom.partitions import ferrers_choose, partitions_of, z_mu
+from genbinom.partitions import ferrers_choose, partitions_of
 from genbinom.polybasis import UPoly, shifted_binom_poly
 from genbinom.series import MPoly, homogeneous_h
+from test_partitions import z_mu
 
 
 def test_las_example():
@@ -127,8 +128,9 @@ def test_las_requires_valid_params():
 
 def test_verify_rejects_instance_without_pairs(monkeypatch):
     # no pair compared is no instance checked, so it is not "verified"
-    with pytest.raises(ValueError):
-        verify("waring", caps=(2,), t_max=-3)
+    for caps, t_max in (((2,), -3), ((0,), 2), ((0, 0), 2)):
+        with pytest.raises(ValueError):
+            verify("waring", caps=caps, t_max=t_max)
     monkeypatch.setitem(identities._IDENTITIES, "mac", (lambda n: [], identities._IDENTITIES["mac"][1]))
     with pytest.raises(ValueError):
         verify("mac", n=2)
@@ -268,8 +270,9 @@ def test_class_table_invariants():
 
 
 # The per-p class-size table the one-pass (n, weighted) tables replaced, kept
-# verbatim.  Its partitions_of, z_mu and ferrers_choose are the package's,
-# each checked against its own former version in test_partitions.py.
+# verbatim.  Its partitions_of and ferrers_choose are the package's, each
+# checked against its own former version in test_partitions.py; its z_mu is
+# the reference kept there.
 
 @lru_cache(maxsize=256)
 def _old_class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:

@@ -96,7 +96,7 @@ def test_seating_validation():
 
 
 def test_seatings_match_closed_forms():
-    for r in iter_compositions(3, 2, min_entry=1):
+    for r in (q for q in iter_compositions(3, 2) if 0 not in q.parts):
         for k in range(1, 4):
             assert oracle_seatings(r, k, "F") == seating_counts(r, k, "F"), (r, k)
             assert oracle_seatings(r, k, "S") == seating_counts(r, k, "S"), (r, k)
@@ -105,7 +105,7 @@ def test_seatings_match_closed_forms():
 
 
 def test_turnstile_sum_equals_c():
-    for r in iter_compositions(3, 2, min_entry=1):
+    for r in (q for q in iter_compositions(3, 2) if 0 not in q.parts):
         for k in range(1, min(r.total, 3) + 1):
             total = sum(oracle_seatings(r, k, "T", j=j) for j in range(1, r.m + 1))
             assert total == c_coeff(r, k), (r, k)
@@ -214,7 +214,8 @@ def test_transversal_matches_set_partition_reference():
 
 def test_covering_matches_set_union_reference():
     # zero entries up to four species, positive ones up to six
-    comps = [*iter_compositions(4, 6), *(r for r in iter_compositions(6, 6, min_entry=1) if r.m > 4)]
+    comps = [*iter_compositions(4, 6),
+             *(Composition(p) for m in (5, 6) for p in product(range(1, 7), repeat=m))]
     for r in comps:
         if r.total > 6:
             continue

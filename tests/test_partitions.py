@@ -3,8 +3,19 @@ from fractions import Fraction
 import pytest
 
 from genbinom.exactnum import binomial, factorial
-from genbinom.partitions import Partition, ferrers_choose, partition_mults, partitions_of, z_mu
+from genbinom.partitions import Partition, ferrers_choose, partition_mults, partitions_of
 from genbinom.polybasis import UPoly, shifted_binom_poly
+
+
+def z_mu(mu: Partition) -> int:
+    """Centralizer size prod_i i^{m_i(mu)} * m_i(mu)!: the reference for the
+    z that `partition_mults` carries step to step."""
+    out = 1
+    for part, mult in mu.mults.items():
+        out *= part**mult
+        for j in range(2, mult + 1):
+            out *= j
+    return out
 
 
 def count_partitions_dp(n):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbinom.exactnum import Rat, binomial, factorial, rat_str, rising
+from genbinom.exactnum import Rat, binomial, factorial, rising
 from genbinom.polybasis import (
     UPoly,
     binom_poly,
@@ -164,9 +164,6 @@ def test_exponential_collapse_to_rising():
 
 
 def test_serialization():
-    p = UPoly((Fraction(1, 2), 0, -2))
-    assert p.to_strs() == ["1/2", "0/1", "-2/1"]
-    assert UPoly.zero().to_strs() == []
     assert str(UPoly((1, -1, 1))) == "X^2 - X + 1"
     assert str(UPoly.zero()) == "0"
 
@@ -284,10 +281,6 @@ class RefUPoly:
             acc = acc * x + c
         return acc
 
-    def to_strs(self) -> list[str]:
-        """Serialization: "num/den" strings, lowest degree first."""
-        return [rat_str(c) for c in self.coeffs]
-
     def __repr__(self) -> str:
         return f"UPoly({[str(c) for c in self.coeffs]})"
 
@@ -345,7 +338,6 @@ def test_integer_layout_matches_fraction_reference(a, b, value, x):
         assert _matches(got, want)
         assert str(got) == str(want)
         assert repr(got) == repr(want)
-        assert got.to_strs() == want.to_strs()
         assert got(x) == want(x) and isinstance(got(x), Fraction)
         assert got.coeff(-1) == want.coeff(-1) and got.coeff(9) == want.coeff(9)
     assert (p == q) == (rp == rq)
