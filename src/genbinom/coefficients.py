@@ -24,7 +24,9 @@ in one exact integer pass: ``c_table`` returns its list and
   hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
-one.  The others stay as independent cross-checks.
+one.  The others stay as independent cross-checks.  Each route's shape rule
+is checked before its kernel runs: hyp3f2 needs m = 2, and genfun rejects a
+box whose |r| * prod (r_i + 1) steps exceed GENFUN_STEPS_MAX.
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
@@ -55,6 +57,8 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 from .exactnum import Rat, as_int, binomial, factorial, forward_differences, rising
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
+# genfun's budget on |r| * prod(r_i + 1), its box steps at about 1 us each
+GENFUN_STEPS_MAX = 10**7
 
 
 class Composition:
@@ -344,6 +348,8 @@ def _kernel(r: Composition, method: str):
         raise ValueError(f"c_coeff: unknown method {method!r}")
     if method == "hyp3f2" and r.m != 2:
         raise ValueError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
+    if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > GENFUN_STEPS_MAX:
+        raise ValueError(f"genfun: |r| * prod(r_i + 1) is over the budget {GENFUN_STEPS_MAX}")
     return _KERNELS[method]
 
 

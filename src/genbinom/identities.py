@@ -32,7 +32,7 @@ built by enumerating partitions, not from sum_mu X^l(mu) t^|mu| / z_mu =
 (1-t)^(-X): that is las0p's right side, so las0p would then check nothing.
 The tables come from `_class_tables(n, weighted)`, one bounded `lru_cache`
 (64 entries) keyed by (n, weighted): a single pass over
-`partitions.partition_mults` fills the unweighted table, or every p's
+`partitions.partitions_of` fills the unweighted table, or every p's
 table of las0pp's Ferrers weight at once.  After one `identity_sweep`
 benchmark list it holds 43 entries (163 tables), about 0.46 MiB.
 
@@ -71,7 +71,7 @@ from .oracles import (
     oracle_injection_cycle_poly,
     oracle_transversal_partitions,
 )
-from .partitions import ferrers_poly, partition_mults, partitions_of
+from .partitions import ferrers_poly, partitions_of
 from .polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly
 from .series import MPoly, homogeneous_h
 
@@ -106,12 +106,12 @@ def _class_tables(n: int, weighted: bool) -> Tuple[Tuple[Tuple[int, ...], ...], 
     if weighted the tables with w = ferrers_choose(., p) for p = 0..n, indexed
     by p and all filled from one Ferrers polynomial per partition.
 
-    One pass over `partition_mults`; the unweighted table computes no Ferrers
+    One pass over `partitions_of`; the unweighted table computes no Ferrers
     polynomial.  Memoized by (n, weighted): sweeps repeat each n across
     compositions and p."""
     nfact = factorial(n)
     tables = [[[0] * (n + 2 - l) for l in range(n + 1)] for _ in range(n + 1 if weighted else 1)]
-    for mults, length, z in partition_mults(n):
+    for mults, length, z in partitions_of(n):
         size = nfact // z
         weights = enumerate(ferrers_poly(mults, n)) if weighted else ((0, 1),)
         for p, w in weights:
@@ -220,16 +220,18 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     tables = [(parts, c_table(Composition(parts)).values)
               for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
     h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
-    # h_lambda by parts: lambda less its last part has a smaller size, so it is
-    # already here and each h_lambda is one product
+    # h_lambda by multiplicity form: lambda less one copy of its smallest part
+    # has a smaller size, so it is already here and each h_lambda is one product
     h_lam = {(): MPoly.const(caps, 1)}
     rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
     for size in h:
-        for lam in partitions_of(size):
-            if lam.length <= t_max:
-                h_lam[lam.parts] = h_lam[lam.parts[:-1]] * h[lam.parts[-1]]
-                coef = Fraction(size * factorial(lam.length - 1), math.prod(map(factorial, lam.mults.values())))
-                rhs[lam.length] = rhs[lam.length] + h_lam[lam.parts].scale(coef)
+        for mults, length, _ in partitions_of(size):
+            if length <= t_max:
+                part, mult = mults[-1]
+                less = mults[:-1] + ((part, mult - 1),) if mult > 1 else mults[:-1]
+                h_lam[mults] = h_lam[less] * h[part]
+                coef = Fraction(size * factorial(length - 1), math.prod(factorial(m) for _, m in mults))
+                rhs[length] = rhs[length] + h_lam[mults].scale(coef)
     return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
 
 
@@ -302,10 +304,13 @@ def _check_n_p(n: int | None, p: int | None) -> None:
 
 def verify(identity: str, **params) -> IdentityReport:
     """Check one identity instance; exact equality decides the verdict.  An
-    instance with no pair to compare raises ValueError."""
+    ``r`` that is not a composition, or an instance with no pair to compare,
+    raises ValueError."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     _check_n_p(params.get("n"), params.get("p"))
+    if "r" in params:  # any sequence, checked as waring's caps are
+        params["r"] = Composition(params["r"])
     shown = {k: _jsonable(v) for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
     if not pairs:  # comparing nothing verifies nothing
@@ -417,7 +422,7 @@ def sweep(
     t_max: int = 4,
     n: int | None = None,
     p: int | None = None,
-    r: Composition | None = None,
+    r: Composition | Sequence[int] | None = None,
 ) -> Iterator[IdentityReport]:
     """Verify an identity over its bounded parameter grid, in deterministic
     order.  Which bounds apply depends on the identity; fixing ``n``, ``p``
@@ -426,8 +431,9 @@ def sweep(
 
     The grid is built before any instance runs, so an unknown id, a fixed
     parameter the identity does not take, ``n``, ``p`` or ``t_max`` below
-    1, ``p > n``, an oracle budget overrun or an empty grid raises ValueError
-    here, not midway through the returned iterator."""
+    1, ``p > n``, an ``r`` that is not a composition, an oracle budget
+    overrun or an empty grid raises ValueError here, not midway through the
+    returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
     grid_fn = _IDENTITIES[identity][1]
@@ -436,6 +442,7 @@ def sweep(
     if ignored:
         raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)
+    r = None if r is None else Composition(r)
     ns = [n] if n is not None else list(range(1, n_max + 1))
 
     def comps() -> List[Composition]:  # built only for the ids that take r

@@ -1,15 +1,13 @@
 """Integer partitions and their classical statistics.
 
-A partition is a weakly decreasing sequence of positive integers.  The
-statistics cached here are the ones that weight partition sums: the length,
-the multiplicities of each part value, and the centralizer size
-z = prod_i i^{m_i} m_i!.  Partitions are immutable values, so enumeration
-results can be handed to parallel workers freely.
+A partition is a weakly decreasing sequence of positive integers, kept here
+in multiplicity form: the (part, multiplicity) pairs by decreasing part.
+The statistics carried with it are the ones that weight partition sums: the
+length and the centralizer size z = prod_i i^{m_i} m_i!.
 
-`partition_mults` is the one enumerator and the one computation of z: it
+`partitions_of` is the one enumerator and the one computation of z: it
 yields each partition of n in multiplicity form with its length and z,
-carried from step to step, and builds no object; `partitions_of` wraps its
-output in `Partition`s.
+carried from step to step, and builds no object.
 `ferrers_poly` is the one Ferrers-diagram product, read by `ferrers_choose`
 and by the class-size tables of `identities`.
 """
@@ -17,52 +15,10 @@ and by the class-size tables of `identities`.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
-
-from .exactnum import as_int
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
-class Partition:
-    """Weakly decreasing positive parts with cached multiplicities."""
-
-    __slots__ = ("parts", "n", "length", "mults")
-
-    def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(map(as_int, parts))
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
-        if parts and parts[-1] <= 0:
-            raise ValueError(f"parts must be positive: {parts}")
-        self.parts: Tuple[int, ...] = parts
-        self.n: int = sum(parts)
-        self.length: int = len(parts)
-        mults: Dict[int, int] = {}
-        for p in parts:
-            mults[p] = mults.get(p, 0) + 1
-        self.mults = mults
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
-
-    def __str__(self) -> str:
-        """Comma-separated decreasing part list, e.g. "3,1,1"."""
-        return ",".join(str(p) for p in self.parts)
-
-
-def partition_mults(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
+def partitions_of(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
     """Yield (mults, length, z) for every partition of n exactly once, in
     reverse-lexicographic order: mults lists the (part, multiplicity) pairs
     by decreasing part, length is l(mu) and z the centralizer size z_mu.
@@ -72,10 +28,11 @@ def partition_mults(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, 
     smallest part j > 1, adds it to the trailing ones and refills them with
     parts j - 1 and one remainder part.  Each pair keeps the length and z
     of the pairs up to it, so a step touches only the pairs it changes and
-    no `Partition` is built.  n = 0 yields the empty partition.
+    no object is built.  n = 0 yields the empty partition; the fixed order
+    keeps sweep logs diffable.
     """
     if n < 0:
-        raise ValueError(f"partition_mults: n must be nonnegative, got {n}")
+        raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
     mults: List[Tuple[int, int]] = []
     prefix = [(0, 1)]  # (length, z) of mults[:i], i = 0..len(mults)
 
@@ -104,17 +61,6 @@ def partition_mults(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, 
             push(rest, 1)
 
 
-def partitions_of(n: int) -> Iterator[Partition]:
-    """Yield every partition of n exactly once, in reverse-lexicographic order,
-    as read from `partition_mults`.
-
-    n = 0 yields the single empty partition.  The fixed order keeps sweep
-    logs diffable.
-    """
-    for mults, _, _ in partition_mults(n):
-        yield Partition([part for part, mult in mults for _ in range(mult)])
-
-
 def ferrers_poly(mults: Iterable[Tuple[int, int]], n: int) -> List[int]:
     """Coefficients of x^0..x^n in prod_j ((1+x)^j - 1)^{m_j}, for the
     (part j, multiplicity m_j) pairs of a partition of n: the coefficient of
@@ -133,14 +79,16 @@ def ferrers_poly(mults: Iterable[Tuple[int, int]], n: int) -> List[int]:
     return [(value >> (width * p)) & mask for p in range(n + 1)]
 
 
-def ferrers_choose(mu: Partition, p: int) -> int:
-    """Number of ways to pick p cells of the Ferrers diagram of mu hitting
-    every row at least once: the coefficient of x^p in `ferrers_poly`.
+def ferrers_choose(mults: Sequence[Tuple[int, int]], p: int) -> int:
+    """Number of ways to pick p cells of the Ferrers diagram of the partition
+    with (part, multiplicity) pairs mults hitting every row at least once:
+    the coefficient of x^p in `ferrers_poly`.
 
     For the empty partition the product is empty, so p = 0 gives 1 and every
     p > 0 gives 0.
     """
-    if p < 0 or p < mu.length or p > mu.n:
+    n = sum(part * mult for part, mult in mults)
+    if p < 0 or p < sum(mult for _, mult in mults) or p > n:
         # fewer picks than rows, or more picks than cells
         return 0
-    return ferrers_poly(mu.mults.items(), mu.n)[p]
+    return ferrers_poly(mults, n)[p]

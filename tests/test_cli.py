@@ -58,6 +58,12 @@ def test_coeff_hyp3f2_shape_mismatch(capsys):
     assert "hyp3f2" in err
 
 
+def test_coeff_genfun_over_budget(capsys):
+    code, out, err = run(capsys, "coeff", "--r", "20,20,20,20,20,20", "--method", "genfun")
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
 def test_coeff_csv(capsys):
     code, out, _ = run(capsys, "coeff", "--r", "2,1", "--format", "csv")
     assert code == 0

@@ -99,6 +99,9 @@ def test_routes_agree_on_large_compositions():
         assert all(v.denominator == 1 and v >= 1 for v in reference.values())
         for m, values in tables.items():
             assert values == reference, (parts, m)
+    # 120 * 21^6 genfun box steps, over the route's budget: rejected before any work
+    with pytest.raises(ValueError, match="budget"):
+        c_table(Composition((20,) * 6), "genfun")
 
 
 def _memos():

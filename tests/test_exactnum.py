@@ -14,7 +14,7 @@ from genbinom.exactnum import (
     rat_str,
     rising,
 )
-from genbinom.partitions import Partition, partition_mults
+from genbinom.partitions import partitions_of
 from genbinom.polybasis import UPoly
 from genbinom.series import MPoly
 
@@ -88,7 +88,6 @@ def test_serialization():
     lambda: Composition(("3",)),
     lambda: MPoly((2.5,)),
     lambda: MPoly((2,), {(1.9,): 1}),
-    lambda: Partition([2.5, 1]),
     lambda: UPoly([0.1]),
     lambda: UPoly(["1/2"]),
 ])
@@ -99,5 +98,5 @@ def test_constructors_reject_non_integers(build):
 
 
 def test_partition_mults_names_itself():
-    with pytest.raises(ValueError, match="^partition_mults:"):
-        next(partition_mults(-1))
+    with pytest.raises(ValueError, match="^partitions_of:"):
+        next(partitions_of(-1))

@@ -13,10 +13,10 @@ from genbinom.cli import main
 from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions
 from genbinom.exactnum import binomial, factorial, rising
 from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
-from genbinom.partitions import ferrers_choose, partitions_of
+from genbinom.partitions import ferrers_choose
 from genbinom.polybasis import UPoly, shifted_binom_poly
 from genbinom.series import MPoly, homogeneous_h
-from test_partitions import z_mu
+from test_partitions import partition_objects, z_mu
 
 
 def test_las_example():
@@ -45,6 +45,10 @@ def test_report_json_line():
     report = verify("las", n=3, r=Composition([2, 1]))
     decoded = json.loads(report.to_json_line())
     assert decoded == {"id": "las", "params": {"n": 3, "r": [2, 1]}, "status": "verified"}
+    # a plain sequence r is taken through Composition, as waring's caps are
+    assert verify("las", n=3, r=(2, 1)).to_json_line() == report.to_json_line()
+    assert [x.to_json_line() for x in sweep("las", n=3, r=(2, 1))] == [report.to_json_line()]
+    assert [x.params for x in sweep("binom2", r=[2, 1])] == [{"r1": 2, "r2": 1}]
 
 
 def test_all_identities_verify_small():
@@ -123,6 +127,8 @@ def test_las_requires_valid_params():
     with pytest.raises(ValueError):
         verify("bigeq", n=2, r=Composition([1, 0]))
     with pytest.raises(ValueError):
+        verify("linm", r=[0, 0])
+    with pytest.raises(ValueError):
         extract_c_from_las(0, Composition([1]))
 
 
@@ -173,7 +179,7 @@ def _old_las_lhs(n, r, weight=None):
     sum_i prod_k rising(mu_i, r_k)/r_k!."""
     coeffs = [Fraction(0)] * max(n, 1)
     rfact = [factorial(rk) for rk in r.parts]
-    for mu in partitions_of(n):
+    for mu in partition_objects(n):
         inner = Fraction(0)
         for part in mu.parts:
             term = Fraction(1)
@@ -194,7 +200,7 @@ def _seating_f1(j, rl):
 
 def _old_bigeq_lhs(n, r):
     coeffs = [Fraction(0)] * max(n, 1)
-    for mu in partitions_of(n):
+    for mu in partition_objects(n):
         inner = 0
         for part in mu.parts:
             inner += math.prod(_seating_f1(part, rl) for rl in r.parts)
@@ -205,7 +211,7 @@ def _old_bigeq_lhs(n, r):
 def _old_mac_lhs(n):
     body = [Fraction(0)] * (n + 1)
     deriv = [Fraction(0)] * max(n, 1)
-    for mu in partitions_of(n):
+    for mu in partition_objects(n):
         body[mu.length] += Fraction(1, z_mu(mu))
         deriv[mu.length - 1] += Fraction(mu.length, z_mu(mu))
     return [UPoly(body), UPoly(deriv)]
@@ -214,7 +220,7 @@ def _old_mac_lhs(n):
 def _old_lemma1_lhs(n):
     caps = (max(n - 1, 0), n)
     lhs = MPoly.zero(caps)
-    for mu in partitions_of(n):
+    for mu in partition_objects(n):
         ypoly = {}
         for part in mu.parts:
             ypoly[(0, part)] = ypoly.get((0, part), Fraction(0)) + 1
@@ -229,7 +235,7 @@ def test_class_table_matches_las_loop():
         for r in iter_compositions(3, 2):
             assert identities._las_lhs(n, r) == _old_las_lhs(n, r), (n, r)
             for p in range(1, n + 1):
-                expected = _old_las_lhs(n, r, weight=lambda mu: ferrers_choose(mu, p))
+                expected = _old_las_lhs(n, r, weight=lambda mu: ferrers_choose(tuple(mu.mults.items()), p))
                 assert identities._las_lhs(n, r, p) == expected, (n, p, r)
 
 
@@ -270,9 +276,10 @@ def test_class_table_invariants():
 
 
 # The per-p class-size table the one-pass (n, weighted) tables replaced, kept
-# verbatim.  Its partitions_of and ferrers_choose are the package's, each
-# checked against its own former version in test_partitions.py; its z_mu is
-# the reference kept there.
+# verbatim but for reading partitions through `partition_objects`, which
+# expands the package's `partitions_of`.  That enumerator and `ferrers_choose`
+# are each checked against their former versions in test_partitions.py; its
+# z_mu is the reference kept there.
 
 @lru_cache(maxsize=256)
 def _old_class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
@@ -281,8 +288,8 @@ def _old_class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...
     None.  Memoized by (n, p): sweeps repeat each (n, p) across compositions."""
     nfact = factorial(n)
     table = [[0] * (n + 2 - l) for l in range(n + 1)]
-    for mu in partitions_of(n):
-        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(mu, p))
+    for mu in partition_objects(n):
+        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(tuple(mu.mults.items()), p))
         row = table[mu.length]
         for part, mult in mu.mults.items():
             row[part] += w * mult
@@ -349,7 +356,7 @@ def _old_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     lhs = MPoly(full, terms)
     rhs = MPoly.zero(full)
     for size in range(1, sum(caps) + 1):
-        for lam in partitions_of(size):
+        for lam in partition_objects(size):
             if lam.length > t_max:
                 continue
             coef = Fraction(size * factorial(lam.length - 1))
@@ -388,6 +395,37 @@ def test_waring_slices_match_reference():
                     got = slices[e[0] - 1][side].coeff(e[1:]) if e[0] else 0
                     assert got == ref[side].coeff(e), (caps, t_max, side, e)
                 assert sum(_nonzero(pair[side]) for pair in slices) == len(ref[side].terms), (caps, t_max)
+
+
+# The waring checker as it was when it keyed h_lambda by the parts of a
+# `Partition`, kept verbatim but for reading partitions through
+# `partition_objects`.
+
+def _parts_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
+    # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
+    # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
+    caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
+    tables = [(parts, c_table(Composition(parts)).values)
+              for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
+    h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
+    # h_lambda by parts: lambda less its last part has a smaller size, so it is
+    # already here and each h_lambda is one product
+    h_lam = {(): MPoly.const(caps, 1)}
+    rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
+    for size in h:
+        for lam in partition_objects(size):
+            if lam.length <= t_max:
+                h_lam[lam.parts] = h_lam[lam.parts[:-1]] * h[lam.parts[-1]]
+                coef = Fraction(size * factorial(lam.length - 1), math.prod(map(factorial, lam.mults.values())))
+                rhs[lam.length] = rhs[lam.length] + h_lam[lam.parts].scale(coef)
+    return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
+
+
+def test_waring_matches_parts_keyed_checker():
+    for caps in iter_compositions(3, 3):
+        for t_max in range(1, 7):
+            got = identities._check_waring(caps.parts, t_max)
+            assert got == _parts_check_waring(caps.parts, t_max), (caps, t_max)
 
 
 def _plus_one(basis):
