@@ -4,24 +4,35 @@ The central quantity is the generalized binomial coefficient c_k(r),
 computable by several independent routes that must agree exactly.  Each
 route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
 in one exact integer pass: ``c_table`` returns its list and
-``c_coeff(r, k)`` reads entry k of it.
+``c_coeff(r, k)`` reads entry k of it.  The kernels work on whole integer
+runs over i = 1..|r|: each species contributes one run, built by one
+``math.comb`` or ``math.perm`` map, and runs are combined entrywise by
+``map`` (no Python-level call per entry).
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
-                       differences of the integers lcm(1..|r|) P_i / i
+                       differences of the integers lcm(1..|r|) P_i / i, the
+                       run lcm // i times every species' C(r_l+i-1, r_l) run
   entiere              integer-valued double sum (one term per species):
-                       differences of the integers Q_i
+                       differences of the integers Q_i, term j species j's
+                       C(i+r_j-1, r_j-1) run times the other species' runs
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
-                       prod (r_i + 1); multiplying by G is a prefix sum
+                       prod (r_i + 1) of the sorted nonzero sizes (G is
+                       symmetric); multiplying by G is a prefix sum, one
+                       ``accumulate`` per row of the fastest (largest) axis
+                       and one slice sum per step of the others
   inclusion_exclusion  |r| * S_k(r) / (k * prod r_j), S_k the differences
-                       of the seating counts F_0..F_|r|
+                       of the seating counts F_0..F_|r|, F one product of
+                       the species' runs
   finite_diff          Newton expansion of f(x) = prod (x)_{r_i}: integer
-                       difference table of f(0..|r|)
+                       difference table of f(0..|r|), each rising factorial
+                       run (x)_{r_i} = perm(x+r_i-1, r_i) from ``math.perm``
   recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
                        merged left to right one species at a time by the
                        two-factor linearization (the binom2 identity); then
                        the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
-  hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k
+  hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k;
+                       the evaluator builds its term-ratio runs whole
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
 one.  The others stay as independent cross-checks.  Each route's shape rule
@@ -33,8 +44,8 @@ tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
 on integer numerator/denominator pairs.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
-(safe for concurrent use), keyed by one composition, never by k, and
-bounded:
+(safe for concurrent use), keyed by the sorted nonzero sizes of one
+composition, never by k, and bounded:
 
   _geom_minus_one_powers  genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
 
@@ -50,14 +61,16 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, chain, repeat
 from itertools import product as _cartesian
-from operator import add, sub
+from operator import add, floordiv, mul, sub
 from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .exactnum import Rat, as_int, binomial, factorial, forward_differences, rising
+from .exactnum import Rat, as_int, binomial, factorial, forward_differences
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
-# genfun's budget on |r| * prod(r_i + 1), its box steps at about 1 us each
+# genfun's budget on |r| * prod(r_i + 1), its box steps at 0.2 to 0.6 us each
+# (Python 3.11, 2-core Xeon VM; boxes of short rows cost the most per step)
 GENFUN_STEPS_MAX = 10**7
 
 
@@ -103,6 +116,12 @@ class Composition:
         return ",".join(str(p) for p in self.parts)
 
 
+def as_composition(r: Composition | Sequence[int]) -> Composition:
+    """r itself if it is a Composition, else r's entries checked as one; the
+    public entry points take either."""
+    return r if isinstance(r, Composition) else Composition(r)
+
+
 def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
     """All compositions with 1 <= m <= m_max and 0 <= r_i <= r_max,
     positive total, in deterministic order (length, then lexicographic)."""
@@ -139,9 +158,10 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
     summation range raises ZeroDivisionError.
 
     Each parameter p/q enters the term ratio as p/q + j = (p + j q)/q, so
-    the terms are integer numerator/denominator pairs, the sum is kept over
-    the running common denominator (each term's denominator divides the
-    next one's) and one Fraction is built at the end.
+    the ratios are integer runs a[j] / b[j] over j = 0..nmax-1, the terms
+    share the common denominator b[0] ... b[nmax-1], their numerators come
+    from prefix products of a and suffix products of b, and one Fraction
+    is built at the end.
     """
     nums = [(a.numerator, a.denominator) for a in numer]
     dens = [(b.numerator, b.denominator) for b in denom]
@@ -153,15 +173,18 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
         if q == 1 and 0 >= p > -nmax:
             raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
     zn, zd = z.numerator, z.denominator
-    num_scale = zn * math.prod(q for _, q in dens)
-    den_scale = zd * math.prod(q for _, q in nums)
-    term = total = den = 1  # term / den is the current term, total / den the sum
-    for j in range(nmax):
-        step = den_scale * math.prod(p + j * q for p, q in dens) * (j + 1)
-        term = term * num_scale * math.prod(p + j * q for p, q in nums)
-        total = total * step + term
-        den *= step
-    return Fraction(total, den)
+    # term j+1 / term j = a[j] / b[j], a and b built as whole runs: each
+    # parameter p/q contributes p, p + q, ..., p + (nmax - 1) q
+    a = [zn * math.prod(q for _, q in dens)] * nmax
+    for p, q in nums:
+        a = list(map(mul, a, range(p, p + nmax * q, q)))
+    b = list(map(mul, repeat(zd * math.prod(q for _, q in nums)), range(1, nmax + 1)))
+    for p, q in dens:
+        b = list(map(mul, b, range(p, p + nmax * q, q)))
+    # over den = b[0] ... b[nmax-1], term j is a[0] ... a[j-1] b[j] ... b[nmax-1]
+    heads = accumulate(a, mul, initial=1)
+    tails = list(accumulate(reversed(b), mul, initial=1))
+    return Fraction(sum(map(mul, heads, reversed(tails))), tails[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +205,13 @@ def _seating_f(parts: Sequence[int], k: int) -> int:
 
 def _seating_s(parts: Sequence[int], k_max: int) -> List[int]:
     """S_0 .. S_k_max: S_k = sum_i (-1)^(k-i) C(k, i) F_i = Delta^k F(0), the
-    binomial inverse of F, from one integer difference table."""
-    return forward_differences([_seating_f(parts, i) for i in range(k_max + 1)])
+    binomial inverse of F, from one integer difference table.  F_1..F_k_max
+    is prod r_l times the product of the species' C(i+r_l-1, r_l) runs, and
+    F_0 = 0 (every species here is nonempty)."""
+    f = [math.prod(parts)] * k_max
+    for rl in parts:
+        f = list(map(mul, f, _multichoose_run(rl, k_max)))
+    return forward_differences([0] + f)
 
 
 def seating_counts(r: Composition, k: int, which: str) -> int:
@@ -195,6 +223,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     """
     if k < 1:
         raise ValueError(f"seating_counts: k must be positive, got {k}")
+    r = as_composition(r)
     check_positive_species(r)
     if which == "F":
         return _seating_f(r.parts, k)
@@ -207,6 +236,7 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
     """Surjective seatings with species j's delegation elder on chair k and
     every other species' eldest member seated, on its largest chair:
     S_k(r) * r_j / (k * r_1 ... r_m)."""
+    r = as_composition(r)
     if not 1 <= j <= r.m:
         raise ValueError(f"t_coeff: species index {j} out of range 1..{r.m}")
     check_positive_species(r)
@@ -218,37 +248,48 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
 # c_k(r) by each route: one kernel per route returns [c_1, ..., c_|r|]
 # ---------------------------------------------------------------------------
 
+def _multichoose_run(rl: int, n: int) -> Iterator[int]:
+    """C(i+rl-1, rl) for i = 1..n, one species' run: multisets of size rl
+    from i symbols."""
+    return map(math.comb, range(rl, rl + n), repeat(rl))
+
+
 def _explicit(r: Composition) -> List[Fraction]:
     # c_k = |r| sum_i (-1)^(k-i) C(k-1, i-1) P_i / i, P_i = prod C(r_l+i-1, r_l):
-    # over L = lcm(1..|r|) the sum is Delta^(k-1) of the integers L P_i / i
+    # over L = lcm(1..|r|) the sum is Delta^(k-1) of the integers L P_i / i,
+    # the run L // i times every species' run
     lcm = math.lcm(*range(1, r.total + 1))
-    scaled = [
-        lcm // i * math.prod(binomial(rl + i - 1, rl) for rl in r.parts)
-        for i in range(1, r.total + 1)
-    ]
+    scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
+    for rl in r.parts:
+        scaled = list(map(mul, scaled, _multichoose_run(rl, r.total)))
     return [Fraction(r.total * d, lcm) for d in forward_differences(scaled)]
 
 
 def _entiere(r: Composition) -> List[Fraction]:
     # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i,
-    # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l)
-    q = []
-    for i in range(1, r.total + 1):
-        col = [binomial(rl + i - 1, rl) for rl in r.parts]
-        q.append(sum(
-            binomial(i + rj - 1, rj - 1) * math.prod(col[:j]) * math.prod(col[j + 1:])
-            for j, rj in enumerate(r.parts)
-        ))
+    # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l): term j is
+    # species j's C(i+r_j-1, r_j-1) run times every other species' run; a zero
+    # species' term vanishes and its run is all ones
+    parts = [p for p in r.parts if p]
+    runs = [list(_multichoose_run(rl, r.total)) for rl in parts]
+    q = [0] * r.total
+    for j, rj in enumerate(parts):
+        term = map(math.comb, range(rj, rj + r.total), repeat(rj - 1))
+        for run in runs[:j] + runs[j + 1:]:
+            term = map(mul, term, run)
+        q = list(map(add, q, term))
     return [Fraction(d) for d in forward_differences(q)]
 
 
 def _times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
     """q * (G - 1) truncated to the box, for q flat over the mixed-radix box
     with the last axis fastest.  Multiplying by the truncated
-    G = 1/prod(1 - x_i) is a prefix sum along every axis."""
-    g = q[:]
-    size, stride = len(g), 1
-    for n in reversed(radices):
+    G = 1/prod(1 - x_i) is a prefix sum along every axis: one ``accumulate``
+    per row of the fastest axis, one slice sum per step of the others."""
+    n = radices[-1]
+    g = list(chain.from_iterable(accumulate(q[s:s + n]) for s in range(0, len(q), n)))
+    size, stride = len(g), n
+    for n in reversed(radices[:-1]):
         block = n * stride
         for start in range(0, size, block):
             for j in range(start + stride, start + block, stride):
@@ -278,7 +319,9 @@ def _scaled_by_total(r: Composition, e: Sequence[int]) -> List[Fraction]:
 
 
 def _genfun(r: Composition) -> List[Fraction]:
-    return _scaled_by_total(r, _geom_minus_one_powers(r.parts))
+    # G is symmetric and a zero cap drops its variable, so the box is taken
+    # over the sorted nonzero sizes: the largest radix is the fastest axis
+    return _scaled_by_total(r, _geom_minus_one_powers(tuple(sorted(p for p in r.parts if p))))
 
 
 def _inclusion_exclusion(r: Composition) -> List[Fraction]:
@@ -292,9 +335,11 @@ def _inclusion_exclusion(r: Composition) -> List[Fraction]:
 def _finite_diff(r: Composition) -> List[Fraction]:
     # Newton coefficient A_k = Delta^k f(0) / k! of f(x) = prod (x)_{r_i}, from
     # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
-    d = forward_differences(
-        [math.prod(rising(x, ri) for ri in r.parts) for x in range(r.total + 1)]
-    )
+    # rising(x, r_i) = perm(x+r_i-1, r_i) for x >= 1; f(0) = 0 as some r_i > 0
+    f = [1] * r.total
+    for ri in r.parts:
+        f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
+    d = forward_differences([0] + f)
     denom = math.prod(factorial(ri) for ri in r.parts)
     return [Fraction(r.total * d[k], k * denom) for k in range(1, r.total + 1)]
 
@@ -364,6 +409,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
     """
     if k < 1:
         raise ValueError(f"c_coeff: k must be positive, got {k}")
+    r = as_composition(r)
     kernel = _kernel(r, method)
     if k > r.total:
         return Fraction(0)
@@ -372,6 +418,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
 
 def c_table(r: Composition, method: str = DEFAULT_C_METHOD) -> CoeffTable:
     """All of c_1(r) .. c_|r|(r) by the chosen method, in one kernel pass."""
+    r = as_composition(r)
     values = _kernel(r, method)(r)
     return CoeffTable("c", r, dict(enumerate(values, 1)))
 
@@ -390,6 +437,7 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     Entries not stored are zero.  Zero species sizes are allowed for d and
     d_tilde (an empty species contributes the factor 1).
     """
+    r = as_composition(r)
     if variant == "d":
         # Newton coefficients d_k = Delta^k f(0) / k! of f(x) = prod falling(x, r_i),
         # from one integer difference table of f(0..|r|); falling(x, r) = perm(x, r)

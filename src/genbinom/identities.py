@@ -57,13 +57,14 @@ from typing import Iterator, List, Sequence, Tuple
 from .coefficients import (
     CoeffTable,
     Composition,
+    as_composition,
     c_table,
     check_positive_species,
     iter_compositions,
     linearization_d,
     seating_counts,
 )
-from .exactnum import binomial, factorial, multinomial, rising
+from .exactnum import binomial, factorial, forward_differences, multinomial
 from .oracles import (
     COVERING_K_MAX,
     INJECTION_N_MAX,
@@ -146,8 +147,8 @@ def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | No
 
 
 def _mchoose(a: int, q: int) -> int:
-    """Multisets of size q from a symbols: rising(a, q)/q!; (0, 0) -> 1."""
-    return rising(a, q) // factorial(q)
+    """Multisets of size q from a >= 0 symbols: C(a+q-1, q); (0, 0) -> 1."""
+    return math.comb(a + q - 1, q) if a else int(q == 0)
 
 
 Pair = Tuple[object, object]
@@ -168,9 +169,9 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     lhs = UPoly(_partition_sum(n, F))
     # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c and S
     # forms, of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
-    nfact, c = factorial(n), c_table(r).values
+    nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
     form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
-    form_s = [nfact // k * seating_counts(r, k, "S") for k in range(n, 0, -1)]
+    form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
     return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
             (lhs, newton_sum(0, -1, form_f))]
@@ -310,7 +311,7 @@ def verify(identity: str, **params) -> IdentityReport:
         raise ValueError(f"unknown identity {identity!r}")
     _check_n_p(params.get("n"), params.get("p"))
     if "r" in params:  # any sequence, checked as waring's caps are
-        params["r"] = Composition(params["r"])
+        params["r"] = as_composition(params["r"])
     shown = {k: _jsonable(v) for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
     if not pairs:  # comparing nothing verifies nothing
@@ -331,6 +332,7 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     are dropped.
     """
     _check_n_p(n, None)
+    r = as_composition(r)
     a = newton_coeffs(_las_lhs(n, r), 1 - n, 1) + [0] * n  # a[n-k] on binomial(X+n-1, n-k)
     if any(a[n:]):
         raise AssertionError("the partition sum has a term outside binomial(X+n-1, n-k), k = 1..n")
@@ -442,7 +444,7 @@ def sweep(
     if ignored:
         raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)
-    r = None if r is None else Composition(r)
+    r = None if r is None else as_composition(r)
     ns = [n] if n is not None else list(range(1, n_max + 1))
 
     def comps() -> List[Composition]:  # built only for the ids that take r

@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations, product
 from typing import List, Tuple
 
-from .coefficients import Composition, check_positive_species
+from .coefficients import Composition, as_composition, check_positive_species
 from .polybasis import UPoly
 
 INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! injections)
@@ -36,6 +36,7 @@ def oracle_transversal_partitions(r: Composition, k: int) -> int:
     with k blocks is one counted partition."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    r = as_composition(r)
     species = [1 << sp for sp, rl in enumerate(r.parts) for _ in range(rl)]
     if len(species) > 10:
         raise ValueError(f"budget exceeded: |E| = {len(species)} > 10")
@@ -74,6 +75,7 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
         raise ValueError(f"k must be positive, got {k}")
     if mode not in ("multiset", "set"):
         raise ValueError(f"unknown mode {mode!r}")
+    r = as_composition(r)
     if r.total > 8 or k > COVERING_K_MAX:
         raise ValueError(f"budget exceeded: need |r| <= 8 and k <= {COVERING_K_MAX}, got |r|={r.total}, k={k}")
     if mode == "set" and any(rl > k for rl in r.parts):
@@ -112,6 +114,7 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
+    r = as_composition(r)
     check_positive_species(r)
     if which not in ("F", "S", "T"):
         raise ValueError(f"unknown kind {which!r}")

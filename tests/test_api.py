@@ -4,6 +4,8 @@ import doctest
 import re
 from pathlib import Path
 
+import pytest
+
 import genbinom
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -24,3 +26,26 @@ def test_all_is_the_readme_list():
 def test_readme_example_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
     assert (failed, attempted) == (0, 3)
+
+
+# every public entry point that takes a composition r, called at r
+_TAKES_R = {
+    "c_table": lambda r: genbinom.c_table(r).values,
+    "c_coeff": lambda r: genbinom.c_coeff(r, 2),
+    "linearization_d": lambda r: genbinom.linearization_d(r, "d_tilde").values,
+    "seating_counts": lambda r: genbinom.seating_counts(r, 2, "F"),
+    "t_coeff": lambda r: genbinom.t_coeff(r, 2, 1),
+    "extract_c_from_las": lambda r: genbinom.extract_c_from_las(3, r).values,
+    "oracle_transversal_partitions": lambda r: genbinom.oracle_transversal_partitions(r, 2),
+    "oracle_covering_choices": lambda r: genbinom.oracle_covering_choices(r, 2, "multiset"),
+    "oracle_seatings": lambda r: genbinom.oracle_seatings(r, 2, "S"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAKES_R))
+def test_entry_points_take_any_integer_sequence(name):
+    call = _TAKES_R[name]
+    expected = call(genbinom.Composition([2, 1]))
+    assert call((2, 1)) == expected and call([2, 1]) == expected
+    with pytest.raises(ValueError):
+        call((2.5, 1))

@@ -1,12 +1,13 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
-from typing import Tuple
+from operator import add, sub
+from typing import List, Sequence, Tuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from genbinom import coefficients
@@ -268,23 +269,92 @@ def _old_hyp3f2(r, k):
     return (-1) ** (k - 1) * (r1 + r2) * val
 
 
+# The integer-pair evaluator and the dense genfun step as they stood before
+# their runs were built whole, kept verbatim as references.
+
+def _loop_hypergeom(numer, denom, z):
+    nums = [(a.numerator, a.denominator) for a in numer]
+    dens = [(b.numerator, b.denominator) for b in denom]
+    stops = [-p for p, q in nums if q == 1 and p <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
+    nmax = min(stops)
+    for p, q in dens:
+        if q == 1 and 0 >= p > -nmax:
+            raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
+    zn, zd = z.numerator, z.denominator
+    num_scale = zn * math.prod(q for _, q in dens)
+    den_scale = zd * math.prod(q for _, q in nums)
+    term = total = den = 1  # term / den is the current term, total / den the sum
+    for j in range(nmax):
+        step = den_scale * math.prod(p + j * q for p, q in dens) * (j + 1)
+        term = term * num_scale * math.prod(p + j * q for p, q in nums)
+        total = total * step + term
+        den *= step
+    return Fraction(total, den)
+
+
+def _loop_times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
+    """q * (G - 1) truncated to the box, for q flat over the mixed-radix box
+    with the last axis fastest.  Multiplying by the truncated
+    G = 1/prod(1 - x_i) is a prefix sum along every axis."""
+    g = q[:]
+    size, stride = len(g), 1
+    for n in reversed(radices):
+        block = n * stride
+        for start in range(0, size, block):
+            for j in range(start + stride, start + block, stride):
+                g[j:j + stride] = map(add, g[j:j + stride], g[j - stride:j])
+        stride = block
+    return list(map(sub, g, q))
+
+
+@lru_cache(maxsize=None)
+def _loop_genfun_powers(caps):
+    """[x^caps] (G - 1)^k, k = 1..sum(caps), by the reference dense step over
+    the box in the given species order."""
+    radices = [c + 1 for c in caps]
+    q = [1] * math.prod(radices)
+    q[0] = 0
+    out = [q[-1]]
+    for _ in range(sum(caps) - 1):
+        q = _loop_times_geom_minus_one(q, radices)
+        out.append(q[-1])
+    return out
+
+
+def _old_genfun(r, k):
+    return Fraction(r.total * _loop_genfun_powers(r.parts)[k - 1], k)
+
+
+def _old_recurrence(r, k):
+    return _sorted_merge_table(r)[k]
+
+
 _OLD_ROUTES = {
     "explicit": _old_explicit,
     "entiere": _old_entiere,
+    "genfun": _old_genfun,
     "inclusion_exclusion": _old_inclusion_exclusion,
     "finite_diff": _old_finite_diff,
+    "recurrence": _old_recurrence,
     "hyp3f2": _old_hyp3f2,
 }
 
+# route_crosscheck-sized compositions with m = 2, 3 and 5 and a zero species
 _KERNEL_CASES = list(iter_compositions(3, 4)) + [
-    Composition(p) for p in [(20,) * 6, (12, 9, 7, 5), (17, 13)]
+    Composition(p) for p in [(20,) * 6, (12, 9, 7, 5), (17, 13),
+                             (25, 0, 20), (44, 1), (9, 9, 9, 9, 9), (30, 15)]
 ]
 
 
-@pytest.mark.parametrize("method", sorted(_OLD_ROUTES))
+@pytest.mark.parametrize("method", C_METHODS)
 def test_route_kernels_match_per_k_formulas(method):
     for r in _KERNEL_CASES:
         if method == "hyp3f2" and r.m != 2:
+            continue
+        # the reference genfun step takes about a microsecond per box step
+        if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > 10**6:
             continue
         table = c_table(r, method).values
         assert list(table) == list(range(1, r.total + 1))
@@ -293,6 +363,35 @@ def test_route_kernels_match_per_k_formulas(method):
             assert type(value) is Fraction and value == expected, (r, method, k)
         k = r.total // 2 + 1  # a kernel run short of |r|
         assert c_coeff(r, k, method) == table[k]
+
+
+@st.composite
+def _boxes(draw):
+    """A mixed-radix box of 1 to 5 axes, radix 1 (a cap of 0) included, and
+    integers of both signs over it."""
+    radices = draw(st.lists(st.integers(1, 5), min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    q = [rng.randint(-10**30, 10**30) for _ in range(math.prod(radices))]
+    return radices, q
+
+
+@given(_boxes())
+@example(([1], [7]))  # one axis, one entry
+@example(([5], [3, -1, 4, 1, -5]))  # one axis
+@example(([3, 1, 2, 1, 4], list(range(24))))  # m = 5 with radix-1 axes
+@example(([4, 4, 4, 4, 4], list(range(4**5))))  # m = 5
+def test_dense_genfun_step_matches_slice_loop(box):
+    radices, q = box
+    assert coefficients._times_geom_minus_one(q, radices) == _loop_times_geom_minus_one(q, radices)
+
+
+def test_genfun_box_order_matches_species_order():
+    # the route takes the box over the sorted nonzero sizes; every other
+    # order of the species, zeros included, gives the same powers
+    for parts in [(4, 1, 3), (0, 6, 0, 3, 0), (2, 2, 1, 3), (5,)]:
+        expected = list(coefficients._geom_minus_one_powers(tuple(sorted(p for p in parts if p))))
+        for perm in set(itertools.permutations(parts)):
+            assert _loop_genfun_powers(perm) == expected, perm
 
 
 rational = st.fractions(max_denominator=9, min_value=-6, max_value=6)
@@ -314,6 +413,7 @@ def test_hypergeom_matches_termwise_fractions(n, numer, denom, z):
         return
     value = hypergeom_terminating(numer, denom, z)
     assert type(value) is Fraction and value == expected
+    assert value == _loop_hypergeom(numer, denom, z)
 
 
 def test_c_symmetry_and_zero_entries():

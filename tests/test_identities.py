@@ -111,6 +111,13 @@ def test_las0pp_at_p_equals_n_matches_las0p():
             assert verify("las0p", n=n, r=r).verified
 
 
+def test_mchoose_is_rising_over_factorial():
+    # multisets of size q from a symbols, the las0pp right side's weights
+    for a in range(9):
+        for q in range(9):
+            assert identities._mchoose(a, q) == rising(a, q) // factorial(q), (a, q)
+
+
 def test_failure_reports_sides():
     # a deliberately broken comparison exercises the failure path
     from genbinom import identities
