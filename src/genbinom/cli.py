@@ -5,9 +5,9 @@ Subcommands:
   verify     run an identity sweep, one JSON report line per instance
   linearize  print a linearization table (d, d-tilde or c-tilde)
 
-Exit codes: 0 ok / all verified, 1 falsified value or identity, 2 usage
-error, 3 method unsupported for the given shape.  Big integers are emitted
-as decimal strings so consumers never lose precision.
+Exit codes: 0 ok / all verified, 1 falsified value or identity (or a division
+that leaves a remainder), 2 usage error, 3 method unsupported for the given
+shape.  Values are integers, emitted as decimal strings to keep precision.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from typing import Dict
 
 from .coefficients import (
@@ -27,7 +26,6 @@ from .coefficients import (
     c_table,
     linearization_d,
 )
-from .exactnum import value_str
 from .identities import sweep
 
 _BASIS_VARIANTS = {
@@ -37,27 +35,27 @@ _BASIS_VARIANTS = {
 }
 
 
-def _emit_table(values: Dict[int, Fraction], fmt: str) -> None:
+def _emit_table(values: Dict[int, int], fmt: str) -> None:
     keys = sorted(values)
     if fmt == "json":
-        print(json.dumps({str(k): value_str(values[k]) for k in keys}, separators=(",", ":")))
+        print(json.dumps({str(k): str(values[k]) for k in keys}, separators=(",", ":")))
     elif fmt == "csv":
         print("k,value")
         for k in keys:
-            print(f"{k},{value_str(values[k])}")
+            print(f"{k},{values[k]}")
     else:
         for k in keys:
-            print(f"{k} {value_str(values[k])}")
+            print(f"{k} {values[k]}")
 
 
-def _emit_scalar(k: int, v: Fraction, fmt: str) -> None:
+def _emit_scalar(k: int, v: int, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(value_str(v)))
+        print(json.dumps(str(v)))
     elif fmt == "csv":
         print("k,value")
-        print(f"{k},{value_str(v)}")
+        print(f"{k},{v}")
     else:
-        print(value_str(v))
+        print(v)
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
@@ -72,7 +70,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    bad = [k for k, v in values.items() if k <= r.total and (v.denominator != 1 or v < 1)]
+    bad = [k for k, v in values.items() if k <= r.total and v < 1]
     if bad:
         print(f"error: c_k({r}) is not a positive integer at k={bad}", file=sys.stderr)
         return 1
@@ -158,9 +156,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:  # every rejected input (composition, k, identity id, bounds) is a usage error
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a falsified value
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -41,7 +41,9 @@ box whose |r| * prod (r_i + 1) steps exceed GENFUN_STEPS_MAX.
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
-on integer numerator/denominator pairs.
+on integer numerator/denominator pairs.  Every family is a count and every
+value an ``int``: each division goes through ``_exact``, where a nonzero
+remainder raises ArithmeticError naming its k instead of being rounded.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by the sorted nonzero sizes of one
@@ -63,8 +65,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from itertools import product as _cartesian
-from operator import add, floordiv, mul, sub
-from typing import Dict, Iterator, List, Sequence, Tuple
+from operator import add, floordiv, itemgetter, mul, sub
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .exactnum import Rat, as_int, binomial, factorial, forward_differences
 
@@ -133,17 +135,25 @@ def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
 
 @dataclass
 class CoeffTable:
-    """A computed coefficient family: mapping k -> exact rational.
-
-    Absent keys are implicitly zero.
-    """
+    """A computed coefficient family, k -> int; absent keys are zero.  Only
+    ``extract_c_from_las`` stores Fractions: its reading is checked, not trusted."""
 
     family: str
     r: Composition
-    values: Dict[int, Fraction] = field(default_factory=dict)
+    values: Dict[int, int] = field(default_factory=dict)
 
-    def value(self, k: int) -> Fraction:
-        return self.values.get(k, Fraction(0))
+    def value(self, k: int) -> int:
+        return self.values.get(k, 0)
+
+
+def _exact(nums: Iterable[int], dens: Iterable[int], k0: int = 1) -> List[int]:
+    """The quotients of the paired integers, entry i standing for k = k0 + i; a
+    nonzero remainder raises ArithmeticError naming the first such k."""
+    pairs = list(map(divmod, nums, dens))
+    if any(map(itemgetter(1), pairs)):
+        k = next(i for i, (_, rem) in enumerate(pairs, k0) if rem)
+        raise ArithmeticError(f"exact division leaves a remainder at k={k}")
+    return list(map(itemgetter(0), pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +242,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     raise ValueError(f"seating_counts: unknown kind {which!r}")
 
 
-def t_coeff(r: Composition, k: int, j: int) -> Fraction:
+def t_coeff(r: Composition, k: int, j: int) -> int:
     """Surjective seatings with species j's delegation elder on chair k and
     every other species' eldest member seated, on its largest chair:
     S_k(r) * r_j / (k * r_1 ... r_m)."""
@@ -240,8 +250,7 @@ def t_coeff(r: Composition, k: int, j: int) -> Fraction:
     if not 1 <= j <= r.m:
         raise ValueError(f"t_coeff: species index {j} out of range 1..{r.m}")
     check_positive_species(r)
-    s = seating_counts(r, k, "S")
-    return Fraction(s * r.parts[j - 1], k * math.prod(r.parts))
+    return _exact([seating_counts(r, k, "S") * r.parts[j - 1]], [k * math.prod(r.parts)], k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +263,7 @@ def _multichoose_run(rl: int, n: int) -> Iterator[int]:
     return map(math.comb, range(rl, rl + n), repeat(rl))
 
 
-def _explicit(r: Composition) -> List[Fraction]:
+def _explicit(r: Composition) -> List[int]:
     # c_k = |r| sum_i (-1)^(k-i) C(k-1, i-1) P_i / i, P_i = prod C(r_l+i-1, r_l):
     # over L = lcm(1..|r|) the sum is Delta^(k-1) of the integers L P_i / i,
     # the run L // i times every species' run
@@ -262,10 +271,10 @@ def _explicit(r: Composition) -> List[Fraction]:
     scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
     for rl in r.parts:
         scaled = list(map(mul, scaled, _multichoose_run(rl, r.total)))
-    return [Fraction(r.total * d, lcm) for d in forward_differences(scaled)]
+    return _exact(map(r.total.__mul__, forward_differences(scaled)), repeat(lcm))
 
 
-def _entiere(r: Composition) -> List[Fraction]:
+def _entiere(r: Composition) -> List[int]:
     # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i,
     # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l): term j is
     # species j's C(i+r_j-1, r_j-1) run times every other species' run; a zero
@@ -278,7 +287,7 @@ def _entiere(r: Composition) -> List[Fraction]:
         for run in runs[:j] + runs[j + 1:]:
             term = map(mul, term, run)
         q = list(map(add, q, term))
-    return [Fraction(d) for d in forward_differences(q)]
+    return forward_differences(q)
 
 
 def _times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
@@ -313,26 +322,26 @@ def _geom_minus_one_powers(caps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _scaled_by_total(r: Composition, e: Sequence[int]) -> List[Fraction]:
+def _scaled_by_total(r: Composition, e: Sequence[int]) -> List[int]:
     """c_k = |r| e_k / k for k = 1..|r|, from the integers e_k = k c_k / |r|."""
-    return [Fraction(r.total * e[k - 1], k) for k in range(1, r.total + 1)]
+    return _exact(map(r.total.__mul__, e), range(1, r.total + 1))
 
 
-def _genfun(r: Composition) -> List[Fraction]:
+def _genfun(r: Composition) -> List[int]:
     # G is symmetric and a zero cap drops its variable, so the box is taken
     # over the sorted nonzero sizes: the largest radix is the fastest axis
     return _scaled_by_total(r, _geom_minus_one_powers(tuple(sorted(p for p in r.parts if p))))
 
 
-def _inclusion_exclusion(r: Composition) -> List[Fraction]:
+def _inclusion_exclusion(r: Composition) -> List[int]:
     # c_k = |r| S_k / (k prod r_j) over the nonzero species
     stripped = [p for p in r.parts if p > 0]
     s = _seating_s(stripped, r.total)
     denom = math.prod(stripped)
-    return [Fraction(r.total * s[k], k * denom) for k in range(1, r.total + 1)]
+    return _exact(map(r.total.__mul__, s[1:]), range(denom, denom * (r.total + 1), denom))
 
 
-def _finite_diff(r: Composition) -> List[Fraction]:
+def _finite_diff(r: Composition) -> List[int]:
     # Newton coefficient A_k = Delta^k f(0) / k! of f(x) = prod (x)_{r_i}, from
     # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
     # rising(x, r_i) = perm(x+r_i-1, r_i) for x >= 1; f(0) = 0 as some r_i > 0
@@ -341,10 +350,10 @@ def _finite_diff(r: Composition) -> List[Fraction]:
         f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
     d = forward_differences([0] + f)
     denom = math.prod(factorial(ri) for ri in r.parts)
-    return [Fraction(r.total * d[k], k * denom) for k in range(1, r.total + 1)]
+    return _exact(map(r.total.__mul__, d[1:]), range(denom, denom * (r.total + 1), denom))
 
 
-def _recurrence(r: Composition) -> List[Fraction]:
+def _recurrence(r: Composition) -> List[int]:
     # prod mc(x, r_i) = sum_s w_s mc(x, s), mc(x, n) = C(x+n-1, n), merging one
     # species b into w at a time by mc(x, a) mc(x, b) = sum_l t_l mc(x, a+b-l),
     # t_l = (-1)^l C(a+b-l; l, a-l, b-l); then e_k = sum_s w_s C(s-1, k-1)
@@ -366,13 +375,12 @@ def _recurrence(r: Composition) -> List[Fraction]:
     return _scaled_by_total(r, e)
 
 
-def _hyp3f2(r: Composition) -> List[Fraction]:
+def _hyp3f2(r: Composition) -> List[int]:
     # c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
     r1, r2 = r.parts
-    return [
-        (-1) ** (k - 1) * r.total * hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
-        for k in range(1, r.total + 1)
-    ]
+    values = [hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1) for k in range(1, r.total + 1)]
+    signed = [(-1) ** i * r.total * v.numerator for i, v in enumerate(values)]  # i = k - 1
+    return _exact(signed, [v.denominator for v in values])
 
 
 _KERNELS = {
@@ -398,13 +406,13 @@ def _kernel(r: Composition, method: str):
     return _KERNELS[method]
 
 
-def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
+def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> int:
     """The generalized binomial coefficient c_k(r).
 
     Defined for 1 <= k <= |r| (a positive integer there); k > |r| gives 0.
-    All methods agree; returning Fraction lets an integrality bug surface
-    as a failed downstream check instead of silent rounding.  Runs the
-    route's whole kernel; a caller needing several k should take
+    All methods agree.  Each route divides only through ``_exact``, so an
+    integrality bug raises ArithmeticError instead of being rounded.  Runs
+    the route's whole kernel; a caller needing several k should take
     ``c_table`` once.
     """
     if k < 1:
@@ -412,7 +420,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> Fraction:
     r = as_composition(r)
     kernel = _kernel(r, method)
     if k > r.total:
-        return Fraction(0)
+        return 0
     return kernel(r)[k - 1]
 
 
@@ -438,20 +446,16 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     d_tilde (an empty species contributes the factor 1).
     """
     r = as_composition(r)
-    if variant == "d":
-        # Newton coefficients d_k = Delta^k f(0) / k! of f(x) = prod falling(x, r_i),
-        # from one integer difference table of f(0..|r|); falling(x, r) = perm(x, r)
-        diffs = forward_differences(
-            [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
-        )
-        vals = {k: Fraction(d, factorial(k)) for k, d in enumerate(diffs) if k and d}
-        return CoeffTable("d", r, vals)
-    if variant == "d_tilde":
-        base = linearization_d(r, "d").values
-        denom = math.prod(factorial(ri) for ri in r.parts)
-        vals = {k: factorial(k) * a / denom for k, a in base.items()}
-        return CoeffTable("d_tilde", r, {k: v for k, v in vals.items() if v})
     if variant == "c_tilde":
-        vals = {k: k * c / r.total for k, c in c_table(r).values.items()}
-        return CoeffTable("c_tilde", r, {k: v for k, v in vals.items() if v})
-    raise ValueError(f"linearization_d: unknown variant {variant!r}")
+        c = c_table(r).values
+        vals = _exact(map(mul, c, c.values()), repeat(r.total))
+    elif variant in ("d", "d_tilde"):
+        # Delta^k f(0), k = 1..|r|, of f(x) = prod falling(x, r_i) from one integer
+        # difference table of f(0..|r|), falling(x, r) = perm(x, r), f(0) = 0:
+        # d_k is Delta^k f(0) / k! (Newton form), dt_k is Delta^k f(0) / prod r_i!
+        f = [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
+        dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.parts)))
+        vals = _exact(forward_differences(f)[1:], dens)
+    else:
+        raise ValueError(f"linearization_d: unknown variant {variant!r}")
+    return CoeffTable(variant, r, {k: v for k, v in enumerate(vals, 1) if v})

@@ -101,8 +101,3 @@ def rat_str(q: Rat) -> str:
     """Serialize a rational as "num/den" (always with the slash)."""
     q = Fraction(q)
     return f"{q.numerator}/{q.denominator}"
-
-
-def value_str(q: Rat) -> str:
-    """Serialize a rational for output: integers as plain decimal, else "num/den"."""
-    return int_str(q.numerator) if q.denominator == 1 else rat_str(q)

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from genbinom import cli
+from genbinom import cli, coefficients
 from genbinom.cli import main
 from genbinom.identities import IDENTITY_IDS
 
@@ -230,6 +230,43 @@ def test_linearize_bad_args(capsys):
     assert code == 2
     code, _, _ = run(capsys, "linearize", "--r", "2", "--basis", "nosuch")
     assert code == 2
+
+
+def test_coeff_zero_entry_exits_1(capsys, monkeypatch):
+    # c_k is positive for 1 <= k <= |r|: a kernel returning 0 at k = 3 is caught
+    real = coefficients._KERNELS[coefficients.DEFAULT_C_METHOD]
+    monkeypatch.setitem(coefficients._KERNELS, coefficients.DEFAULT_C_METHOD, lambda r: real(r)[:-1] + [0])
+    for argv in (["coeff", "--r", "2,1"], ["coeff", "--r", "2,1", "--k", "3", "--format", "text"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "k=[3]" in err
+
+
+def _broken_kernel(r):
+    return coefficients._exact([r.total], [2])  # |r| = 3: 3 / 2 at k = 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--r", "2,1"],
+    ["coeff", "--r", "2,1", "--k", "2", "--format", "csv"],
+    ["linearize", "--r", "2,1", "--basis", "rising_over_binom"],
+])
+def test_remainder_in_kernel_exits_1(capsys, monkeypatch, argv):
+    monkeypatch.setitem(coefficients._KERNELS, coefficients.DEFAULT_C_METHOD, _broken_kernel)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert "remainder at k=1" in err
+
+
+@pytest.mark.parametrize("basis", ["falling", "binom"])
+def test_remainder_in_linearization_exits_1(capsys, monkeypatch, basis):
+    # Delta^2 f(0) + 1 is divisible neither by 2! (d) nor by 2! 1! (d-tilde)
+    real = coefficients.forward_differences
+    monkeypatch.setattr(coefficients, "forward_differences",
+                        lambda v: [d + (k == 2) for k, d in enumerate(real(v))])
+    code, out, err = run(capsys, "linearize", "--r", "2,1", "--basis", basis)
+    assert (code, out) == (1, "")
+    assert "remainder at k=2" in err
 
 
 def test_main_builds_parser_once(capsys, monkeypatch):

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from genbinom import coefficients
 from genbinom.coefficients import (
     C_METHODS,
+    CoeffTable,
     Composition,
+    as_composition,
     c_coeff,
     c_table,
     hypergeom_terminating,
@@ -22,7 +24,7 @@ from genbinom.coefficients import (
     seating_counts,
     t_coeff,
 )
-from genbinom.exactnum import binomial, factorial, multinomial, rising
+from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
 from genbinom.polybasis import UPoly, rising_poly, to_falling_basis
 from genbinom.series import MPoly, geom_inverse_product
 
@@ -188,7 +190,7 @@ def test_merge_chain_matches_sorted_merge_recurrence():
     for r in [*iter_compositions(3, 4), *map(Composition, large)]:
         values = c_table(r, "recurrence").values
         assert values == _sorted_merge_table(r), r
-        assert all(type(v) is Fraction for v in values.values()), r
+        assert all(type(v) is int for v in values.values()), r
 
 
 def test_merge_chain_c_coeff_below_total():
@@ -197,7 +199,7 @@ def test_merge_chain_c_coeff_below_total():
         reference = _sorted_merge_table(r)
         for k in range(1, r.total):
             v = c_coeff(r, k, "recurrence")
-            assert v == reference[k] and type(v) is Fraction, (parts, k)
+            assert v == reference[k] and type(v) is int, (parts, k)
 
 
 # The per-k formulas the route kernels replaced, kept as references.
@@ -360,7 +362,7 @@ def test_route_kernels_match_per_k_formulas(method):
         assert list(table) == list(range(1, r.total + 1))
         for k, value in table.items():
             expected = _OLD_ROUTES[method](r, k)
-            assert type(value) is Fraction and value == expected, (r, method, k)
+            assert type(value) is int and value == expected, (r, method, k)
         k = r.total // 2 + 1  # a kernel run short of |r|
         assert c_coeff(r, k, method) == table[k]
 
@@ -572,3 +574,78 @@ def test_chu_vandermonde():
             for c in (Fraction(1, 4), Fraction(7, 2), 3):
                 lhs = hypergeom_terminating([-n, a], [c], 1)
                 assert lhs == Fraction(rising(Fraction(c) - a, n), rising(Fraction(c), n))
+
+
+# linearization_d as it stood when every table held Fractions, kept verbatim as
+# the reference but for its names: the recursion calls the reference itself,
+# and c_tilde reads the Fraction table of the sorted merge above
+def _old_linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
+    r = as_composition(r)
+    if variant == "d":
+        diffs = forward_differences(
+            [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
+        )
+        vals = {k: Fraction(d, factorial(k)) for k, d in enumerate(diffs) if k and d}
+        return CoeffTable("d", r, vals)
+    if variant == "d_tilde":
+        base = _old_linearization_d(r, "d").values
+        denom = math.prod(factorial(ri) for ri in r.parts)
+        vals = {k: factorial(k) * a / denom for k, a in base.items()}
+        return CoeffTable("d_tilde", r, {k: v for k, v in vals.items() if v})
+    if variant == "c_tilde":
+        vals = {k: k * c / r.total for k, c in _sorted_merge_table(r).items()}
+        return CoeffTable("c_tilde", r, {k: v for k, v in vals.items() if v})
+    raise ValueError(f"linearization_d: unknown variant {variant!r}")
+
+
+def test_linearization_tables_match_fraction_reference():
+    for r in iter_compositions(4, 4):  # zero species included
+        for variant in ("d", "d_tilde", "c_tilde"):
+            got, want = linearization_d(r, variant), _old_linearization_d(r, variant)
+            assert got.family == want.family and got.values == want.values, (r, variant)
+            assert list(got.values) == list(want.values), (r, variant)
+            assert all(type(v) is int for v in got.values.values()), (r, variant)
+
+
+def _bump(f, index):
+    """f with entry ``index`` of its result list raised by 1."""
+    def bumped(*args):
+        out = list(f(*args))
+        out[index] += 1
+        return out
+    return bumped
+
+
+# Each case perturbs one intermediate of a division so that entry k = 2 of
+# r = (2, 1) leaves a remainder (for hyp3f2 every entry, so k = 1 is named
+# first).  entiere never divides, so it has no case.
+_R = Composition([2, 1])
+_REMAINDER_CASES = {
+    "explicit": ("forward_differences", 1, lambda: c_table(_R, "explicit")),
+    "genfun": ("_geom_minus_one_powers", 1, lambda: c_table(_R, "genfun")),
+    "inclusion_exclusion": ("forward_differences", 2, lambda: c_table(_R, "inclusion_exclusion")),
+    "finite_diff": ("forward_differences", 2, lambda: c_table(_R, "finite_diff")),
+    "recurrence": ("_scaled_by_total", None, lambda: c_table(_R, "recurrence")),
+    "hyp3f2": ("hypergeom_terminating", None, lambda: c_table(_R, "hyp3f2")),
+    "d": ("forward_differences", 2, lambda: linearization_d(_R, "d")),
+    "d_tilde": ("forward_differences", 2, lambda: linearization_d(_R, "d_tilde")),
+    "c_tilde": ("_KERNELS", None, lambda: linearization_d(_R, "c_tilde")),
+    "t_coeff": ("forward_differences", 2, lambda: t_coeff(_R, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", _REMAINDER_CASES)
+def test_remainder_raises_and_is_never_rounded(monkeypatch, case):
+    name, index, call = _REMAINDER_CASES[case]
+    real = getattr(coefficients, name)
+    if name == "_scaled_by_total":  # e_2 + 1: c_2 = 3 (e_2 + 1) / 2
+        monkeypatch.setattr(coefficients, name, lambda r, e: real(r, [e[0], e[1] + 1, *e[2:]]))
+    elif name == "hypergeom_terminating":  # every 3F2 value + 1/2: c_k = +-3 (F + 1/2)
+        monkeypatch.setattr(coefficients, name, lambda *args: real(*args) + Fraction(1, 2))
+    elif name == "_KERNELS":  # c_2 + 1: ct_2 = 2 (c_2 + 1) / 3
+        kernel = real[coefficients.DEFAULT_C_METHOD]
+        monkeypatch.setitem(real, coefficients.DEFAULT_C_METHOD, _bump(kernel, 1))
+    else:
+        monkeypatch.setattr(coefficients, name, _bump(real, index))
+    with pytest.raises(ArithmeticError, match=r"\bk=1\b" if case == "hyp3f2" else r"\bk=2\b"):
+        call()
