@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 ok / all verified, 1 falsified value or identity (or a division
 that leaves a remainder), 2 usage error, 3 method unsupported for the given
-shape.  Values are integers, emitted as decimal strings to keep precision.
+shape (a ShapeError).  Only ``main`` maps exceptions to exit codes, by type.
+Values are integers, emitted as decimal strings to keep precision.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .coefficients import (
     C_METHODS,
     DEFAULT_C_METHOD,
     Composition,
+    ShapeError,
     c_coeff,
     c_table,
     linearization_d,
@@ -60,20 +62,13 @@ def _emit_scalar(k: int, v: int, fmt: str) -> None:
 
 def cmd_coeff(args: argparse.Namespace) -> int:
     r = Composition.parse(args.r)
-    if args.k is not None and args.k < 1:
-        raise ValueError(f"k must be positive, got {args.k}")
-    try:  # shape rules live in the library, e.g. hyp3f2 needs m = 2
-        if args.k is None:
-            values = c_table(r, args.method).values
-        else:
-            values = {args.k: c_coeff(r, args.k, args.method)}
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    if args.k is None:
+        values = c_table(r, args.method).values
+    else:
+        values = {args.k: c_coeff(r, args.k, args.method)}
     bad = [k for k, v in values.items() if k <= r.total and v < 1]
     if bad:
-        print(f"error: c_k({r}) is not a positive integer at k={bad}", file=sys.stderr)
-        return 1
+        raise ArithmeticError(f"c_k({r}) is not a positive integer at k={bad}")
     if args.k is None:
         _emit_table(values, args.format)
     else:
@@ -154,11 +149,13 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:  # every rejected input (composition, k, identity id, bounds) is a usage error
+    try:  # the one place where an exception's type picks the exit code
         return args.func(args)
     except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a falsified value
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1
+        if isinstance(exc, ShapeError):  # the route does not take the composition's shape
+            return 3
+        return 2 if isinstance(exc, ValueError) else 1  # any other rejected input: usage error
 
 
 if __name__ == "__main__":

@@ -35,9 +35,9 @@ runs over i = 1..|r|: each species contributes one run, built by one
                        the evaluator builds its term-ratio runs whole
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
-one.  The others stay as independent cross-checks.  Each route's shape rule
-is checked before its kernel runs: hyp3f2 needs m = 2, and genfun rejects a
-box whose |r| * prod (r_i + 1) steps exceed GENFUN_STEPS_MAX.
+one.  The others stay as independent cross-checks.  A route's shape rule is
+checked before its kernel runs, and breaking it raises ShapeError: hyp3f2
+needs m = 2, genfun at most GENFUN_STEPS_MAX box steps |r| * prod (r_i + 1).
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
@@ -71,9 +71,13 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 from .exactnum import Rat, as_int, binomial, factorial, forward_differences
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
-# genfun's budget on |r| * prod(r_i + 1), its box steps at 0.2 to 0.6 us each
-# (Python 3.11, 2-core Xeon VM; boxes of short rows cost the most per step)
-GENFUN_STEPS_MAX = 10**7
+# genfun's budget on |r| * prod(r_i + 1), its box steps at 0.6 to 1.4 us each (Python 3.11,
+# 2-core Xeon VM; largest accepted boxes (4,)*6 0.24 s, (2,)*10 1.2 s, (1,)*16 1.5 s)
+GENFUN_STEPS_MAX = 2 * 10**6
+
+
+class ShapeError(ValueError):
+    """A composition of a shape the chosen c_k route does not take."""
 
 
 class Composition:
@@ -249,7 +253,6 @@ def t_coeff(r: Composition, k: int, j: int) -> int:
     r = as_composition(r)
     if not 1 <= j <= r.m:
         raise ValueError(f"t_coeff: species index {j} out of range 1..{r.m}")
-    check_positive_species(r)
     return _exact([seating_counts(r, k, "S") * r.parts[j - 1]], [k * math.prod(r.parts)], k)[0]
 
 
@@ -322,9 +325,9 @@ def _geom_minus_one_powers(caps: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _scaled_by_total(r: Composition, e: Sequence[int]) -> List[int]:
-    """c_k = |r| e_k / k for k = 1..|r|, from the integers e_k = k c_k / |r|."""
-    return _exact(map(r.total.__mul__, e), range(1, r.total + 1))
+def _scaled_by_total(r: Composition, e: Iterable[int], denom: int = 1) -> List[int]:
+    """c_k = |r| e_k / (k D), D = denom, k = 1..|r|, from the integers e_k = k D c_k / |r|."""
+    return _exact(map(r.total.__mul__, e), range(denom, denom * (r.total + 1), denom))
 
 
 def _genfun(r: Composition) -> List[int]:
@@ -336,9 +339,7 @@ def _genfun(r: Composition) -> List[int]:
 def _inclusion_exclusion(r: Composition) -> List[int]:
     # c_k = |r| S_k / (k prod r_j) over the nonzero species
     stripped = [p for p in r.parts if p > 0]
-    s = _seating_s(stripped, r.total)
-    denom = math.prod(stripped)
-    return _exact(map(r.total.__mul__, s[1:]), range(denom, denom * (r.total + 1), denom))
+    return _scaled_by_total(r, _seating_s(stripped, r.total)[1:], math.prod(stripped))
 
 
 def _finite_diff(r: Composition) -> List[int]:
@@ -348,9 +349,7 @@ def _finite_diff(r: Composition) -> List[int]:
     f = [1] * r.total
     for ri in r.parts:
         f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
-    d = forward_differences([0] + f)
-    denom = math.prod(factorial(ri) for ri in r.parts)
-    return _exact(map(r.total.__mul__, d[1:]), range(denom, denom * (r.total + 1), denom))
+    return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.parts)))
 
 
 def _recurrence(r: Composition) -> List[int]:
@@ -400,9 +399,9 @@ def _kernel(r: Composition, method: str):
     if method not in _KERNELS:
         raise ValueError(f"c_coeff: unknown method {method!r}")
     if method == "hyp3f2" and r.m != 2:
-        raise ValueError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
+        raise ShapeError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
     if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > GENFUN_STEPS_MAX:
-        raise ValueError(f"genfun: |r| * prod(r_i + 1) is over the budget {GENFUN_STEPS_MAX}")
+        raise ShapeError(f"genfun: |r| * prod(r_i + 1) is over the budget {GENFUN_STEPS_MAX}")
     return _KERNELS[method]
 
 

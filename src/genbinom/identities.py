@@ -276,8 +276,7 @@ def _check_linlas(r: Composition) -> List[Pair]:
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
-    if r1 < 0 or r2 < 0 or r1 + r2 == 0:
-        raise ValueError(f"need nonnegative r1, r2 with r1+r2 > 0, got {r1}, {r2}")
+    r1, r2 = Composition((r1, r2)).parts  # the rule sweep's grid applies: no empty pair
     lhs = rising_poly(r1).scale(Fraction(1, factorial(r1))) * rising_poly(r2).scale(Fraction(1, factorial(r2)))
     # rising(X, i)/i! = binomial(X+i-1, i)
     return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
@@ -285,14 +284,6 @@ def _check_binom2(r1: int, r2: int) -> List[Pair]:
 
 def _check_injections(n: int, k: int) -> List[Pair]:
     return [(oracle_injection_cycle_poly(n, k), rising_poly(n - k, shift=k))]
-
-
-def _jsonable(value):
-    if isinstance(value, Composition):
-        return list(value.parts)
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _check_n_p(n: int | None, p: int | None) -> None:
@@ -312,7 +303,7 @@ def verify(identity: str, **params) -> IdentityReport:
     _check_n_p(params.get("n"), params.get("p"))
     if "r" in params:  # any sequence, checked as waring's caps are
         params["r"] = as_composition(params["r"])
-    shown = {k: _jsonable(v) for k, v in params.items()}
+    shown = {k: list(v.parts) if isinstance(v, Composition) else v for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
     if not pairs:  # comparing nothing verifies nothing
         raise ValueError(f"{identity}: no pair to compare at {shown}")

@@ -163,30 +163,20 @@ def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
     if n > INJECTION_N_MAX:
         raise ValueError(f"budget exceeded: n = {n} > {INJECTION_N_MAX}")
     dom = n - k
-    counts: dict[int, int] = {}
-    for image in permutations(range(1, n + 1), dom):
-        f = {i + 1: image[i] for i in range(dom)}
-        state = {}  # element -> 'done' or walk position
+    coeffs = [0] * (dom + 1)
+    for image in permutations(range(1, n + 1), dom):  # f(i) = image[i - 1]
+        seen = set()
         cycles = 0
         for start in range(1, dom + 1):
-            if start in state:
+            if start in seen:
                 continue
-            walk = []
-            pos = {}
-            x = start
-            while True:
-                if x > dom or x in state:
-                    break  # leaves the domain, or merges into an old path
-                if x in pos:
-                    cycles += 1  # closed back on the current walk
-                    break
-                pos[x] = len(walk)
-                walk.append(x)
-                x = f[x]
-            for y in walk:
-                state[y] = "done"
-        counts[cycles] = counts.get(cycles, 0) + 1
-    coeffs = [0] * (max(counts) + 1 if counts else 1)
-    for c, mult in counts.items():
-        coeffs[c] = mult
+            # walk f from start until it leaves the domain or meets a seen element;
+            # f is injective, so a walk that meets itself closes back on start
+            seen.add(start)
+            x = image[start - 1]
+            while x <= dom and x not in seen:
+                seen.add(x)
+                x = image[x - 1]
+            cycles += x == start
+        coeffs[cycles] += 1
     return UPoly(coeffs)

@@ -69,10 +69,6 @@ class UPoly:
     def one(cls) -> "UPoly":
         return cls((1,))
 
-    @classmethod
-    def x(cls) -> "UPoly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""

@@ -64,6 +64,25 @@ def test_coeff_genfun_over_budget(capsys):
     assert "budget" in err
 
 
+def test_exit_codes_come_from_exception_types(capsys, monkeypatch):
+    for argv, want in [
+        (["coeff", "--r", "1,1,1", "--method", "hyp3f2"], 3),
+        (["coeff", "--r", "20,20,20,20,20,20", "--method", "genfun"], 3),
+        (["coeff", "--r", "2,1", "--k", "0"], 2),
+        (["coeff", "--r", "1,1,1", "--method", "hyp3f2", "--k", "0"], 2),  # the k rule wins
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (want, ""), argv
+        assert err.startswith("error: "), argv
+    # the type alone picks the code, wherever the exception is raised
+    for exc, want in [(coefficients.ShapeError, 3), (ValueError, 2), (ArithmeticError, 1)]:
+        def kernel(r, exc=exc):
+            raise exc("raised in the kernel")
+        monkeypatch.setitem(coefficients._KERNELS, coefficients.DEFAULT_C_METHOD, kernel)
+        code, out, err = run(capsys, "coeff", "--r", "2,1")
+        assert (code, out, err) == (want, "", "error: raised in the kernel\n"), exc
+
+
 def test_coeff_csv(capsys):
     code, out, _ = run(capsys, "coeff", "--r", "2,1", "--format", "csv")
     assert code == 0

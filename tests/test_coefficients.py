@@ -15,6 +15,7 @@ from genbinom.coefficients import (
     C_METHODS,
     CoeffTable,
     Composition,
+    ShapeError,
     as_composition,
     c_coeff,
     c_table,
@@ -74,6 +75,26 @@ def test_hyp3f2_requires_two_species():
         c_coeff(Composition([1, 1, 1]), 1, "hyp3f2")
     with pytest.raises(ValueError):
         c_coeff(Composition([3]), 1, "hyp3f2")
+
+
+def test_shape_errors_are_value_errors():
+    # library callers that catch ValueError keep catching the shape rules
+    assert issubclass(ShapeError, ValueError)
+    with pytest.raises(ShapeError, match="hyp3f2"):
+        c_table((1, 1, 1), "hyp3f2")
+    with pytest.raises(ShapeError, match="budget"):
+        c_coeff((20,) * 6, 1, "genfun")
+
+
+def test_genfun_budget_edge():
+    # k = |r| + 1 runs the shape check but not the kernel: (1,)*16 has
+    # 16 * 2^16 = 1,048,576 box steps, (1,)*17 has 17 * 2^17 = 2,228,224
+    assert coefficients.GENFUN_STEPS_MAX == 2 * 10**6
+    r = Composition((1,) * 16)
+    assert c_coeff(r, r.total + 1, "genfun") == 0
+    r = Composition((1,) * 17)
+    with pytest.raises(ShapeError, match="budget"):
+        c_coeff(r, r.total + 1, "genfun")
 
 
 def test_method_agreement_small():

@@ -168,7 +168,7 @@ def test_ids_taking_n():
 
 def test_failed_check_end_to_end(monkeypatch, capsys):
     def unequal(n):
-        return [(UPoly.one(), UPoly.one()), (UPoly.x(), UPoly([n]))]
+        return [(UPoly.one(), UPoly.one()), (UPoly((0, 1)), UPoly([n]))]
 
     monkeypatch.setitem(identities._IDENTITIES, "mac", (unequal, identities._IDENTITIES["mac"][1]))
     report = verify("mac", n=2)

@@ -263,7 +263,7 @@ def test_extract_c_rejects_degree_n_or_more(monkeypatch, extra):
     n, r = 4, Composition([3])
     lhs = _las_lhs(n, r)
     assert extract_c_from_las(n, r).values == {1: 3, 2: 3, 3: 1}
-    monkeypatch.setattr(identities, "_las_lhs", lambda n, r: lhs + UPoly.x() ** (n + extra))
+    monkeypatch.setattr(identities, "_las_lhs", lambda n, r: lhs + UPoly((0, 1)) ** (n + extra))
     with pytest.raises(AssertionError):
         extract_c_from_las(n, r)
 
