@@ -3,7 +3,14 @@ linearization tables of factorial-polynomial products, with brute-force
 combinatorial oracles and an identity-verification harness.
 
 The names below are the paper's objects; the building blocks (polynomials,
-partitions, bases, exact primitives) import from their own modules."""
+partitions, bases, exact primitives) import from their own modules.
+
+Only `coefficients` (with `exactnum`) loads with the package.  The names of
+`identities` and `oracles`, and the submodules that only they use, load on
+first access through the module ``__getattr__`` (PEP 562), so a caller of
+`c_table` or `linearization_d` never pays for their import."""
+
+from importlib import import_module
 
 from .coefficients import (
     C_METHODS,
@@ -15,13 +22,22 @@ from .coefficients import (
     seating_counts,
     t_coeff,
 )
-from .identities import IDENTITY_IDS, IdentityReport, extract_c_from_las, sweep, verify
-from .oracles import (
-    oracle_covering_choices,
-    oracle_injection_cycle_poly,
-    oracle_seatings,
-    oracle_transversal_partitions,
-)
+
+# public name -> the submodule that defines it, imported on first access
+_LAZY = {
+    "IDENTITY_IDS": "identities",
+    "IdentityReport": "identities",
+    "extract_c_from_las": "identities",
+    "sweep": "identities",
+    "verify": "identities",
+    "oracle_covering_choices": "oracles",
+    "oracle_injection_cycle_poly": "oracles",
+    "oracle_seatings": "oracles",
+    "oracle_transversal_partitions": "oracles",
+}
+# submodules that the package no longer imports itself; `genbinom.series` and
+# the like still resolve without an import of their own
+_SUBMODULES = ("identities", "oracles", "partitions", "polybasis", "series")
 
 __all__ = [
     "C_METHODS",
@@ -42,3 +58,15 @@ __all__ = [
     "t_coeff",
     "verify",
 ]
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))

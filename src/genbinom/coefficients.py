@@ -60,13 +60,12 @@ tables.  The benchmark's ``coefficients.memo.*`` counters read this memo.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from itertools import product as _cartesian
 from operator import add, floordiv, itemgetter, mul, sub
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import Rat, as_int, binomial, factorial, forward_differences
 
@@ -137,14 +136,13 @@ def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
                 yield Composition(parts)
 
 
-@dataclass
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """A computed coefficient family, k -> int; absent keys are zero.  Only
     ``extract_c_from_las`` stores Fractions: its reading is checked, not trusted."""
 
     family: str
     r: Composition
-    values: Dict[int, int] = field(default_factory=dict)
+    values: Dict[int, int]
 
     def value(self, k: int) -> int:
         return self.values.get(k, 0)

@@ -34,25 +34,26 @@ The tables come from `_class_tables(n, weighted)`, one bounded `lru_cache`
 (64 entries) keyed by (n, weighted): a single pass over
 `partitions.partitions_of` fills the unweighted table, or every p's
 table of las0pp's Ferrers weight at once.  After one `identity_sweep`
-benchmark list it holds 43 entries (163 tables), about 0.46 MiB.
+benchmark list it holds 43 entries (163 tables), about 0.46 MiB.  An n
+over PARTITION_N_MAX is rejected there, and by `sweep` before its grid.
 
 Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
-function reads.  Each (id, params) verification is independent, so sweeps
-can be fanned out; `sweep` validates the whole grid before checking any
-instance, then yields reports in a fixed deterministic parameter order.
+function reads, the named parameters of its code object
+(``__code__.co_varnames[:co_argcount]``).  Each (id, params) verification
+is independent, so sweeps can be fanned out; `sweep` validates the whole
+grid before checking any instance, then yields reports in a fixed
+deterministic parameter order.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .coefficients import (
     CoeffTable,
@@ -77,8 +78,7 @@ from .polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newt
 from .series import MPoly, homogeneous_h
 
 
-@dataclass
-class IdentityReport:
+class IdentityReport(NamedTuple):
     id: str
     params: dict
     status: str
@@ -100,6 +100,20 @@ class IdentityReport:
 # shared building blocks
 # ---------------------------------------------------------------------------
 
+# The six partition-sum ids enumerate every partition of n, and p(n) grows
+# as exp(pi sqrt(2n/3)): p(45) = 89,134, p(200) is about 4*10^12.  An n over
+# this budget is rejected before any enumeration.  At n = 45, cold, one las0pp
+# instance (every p's weighted table) takes 5.6 s, bigeq 0.4 s, mac 0.3 s
+# (Python 3.11, 2-core Xeon VM).
+PARTITION_N_MAX = 45
+_PARTITION_SUM_IDS = frozenset(("las", "bigeq", "las0p", "las0pp", "mac", "lemma1"))
+
+
+def _check_partition_budget(n: int) -> None:
+    if n > PARTITION_N_MAX:
+        raise ValueError(f"n = {n} is over the partition-sum budget PARTITION_N_MAX = {PARTITION_N_MAX}")
+
+
 @lru_cache(maxsize=64)
 def _class_tables(n: int, weighted: bool) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """The tables T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) *
@@ -109,7 +123,8 @@ def _class_tables(n: int, weighted: bool) -> Tuple[Tuple[Tuple[int, ...], ...], 
 
     One pass over `partitions_of`; the unweighted table computes no Ferrers
     polynomial.  Memoized by (n, weighted): sweeps repeat each n across
-    compositions and p."""
+    compositions and p.  An n over PARTITION_N_MAX raises ValueError."""
+    _check_partition_budget(n)
     nfact = factorial(n)
     tables = [[[0] * (n + 2 - l) for l in range(n + 1)] for _ in range(n + 1 if weighted else 1)]
     for mults, length, z in partitions_of(n):
@@ -374,8 +389,8 @@ def _grid_binom2(r, r_max, **_) -> List[dict]:
 
 
 def _grid_injections(ns, **_) -> List[dict]:
-    if any(n > INJECTION_N_MAX for n in ns):
-        raise ValueError(f"injections: n = {max(ns)} is over the oracle budget {INJECTION_N_MAX}")
+    if ns and ns[-1] > INJECTION_N_MAX:  # ns rises
+        raise ValueError(f"injections: n = {ns[-1]} is over the oracle budget {INJECTION_N_MAX}")
     return [dict(n=n, k=k) for n in ns for k in range(n + 1)]
 
 
@@ -399,9 +414,10 @@ _IDENTITIES = {
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
 
-# id -> the fixed sweep() parameters it takes: those its grid function reads
+# id -> the fixed sweep() parameters it takes: those its grid function reads,
+# the named parameters of its code object (the catch-all **_ is not among them)
 _TAKES = {
-    ident: {_FIXES[a] for a in inspect.signature(grid_fn).parameters if a in _FIXES}
+    ident: {_FIXES[a] for a in grid_fn.__code__.co_varnames[:grid_fn.__code__.co_argcount] if a in _FIXES}
     for ident, (_, grid_fn) in _IDENTITIES.items()
 }
 
@@ -424,9 +440,9 @@ def sweep(
 
     The grid is built before any instance runs, so an unknown id, a fixed
     parameter the identity does not take, ``n``, ``p`` or ``t_max`` below
-    1, ``p > n``, an ``r`` that is not a composition, an oracle budget
-    overrun or an empty grid raises ValueError here, not midway through the
-    returned iterator."""
+    1, ``p > n``, an ``r`` that is not a composition, an oracle or
+    partition-sum budget overrun or an empty grid raises ValueError here,
+    not midway through the returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
     grid_fn = _IDENTITIES[identity][1]
@@ -435,8 +451,11 @@ def sweep(
     if ignored:
         raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)
+    if identity in _PARTITION_SUM_IDS:
+        _check_partition_budget(n_max if n is None else n)
     r = None if r is None else as_composition(r)
-    ns = [n] if n is not None else list(range(1, n_max + 1))
+    # a range, not a list: a large n_max costs nothing for an id that reads no n
+    ns = range(n, n + 1) if n is not None else range(1, n_max + 1)
 
     def comps() -> List[Composition]:  # built only for the ids that take r
         return [r] if r is not None else list(iter_compositions(m_max, r_max))

@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import genbinom
 from genbinom import cli, coefficients
 from genbinom.cli import main
 from genbinom.identities import IDENTITY_IDS
@@ -215,6 +219,27 @@ def test_verify_never_prints_then_rejects(capsys):
             assert (code, bool(out)) in ((0, True), (2, False)), argv
 
 
+def test_verify_t_max(capsys):
+    code, out, _ = run(capsys, "verify", "--id", "waring", "--r", "2,1", "--t-max", "6")
+    assert code == 0
+    assert json.loads(out) == {"id": "waring", "params": {"caps": [2, 1], "t_max": 6}, "status": "verified"}
+    code, out, err = run(capsys, "verify", "--id", "waring", "--r", "2,1", "--t-max", "0")
+    assert (code, out) == (2, "")
+    assert "t_max must be positive" in err
+
+
+def test_verify_partition_budget_edge(capsys):
+    # n = 45 is the largest n a partition-sum id enumerates; above it, exit 2 before any output
+    code, out, _ = run(capsys, "verify", "--id", "bigeq", "--n", "45", "--r", "1")
+    assert code == 0
+    assert json.loads(out) == {"id": "bigeq", "params": {"n": 45, "r": [1]}, "status": "verified"}
+    for argv in (["--id", "bigeq", "--n", "46", "--r", "1"], ["--id", "bigeq", "--n-max", "46", "--r", "1"],
+                 ["--id", "mac", "--n", "200"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "partition-sum budget PARTITION_N_MAX = 45" in err, argv
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--id", "nosuch")
     assert code == 2
@@ -303,3 +328,45 @@ def test_output_deterministic(capsys):
     a = run(capsys, "coeff", "--r", "3,2")
     b = run(capsys, "coeff", "--r", "3,2")
     assert a == b
+
+
+# Modules that only verify (and the library's identities and oracles names) need.
+# The probe runs in a fresh interpreter without site (-S), so nothing but the
+# package itself can have loaded them, and imports the package from this checkout.
+_LAZY_MODULES = ("dataclasses", "inspect", "genbinom.identities", "genbinom.oracles",
+                 "genbinom.polybasis", "genbinom.series", "genbinom.partitions")
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+lazy = sys.argv[2].split(",")
+loaded = lambda: [m for m in lazy if m in sys.modules]
+seen = {}
+import genbinom.cli
+seen["import genbinom.cli"] = loaded()
+genbinom.c_table((2, 1))
+seen["c_table"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["coeff", "--r", "2,1"], ["linearize", "--r", "2,2"],
+                 ["verify", "--id", "las", "--n", "2", "--r", "1"]):
+        assert genbinom.cli.main(argv) == 0, argv
+        seen[argv[0]] = loaded()
+for name in genbinom.__all__:
+    exec(f"from genbinom import {name}")
+exec("from genbinom import *")
+seen["dir"] = sorted(set(genbinom.__all__) - set(dir(genbinom)))
+print(json.dumps(seen))
+"""
+
+
+def test_commands_import_only_what_they_run():
+    src = Path(genbinom.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, str(src), ",".join(_LAZY_MODULES)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    for step in ("import genbinom.cli", "c_table", "coeff", "linearize"):
+        assert seen[step] == [], step
+    assert "genbinom.identities" in seen["verify"]
+    assert seen["dir"] == []
+    with pytest.raises(AttributeError):
+        genbinom.no_such_name

@@ -166,6 +166,21 @@ def test_ids_taking_n():
     assert {i for i in IDENTITY_IDS if "n" in _takes(i)} == expected
 
 
+def test_partition_budget_rejects_before_enumerating():
+    # the six ids whose left side sums over the partitions of n, the ids taking
+    # n except injections, refuse n > PARTITION_N_MAX before any enumeration
+    assert identities.PARTITION_N_MAX == 45
+    assert identities._PARTITION_SUM_IDS == {i for i in IDENTITY_IDS if "n" in _takes(i)} - {"injections"}
+    sample = {"n": 46, "p": 1, "r": Composition([1])}
+    for ident in sorted(identities._PARTITION_SUM_IDS):
+        for call in (lambda: sweep(ident, n=46), lambda: sweep(ident, n_max=46),
+                     lambda: verify(ident, **{name: sample[name] for name in _takes(ident)})):
+            with pytest.raises(ValueError, match="partition-sum budget PARTITION_N_MAX = 45"):
+                call()
+    with pytest.raises(ValueError, match="PARTITION_N_MAX"):
+        extract_c_from_las(46, (1,))
+
+
 def test_failed_check_end_to_end(monkeypatch, capsys):
     def unequal(n):
         return [(UPoly.one(), UPoly.one()), (UPoly((0, 1)), UPoly([n]))]
