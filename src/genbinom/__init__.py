@@ -39,25 +39,17 @@ _LAZY = {
 # the like still resolve without an import of their own
 _SUBMODULES = ("identities", "oracles", "partitions", "polybasis", "series")
 
-__all__ = [
+__all__ = sorted([
     "C_METHODS",
     "CoeffTable",
     "Composition",
-    "IDENTITY_IDS",
-    "IdentityReport",
     "c_coeff",
     "c_table",
-    "extract_c_from_las",
     "linearization_d",
-    "oracle_covering_choices",
-    "oracle_injection_cycle_poly",
-    "oracle_seatings",
-    "oracle_transversal_partitions",
     "seating_counts",
-    "sweep",
     "t_coeff",
-    "verify",
-]
+    *_LAZY,
+])
 
 
 def __getattr__(name: str):

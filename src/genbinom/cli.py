@@ -84,7 +84,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         m_max=args.m_max,
         r_max=args.r_max,
-        t_max=args.t_max,
         n=args.n,
         p=args.p,
         r=None if args.r is None else Composition.parse(args.r),
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=6)
     p_verify.add_argument("--m-max", type=int, default=2)
     p_verify.add_argument("--r-max", type=int, default=3)
-    p_verify.add_argument("--t-max", type=int, default=4, help="largest power of t (waring only)")
     p_verify.add_argument("--n", type=int, default=None, help="verify at one n only")
     p_verify.add_argument("--p", type=int, default=None, help="fix p (las0pp only)")
     p_verify.add_argument("--r", default=None, help="fix the composition, e.g. 2,1")

@@ -35,7 +35,8 @@ The tables come from `_class_tables(n, weighted)`, one bounded `lru_cache`
 `partitions.partitions_of` fills the unweighted table, or every p's
 table of las0pp's Ferrers weight at once.  After one `identity_sweep`
 benchmark list it holds 43 entries (163 tables), about 0.46 MiB.  An n
-over PARTITION_N_MAX is rejected there, and by `sweep` before its grid.
+over PARTITION_N_MAX is rejected there, and by the grid of each
+partition-sum id, before `sweep` runs any instance.
 
 Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
@@ -106,7 +107,6 @@ class IdentityReport(NamedTuple):
 # instance (every p's weighted table) takes 5.6 s, bigeq 0.4 s, mac 0.3 s
 # (Python 3.11, 2-core Xeon VM).
 PARTITION_N_MAX = 45
-_PARTITION_SUM_IDS = frozenset(("las", "bigeq", "las0p", "las0pp", "mac", "lemma1"))
 
 
 def _check_partition_budget(n: int) -> None:
@@ -349,8 +349,16 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
 # parameter grids: each turns the sweep bounds into the checker's kwargs
 # ---------------------------------------------------------------------------
 
+def _partition_ns(ns):
+    """The n values of a partition-sum grid, its top n checked against the
+    budget before any table is built."""
+    if ns:
+        _check_partition_budget(ns[-1])  # ns rises
+    return ns
+
+
 def _grid_n(ns, **_) -> List[dict]:
-    return [dict(n=n) for n in ns]
+    return [dict(n=n) for n in _partition_ns(ns)]
 
 
 def _grid_r(comps, **_) -> List[dict]:
@@ -358,17 +366,17 @@ def _grid_r(comps, **_) -> List[dict]:
 
 
 def _grid_n_r(ns, comps, **_) -> List[dict]:
-    return [dict(n=n, r=r) for n in ns for r in comps()]
+    return [dict(n=n, r=r) for n in _partition_ns(ns) for r in comps()]
 
 
 def _grid_bigeq(ns, comps, r, **_) -> List[dict]:
     if r is not None:  # a fixed r is rejected, not dropped from the grid
         check_positive_species(r)
-    return [dict(n=n, r=q) for n in ns for q in comps() if 0 not in q.parts]
+    return [dict(n=n, r=q) for n in _partition_ns(ns) for q in comps() if 0 not in q.parts]
 
 
 def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
-    return [dict(n=n, p=q, r=r) for n in ns for q in ([p] if p else range(1, n + 1))
+    return [dict(n=n, p=q, r=r) for n in _partition_ns(ns) for q in ([p] if p else range(1, n + 1))
             if q <= n for r in comps()]
 
 
@@ -451,8 +459,6 @@ def sweep(
     if ignored:
         raise ValueError(f"{identity} takes no fixed {' or '.join(ignored)}")
     _check_n_p(n, p)
-    if identity in _PARTITION_SUM_IDS:
-        _check_partition_budget(n_max if n is None else n)
     r = None if r is None else as_composition(r)
     # a range, not a list: a large n_max costs nothing for an id that reads no n
     ns = range(n, n + 1) if n is not None else range(1, n_max + 1)

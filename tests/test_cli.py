@@ -219,15 +219,6 @@ def test_verify_never_prints_then_rejects(capsys):
             assert (code, bool(out)) in ((0, True), (2, False)), argv
 
 
-def test_verify_t_max(capsys):
-    code, out, _ = run(capsys, "verify", "--id", "waring", "--r", "2,1", "--t-max", "6")
-    assert code == 0
-    assert json.loads(out) == {"id": "waring", "params": {"caps": [2, 1], "t_max": 6}, "status": "verified"}
-    code, out, err = run(capsys, "verify", "--id", "waring", "--r", "2,1", "--t-max", "0")
-    assert (code, out) == (2, "")
-    assert "t_max must be positive" in err
-
-
 def test_verify_partition_budget_edge(capsys):
     # n = 45 is the largest n a partition-sum id enumerates; above it, exit 2 before any output
     code, out, _ = run(capsys, "verify", "--id", "bigeq", "--n", "45", "--r", "1")
