@@ -107,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact generalized binomial coefficients, linearization tables, and identity sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(commands=sub.choices)  # command -> its parser, read back by main
 
     p_coeff = sub.add_parser("coeff", help="print c_k values for a composition")
     p_coeff.add_argument("--r", required=True, help="composition, e.g. 2,1")
@@ -146,8 +147,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    # a known command's own parser reads the rest of the line, so the line is
+    # parsed once; the top-level parser prints help or rejects the command
+    command = parser.get_default("commands").get(argv[0]) if argv else None
     try:
-        args = _parser().parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:  # the one place where an exception's type picks the exit code

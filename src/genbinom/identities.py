@@ -25,6 +25,11 @@ per power of t.  Supported identity ids:
 Each univariate right side is one `newton_sum` over its coefficients on
 binomial(X+n-1, j), binomial(X+j-1, j) or binomial(X, j); product sides keep
 the basis constructors' own loops, so no identity's two sides share code.
+The checker inputs (species products, partition sums, the las0pp and
+two-factor coefficient lists) are whole integer runs, `math.comb` mapped over
+ranges and multiplied entrywise, built in this module: they share no code
+with the c_k routes they check.  waring's caps and t_max have a budget,
+WARING_BOX_MAX and WARING_DEGREE_MAX, checked by its grid and its checker.
 
 The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
@@ -53,7 +58,8 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian
+from itertools import product as _cartesian, repeat
+from operator import mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .coefficients import (
@@ -66,7 +72,7 @@ from .coefficients import (
     linearization_d,
     seating_counts,
 )
-from .exactnum import binomial, factorial, forward_differences, multinomial
+from .exactnum import binomial, factorial, forward_differences
 from .oracles import (
     COVERING_K_MAX,
     INJECTION_N_MAX,
@@ -77,6 +83,10 @@ from .oracles import (
 from .partitions import ferrers_poly, partitions_of
 from .polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly
 from .series import MPoly, homogeneous_h
+
+
+# json.dumps with non-default separators builds a new encoder on every call
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class IdentityReport(NamedTuple):
@@ -91,10 +101,7 @@ class IdentityReport(NamedTuple):
         return self.status == "verified"
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {"id": self.id, "params": self.params, "status": self.status},
-            separators=(",", ":"),
-        )
+        return _encode({"id": self.id, "params": self.params, "status": self.status})
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +154,43 @@ def _class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
 def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
     """n! times the X^(l-1) coefficients, l = 1..n, of the sum over mu |- n of
     w(mu) * X^(l(mu)-1) / z_mu * sum_i g[mu_i]; w as in `_class_table`."""
-    return [sum(gj * t for gj, t in zip(g, row)) for row in _class_table(n, p)[1:]]
+    return [sum(map(mul, g, row)) for row in _class_table(n, p)[1:]]
 
 
 def _species_products(n: int, r: Composition) -> List[int]:
-    """[0, P_1, ..., P_n], P_j = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!."""
-    return [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
+    """[0, P_1, ..., P_n], P_j = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!:
+    one run of C(j+r_k-1, r_k), j = 1..n, per species, multiplied entrywise."""
+    P = [1] * n
+    for rk in r.parts:
+        P = list(map(mul, P, map(math.comb, range(rk, n + rk), repeat(rk))))
+    return [0, *P]
 
 
 def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | None = None) -> UPoly:
     """`_partition_sum` / n! at g = P, the `_species_products` of r unless given."""
     g = _species_products(n, r) if P is None else P
-    return UPoly(_partition_sum(n, g, p)).scale(Fraction(1, factorial(n)))
+    return UPoly._of(_partition_sum(n, g, p), factorial(n))
 
 
-def _mchoose(a: int, q: int) -> int:
-    """Multisets of size q from a >= 0 symbols: C(a+q-1, q); (0, 0) -> 1."""
-    return math.comb(a + q - 1, q) if a else int(q == 0)
+# waring builds one c_table per point of its box, prod(cap_i + 1) points, then
+# enumerates every partition of each size up to |caps| and takes one truncated
+# MPoly product per partition with at most t_max parts.  A box over
+# WARING_BOX_MAX, or a |caps| or t_max over WARING_DEGREE_MAX, is rejected
+# before any of it.  The largest accepted instances, cold, take 2.7 s: caps
+# (15, 15) or (10, 20) at t_max 30; (15, 15) at t_max 4, as the CLI runs it,
+# takes 0.5 s.  Over budget, (3,3,3,3,3,3) at t_max 4 took 24 s and (63,) 23 s
+# (Python 3.11, 2-core Xeon VM).
+WARING_BOX_MAX = 256
+WARING_DEGREE_MAX = 30
+
+
+def _check_waring_budget(caps: Sequence[int], t_max: int) -> None:
+    box = math.prod(c + 1 for c in caps)
+    if box > WARING_BOX_MAX or sum(caps) > WARING_DEGREE_MAX or t_max > WARING_DEGREE_MAX:
+        raise ValueError(
+            f"waring: caps {list(caps)} at t_max {t_max} are over the budget: need the box "
+            f"prod(cap_i + 1) = {box} <= WARING_BOX_MAX = {WARING_BOX_MAX} and |caps| = {sum(caps)} "
+            f"and t_max <= WARING_DEGREE_MAX = {WARING_DEGREE_MAX}")
 
 
 Pair = Tuple[object, object]
@@ -199,9 +226,14 @@ def _check_las0p(n: int, r: Composition) -> List[Pair]:
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
     P = _species_products(n, r)
-    a = [Fraction(sum(binomial(j - 1, k - 1) * _mchoose(p - k, n - p - j + k) * P[j]
-                      for j in range(k, n - p + k + 1)), k)
-         for k in range(p, 0, -1)]  # indexed by p-k, on binomial(X+p-k-1, p-k)
+    # a[p-k], on binomial(X+p-k-1, p-k), is 1/k sum_j C(j-1, k-1) mchoose(p-k, n-p-j+k) P_j
+    # over j = k..n-p+k, where mchoose(a, q) = C(a+q-1, q) counts multisets: at k = p
+    # only j = n is nonzero, below it the term is C(j-1, k-1) C(n-1-j, p-1-k) P_j
+    a = [Fraction(math.comb(n - 1, p - 1) * P[n], p)]
+    for k in range(p - 1, 0, -1):
+        up = map(math.comb, range(k - 1, n - p + k), repeat(k - 1))  # C(j-1, k-1), j = k..n-p+k
+        down = map(math.comb, range(n - 1 - k, p - 2 - k, -1), repeat(p - 1 - k))  # C(n-1-j, p-1-k)
+        a.append(Fraction(sum(map(mul, map(mul, up, down), P[k:n - p + k + 1])), k))
     return [(_las_lhs(n, r, p, P), newton_sum(0, -1, a))]
 
 
@@ -233,6 +265,7 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
     # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
     caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
+    _check_waring_budget(caps, t_max)
     tables = [(parts, c_table(Composition(parts)).values)
               for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
     h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
@@ -265,9 +298,13 @@ def _check_linm(r: Composition) -> List[Pair]:
 
 
 def _two_factor(r1: int, r2: int, sign: int) -> List[int]:
-    # a[i] = sign^l multinomial(i, (l, r1-l, r2-l)) at l = r1+r2-i <= min(r1, r2), else 0
-    return [sign ** (r1 + r2 - i) * multinomial(i, (r1 + r2 - i, i - r2, i - r1)) if i >= max(r1, r2) else 0
-            for i in range(r1 + r2 + 1)]
+    # a[i] = sign^l multinomial(i, (l, i-r2, i-r1)) = sign^l C(i, l) C(2i-r1-r2, i-r2)
+    # at l = r1+r2-i <= min(r1, r2), else 0: two runs over i = max(r1, r2)..r1+r2
+    s, top = r1 + r2, max(r1, r2)
+    ls = range(s - top, -1, -1)
+    c_il = map(math.comb, range(top, s + 1), ls)  # C(i, l)
+    c_rest = map(math.comb, range(2 * top - s, s + 1, 2), range(top - r2, r1 + 1))  # C(2i-r1-r2, i-r2)
+    return [0] * top + [sign ** l * x * y for l, x, y in zip(ls, c_il, c_rest)]
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
@@ -385,6 +422,8 @@ def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
         raise ValueError(f"waring: t_max must be positive, got {t_max}")
     # caps go through Composition, so negative or all-zero caps are rejected
     caps = [r] if r is not None else [Composition((r_max,) * m) for m in range(1, m_max + 1)]
+    for c in caps:
+        _check_waring_budget(c.parts, t_max)
     return [dict(caps=c.parts, t_max=t_max) for c in caps]
 
 

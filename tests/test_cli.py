@@ -315,6 +315,48 @@ def test_main_builds_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--r", "2,1"],
+    ["verify", "--id", "las", "--n", "3", "--r", "2,1"],
+    ["linearize", "--r", "2,2"],
+])
+def test_unknown_option_is_reported_by_its_command(capsys, argv):
+    # a known command's line is parsed once, by that command's own parser
+    code, out, err = run(capsys, *argv, "--bogus", "1")
+    assert (code, out) == (2, "")
+    assert f"genbinom {argv[0]}: error: unrecognized arguments: --bogus 1" in err
+    assert err.startswith(f"usage: genbinom {argv[0]} ")
+
+
+def test_top_level_parser_handles_help_and_bad_commands(capsys):
+    code, out, err = run(capsys)
+    assert (code, out) == (2, "")
+    assert "genbinom: error:" in err
+    code, out, _ = run(capsys, "-h")
+    assert code == 0
+    assert all(command in out for command in ("coeff", "verify", "linearize"))
+    code, out, err = run(capsys, "nosuch", "--r", "2,1")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'nosuch'" in err
+    code, out, _ = run(capsys, "verify", "-h")
+    assert code == 0
+    assert out.startswith("usage: genbinom verify ")
+
+
+def test_verify_waring_budget_edge(capsys):
+    # the largest box accepted runs; the smallest box over it, a |caps| over
+    # WARING_DEGREE_MAX and a grid reaching either exit 2 before any output
+    code, out, _ = run(capsys, "verify", "--id", "waring", "--r", "15,15")
+    assert code == 0
+    assert json.loads(out) == {"id": "waring", "params": {"caps": [15, 15], "t_max": 4}, "status": "verified"}
+    for argv, budget in ((["--r", "3,4,12"], "WARING_BOX_MAX = 256"), (["--r", "31"], "WARING_DEGREE_MAX = 30"),
+                         (["--r", "3,3,3,3,3,3"], "WARING_BOX_MAX = 256"),
+                         (["--m-max", "5", "--r-max", "3"], "WARING_BOX_MAX = 256")):
+        code, out, err = run(capsys, "verify", "--id", "waring", *argv)
+        assert (code, out) == (2, ""), argv
+        assert "over the budget" in err and budget in err, argv
+
+
 def test_output_deterministic(capsys):
     a = run(capsys, "coeff", "--r", "3,2")
     b = run(capsys, "coeff", "--r", "3,2")

@@ -11,7 +11,7 @@ import pytest
 from genbinom import identities
 from genbinom.cli import main
 from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions
-from genbinom.exactnum import binomial, factorial, rising
+from genbinom.exactnum import binomial, factorial, multinomial, rising
 from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
 from genbinom.partitions import ferrers_choose
 from genbinom.polybasis import UPoly, shifted_binom_poly
@@ -111,13 +111,6 @@ def test_las0pp_at_p_equals_n_matches_las0p():
             assert verify("las0p", n=n, r=r).verified
 
 
-def test_mchoose_is_rising_over_factorial():
-    # multisets of size q from a symbols, the las0pp right side's weights
-    for a in range(9):
-        for q in range(9):
-            assert identities._mchoose(a, q) == rising(a, q) // factorial(q), (a, q)
-
-
 def test_failure_reports_sides():
     # a deliberately broken comparison exercises the failure path
     from genbinom import identities
@@ -180,6 +173,23 @@ def test_partition_budget_rejects_before_enumerating():
                 call()
     with pytest.raises(ValueError, match="PARTITION_N_MAX"):
         extract_c_from_las(46, (1,))
+
+
+def test_waring_budget_edge(monkeypatch):
+    # the largest box, |caps| and t_max are accepted, one past any of them is
+    # rejected by sweep and by verify before any c_table or product
+    assert (identities.WARING_BOX_MAX, identities.WARING_DEGREE_MAX) == (256, 30)
+    for caps, t_max in (((15, 15), 30), ((3, 3, 15), 4), ((30,), 30), ((1,), 30)):
+        sweep("waring", r=caps, t_max=t_max)  # the grid is checked when sweep is called
+    assert verify("waring", caps=(1,), t_max=30).verified
+    monkeypatch.setattr(identities, "c_table", None)
+    monkeypatch.setattr(identities, "homogeneous_h", None)
+    for caps, t_max in (((3, 4, 12), 4), ((31,), 4), ((1,), 31), ((3,) * 6, 4)):
+        for call in (lambda: sweep("waring", r=caps, t_max=t_max), lambda: verify("waring", caps=caps, t_max=t_max)):
+            with pytest.raises(ValueError, match="over the budget"):
+                call()
+    with pytest.raises(ValueError, match="WARING_BOX_MAX = 256"):
+        sweep("waring", m_max=5, r_max=3)
 
 
 def test_failed_check_end_to_end(monkeypatch, capsys):
@@ -472,3 +482,71 @@ def test_wrong_basis_fails(monkeypatch, ident, basis, params):
     assert verify(ident, **params).verified
     monkeypatch.setattr(identities, basis, _plus_one(getattr(identities, basis)))
     assert verify(ident, **params).status == "failed"
+
+
+# The checker inputs as they were built with one call per entry, kept verbatim
+# as references for the integer runs that replaced them.
+
+def _ref_partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
+    return [sum(gj * t for gj, t in zip(g, row)) for row in _class_table(n, p)[1:]]
+
+
+def _ref_species_products(n: int, r: Composition) -> List[int]:
+    return [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
+
+
+def _ref_las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | None = None) -> UPoly:
+    g = _ref_species_products(n, r) if P is None else P
+    return UPoly(_ref_partition_sum(n, g, p)).scale(Fraction(1, factorial(n)))
+
+
+def _ref_mchoose(a: int, q: int) -> int:
+    """Multisets of size q from a >= 0 symbols: C(a+q-1, q); (0, 0) -> 1."""
+    return math.comb(a + q - 1, q) if a else int(q == 0)
+
+
+def _ref_las0pp_a(n: int, p: int, P: Sequence[int]) -> List[Fraction]:
+    return [Fraction(sum(binomial(j - 1, k - 1) * _ref_mchoose(p - k, n - p - j + k) * P[j]
+                         for j in range(k, n - p + k + 1)), k)
+            for k in range(p, 0, -1)]  # indexed by p-k, on binomial(X+p-k-1, p-k)
+
+
+def _ref_two_factor(r1: int, r2: int, sign: int) -> List[int]:
+    # a[i] = sign^l multinomial(i, (l, r1-l, r2-l)) at l = r1+r2-i <= min(r1, r2), else 0
+    return [sign ** (r1 + r2 - i) * multinomial(i, (r1 + r2 - i, i - r2, i - r1)) if i >= max(r1, r2) else 0
+            for i in range(r1 + r2 + 1)]
+
+
+def _coeffs_den(pairs):
+    return [((a.coeffs, a.den), (b.coeffs, b.den)) for a, b in pairs]
+
+
+def test_mchoose_is_rising_over_factorial():
+    # multisets of size q from a symbols, the las0pp right side's weights
+    for a in range(9):
+        for q in range(9):
+            assert _ref_mchoose(a, q) == rising(a, q) // factorial(q), (a, q)
+
+
+def test_las_inputs_match_per_entry_reference():
+    for n in range(1, 21):
+        for r in iter_compositions(3, 3):
+            P = identities._species_products(n, r)
+            assert P == _ref_species_products(n, r), (n, r)
+            assert all(type(x) is int for x in P), (n, r)
+            for p in (None, *range(1, n + 1)):
+                assert identities._partition_sum(n, P, p) == _ref_partition_sum(n, P, p), (n, r, p)
+                got, ref = identities._las_lhs(n, r, p), _ref_las_lhs(n, r, p)
+                assert (got.coeffs, got.den) == (ref.coeffs, ref.den), (n, r, p)
+                if p is not None:
+                    ref_pair = [(ref, identities.newton_sum(0, -1, _ref_las0pp_a(n, p, P)))]
+                    assert _coeffs_den(identities._check_las0pp(n, p, r)) == _coeffs_den(ref_pair), (n, r, p)
+
+
+def test_two_factor_matches_per_entry_reference():
+    for r1 in range(13):
+        for r2 in range(13):
+            for sign in (1, -1):
+                got = identities._two_factor(r1, r2, sign)
+                assert got == _ref_two_factor(r1, r2, sign), (r1, r2, sign)
+                assert all(type(x) is int for x in got), (r1, r2, sign)

@@ -31,13 +31,13 @@ from genbinom.identities import (
     _check_n_p,
     _class_table,
     _las_lhs,
-    _mchoose,
     _partition_sum,
     _species_products,
     extract_c_from_las,
 )
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.polybasis import UPoly, from_falling_basis
+from test_identities import _ref_mchoose as _mchoose
 
 
 # ---------------------------------------------------------------------------
