@@ -88,7 +88,7 @@ def forward_differences(values: Sequence[int]) -> List[int]:
     row, out = list(values), []
     while row:
         out.append(row[0])
-        row = list(map(sub, row[1:], row[:-1]))
+        row = list(map(sub, row[1:], row))  # map stops at the shorter run
     return out
 
 

@@ -43,6 +43,20 @@ benchmark list it holds 43 entries (163 tables), about 0.46 MiB.  An n
 over PARTITION_N_MAX is rejected there, and by the grid of each
 partition-sum id, before `sweep` runs any instance.
 
+The brute-force oracle sides of linm, linbin and linlas (transversal
+partitions, covering choices by sets and by multisets) come from
+`_oracle_counts(kind, parts)`, one bounded `lru_cache` (128 entries) keyed
+by the oracle and the sorted nonzero species sizes: an oracle count depends
+only on that multiset, so each permutation or zero padding of a composition
+reads one enumeration.  Each instance still builds its own closed form and
+product polynomial and compares them with the counts; none is inferred from
+another.  The oracles keep no memo: they are the ground truth, enumerating
+every object, and reusing a count is this checker's choice.  The memo calls
+them through this module's globals, so a hook or monkeypatch on them sees
+each enumeration it makes.  After one `identity_sweep` benchmark list it
+holds 71 entries (22 for each covering mode, 27 for linm), read by 537
+instances.
+
 Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
 function reads, the named parameters of its code object
@@ -70,7 +84,6 @@ from .coefficients import (
     check_positive_species,
     iter_compositions,
     linearization_d,
-    seating_counts,
 )
 from .exactnum import binomial, factorial, forward_differences
 from .oracles import (
@@ -193,6 +206,29 @@ def _check_waring_budget(caps: Sequence[int], t_max: int) -> None:
             f"and t_max <= WARING_DEGREE_MAX = {WARING_DEGREE_MAX}")
 
 
+# linm adds its transversal oracle side up to |r| = TRANSVERSAL_T_MAX, linbin
+# and linlas their covering sides up to |r| = COVERING_K_MAX = 6.  The oracle
+# memo's reachable keys are therefore the partitions of t <= 6 for each
+# covering mode (29 each) and of t <= 7 for linm (44): 102 keys, so its 128
+# entries never evict.
+TRANSVERSAL_T_MAX = 7
+
+
+def _species_key(r: Composition) -> Tuple[int, ...]:
+    """The nonzero species sizes of r, sorted: the `_oracle_counts` key."""
+    return tuple(sorted(p for p in r.parts if p))
+
+
+@lru_cache(maxsize=128)
+def _oracle_counts(kind: str, parts: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The oracle's counts at k = 1..|parts|: transversal partitions if kind is
+    "transversal", else covering choices in mode kind, "set" or "multiset"."""
+    r, ks = Composition(parts), range(1, sum(parts) + 1)
+    if kind == "transversal":
+        return tuple(oracle_transversal_partitions(r, k) for k in ks)
+    return tuple(oracle_covering_choices(r, k, kind) for k in ks)
+
+
 Pair = Tuple[object, object]
 
 
@@ -206,13 +242,16 @@ def _check_las(n: int, r: Composition) -> List[Pair]:
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
-    # F_j: seatings of every species, r_l representatives each, at one j-chair table
-    F = [0] + [seating_counts(r, j, "F") for j in range(1, n + 1)]
+    check_positive_species(r)
+    # F_j = prod_l r_l C(j+r_l-1, r_l): seatings of every species, r_l representatives
+    # each, at one j-chair table, so F is prod(r) times the species products
+    rprod = math.prod(r.parts)
+    F = [rprod * x for x in _species_products(n, r)]
     lhs = UPoly(_partition_sum(n, F))
     # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c and S
     # forms, of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
     nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
-    form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
+    form_c = [Fraction(c.get(k, 0) * nfact * rprod, r.total) for k in range(n, 0, -1)]
     form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
     return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
@@ -291,8 +330,8 @@ def _check_linm(r: Composition) -> List[Pair]:
         r1, r2 = r.parts
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
         pairs.append((lhs, from_falling_basis(closed)))
-    if r.total <= 7:
-        oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
+    if r.total <= TRANSVERSAL_T_MAX:
+        oracle = dict(enumerate(_oracle_counts("transversal", _species_key(r)), 1))
         pairs.append((lhs, from_falling_basis(oracle)))
     return pairs
 
@@ -314,7 +353,7 @@ def _check_linbin(r: Composition) -> List[Pair]:
     if r.m == 2:
         sides.append(_two_factor(*r.parts, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
+        sides.append([0, *_oracle_counts("set", _species_key(r))])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 
@@ -323,7 +362,7 @@ def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.total <= COVERING_K_MAX:
-        sides.append([0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])
+        sides.append([0, *_oracle_counts("multiset", _species_key(r))])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 
@@ -403,18 +442,20 @@ def _grid_r(comps, **_) -> List[dict]:
 
 
 def _grid_n_r(ns, comps, **_) -> List[dict]:
-    return [dict(n=n, r=r) for n in _partition_ns(ns) for r in comps()]
+    ns, rs = _partition_ns(ns), comps()
+    return [dict(n=n, r=r) for n in ns for r in rs]
 
 
 def _grid_bigeq(ns, comps, r, **_) -> List[dict]:
     if r is not None:  # a fixed r is rejected, not dropped from the grid
         check_positive_species(r)
-    return [dict(n=n, r=q) for n in _partition_ns(ns) for q in comps() if 0 not in q.parts]
+    ns, rs = _partition_ns(ns), [q for q in comps() if 0 not in q.parts]
+    return [dict(n=n, r=q) for n in ns for q in rs]
 
 
 def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
-    return [dict(n=n, p=q, r=r) for n in _partition_ns(ns) for q in ([p] if p else range(1, n + 1))
-            if q <= n for r in comps()]
+    ns, rs = _partition_ns(ns), comps()
+    return [dict(n=n, p=q, r=r) for n in ns for q in ([p] if p else range(1, n + 1)) if q <= n for r in rs]
 
 
 def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
@@ -502,7 +543,7 @@ def sweep(
     # a range, not a list: a large n_max costs nothing for an id that reads no n
     ns = range(n, n + 1) if n is not None else range(1, n_max + 1)
 
-    def comps() -> List[Composition]:  # built only for the ids that take r
+    def comps() -> List[Composition]:  # built only for the ids that take r, each calling it once
         return [r] if r is not None else list(iter_compositions(m_max, r_max))
 
     grid = grid_fn(ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max)

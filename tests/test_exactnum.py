@@ -9,6 +9,7 @@ from genbinom.exactnum import (
     binomial,
     factorial,
     falling,
+    forward_differences,
     int_str,
     multinomial,
     rat_str,
@@ -67,6 +68,13 @@ def test_multinomial():
         multinomial(4, (2, 1))
     with pytest.raises(ValueError):
         multinomial(3, (4, -1))
+
+
+@given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=12))
+def test_forward_differences_is_alternating_sum(values):
+    # Delta^k f(0) = sum_j (-1)^(k-j) C(k, j) f(j), one entry per value
+    assert forward_differences(values) == [
+        sum((-1) ** (k - j) * binomial(k, j) * values[j] for j in range(k + 1)) for k in range(len(values))]
 
 
 @given(rats, rats, st.integers(min_value=0, max_value=6))

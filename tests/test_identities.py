@@ -10,11 +10,12 @@ import pytest
 
 from genbinom import identities
 from genbinom.cli import main
-from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions
-from genbinom.exactnum import binomial, factorial, multinomial, rising
-from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
-from genbinom.partitions import ferrers_choose
-from genbinom.polybasis import UPoly, shifted_binom_poly
+from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions, linearization_d, seating_counts
+from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
+from genbinom.identities import IDENTITY_IDS, Pair, _class_table, _two_factor, extract_c_from_las, sweep, verify
+from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
+from genbinom.partitions import ferrers_choose, partitions_of
+from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_sum, rising_poly, shifted_binom_poly
 from genbinom.series import MPoly, homogeneous_h
 from test_partitions import partition_objects, z_mu
 
@@ -78,6 +79,32 @@ def test_sweep_deterministic():
     first = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
     second = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
     assert first == second
+
+
+def test_sweep_builds_its_compositions_once(monkeypatch):
+    # one list per sweep call, in the order every n (and p) repeats it
+    built = []
+
+    def counted(m_max, r_max):
+        built.append((m_max, r_max))
+        return iter_compositions(m_max, r_max)
+
+    monkeypatch.setattr(identities, "iter_compositions", counted)
+    comps = list(iter_compositions(2, 2))
+    for ident, expected in (
+        ("las0pp", [dict(n=n, p=p, r=r) for n in range(1, 5) for p in range(1, n + 1) for r in comps]),
+        ("las", [dict(n=n, r=r) for n in range(1, 5) for r in comps]),
+        ("bigeq", [dict(n=n, r=r) for n in range(1, 5) for r in comps if 0 not in r.parts]),
+        ("linm", [dict(r=r) for r in comps]),
+    ):
+        built.clear()
+        got = [report.params for report in sweep(ident, n_max=4, m_max=2, r_max=2)]
+        assert built == [(2, 2)], ident
+        assert got == [{k: list(v.parts) if k == "r" else v for k, v in e.items()} for e in expected], ident
+    built.clear()
+    assert [report.params for report in sweep("las0pp", n_max=3, r=(2, 1))] == [
+        dict(n=n, p=p, r=[2, 1]) for n in range(1, 4) for p in range(1, n + 1)]
+    assert built == []  # a fixed r is the whole list
 
 
 def test_extract_c_examples():
@@ -550,3 +577,121 @@ def test_two_factor_matches_per_entry_reference():
                 got = identities._two_factor(r1, r2, sign)
                 assert got == _ref_two_factor(r1, r2, sign), (r1, r2, sign)
                 assert all(type(x) is int for x in got), (r1, r2, sign)
+
+
+# The oracle sides of linm, linbin and linlas read one memo keyed by the sorted
+# nonzero species sizes; below, its premise, its bound, a wrong oracle seen
+# through it, and the checkers as they were, calling the oracles per instance.
+
+_ORACLE_KINDS = {"transversal": identities.TRANSVERSAL_T_MAX, "set": COVERING_K_MAX, "multiset": COVERING_K_MAX}
+
+
+@pytest.fixture
+def cold_oracle_memo():
+    identities._oracle_counts.cache_clear()
+    yield
+    identities._oracle_counts.cache_clear()
+
+
+def test_oracles_invariant_under_permuting_and_padding_species():
+    # each oracle count depends only on the multiset of nonzero species sizes
+    for r in iter_compositions(3, 3):
+        key = Composition(identities._species_key(r))
+        for k in range(1, r.total + 2):  # |r| + 1 has no partition into k blocks
+            assert oracle_transversal_partitions(r, k) == oracle_transversal_partitions(key, k), (r, k)
+        if r.total <= 8:  # the covering oracle's budget
+            for k in range(1, COVERING_K_MAX + 1):
+                for mode in ("set", "multiset"):
+                    assert oracle_covering_choices(r, k, mode) == oracle_covering_choices(key, k, mode), (r, k, mode)
+
+
+def test_oracle_memo_never_evicts(cold_oracle_memo):
+    # every key the checkers can reach: each partition of t up to the kind's budget
+    keys = {(kind, tuple(sorted(part for part, mult in mults for _ in range(mult))))
+            for kind, t_max in _ORACLE_KINDS.items() for t in range(1, t_max + 1) for mults, _, _ in partitions_of(t)}
+    assert len(keys) == 102 <= identities._oracle_counts.cache_info().maxsize
+    # a grid with every permutation and zero padding enumerates each key it reaches
+    # once: up to four species of size <= 2 reach the 14 multisets of at most four
+    # 1s and 2s, 12 of them with t <= 6 for each covering mode and 13 with t <= 7 for linm
+    for ident in ("linm", "linbin", "linlas"):
+        assert all(report.verified for report in sweep(ident, m_max=4, r_max=2))
+    info = identities._oracle_counts.cache_info()
+    assert info.currsize == info.misses == 12 + 12 + 13
+
+
+def _off_by_one_at(oracle, k_wrong):
+    def wrong(r, k, *mode):
+        return oracle(r, k, *mode) + (k == k_wrong)
+    return wrong
+
+
+@pytest.mark.parametrize("ident,oracle", [
+    ("linm", "oracle_transversal_partitions"),
+    ("linbin", "oracle_covering_choices"),
+    ("linlas", "oracle_covering_choices"),
+])
+def test_wrong_oracle_fails_through_the_memo(monkeypatch, cold_oracle_memo, ident, oracle):
+    assert verify(ident, r=(1, 0, 2)).verified
+    identities._oracle_counts.cache_clear()
+    monkeypatch.setattr(identities, oracle, _off_by_one_at(getattr(identities, oracle), 2))
+    for r in ((1, 0, 2), (2, 1), (0, 1, 2)):  # one key, read from the memo after the first
+        assert verify(ident, r=r).status == "failed", r
+
+
+def _ref_check_linm(r: Composition) -> List[Pair]:
+    lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
+    pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
+    if r.m == 2:
+        r1, r2 = r.parts
+        closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
+        pairs.append((lhs, from_falling_basis(closed)))
+    if r.total <= 7:
+        oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
+        pairs.append((lhs, from_falling_basis(oracle)))
+    return pairs
+
+
+def _ref_check_linbin(r: Composition) -> List[Pair]:
+    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
+    table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
+    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    if r.m == 2:
+        sides.append(_two_factor(*r.parts, 1))
+    if r.total <= COVERING_K_MAX:  # k runs up to |r|
+        sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
+    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+
+
+def _ref_check_linlas(r: Composition) -> List[Pair]:
+    lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
+    table = linearization_d(r, "c_tilde").values
+    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    if r.total <= COVERING_K_MAX:
+        sides.append([0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])
+    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+
+
+def test_oracle_memo_checkers_match_per_instance_reference(cold_oracle_memo):
+    for r in [*iter_compositions(4, 2), *iter_compositions(3, 3)]:
+        for check, ref in ((identities._check_linm, _ref_check_linm), (identities._check_linbin, _ref_check_linbin),
+                           (identities._check_linlas, _ref_check_linlas)):
+            assert _coeffs_den(check(r)) == _coeffs_den(ref(r)), (check.__name__, r)
+
+
+def _ref_check_bigeq(n: int, r: Composition) -> List[Pair]:
+    # the checker with F_j taken from one seating_counts call per j
+    F = [0] + [seating_counts(r, j, "F") for j in range(1, n + 1)]
+    lhs = UPoly(identities._partition_sum(n, F))
+    nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
+    form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
+    form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
+    form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
+    return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
+            (lhs, newton_sum(0, -1, form_f))]
+
+
+def test_bigeq_matches_per_entry_reference():
+    for n in range(1, 17):
+        for r in iter_compositions(3, 3):
+            if 0 not in r.parts:
+                assert _coeffs_den(identities._check_bigeq(n, r)) == _coeffs_den(_ref_check_bigeq(n, r)), (n, r)
