@@ -35,9 +35,6 @@ _LAZY = {
     "oracle_seatings": "oracles",
     "oracle_transversal_partitions": "oracles",
 }
-# submodules that the package no longer imports itself; `genbinom.series` and
-# the like still resolve without an import of their own
-_SUBMODULES = ("identities", "oracles", "partitions", "polybasis", "series")
 
 __all__ = sorted([
     "C_METHODS",
@@ -55,10 +52,8 @@ __all__ = sorted([
 def __getattr__(name: str):
     if name in _LAZY:
         return getattr(import_module(f".{_LAZY[name]}", __name__), name)
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | set(_SUBMODULES))
+    return sorted(set(globals()) | set(__all__))

@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 ok / all verified, 1 falsified value or identity (or a division
 that leaves a remainder), 2 usage error, 3 method unsupported for the given
-shape (a ShapeError).  Only ``main`` maps exceptions to exit codes, by type.
+shape (a ShapeError), 141 stdout closed by its reader (128 + SIGPIPE, as
+for ``| head``).  Only ``main`` maps exceptions to exit codes, by type.
 Values are integers, emitted as decimal strings to keep precision.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Dict
 
@@ -157,7 +159,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:  # the one place where an exception's type picks the exit code
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handler
+        return code
+    except BrokenPipeError:  # fd 1 to devnull: the interpreter's exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, ArithmeticError) as exc:  # ArithmeticError: a falsified value
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, ShapeError):  # the route does not take the composition's shape

@@ -17,7 +17,7 @@ runs over i = 1..|r|: each species contributes one run, built by one
                        C(i+r_j-1, r_j-1) run times the other species' runs
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
-                       prod (r_i + 1) of the sorted nonzero sizes (G is
+                       prod (r_i + 1) of ``Composition.species`` (G is
                        symmetric); multiplying by G is a prefix sum, one
                        ``accumulate`` per row of the fastest (largest) axis
                        and one slice sum per step of the others
@@ -28,7 +28,7 @@ runs over i = 1..|r|: each species contributes one run, built by one
                        difference table of f(0..|r|), each rising factorial
                        run (x)_{r_i} = perm(x+r_i-1, r_i) from ``math.perm``
   recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
-                       merged left to right one species at a time by the
+                       merged one species at a time, smallest first, by the
                        two-factor linearization (the binom2 identity); then
                        the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
   hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k;
@@ -46,8 +46,8 @@ value an ``int``: each division goes through ``_exact``, where a nonzero
 remainder raises ArithmeticError naming its k instead of being rounded.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
-(safe for concurrent use), keyed by the sorted nonzero sizes of one
-composition, never by k, and bounded:
+(safe for concurrent use), keyed by ``Composition.species`` (the sorted
+nonzero sizes), never by k, and bounded:
 
   _geom_minus_one_powers  genfun: [x^r] (G - 1)^k, k = 1..|r|    1024 entries
 
@@ -82,7 +82,7 @@ class ShapeError(ValueError):
 class Composition:
     """Tuple of nonnegative species sizes with positive total."""
 
-    __slots__ = ("parts", "m", "total")
+    __slots__ = ("parts", "m", "total", "species")  # species: the nonzero parts, sorted
 
     def __init__(self, parts: Sequence[int]):
         parts = tuple(map(as_int, parts))
@@ -95,6 +95,7 @@ class Composition:
         self.parts: Tuple[int, ...] = parts
         self.m: int = len(parts)
         self.total: int = sum(parts)
+        self.species: Tuple[int, ...] = tuple(sorted(p for p in parts if p))
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
@@ -104,9 +105,6 @@ class Composition:
         except ValueError:
             raise ValueError(f"cannot parse composition from {text!r}") from None
         return cls(parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Composition) and self.parts == other.parts
@@ -280,10 +278,9 @@ def _entiere(r: Composition) -> List[int]:
     # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l): term j is
     # species j's C(i+r_j-1, r_j-1) run times every other species' run; a zero
     # species' term vanishes and its run is all ones
-    parts = [p for p in r.parts if p]
-    runs = [list(_multichoose_run(rl, r.total)) for rl in parts]
+    runs = [list(_multichoose_run(rl, r.total)) for rl in r.species]
     q = [0] * r.total
-    for j, rj in enumerate(parts):
+    for j, rj in enumerate(r.species):
         term = map(math.comb, range(rj, rj + r.total), repeat(rj - 1))
         for run in runs[:j] + runs[j + 1:]:
             term = map(mul, term, run)
@@ -330,14 +327,13 @@ def _scaled_by_total(r: Composition, e: Iterable[int], denom: int = 1) -> List[i
 
 def _genfun(r: Composition) -> List[int]:
     # G is symmetric and a zero cap drops its variable, so the box is taken
-    # over the sorted nonzero sizes: the largest radix is the fastest axis
-    return _scaled_by_total(r, _geom_minus_one_powers(tuple(sorted(p for p in r.parts if p))))
+    # over the species: the largest radix is the fastest axis
+    return _scaled_by_total(r, _geom_minus_one_powers(r.species))
 
 
 def _inclusion_exclusion(r: Composition) -> List[int]:
     # c_k = |r| S_k / (k prod r_j) over the nonzero species
-    stripped = [p for p in r.parts if p > 0]
-    return _scaled_by_total(r, _seating_s(stripped, r.total)[1:], math.prod(stripped))
+    return _scaled_by_total(r, _seating_s(r.species, r.total)[1:], math.prod(r.species))
 
 
 def _finite_diff(r: Composition) -> List[int]:
@@ -354,7 +350,7 @@ def _recurrence(r: Composition) -> List[int]:
     # prod mc(x, r_i) = sum_s w_s mc(x, s), mc(x, n) = C(x+n-1, n), merging one
     # species b into w at a time by mc(x, a) mc(x, b) = sum_l t_l mc(x, a+b-l),
     # t_l = (-1)^l C(a+b-l; l, a-l, b-l); then e_k = sum_s w_s C(s-1, k-1)
-    first, *rest = (p for p in r.parts if p > 0)
+    first, *rest = r.species
     w = [0] * (r.total + 1)
     w[first] = 1
     for b in rest:
@@ -395,7 +391,7 @@ C_METHODS = tuple(_KERNELS)
 def _kernel(r: Composition, method: str):
     """The route's kernel, after checking the method and its shape rule."""
     if method not in _KERNELS:
-        raise ValueError(f"c_coeff: unknown method {method!r}")
+        raise ValueError(f"unknown c_k method {method!r}; known methods: {', '.join(C_METHODS)}")
     if method == "hyp3f2" and r.m != 2:
         raise ShapeError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
     if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > GENFUN_STEPS_MAX:

@@ -46,16 +46,16 @@ partition-sum id, before `sweep` runs any instance.
 The brute-force oracle sides of linm, linbin and linlas (transversal
 partitions, covering choices by sets and by multisets) come from
 `_oracle_counts(kind, parts)`, one bounded `lru_cache` (128 entries) keyed
-by the oracle and the sorted nonzero species sizes: an oracle count depends
-only on that multiset, so each permutation or zero padding of a composition
-reads one enumeration.  Each instance still builds its own closed form and
-product polynomial and compares them with the counts; none is inferred from
-another.  The oracles keep no memo: they are the ground truth, enumerating
-every object, and reusing a count is this checker's choice.  The memo calls
-them through this module's globals, so a hook or monkeypatch on them sees
-each enumeration it makes.  After one `identity_sweep` benchmark list it
-holds 71 entries (22 for each covering mode, 27 for linm), read by 537
-instances.
+by the oracle and `Composition.species`, the sorted nonzero species sizes:
+an oracle count depends only on that multiset, so each permutation or zero
+padding of a composition reads one enumeration.  Each instance still builds
+its own closed form and product polynomial and compares them with the
+counts; none is inferred from another.  The oracles keep no memo: they are
+the ground truth, enumerating every object, and reusing a count is this
+checker's choice.  The memo calls them through this module's globals, so a
+hook or monkeypatch on them sees each enumeration it makes.  After one
+`identity_sweep` benchmark list it holds 71 entries (22 for each covering
+mode, 27 for linm), read by 537 instances.
 
 Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
@@ -214,11 +214,6 @@ def _check_waring_budget(caps: Sequence[int], t_max: int) -> None:
 TRANSVERSAL_T_MAX = 7
 
 
-def _species_key(r: Composition) -> Tuple[int, ...]:
-    """The nonzero species sizes of r, sorted: the `_oracle_counts` key."""
-    return tuple(sorted(p for p in r.parts if p))
-
-
 @lru_cache(maxsize=128)
 def _oracle_counts(kind: str, parts: Tuple[int, ...]) -> Tuple[int, ...]:
     """The oracle's counts at k = 1..|parts|: transversal partitions if kind is
@@ -331,7 +326,7 @@ def _check_linm(r: Composition) -> List[Pair]:
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
         pairs.append((lhs, from_falling_basis(closed)))
     if r.total <= TRANSVERSAL_T_MAX:
-        oracle = dict(enumerate(_oracle_counts("transversal", _species_key(r)), 1))
+        oracle = dict(enumerate(_oracle_counts("transversal", r.species), 1))
         pairs.append((lhs, from_falling_basis(oracle)))
     return pairs
 
@@ -353,7 +348,7 @@ def _check_linbin(r: Composition) -> List[Pair]:
     if r.m == 2:
         sides.append(_two_factor(*r.parts, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        sides.append([0, *_oracle_counts("set", _species_key(r))])
+        sides.append([0, *_oracle_counts("set", r.species)])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 
@@ -362,7 +357,7 @@ def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.total <= COVERING_K_MAX:
-        sides.append([0, *_oracle_counts("multiset", _species_key(r))])
+        sides.append([0, *_oracle_counts("multiset", r.species)])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]
 
 

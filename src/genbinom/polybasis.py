@@ -116,9 +116,6 @@ class UPoly:
                 out[i + j] += x * y
         return UPoly._of(out, self.den * other.den)
 
-    def __rmul__(self, other) -> "UPoly":
-        return self.scale(other)
-
     def scale(self, value: Rat) -> "UPoly":
         num, den = value.numerator, value.denominator
         return UPoly._of([c * num for c in self.coeffs], self.den * den)

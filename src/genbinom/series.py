@@ -68,9 +68,6 @@ class MPoly:
             return NotImplemented
         return self.caps == other.caps and self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash((self.caps, frozenset(self.terms.items())))
-
     def __repr__(self) -> str:
         return f"MPoly(caps={self.caps}, terms={len(self.terms)})"
 
@@ -120,9 +117,6 @@ class MPoly:
         out = MPoly(caps)
         out.terms = terms
         return out
-
-    def __rmul__(self, other) -> "MPoly":
-        return self.scale(other)
 
     def scale(self, value: Rat) -> "MPoly":
         out = MPoly(self.caps)
@@ -178,19 +172,10 @@ def geom_inverse_product(caps: Sequence[int]) -> MPoly:
 
 
 def homogeneous_h(n: int, caps: Sequence[int]) -> MPoly:
-    """Complete homogeneous symmetric polynomial h_n, truncated to caps.
-
-    Built by dynamic programming, adding one variable at a time, rather
-    than by enumerating all degree-n monomials up front.
-    """
+    """Complete homogeneous symmetric polynomial h_n, truncated to caps: the
+    degree-n slice of the box, every exponent vector within the caps that
+    sums to n, with coefficient 1."""
     if n < 0:
         raise ValueError(f"homogeneous_h: n must be nonnegative, got {n}")
     caps = tuple(map(as_int, caps))
-    prefixes: Dict[Expt, int] = {(): 0}  # exponent prefix -> total degree
-    for cap in caps:
-        nxt: Dict[Expt, int] = {}
-        for pre, d in prefixes.items():
-            for e in range(min(cap, n - d) + 1):
-                nxt[pre + (e,)] = d + e
-        prefixes = nxt
-    return MPoly(caps, {e: 1 for e, d in prefixes.items() if d == n})
+    return MPoly(caps, {e: 1 for e in product(*(range(c + 1) for c in caps)) if sum(e) == n})

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -403,3 +404,18 @@ def test_commands_import_only_what_they_run():
     assert seen["dir"] == []
     with pytest.raises(AttributeError):
         genbinom.no_such_name
+
+
+def test_closed_stdout_exits_141_quietly():
+    # the grid prints about 430 KB, far over the 64 KB pipe and the 8 KB
+    # buffer, so the writer is still printing when the reader stops after
+    # one line, as `| head -1` does
+    src = Path(genbinom.__file__).resolve().parent.parent
+    argv = ["verify", "--id", "las", "--n-max", "20", "--m-max", "4", "--r-max", "3"]
+    with subprocess.Popen([sys.executable, "-m", "genbinom.cli", *argv], cwd=src, env={**os.environ, "PYTHONPATH": str(src)},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, stdin=subprocess.DEVNULL) as proc:
+        assert proc.stdout.readline().startswith(b'{"id":"las"')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (141, b"")

@@ -45,6 +45,20 @@ def test_composition_validation():
         Composition.parse("2,x")
 
 
+def test_composition_species_is_sorted_nonzero_parts():
+    for r in iter_compositions(4, 3):
+        assert r.species == tuple(sorted(p for p in r.parts if p)), r
+
+
+@pytest.mark.parametrize("call", [lambda: c_table((2, 1), "bogus"), lambda: c_coeff((2, 1), 1, "bogus")])
+def test_unknown_method_lists_the_known_ones(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    message = str(info.value)
+    assert "'bogus'" in message and all(m in message for m in C_METHODS)
+    assert "c_coeff" not in message and "c_table" not in message
+
+
 def test_c_single_species():
     r = Composition([3])
     assert c_coeff(r, 2) == 3

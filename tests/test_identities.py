@@ -596,7 +596,7 @@ def cold_oracle_memo():
 def test_oracles_invariant_under_permuting_and_padding_species():
     # each oracle count depends only on the multiset of nonzero species sizes
     for r in iter_compositions(3, 3):
-        key = Composition(identities._species_key(r))
+        key = Composition(r.species)
         for k in range(1, r.total + 2):  # |r| + 1 has no partition into k blocks
             assert oracle_transversal_partitions(r, k) == oracle_transversal_partitions(key, k), (r, k)
         if r.total <= 8:  # the covering oracle's budget

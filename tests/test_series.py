@@ -1,10 +1,13 @@
 from fractions import Fraction
+from itertools import product
+from typing import Dict, Sequence
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbinom.series import MPoly, geom_inverse_product, homogeneous_h
+from genbinom.exactnum import as_int
+from genbinom.series import Expt, MPoly, geom_inverse_product, homogeneous_h
 
 
 def test_truncated_square():
@@ -95,6 +98,33 @@ def test_homogeneous_h_matches_z_extraction():
                 prod = prod * MPoly(aug, terms)
             got = {e[1:]: c for e, c in prod.terms.items() if e[0] == n}
             assert MPoly(caps, got) == homogeneous_h(n, caps)
+
+
+def _ref_homogeneous_h(n: int, caps: Sequence[int]) -> MPoly:
+    """Complete homogeneous symmetric polynomial h_n, truncated to caps.
+
+    Built by dynamic programming, adding one variable at a time, rather
+    than by enumerating all degree-n monomials up front.
+    """
+    if n < 0:
+        raise ValueError(f"homogeneous_h: n must be nonnegative, got {n}")
+    caps = tuple(map(as_int, caps))
+    prefixes: Dict[Expt, int] = {(): 0}  # exponent prefix -> total degree
+    for cap in caps:
+        nxt: Dict[Expt, int] = {}
+        for pre, d in prefixes.items():
+            for e in range(min(cap, n - d) + 1):
+                nxt[pre + (e,)] = d + e
+        prefixes = nxt
+    return MPoly(caps, {e: 1 for e, d in prefixes.items() if d == n})
+
+
+def test_homogeneous_h_matches_prefix_dp_reference():
+    # the box slice against the prefix DP it replaced, one degree past the box too
+    for m in range(4):
+        for caps in product(range(7), repeat=m):
+            for n in range(sum(caps) + 2):
+                assert homogeneous_h(n, caps).terms == _ref_homogeneous_h(n, caps).terms, (n, caps)
 
 
 small_fraction = st.fractions(
