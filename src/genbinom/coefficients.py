@@ -31,13 +31,16 @@ runs over i = 1..|r|: each species contributes one run, built by one
                        merged one species at a time, smallest first, by the
                        two-factor linearization (the binom2 identity); then
                        the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
-  hyp3f2               terminating 3F2 evaluation (m = 2 only), one per k;
-                       the evaluator builds its term-ratio runs whole
+  hyp3f2               c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
+                       (m = 2 only): c_1, c_2 from the evaluator, then the
+                       three-term relation in k of these continuous dual
+                       Hahn polynomials, one exact integer step per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
-one.  The others stay as independent cross-checks.  A route's shape rule is
-checked before its kernel runs, and breaking it raises ShapeError: hyp3f2
-needs m = 2, genfun at most GENFUN_STEPS_MAX box steps |r| * prod (r_i + 1).
+route that takes every shape.  The others stay as independent cross-checks.
+A route's shape rule is checked before its kernel runs, and breaking it
+raises ShapeError: hyp3f2 needs m = 2, genfun at most GENFUN_STEPS_MAX box
+steps |r| * prod (r_i + 1).
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
@@ -369,11 +372,19 @@ def _recurrence(r: Composition) -> List[int]:
 
 
 def _hyp3f2(r: Composition) -> List[int]:
-    # c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
+    # c_k = (-1)^(k-1) |r| F_(k-1), F_n = 3F2(-n, r_1+1, r_2+1; 2, 1; 1), a continuous
+    # dual Hahn polynomial in n (Koekoek-Lesky-Swarttouw (9.3.3) with a + b = 2,
+    # a + c = 1, a^2 + x^2 = R): c_1, c_2 from the evaluator, then for n = 1..|r|-2
+    # A_n c_(n+2) = (R - A_n - C_n) c_(n+1) - C_n c_n,
+    # A_n = (n+1)(n+2), C_n = n(n - |r|), R = (r_1+1)(r_2+1)
     r1, r2 = r.parts
-    values = [hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1) for k in range(1, r.total + 1)]
-    signed = [(-1) ** i * r.total * v.numerator for i, v in enumerate(values)]  # i = k - 1
-    return _exact(signed, [v.denominator for v in values])
+    values = [hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1) for k in range(1, min(2, r.total) + 1)]
+    c = _exact([(-1) ** i * r.total * v.numerator for i, v in enumerate(values)], [v.denominator for v in values])
+    big_r = (r1 + 1) * (r2 + 1)
+    for n in range(1, r.total - 1):  # c[n] is c_(n+1)
+        a, cn = (n + 1) * (n + 2), n * (n - r.total)
+        c += _exact([(big_r - a - cn) * c[n] - cn * c[n - 1]], [a], n + 2)
+    return c
 
 
 _KERNELS = {

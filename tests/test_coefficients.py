@@ -128,6 +128,11 @@ def test_routes_agree_on_large_compositions():
         ((20,) * 6, [m for m in AGREEING if m != "genfun"]),
         ((12, 9, 7, 5), AGREEING),
         ((17, 13), list(C_METHODS)),
+        # hyp3f2's three-term relation in k, with a zero species and past the
+        # per-k series' reach
+        ((0, 40), ["inclusion_exclusion", "hyp3f2"]),
+        ((45, 1), ["inclusion_exclusion", "hyp3f2"]),
+        ((200, 150), ["inclusion_exclusion", "hyp3f2"]),
     ]
     for parts, methods in cases:
         r = Composition(parts)
@@ -402,6 +407,40 @@ def test_route_kernels_match_per_k_formulas(method):
         assert c_coeff(r, k, method) == table[k]
 
 
+def _f3(n, r1, r2):
+    """F_n = 3F2(-n, r_1+1, r_2+1; 2, 1; 1), c_(n+1) = (-1)^n |r| F_n."""
+    return hypergeom_terminating([-n, r1 + 1, r2 + 1], [2, 1], 1)
+
+
+def test_hyp3f2_relation_in_k_is_proved():
+    # Residual of the relation hyp3f2 runs: A_n F_(n+1) - (A_n + C_n - R) F_n
+    # + C_n F_(n-1), A_n = (n+1)(n+2), C_n = n(n - r_1 - r_2), R = (r_1+1)(r_2+1).
+    # Term j of F_n carries (r_1+1)_j (r_2+1)_j, j <= n, so F_n has degree at
+    # most n in each of r_1 and r_2, and the residual at most n+1 in each.  A
+    # polynomial of degree <= n+1 in each variable that vanishes on the tensor
+    # grid {0..n+1}^2 is zero (one variable at a time: n+2 roots), so each
+    # checked n holds for every r, not only for the sampled ones.
+    for n in range(1, 25):
+        a = (n + 1) * (n + 2)
+        for r1, r2 in itertools.product(range(n + 2), repeat=2):
+            cn, big_r = n * (n - r1 - r2), (r1 + 1) * (r2 + 1)
+            residual = a * _f3(n + 1, r1, r2) - (a + cn - big_r) * _f3(n, r1, r2) + cn * _f3(n - 1, r1, r2)
+            assert residual == 0, (n, r1, r2)
+    # n = 0 (C_0 = 0): c_2 = -|r| F_1 = |r| (R - 2) / 2, degree 2 in each r_i
+    for r1, r2 in itertools.product(range(3), repeat=2):
+        assert -(r1 + r2) * _f3(1, r1, r2) == Fraction((r1 + r2) * ((r1 + 1) * (r2 + 1) - 2), 2)
+
+
+def test_hyp3f2_matches_per_k_evaluator():
+    # every entry the relation gives is the series the route used to sum for it
+    for r in iter_compositions(2, 30):
+        if r.m == 2:
+            table = c_table(r, "hyp3f2").values
+            assert list(table) == list(range(1, r.total + 1))
+            for k, value in table.items():
+                assert value == (-1) ** (k - 1) * r.total * _f3(k - 1, *r.parts), (r, k)
+
+
 @st.composite
 def _boxes(draw):
     """A mixed-radix box of 1 to 5 axes, radix 1 (a cap of 0) included, and
@@ -652,8 +691,8 @@ def _bump(f, index):
 
 
 # Each case perturbs one intermediate of a division so that entry k = 2 of
-# r = (2, 1) leaves a remainder (for hyp3f2 every entry, so k = 1 is named
-# first).  entiere never divides, so it has no case.
+# r = (2, 1) leaves a remainder (for hyp3f2 both evaluator seeds, so k = 1 is
+# named first).  entiere never divides, so it has no case.
 _R = Composition([2, 1])
 _REMAINDER_CASES = {
     "explicit": ("forward_differences", 1, lambda: c_table(_R, "explicit")),
@@ -684,3 +723,16 @@ def test_remainder_raises_and_is_never_rounded(monkeypatch, case):
         monkeypatch.setattr(coefficients, name, _bump(real, index))
     with pytest.raises(ArithmeticError, match=r"\bk=1\b" if case == "hyp3f2" else r"\bk=2\b"):
         call()
+
+
+def test_hyp3f2_wrong_seed_trips_the_relation(monkeypatch):
+    # only the k = 2 series is off, F_1 - 1/3: c_2 of r = (2, 1) becomes
+    # -3 (-2 - 1/3) = 7, not 6, a whole number; the first relation step then
+    # divides (R - A_1 - C_1) c_2 - C_1 c_1 = 2 * 7 + 2 * 3 = 20 by A_1 = 6
+    real = coefficients.hypergeom_terminating
+    monkeypatch.setattr(
+        coefficients, "hypergeom_terminating",
+        lambda numer, denom, z: real(numer, denom, z) - (Fraction(1, 3) if numer[0] == -1 else 0),
+    )
+    with pytest.raises(ArithmeticError, match=r"\bk=3\b"):
+        c_table(_R, "hyp3f2")
