@@ -22,9 +22,10 @@ per power of t.  Supported identity ids:
   binom2      two-factor normalized linearization with alternating signs
   injections  cycle-count polynomial of injections vs a rising factorial
 
-Each univariate right side is one `newton_sum` over its coefficients on
-binomial(X+n-1, j), binomial(X+j-1, j) or binomial(X, j); product sides keep
-the basis constructors' own loops, so no identity's two sides share code.
+Each univariate right side is one `newton_sum` on binomial(X+n-1, j),
+binomial(X+j-1, j) or binomial(X, j), over integer numerators and one
+denominator (|r|, lcm(1..n) or lcm(1..p)), so no side builds a Fraction;
+product sides keep the basis constructors' own loops: no two sides share code.
 The checker inputs (species products, partition sums, the las0pp and
 two-factor coefficient lists) are whole integer runs, `math.comb` mapped over
 ranges and multiplied entrywise, built in this module: they share no code
@@ -70,9 +71,8 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _cartesian, repeat
+from itertools import accumulate, product as _cartesian, repeat
 from operator import mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -94,7 +94,8 @@ from .oracles import (
     oracle_transversal_partitions,
 )
 from .partitions import ferrers_poly, partitions_of
-from .polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly
+from .polybasis import (
+    UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
 from .series import MPoly, homogeneous_h
 
 
@@ -186,13 +187,13 @@ def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | No
 
 
 # waring builds one c_table per point of its box, prod(cap_i + 1) points, then
-# enumerates every partition of each size up to |caps| and takes one truncated
-# MPoly product per partition with at most t_max parts.  A box over
-# WARING_BOX_MAX, or a |caps| or t_max over WARING_DEGREE_MAX, is rejected
-# before any of it.  The largest accepted instances, cold, take 2.7 s: caps
-# (15, 15) or (10, 20) at t_max 30; (15, 15) at t_max 4, as the CLI runs it,
-# takes 0.5 s.  Over budget, (3,3,3,3,3,3) at t_max 4 took 24 s and (63,) 23 s
-# (Python 3.11, 2-core Xeon VM).
+# enumerates the partitions of each size up to |caps| with at most t_max parts,
+# as conjugates of those with parts <= t_max, and takes one truncated MPoly
+# product per partition.  A box over WARING_BOX_MAX, or a |caps| or t_max over
+# WARING_DEGREE_MAX, is rejected before any of it.  The largest accepted
+# instances, cold, take 1.8 s: caps (15, 15) or (10, 20) at t_max 30; (15, 15)
+# at t_max 4, as the CLI runs it, takes 0.3 s.  Over budget, (3,3,3,3,3,3) at
+# t_max 4 took 24 s and (63,) 23 s (Python 3.11, 2-core Xeon VM).
 WARING_BOX_MAX = 256
 WARING_DEGREE_MAX = 30
 
@@ -233,7 +234,7 @@ Pair = Tuple[object, object]
 
 def _check_las(n: int, r: Composition) -> List[Pair]:
     c = c_table(r).values
-    return [(_las_lhs(n, r), newton_sum(1 - n, 1, [Fraction(c.get(k, 0), r.total) for k in range(n, 0, -1)]))]
+    return [(_las_lhs(n, r), newton_sum(1 - n, 1, [c.get(k, 0) for k in range(n, 0, -1)], r.total))]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
@@ -242,56 +243,56 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     # each, at one j-chair table, so F is prod(r) times the species products
     rprod = math.prod(r.parts)
     F = [rprod * x for x in _species_products(n, r)]
-    lhs = UPoly(_partition_sum(n, F))
+    lhs = UPoly._of(_partition_sum(n, F))
     # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c and S
     # forms, of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
     nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
-    form_c = [Fraction(c.get(k, 0) * nfact * rprod, r.total) for k in range(n, 0, -1)]
+    form_c = [c.get(k, 0) * nfact * rprod for k in range(n, 0, -1)]
     form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
+    return [(lhs, newton_sum(1 - n, 1, form_c, r.total)), (lhs, newton_sum(1 - n, 1, form_s)),
             (lhs, newton_sum(0, -1, form_f))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
-    P = _species_products(n, r)
-    return [(_las_lhs(n, r, P=P), newton_sum(0, -1, [Fraction(P[k], k) for k in range(n, 0, -1)]))]
+    P, L = _species_products(n, r), math.lcm(*range(1, n + 1))
+    return [(_las_lhs(n, r, P=P), newton_sum(0, -1, [P[k] * (L // k) for k in range(n, 0, -1)], L))]
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
-    P = _species_products(n, r)
-    # a[p-k], on binomial(X+p-k-1, p-k), is 1/k sum_j C(j-1, k-1) mchoose(p-k, n-p-j+k) P_j
+    P, L = _species_products(n, r), math.lcm(*range(1, p + 1))
+    # a[p-k] over L, on binomial(X+p-k-1, p-k), is L/k sum_j C(j-1, k-1) mchoose(p-k, n-p-j+k) P_j
     # over j = k..n-p+k, where mchoose(a, q) = C(a+q-1, q) counts multisets: at k = p
     # only j = n is nonzero, below it the term is C(j-1, k-1) C(n-1-j, p-1-k) P_j
-    a = [Fraction(math.comb(n - 1, p - 1) * P[n], p)]
+    a = [math.comb(n - 1, p - 1) * P[n] * (L // p)]
     for k in range(p - 1, 0, -1):
         up = map(math.comb, range(k - 1, n - p + k), repeat(k - 1))  # C(j-1, k-1), j = k..n-p+k
         down = map(math.comb, range(n - 1 - k, p - 2 - k, -1), repeat(p - 1 - k))  # C(n-1-j, p-1-k)
-        a.append(Fraction(sum(map(mul, map(mul, up, down), P[k:n - p + k + 1])), k))
-    return [(_las_lhs(n, r, p, P), newton_sum(0, -1, a))]
+        a.append(sum(map(mul, map(mul, up, down), P[k:n - p + k + 1])) * (L // k))
+    return [(_las_lhs(n, r, p, P), newton_sum(0, -1, a, L))]
 
 
 def _check_mac(n: int) -> List[Pair]:
     # sum_j m_j(mu) = l(mu), so g = 1 weights each mu by its length
-    nfact = factorial(n)
-    deriv = [Fraction(s, nfact) for s in _partition_sum(n, [1] * (n + 1))]
-    body = [0] + [d / l for l, d in enumerate(deriv, 1)]
+    nfact, L = factorial(n), math.lcm(*range(1, n + 1))
+    sums = _partition_sum(n, [1] * (n + 1))  # the derivative's X^(l-1) numerators over n!
+    body = UPoly._of([0] + [s * (L // l) for l, s in enumerate(sums, 1)], nfact * L)  # X^l / l, over n! L
     return [
-        (UPoly(body), newton_sum(1 - n, 1, [0] * n + [1])),
-        (UPoly(deriv), newton_sum(1 - n, 1, [Fraction((-1) ** (k - 1), k) for k in range(n, 0, -1)])),
+        (body, newton_sum(1 - n, 1, [0] * n + [1])),
+        (UPoly._of(sums, nfact), newton_sum(1 - n, 1, [(-1) ** (k - 1) * L // k for k in range(n, 0, -1)], L)),
     ]
 
 
 def _check_lemma1(n: int) -> List[Pair]:
     # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)) against
     # sum_k binomial(X+n-1, n-k) (y-1)^k / k: one UPoly pair in X per power y^j
-    rows = _class_table(n)[1:]
+    rows, nfact, L = _class_table(n)[1:], factorial(n), math.lcm(*range(1, n + 1))
     pairs: List[Pair] = []
     for j in range(n + 1):
         # row l has n+2-l entries, so the rows too short for column j are a suffix
         col = [row[j] if j else -sum(row) for row in rows if j < len(row)]
-        a = [Fraction((-1) ** (k + j) * binomial(k, j), k) for k in range(n, 0, -1)]
-        pairs.append((UPoly(col).scale(Fraction(1, factorial(n))), newton_sum(1 - n, 1, a)))
+        a = [(-1) ** (k + j) * binomial(k, j) * (L // k) for k in range(n, 0, -1)]
+        pairs.append((UPoly._of(col, nfact), newton_sum(1 - n, 1, a, L)))
     return pairs
 
 
@@ -308,13 +309,18 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     h_lam = {(): MPoly.const(caps, 1)}
     rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
     for size in h:
-        for mults, length, _ in partitions_of(size):
-            if length <= t_max:
-                part, mult = mults[-1]
-                less = mults[:-1] + ((part, mult - 1),) if mult > 1 else mults[:-1]
-                h_lam[mults] = h_lam[less] * h[part]
-                coef = Fraction(size * factorial(length - 1), math.prod(factorial(m) for _, m in mults))
-                rhs[length] = rhs[length] + h_lam[mults].scale(coef)
+        # lambda = mu', at most t_max parts: its parts are the running counts of mu's, their
+        # multiplicities the gaps between mu's parts, and l(lambda) is mu's largest part
+        for mu, _, _ in partitions_of(size, t_max):
+            gaps = [a - b for (a, _), (b, _) in zip(mu, mu[1:] + ((0, 0),))]
+            mults, length = tuple(zip(accumulate(m for _, m in mu), gaps))[::-1], mu[0][0]
+            part, mult = mults[-1]
+            less = mults[:-1] + ((part, mult - 1),) if mult > 1 else mults[:-1]
+            h_lam[mults] = h_lam[less] * h[part]
+            coef, rem = divmod(size * factorial(length - 1), math.prod(map(factorial, gaps)))
+            if rem:
+                raise ArithmeticError(f"waring: |lambda| (l-1)!/prod m_j! is not an integer at lambda = {mults}")
+            rhs[length] = rhs[length] + h_lam[mults].scale(coef)
     return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
 
 
@@ -353,7 +359,7 @@ def _check_linbin(r: Composition) -> List[Pair]:
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
-    lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
+    lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.total <= COVERING_K_MAX:
@@ -363,8 +369,7 @@ def _check_linlas(r: Composition) -> List[Pair]:
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     r1, r2 = Composition((r1, r2)).parts  # the rule sweep's grid applies: no empty pair
-    lhs = rising_poly(r1).scale(Fraction(1, factorial(r1))) * rising_poly(r2).scale(Fraction(1, factorial(r2)))
-    # rising(X, i)/i! = binomial(X+i-1, i)
+    lhs = shifted_binom_poly(r1, 0) * shifted_binom_poly(r2, 0)  # binomial(X+r_i-1, r_i)
     return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
 
 

@@ -18,10 +18,13 @@ import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 
-def partitions_of(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
+def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
     """Yield (mults, length, z) for every partition of n exactly once, in
     reverse-lexicographic order: mults lists the (part, multiplicity) pairs
     by decreasing part, length is l(mu) and z the centralizer size z_mu.
+    A max_part t >= 1 keeps those with parts <= t, the conjugates of those
+    with at most t parts: the walk starts at (t^q, rest), n = q t + rest, the
+    first of them in this order, so it visits only their suffix.
 
     This is the multiplicity form of Zoghbi and Stojmenovic's ZS1 (1998;
     Knuth, TAOCP 4A, 7.2.1.4): the next partition takes one copy of the
@@ -31,8 +34,8 @@ def partitions_of(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, in
     no object is built.  n = 0 yields the empty partition; the fixed order
     keeps sweep logs diffable.
     """
-    if n < 0:
-        raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
+    if n < 0 or (max_part is not None and max_part < 1):
+        raise ValueError(f"partitions_of: need n >= 0 and max_part >= 1, got n={n}, max_part={max_part}")
     mults: List[Tuple[int, int]] = []
     prefix = [(0, 1)]  # (length, z) of mults[:i], i = 0..len(mults)
 
@@ -45,8 +48,12 @@ def partitions_of(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, in
         prefix.pop()
         return mults.pop()
 
-    if n:
-        push(n, 1)
+    top = min(max_part or n, n)
+    if top:
+        q, rest = divmod(n, top)
+        push(top, q)
+        if rest:
+            push(rest, 1)
     while True:
         yield (tuple(mults), *prefix[-1])
         ones = pop()[1] if mults and mults[-1][0] == 1 else 0

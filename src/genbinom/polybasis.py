@@ -6,9 +6,9 @@ all of its arithmetic is integer work.  The module also provides the
 factorial bases (falling, rising, shifted binomial), each its own product
 loop; `delta_at_zero`, the forward difference at zero as one alternating
 sum; and `newton_sum`/`newton_coeffs`, the one Newton-form pair (Horner's
-rule, synthetic division) behind every basis expansion, the falling-factorial
-conversions included.  Identities elsewhere in the package are decided by
-exact coefficientwise comparison of these polynomials in the monomial basis.
+rule, synthetic division) behind every basis expansion.  `newton_sum` takes
+its coefficients in `UPoly`'s layout, integers over one denominator.  The
+package's identities compare these polynomials coefficient by coefficient.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def shifted_binom_poly(n: int, k: int) -> UPoly:
     degree n-k, for 0 <= k <= n."""
     if not 0 <= k <= n:
         raise ValueError(f"shifted_binom_poly: need 0 <= k <= n, got n={n}, k={k}")
-    return rising_poly(n - k, shift=k).scale(Fraction(1, factorial(n - k)))
+    return UPoly._of(list(rising_poly(n - k, shift=k).coeffs), factorial(n - k))
 
 
 def binom_poly(k: int) -> UPoly:
@@ -208,26 +208,23 @@ def delta_at_zero(p: UPoly, k: int) -> Fraction:
     return acc
 
 
-def newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
-    """sum_j a[j] prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
+def newton_sum(start: int, step: int, nums: Sequence[int], den: int = 1) -> UPoly:
+    """sum_j nums[j]/den prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
     binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
-    at (1-n, 1).  Horner's rule on the integers b_j = a[j] L d!/j!, with L the
-    lcm of a's denominators and d = len(a) - 1, then one division by L d!."""
-    den = math.lcm(*(x.denominator for x in a))
-    acc: List[int] = []
-    ratio = 1  # d!/j!
-    for j in range(len(a) - 1, -1, -1):
-        b = a[j].numerator * (den // a[j].denominator) * ratio
+    at (1-n, 1); integer nums over one den > 0, `UPoly`'s layout.  Horner's rule
+    on the integers b_j = nums[j] d!/j!, d = len(nums) - 1, then one division by den d!."""
+    acc, ratio = [], 1  # the Horner numerators, and d!/j!
+    for j in range(len(nums) - 1, -1, -1):
         s = start + j * step
-        acc = [x - s * y for x, y in zip([b] + acc, acc + [0])]  # acc * (X - s) + b
+        acc = [x - s * y for x, y in zip([nums[j] * ratio] + acc, acc + [0])]  # acc * (X - s) + b_j
         ratio *= j or 1
     return UPoly._of(acc, den * ratio)
 
 
 def newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
-    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p:
-    the numerators divided by X - s_0, the quotient by X - s_1, and so on,
-    synthetically; the j-th remainder is a[j] den / j!."""
+    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p
+    for a over their lcm: the numerators divided by X - s_0, the quotient by
+    X - s_1, and so on, synthetically; the j-th remainder is a[j] den / j!."""
     nums, out, jfact = list(p.coeffs), [], 1
     for j in range(len(nums)):
         jfact *= j or 1
@@ -248,4 +245,5 @@ def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
 def from_falling_basis(coeffs: Dict[int, Rat]) -> UPoly:
     """Reassemble sum_k A_k * falling(k) = sum_k A_k k! * binomial(X, k)."""
     a = [coeffs.get(k, 0) * factorial(k) for k in range(max(coeffs, default=-1) + 1)]
-    return newton_sum(0, 1, a)
+    den = math.lcm(*(x.denominator for x in a))
+    return newton_sum(0, 1, [x.numerator * (den // x.denominator) for x in a], den)

@@ -18,6 +18,7 @@ from genbinom.partitions import ferrers_choose, partitions_of
 from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_sum, rising_poly, shifted_binom_poly
 from genbinom.series import MPoly, homogeneous_h
 from test_partitions import partition_objects, z_mu
+from test_polybasis import _over_lcm
 
 
 def test_las_example():
@@ -511,6 +512,28 @@ def test_wrong_basis_fails(monkeypatch, ident, basis, params):
     assert verify(ident, **params).status == "failed"
 
 
+def test_partition_sum_and_waring_checkers_build_no_fraction(monkeypatch):
+    # right sides are integer numerators over one denominator and waring's
+    # weights checked integer quotients: a counting wrapper on Fraction.__new__,
+    # installed as bench/tracer.py installs its own, sees no construction
+    made = []
+    new = Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    instances = [("las", dict(n=5, r=(2, 1))), ("las0p", dict(n=5, r=(2, 1))),
+                 ("las0pp", dict(n=5, p=2, r=(2, 1))), ("bigeq", dict(n=5, r=(2, 1))),
+                 ("mac", dict(n=6)), ("lemma1", dict(n=5)), ("waring", dict(caps=(2, 1), t_max=3))]
+    identities._class_tables.cache_clear()  # the tables too are built under the counter
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    reports = [verify(ident, **params) for ident, params in instances]
+    monkeypatch.undo()
+    assert [report.status for report in reports] == ["verified"] * len(instances)
+    assert made == []
+
+
 # The checker inputs as they were built with one call per entry, kept verbatim
 # as references for the integer runs that replaced them.
 
@@ -566,7 +589,7 @@ def test_las_inputs_match_per_entry_reference():
                 got, ref = identities._las_lhs(n, r, p), _ref_las_lhs(n, r, p)
                 assert (got.coeffs, got.den) == (ref.coeffs, ref.den), (n, r, p)
                 if p is not None:
-                    ref_pair = [(ref, identities.newton_sum(0, -1, _ref_las0pp_a(n, p, P)))]
+                    ref_pair = [(ref, identities.newton_sum(0, -1, *_over_lcm(_ref_las0pp_a(n, p, P))))]
                     assert _coeffs_den(identities._check_las0pp(n, p, r)) == _coeffs_den(ref_pair), (n, r, p)
 
 
@@ -686,7 +709,7 @@ def _ref_check_bigeq(n: int, r: Composition) -> List[Pair]:
     form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
     form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(lhs, newton_sum(1 - n, 1, form_c)), (lhs, newton_sum(1 - n, 1, form_s)),
+    return [(lhs, newton_sum(1 - n, 1, *_over_lcm(form_c))), (lhs, newton_sum(1 - n, 1, form_s)),
             (lhs, newton_sum(0, -1, form_f))]
 
 

@@ -229,6 +229,29 @@ def test_partition_mults_rejects_negative():
         next(partitions_of(-1))
 
 
+def _conjugate(mults) -> Tuple[int, ...]:
+    """The parts of the conjugate of the partition with (part, multiplicity)
+    pairs mults: its i-th part counts the parts >= i."""
+    parts = [part for part, mult in mults for _ in range(mult)]
+    return tuple(sum(1 for q in parts if q >= i) for i in range(1, (parts or [0])[0] + 1))
+
+
+def test_max_part_walks_the_bounded_suffix():
+    # ZS1 started at (t^q, rest), n = q t + rest, walks exactly the suffix of the
+    # unbounded order whose parts are <= t, with the same length and z; their
+    # conjugates are exactly the partitions with at most t parts
+    for n in range(26):
+        full = list(partitions_of(n))
+        for t in range(1, 27):
+            got = list(partitions_of(n, t))
+            assert got == full[len(full) - len(got):], (n, t)
+            assert got == [row for row in full if all(part <= t for part, _ in row[0])], (n, t)
+            at_most_t = {tuple(mu.parts) for mu in partition_objects(n) if mu.length <= t}
+            assert {_conjugate(mults) for mults, _, _ in got} == at_most_t, (n, t)
+    with pytest.raises(ValueError):
+        next(partitions_of(3, 0))
+
+
 def test_ferrers_choose_matches_truncated_product():
     for n in range(13):
         for mu in partition_objects(n):

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given
@@ -376,6 +376,40 @@ def test_rising_poly_matches_linear_factor_product():
 # the Newton-form pair, against a direct Fraction evaluation of its sum
 # ---------------------------------------------------------------------------
 
+# reference: the former newton_sum on a list of rationals, kept verbatim
+# (renamed); the package's newton_sum takes integer numerators over one den
+def _ref_newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
+    """sum_j a[j] prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
+    binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
+    at (1-n, 1).  Horner's rule on the integers b_j = a[j] L d!/j!, with L the
+    lcm of a's denominators and d = len(a) - 1, then one division by L d!."""
+    den = math.lcm(*(x.denominator for x in a))
+    acc: List[int] = []
+    ratio = 1  # d!/j!
+    for j in range(len(a) - 1, -1, -1):
+        b = a[j].numerator * (den // a[j].denominator) * ratio
+        s = start + j * step
+        acc = [x - s * y for x, y in zip([b] + acc, acc + [0])]  # acc * (X - s) + b
+        ratio *= j or 1
+    return UPoly._of(acc, den * ratio)
+
+
+def _over_lcm(a: Sequence[Rat]) -> Tuple[List[int], int]:
+    """The rationals a as integer numerators over the lcm of their denominators,
+    the arguments newton_sum takes after its nodes."""
+    den = math.lcm(*(x.denominator for x in a))
+    return [x.numerator * (den // x.denominator) for x in a], den
+
+
+@given(st.sampled_from(["binomial", "multichoose", "shifted"]), st.integers(min_value=1, max_value=12),
+       st.lists(st.integers(), max_size=12), st.integers(min_value=1, max_value=10**6))
+def test_newton_sum_matches_fraction_reference(family, n, nums, den):
+    start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
+    got = newton_sum(start, step, nums, den)
+    want = _ref_newton_sum(start, step, [Fraction(x, den) for x in nums])
+    assert (got.coeffs, got.den) == (want.coeffs, want.den)
+
+
 def _newton_value(start: int, step: int, a, x: int) -> Fraction:
     """sum_j a[j] prod_{t<j} (x - start - t*step) / j!, term by term."""
     total, term = Fraction(0), Fraction(1)
@@ -390,7 +424,7 @@ def _newton_value(start: int, step: int, a, x: int) -> Fraction:
        st.integers(min_value=1, max_value=12))
 def test_newton_pair_round_trip_and_values(a, family, n):
     start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
-    p = newton_sum(start, step, a)
+    p = newton_sum(start, step, *_over_lcm(a))
     _assert_canonical(p)
     trimmed = list(a)
     while trimmed and not trimmed[-1]:
