@@ -1,13 +1,14 @@
 """Coefficient families attached to a composition r = (r_1, ..., r_m).
 
 The central quantity is the generalized binomial coefficient c_k(r),
-computable by several independent routes that must agree exactly.  Each
-route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
-in one exact integer pass: ``c_table`` returns its list and
-``c_coeff(r, k)`` reads entry k of it.  The kernels work on whole integer
-runs over i = 1..|r|: each species contributes one run, built by one
-``math.comb`` or ``math.perm`` map, and runs are combined entrywise by
-``map`` (no Python-level call per entry).
+computable by several routes that must agree exactly; two pairs difference
+one table up to scale: explicit's L P_i / i is L/|r| times entiere's Q_i, and
+finite_diff's Delta^k f(0) is prod (r_l - 1)! times inclusion_exclusion's S_k.
+Each route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
+in one exact integer pass: ``c_table`` returns its list and ``c_coeff(r, k)``
+reads entry k of it.  The kernels work on whole integer runs over i = 1..|r|:
+each species contributes one run, built by one ``math.comb`` or ``math.perm``
+map, and runs are combined entrywise by ``map`` (no Python call per entry).
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
                        differences of the integers lcm(1..|r|) P_i / i, the
@@ -46,7 +47,8 @@ Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
 on integer numerator/denominator pairs.  Every family is a count and every
 value an ``int``: each division goes through ``_exact``, where a nonzero
-remainder raises ArithmeticError naming its k instead of being rounded.
+remainder raises ArithmeticError naming its k instead of being rounded, or,
+in recurrence's merge step, through one ``divmod`` that names a, b and l.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by ``Composition.species`` (the sorted
@@ -138,8 +140,7 @@ def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
 
 
 class CoeffTable(NamedTuple):
-    """A computed coefficient family, k -> int; absent keys are zero.  Only
-    ``extract_c_from_las`` stores Fractions: its reading is checked, not trusted."""
+    """A computed coefficient family, k -> int; absent keys are zero."""
 
     family: str
     r: Composition
@@ -210,21 +211,19 @@ def check_positive_species(r: Composition) -> None:
         raise ValueError("a species with zero representatives cannot send a delegation")
 
 
-def _seating_f(parts: Sequence[int], k: int) -> int:
-    """F_k: per species with r_l representatives, r_l * C(k+r_l-1, r_l)
-    seatings, multiplied over the species (F_0 = 0)."""
-    return math.prod(rl * binomial(k + rl - 1, rl) for rl in parts)
+def _seating_f(parts: Sequence[int], k_max: int) -> List[int]:
+    """F_0 .. F_k_max, F_k the product over the species of r_l * C(k+r_l-1, r_l)
+    seatings: prod r_l times the species' runs, with F_0 = 0 (no species is empty)."""
+    f = [math.prod(parts)] * k_max
+    for rl in parts:
+        f = list(map(mul, f, _multichoose_run(rl, k_max)))
+    return [0] + f
 
 
 def _seating_s(parts: Sequence[int], k_max: int) -> List[int]:
     """S_0 .. S_k_max: S_k = sum_i (-1)^(k-i) C(k, i) F_i = Delta^k F(0), the
-    binomial inverse of F, from one integer difference table.  F_1..F_k_max
-    is prod r_l times the product of the species' C(i+r_l-1, r_l) runs, and
-    F_0 = 0 (every species here is nonempty)."""
-    f = [math.prod(parts)] * k_max
-    for rl in parts:
-        f = list(map(mul, f, _multichoose_run(rl, k_max)))
-    return forward_differences([0] + f)
+    binomial inverse of F, from one integer difference table."""
+    return forward_differences(_seating_f(parts, k_max))
 
 
 def seating_counts(r: Composition, k: int, which: str) -> int:
@@ -239,7 +238,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     r = as_composition(r)
     check_positive_species(r)
     if which == "F":
-        return _seating_f(r.parts, k)
+        return _seating_f(r.parts, k)[k]
     if which == "S":
         return _seating_s(r.parts, k)[k]
     raise ValueError(f"seating_counts: unknown kind {which!r}")
@@ -363,7 +362,9 @@ def _recurrence(r: Composition) -> List[int]:
                 t = wa * binomial(a + b, a)  # w_a t_0
                 for l in range(min(a, b) + 1):
                     merged[a + b - l] += t
-                    t = -t * (a - l) * (b - l) // ((l + 1) * (a + b - l))  # exact
+                    t, rem = divmod(-t * (a - l) * (b - l), (l + 1) * (a + b - l))
+                    if rem:
+                        raise ArithmeticError(f"recurrence: merge step leaves a remainder at a={a}, b={b}, l={l}")
         w = merged
     e: List[int] = []  # Horner in (1 + y): e_k = [y^(k-1)] sum_s w_s (1 + y)^(s-1)
     for ws in reversed(w[1:]):

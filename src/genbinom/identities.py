@@ -79,6 +79,7 @@ from typing import Iterator, List, NamedTuple, Sequence, Tuple
 from .coefficients import (
     CoeffTable,
     Composition,
+    _exact,
     as_composition,
     c_table,
     check_positive_species,
@@ -410,15 +411,17 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     The basis {binomial(X+n-1, n-k)}, k = 1..n, is the Newton basis at the
     nodes 1-n, 2-n, ..., so one `newton_coeffs` pass solves the expansion
     uniquely.
-    Entries come out as |r| times the expansion coefficients; zero entries
-    are dropped.
+    Entries are |r| times the expansion coefficients, each by one checked
+    exact division (ArithmeticError names k); zero entries are dropped.
     """
     _check_n_p(n, None)
     r = as_composition(r)
-    a = newton_coeffs(_las_lhs(n, r), 1 - n, 1) + [0] * n  # a[n-k] on binomial(X+n-1, n-k)
-    if any(a[n:]):
+    nums, den = newton_coeffs(_las_lhs(n, r), 1 - n, 1)
+    nums += [0] * n  # nums[n-k] / den on binomial(X+n-1, n-k)
+    if any(nums[n:]):
         raise AssertionError("the partition sum has a term outside binomial(X+n-1, n-k), k = 1..n")
-    return CoeffTable("c", r, {k: r.total * a[n - k] for k in range(1, n + 1) if a[n - k]})
+    c = _exact([r.total * nums[n - k] for k in range(1, n + 1)], repeat(den))
+    return CoeffTable("c", r, {k: ck for k, ck in enumerate(c, 1) if ck})
 
 
 # ---------------------------------------------------------------------------

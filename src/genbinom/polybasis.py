@@ -6,8 +6,8 @@ all of its arithmetic is integer work.  The module also provides the
 factorial bases (falling, rising, shifted binomial), each its own product
 loop; `delta_at_zero`, the forward difference at zero as one alternating
 sum; and `newton_sum`/`newton_coeffs`, the one Newton-form pair (Horner's
-rule, synthetic division) behind every basis expansion.  `newton_sum` takes
-its coefficients in `UPoly`'s layout, integers over one denominator.  The
+rule, synthetic division) behind every basis expansion.  Both hold their
+coefficients in `UPoly`'s layout, integers over one denominator.  The
 package's identities compare these polynomials coefficient by coefficient.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, zip_longest
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .exactnum import Rat, binomial, factorial
 
@@ -221,25 +221,26 @@ def newton_sum(start: int, step: int, nums: Sequence[int], den: int = 1) -> UPol
     return UPoly._of(acc, den * ratio)
 
 
-def newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
-    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p
-    for a over their lcm: the numerators divided by X - s_0, the quotient by
-    X - s_1, and so on, synthetically; the j-th remainder is a[j] den / j!."""
+def newton_coeffs(p: UPoly, start: int, step: int) -> Tuple[List[int], int]:
+    """(nums, p.den), one int per coefficient of p, with newton_sum(start, step, nums,
+    p.den) == p: p's numerators divided by X - s_0, the quotient by X - s_1, and
+    so on, synthetically; nums[j] is the j-th remainder times j!."""
     nums, out, jfact = list(p.coeffs), [], 1
     for j in range(len(nums)):
         jfact *= j or 1
         s = start + j * step
         carries = list(accumulate(reversed(nums), lambda acc, c: acc * s + c))
-        out.append(Fraction(carries.pop() * jfact, p.den))
+        out.append(carries.pop() * jfact)
         nums = carries[::-1]
-    return out
+    return out, p.den
 
 
 def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
     """Newton coefficients A_k with p = sum_k A_k * falling(k): the
     binomial(X, k) coefficients over k!.  Only nonzero entries are
     returned, and there are at most deg(p)+1 of them."""
-    return {k: a / factorial(k) for k, a in enumerate(newton_coeffs(p, 0, 1)) if a}
+    nums, den = newton_coeffs(p, 0, 1)
+    return {k: Fraction(a // factorial(k), den) for k, a in enumerate(nums) if a}
 
 
 def from_falling_basis(coeffs: Dict[int, Rat]) -> UPoly:

@@ -25,7 +25,7 @@ def test_all_is_the_readme_list():
 
 def test_readme_example_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
-    assert (failed, attempted) == (0, 3)
+    assert (failed, attempted) == (0, 4)
 
 
 # every public entry point that takes a composition r, called at r

@@ -736,3 +736,37 @@ def test_hyp3f2_wrong_seed_trips_the_relation(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match=r"\bk=3\b"):
         c_table(_R, "hyp3f2")
+
+
+def test_recurrence_merge_step_remainder_raises(monkeypatch):
+    # C(n, k) + 2 makes r = (2, 1)'s first merge weight w_1 t_0 = 5, not 3, so
+    # the next step divides -5 * 1 * 2 by 3; unchecked it returned {1: 3, 2: 9, 3: 5}
+    real = coefficients.binomial
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: real(n, k) + 2)
+    with pytest.raises(ArithmeticError, match=r"merge step leaves a remainder at a=1, b=2, l=0"):
+        c_table(_R, "recurrence")
+
+
+# Two pairs of routes difference one table up to scale, so one of a pair
+# catches little that the other misses; these tests state the two facts.
+def test_explicit_and_entiere_difference_one_table():
+    # C(i+r_j-1, r_j-1) = C(i+r_j-1, r_j) r_j / i, so entiere's Q_i is |r| P_i / i,
+    # P_i = prod_l C(r_l+i-1, r_l), the table explicit differences (over lcm(1..|r|))
+    for r in iter_compositions(4, 4):
+        q = []
+        for i in range(1, r.total + 1):
+            runs = [math.comb(rl + i - 1, rl) for rl in r.parts]
+            q.append(sum(math.comb(i + rj - 1, rj - 1) * math.prod(runs[:j] + runs[j + 1:])
+                          for j, rj in enumerate(r.parts) if rj))
+            assert q[-1] * i == r.total * math.prod(runs), (r, i)
+        assert coefficients._entiere(r) == forward_differences(q), r
+
+
+def test_finite_diff_is_scaled_inclusion_exclusion():
+    # rising(x, r) = (r-1)! r C(x+r-1, r), so finite_diff's f(x) = prod_l rising(x, r_l)
+    # is prod_l (r_l-1)! F_x and its Delta^k f(0) is prod_l (r_l-1)! S_k
+    for r in iter_compositions(4, 4):
+        f = [math.prod(rising(x, rl) for rl in r.parts) for x in range(r.total + 1)]
+        scale = math.prod(factorial(rl - 1) for rl in r.species)
+        s_k = coefficients._seating_s(r.species, r.total)
+        assert forward_differences(f) == [scale * s for s in s_k], r

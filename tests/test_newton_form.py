@@ -254,7 +254,7 @@ def test_extract_c_matches_back_substitution():
             got, want = extract_c_from_las(n, r), _old_extract_c_from_las(n, r)
             assert got.values == want.values, (n, r)
             assert list(got.values) == list(want.values), (n, r)
-            assert all(type(v) is Fraction for v in got.values.values()), (n, r)
+            assert all(type(v) is int for v in got.values.values()), (n, r)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
@@ -266,6 +266,15 @@ def test_extract_c_rejects_degree_n_or_more(monkeypatch, extra):
     monkeypatch.setattr(identities, "_las_lhs", lambda n, r: lhs + UPoly((0, 1)) ** (n + extra))
     with pytest.raises(AssertionError):
         extract_c_from_las(n, r)
+
+
+def test_extract_c_rejects_a_non_integer_reading(monkeypatch):
+    # a constant 1/7 added to the partition sum sits on binomial(X+3, 0), so
+    # c_4((3,)) would read 3/7: the checked division raises instead
+    real = identities._las_lhs
+    monkeypatch.setattr(identities, "_las_lhs", lambda n, r: real(n, r) + UPoly((Fraction(1, 7),)))
+    with pytest.raises(ArithmeticError, match=r"\bk=4\b"):
+        extract_c_from_las(4, (3,))
 
 
 def test_from_falling_basis_matches_per_k_sum():

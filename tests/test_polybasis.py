@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, List, Sequence, Tuple
 
 import pytest
@@ -430,8 +431,8 @@ def test_newton_pair_round_trip_and_values(a, family, n):
     while trimmed and not trimmed[-1]:
         trimmed.pop()
     assert p.degree == len(trimmed) - 1  # basis j has leading coefficient 1/j!
-    got = newton_coeffs(p, start, step)
-    assert got == trimmed and all(type(c) is Fraction for c in got)
+    nums, den = newton_coeffs(p, start, step)
+    assert [Fraction(x, den) for x in nums] == trimmed
     for x in range(-4, 9):
         assert p(x) == _newton_value(start, step, a, x), x
 
@@ -443,4 +444,30 @@ def test_newton_sum_families_are_the_bases():
         assert newton_sum(0, -1, unit) == rising_poly(j).scale(Fraction(1, factorial(j)))
         for n in range(max(j, 1), 10):
             assert newton_sum(1 - n, 1, unit) == shifted_binom_poly(n, n - j)
-    assert newton_sum(0, 1, []) == UPoly.zero() and newton_coeffs(UPoly.zero(), 0, 1) == []
+    assert newton_sum(0, 1, []) == UPoly.zero() and newton_coeffs(UPoly.zero(), 0, 1) == ([], 1)
+
+
+# reference: the former newton_coeffs, which returned one Fraction per
+# coefficient, kept verbatim (renamed); the package's returns (nums, den)
+def _ref_newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
+    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p
+    for a over their lcm: the numerators divided by X - s_0, the quotient by
+    X - s_1, and so on, synthetically; the j-th remainder is a[j] den / j!."""
+    nums, out, jfact = list(p.coeffs), [], 1
+    for j in range(len(nums)):
+        jfact *= j or 1
+        s = start + j * step
+        carries = list(accumulate(reversed(nums), lambda acc, c: acc * s + c))
+        out.append(Fraction(carries.pop() * jfact, p.den))
+        nums = carries[::-1]
+    return out
+
+
+@given(coeff_lists, st.sampled_from(["binomial", "multichoose", "shifted"]), st.integers(min_value=1, max_value=12))
+def test_newton_coeffs_integer_pair_matches_fraction_reference(coeffs, family, n):
+    start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
+    p = UPoly(coeffs)
+    nums, den = newton_coeffs(p, start, step)
+    assert all(type(x) is int for x in nums) and type(den) is int and den == p.den
+    assert [Fraction(x, den) for x in nums] == _ref_newton_coeffs(p, start, step)
+    assert newton_sum(start, step, nums, den) == p
