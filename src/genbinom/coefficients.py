@@ -38,10 +38,14 @@ map, and runs are combined entrywise by ``map`` (no Python call per entry).
                        Hahn polynomials, one exact integer step per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
-route that takes every shape.  The others stay as independent cross-checks.
+route that takes every shape.  The others stay as cross-checks, though not
+all independent ones: each pair above shares one table, so within a pair
+only the scaling differs.
 A route's shape rule is checked before its kernel runs, and breaking it
 raises ShapeError: hyp3f2 needs m = 2, genfun at most GENFUN_STEPS_MAX box
-steps |r| * prod (r_i + 1).
+steps |r| * prod (r_i + 1).  Before that, every table, c_k, linearization or
+seating count, is checked against TABLE_SIZE_MAX on its length (|r| or k),
+and a longer one raises ValueError.
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
@@ -78,6 +82,9 @@ DEFAULT_C_METHOD = "inclusion_exclusion"
 # genfun's budget on |r| * prod(r_i + 1), its box steps at 0.6 to 1.4 us each (Python 3.11,
 # 2-core Xeon VM; largest accepted boxes (4,)*6 0.24 s, (2,)*10 1.2 s, (1,)*16 1.5 s)
 GENFUN_STEPS_MAX = 2 * 10**6
+# every table's budget on its length, |r| or a seating count's k (same machine; largest
+# accepted two-species case (1000,1000) 0.01 s on hyp3f2 to 3.3 s on finite_diff, 2.5 s for d)
+TABLE_SIZE_MAX = 2000
 
 
 class ShapeError(ValueError):
@@ -150,6 +157,12 @@ class CoeffTable(NamedTuple):
         return self.values.get(k, 0)
 
 
+def _check_table_size(n: int, name: str) -> None:
+    """Raise ValueError if a table of length n is over TABLE_SIZE_MAX, before any work."""
+    if n > TABLE_SIZE_MAX:
+        raise ValueError(f"{name} = {n} is over the table budget TABLE_SIZE_MAX = {TABLE_SIZE_MAX}")
+
+
 def _exact(nums: Iterable[int], dens: Iterable[int], k0: int = 1) -> List[int]:
     """The quotients of the paired integers, entry i standing for k = k0 + i; a
     nonzero remainder raises ArithmeticError naming the first such k."""
@@ -171,11 +184,9 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
     A denominator parameter whose Pochhammer factor vanishes within the
     summation range raises ZeroDivisionError.
 
-    Each parameter p/q enters the term ratio as p/q + j = (p + j q)/q, so
-    the ratios are integer runs a[j] / b[j] over j = 0..nmax-1, the terms
-    share the common denominator b[0] ... b[nmax-1], their numerators come
-    from prefix products of a and suffix products of b, and one Fraction
-    is built at the end.
+    Each parameter p/q enters the term ratio a_j / b_j = term j+1 / term j as
+    one factor (p + j q)/q; Horner's rule from the last term keeps the sum as
+    one integer pair.
     """
     nums = [(a.numerator, a.denominator) for a in numer]
     dens = [(b.numerator, b.denominator) for b in denom]
@@ -186,19 +197,14 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
     for p, q in dens:
         if q == 1 and 0 >= p > -nmax:
             raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
-    zn, zd = z.numerator, z.denominator
-    # term j+1 / term j = a[j] / b[j], a and b built as whole runs: each
-    # parameter p/q contributes p, p + q, ..., p + (nmax - 1) q
-    a = [zn * math.prod(q for _, q in dens)] * nmax
-    for p, q in nums:
-        a = list(map(mul, a, range(p, p + nmax * q, q)))
-    b = list(map(mul, repeat(zd * math.prod(q for _, q in nums)), range(1, nmax + 1)))
-    for p, q in dens:
-        b = list(map(mul, b, range(p, p + nmax * q, q)))
-    # over den = b[0] ... b[nmax-1], term j is a[0] ... a[j-1] b[j] ... b[nmax-1]
-    heads = accumulate(a, mul, initial=1)
-    tails = list(accumulate(reversed(b), mul, initial=1))
-    return Fraction(sum(map(mul, heads, reversed(tails))), tails[-1])
+    a_scale = z.numerator * math.prod(q for _, q in dens)
+    b_scale = z.denominator * math.prod(q for _, q in nums)
+    num = den = 1  # num / den = 1 + (a_j / b_j)(1 + (a_(j+1) / b_(j+1))(1 + ...))
+    for j in reversed(range(nmax)):
+        a_j = a_scale * math.prod(p + j * q for p, q in nums)
+        b_j = b_scale * (j + 1) * math.prod(p + j * q for p, q in dens)
+        num, den = den * b_j + a_j * num, den * b_j
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +241,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     """
     if k < 1:
         raise ValueError(f"seating_counts: k must be positive, got {k}")
+    _check_table_size(k, "k")
     r = as_composition(r)
     check_positive_species(r)
     if which == "F":
@@ -401,9 +408,11 @@ C_METHODS = tuple(_KERNELS)
 
 
 def _kernel(r: Composition, method: str):
-    """The route's kernel, after checking the method and its shape rule."""
+    """The route's kernel, after checking the method, the table budget and
+    the route's shape rule."""
     if method not in _KERNELS:
         raise ValueError(f"unknown c_k method {method!r}; known methods: {', '.join(C_METHODS)}")
+    _check_table_size(r.total, "|r|")
     if method == "hyp3f2" and r.m != 2:
         raise ShapeError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
     if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > GENFUN_STEPS_MAX:
@@ -451,6 +460,7 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     d_tilde (an empty species contributes the factor 1).
     """
     r = as_composition(r)
+    _check_table_size(r.total, "|r|")
     if variant == "c_tilde":
         c = c_table(r).values
         vals = _exact(map(mul, c, c.values()), repeat(r.total))

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -67,6 +68,17 @@ def test_coeff_genfun_over_budget(capsys):
     code, out, err = run(capsys, "coeff", "--r", "20,20,20,20,20,20", "--method", "genfun")
     assert (code, out) == (3, "")
     assert "budget" in err
+
+
+@pytest.mark.parametrize("command", ["coeff", "linearize"])
+def test_table_over_budget_exits_2_at_once(capsys, command):
+    # |r| = 100000 is over TABLE_SIZE_MAX: rejected before any work (without
+    # the budget the default route took 7 s at |r| = 4000, more the larger |r|)
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, "--r", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "table budget" in err
 
 
 def test_exit_codes_come_from_exception_types(capsys, monkeypatch):

@@ -3,7 +3,8 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from itertools import accumulate, repeat
+from operator import add, mul, sub
 from typing import List, Sequence, Tuple
 
 import pytest
@@ -25,7 +26,7 @@ from genbinom.coefficients import (
     seating_counts,
     t_coeff,
 )
-from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
+from genbinom.exactnum import Rat, binomial, factorial, forward_differences, multinomial, rising
 from genbinom.polybasis import UPoly, rising_poly, to_falling_basis
 from genbinom.series import MPoly, geom_inverse_product
 
@@ -109,6 +110,27 @@ def test_genfun_budget_edge():
     r = Composition((1,) * 17)
     with pytest.raises(ShapeError, match="budget"):
         c_coeff(r, r.total + 1, "genfun")
+
+
+def test_table_budget_edge():
+    # a table of TABLE_SIZE_MAX entries is taken; one entry more is a ValueError
+    # (not a ShapeError) for every family, raised before any work
+    assert coefficients.TABLE_SIZE_MAX == 2000
+    assert len(c_table((1000, 1000), "hyp3f2").values) == 2000
+    assert seating_counts((1,), 2000, "F") == 2000
+    over = (1000, 1001)
+    calls = [
+        lambda: c_table(over, "hyp3f2"),
+        lambda: c_coeff(over, 1),
+        lambda: linearization_d(over, "d"),
+        lambda: linearization_d(over, "c_tilde"),
+        lambda: seating_counts((1,), 2001, "S"),
+        lambda: t_coeff((1,), 2001, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="table budget") as info:
+            call()
+        assert type(info.value) is ValueError
 
 
 def test_method_agreement_small():
@@ -336,6 +358,46 @@ def _loop_hypergeom(numer, denom, z):
     return Fraction(total, den)
 
 
+# The evaluator as it stood with its term-ratio runs built whole, kept
+# verbatim as a reference.
+
+def _runs_hypergeom(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) -> Fraction:
+    """Exact value of pFq(numer; denom; z) for a terminating series.
+
+    Requires a nonpositive-integer numerator parameter (else ValueError).
+    A denominator parameter whose Pochhammer factor vanishes within the
+    summation range raises ZeroDivisionError.
+
+    Each parameter p/q enters the term ratio as p/q + j = (p + j q)/q, so
+    the ratios are integer runs a[j] / b[j] over j = 0..nmax-1, the terms
+    share the common denominator b[0] ... b[nmax-1], their numerators come
+    from prefix products of a and suffix products of b, and one Fraction
+    is built at the end.
+    """
+    nums = [(a.numerator, a.denominator) for a in numer]
+    dens = [(b.numerator, b.denominator) for b in denom]
+    stops = [-p for p, q in nums if q == 1 and p <= 0]
+    if not stops:
+        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
+    nmax = min(stops)
+    for p, q in dens:
+        if q == 1 and 0 >= p > -nmax:
+            raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
+    zn, zd = z.numerator, z.denominator
+    # term j+1 / term j = a[j] / b[j], a and b built as whole runs: each
+    # parameter p/q contributes p, p + q, ..., p + (nmax - 1) q
+    a = [zn * math.prod(q for _, q in dens)] * nmax
+    for p, q in nums:
+        a = list(map(mul, a, range(p, p + nmax * q, q)))
+    b = list(map(mul, repeat(zd * math.prod(q for _, q in nums)), range(1, nmax + 1)))
+    for p, q in dens:
+        b = list(map(mul, b, range(p, p + nmax * q, q)))
+    # over den = b[0] ... b[nmax-1], term j is a[0] ... a[j-1] b[j] ... b[nmax-1]
+    heads = accumulate(a, mul, initial=1)
+    tails = list(accumulate(reversed(b), mul, initial=1))
+    return Fraction(sum(map(mul, heads, reversed(tails))), tails[-1])
+
+
 def _loop_times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
     """q * (G - 1) truncated to the box, for q flat over the mixed-radix box
     with the last axis fastest.  Multiplying by the truncated
@@ -474,7 +536,7 @@ rational = st.fractions(max_denominator=9, min_value=-6, max_value=6)
 
 
 @given(
-    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=15),
     st.lists(rational, max_size=3),
     st.lists(rational, max_size=3),
     rational,
@@ -490,6 +552,7 @@ def test_hypergeom_matches_termwise_fractions(n, numer, denom, z):
     value = hypergeom_terminating(numer, denom, z)
     assert type(value) is Fraction and value == expected
     assert value == _loop_hypergeom(numer, denom, z)
+    assert value == _runs_hypergeom(numer, denom, z)
 
 
 def test_c_symmetry_and_zero_entries():
