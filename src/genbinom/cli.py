@@ -55,8 +55,7 @@ def _emit_scalar(k: int, v: int, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(str(v)))
     elif fmt == "csv":
-        print("k,value")
-        print(f"{k},{v}")
+        _emit_table({k: v}, fmt)
     else:
         print(v)
 

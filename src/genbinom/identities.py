@@ -5,7 +5,21 @@ coefficient by coefficient; "verified" means exact equality.  A pair is
 two UPoly in X, except for the two identities in an extra variable, which
 compare one pair per power of it: lemma1 one UPoly pair in X per power
 of y, waring one MPoly pair in the x variables (truncated to the caps)
-per power of t.  Supported identity ids:
+per power of t.  A failed report names the first unequal pair, by its
+index in the checker's list, and the lowest X-degree (the smallest exponent
+vector for waring) where its two sides differ.  The ids with more than one
+pair list them in this order:
+
+  bigeq       the c, S and F forms
+  linm        the d table, the m = 2 closed form, the transversal oracle
+  linbin      the d~ table, the m = 2 two-factor form, the covering oracle
+  linlas      the c~ table, the covering oracle
+  mac         binomial(X+n-1, n), then its alternating companion
+  lemma1      one pair per power y^j, j = 0..n: pair j
+  waring      one pair per power t^l, l = 1..t_max: pair l-1
+
+A pair the instance lacks (a closed form at m != 2, an oracle over its
+budget) is left out, so the later ones move down.  Supported identity ids:
 
   las         partition sum against the c_k expansion in binomial(X+n-1, n-k)
   bigeq       scenario count: partition sum vs the S_k / F_k / c_k forms
@@ -72,7 +86,7 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from itertools import accumulate, product as _cartesian, repeat
+from itertools import accumulate, count, product as _cartesian, repeat
 from operator import mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -108,15 +122,18 @@ class IdentityReport(NamedTuple):
     id: str
     params: dict
     status: str
-    lhs: str | None = None
-    rhs: str | None = None
+    pair: int | None = None
+    first_diff: dict | None = None
 
     @property
     def verified(self) -> bool:
         return self.status == "verified"
 
     def to_json_line(self) -> str:
-        return _encode({"id": self.id, "params": self.params, "status": self.status})
+        line = {"id": self.id, "params": self.params, "status": self.status}
+        if self.pair is not None:
+            line.update(pair=self.pair, first_diff=self.first_diff)
+        return _encode(line)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +343,11 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 def _check_linm(r: Composition) -> List[Pair]:
+    # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
+    # rejects a huge |r| before the product is built
+    table = linearization_d(r, "d").values
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
+    pairs: List[Pair] = [(lhs, from_falling_basis(table))]
     if r.m == 2:
         r1, r2 = r.parts
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
@@ -349,8 +369,8 @@ def _two_factor(r1: int, r2: int, sign: int) -> List[int]:
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
-    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
+    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.m == 2:
         sides.append(_two_factor(*r.parts, 1))
@@ -360,8 +380,8 @@ def _check_linbin(r: Composition) -> List[Pair]:
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
-    lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
+    lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
     if r.total <= COVERING_K_MAX:
         sides.append([0, *_oracle_counts("multiset", r.species)])
@@ -399,10 +419,21 @@ def verify(identity: str, **params) -> IdentityReport:
     pairs = _IDENTITIES[identity][0](**params)
     if not pairs:  # comparing nothing verifies nothing
         raise ValueError(f"{identity}: no pair to compare at {shown}")
-    for lhs, rhs in pairs:
+    for i, (lhs, rhs) in enumerate(pairs):
         if lhs != rhs:
-            return IdentityReport(identity, shown, "failed", lhs=str(lhs), rhs=str(rhs))
+            return IdentityReport(identity, shown, "failed", i, _first_diff(lhs, rhs))
     return IdentityReport(identity, shown, "verified")
+
+
+def _first_diff(lhs, rhs) -> dict:
+    """A failed report's `first_diff`: "at" the lowest X-degree where an unequal
+    UPoly pair differs, or an MPoly pair's smallest differing exponent vector
+    (a list), and the two coefficients there as exact strings."""
+    if isinstance(lhs, MPoly):
+        at = min(e for e in lhs.terms.keys() | rhs.terms.keys() if lhs.coeff(e) != rhs.coeff(e))
+    else:
+        at = next(d for d in count() if lhs.coeff(d) != rhs.coeff(d))
+    return {"at": list(at) if isinstance(at, tuple) else at, "lhs": str(lhs.coeff(at)), "rhs": str(rhs.coeff(at))}
 
 
 def extract_c_from_las(n: int, r: Composition) -> CoeffTable:

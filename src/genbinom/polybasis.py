@@ -29,7 +29,7 @@ class UPoly:
     gcd(den, *coeffs) == 1 and no trailing zero numerator, so the zero
     polynomial is ``((), 1)`` and equal polynomials have equal
     (coeffs, den).  Sums, products, scaling, powers, equality and hashing
-    are integer work; `coeff` is the one method that builds a Fraction.
+    are integer work; `coeff` and evaluation (`__call__`) return a Fraction.
     Instances are immutable and hashable.
     """
 
@@ -144,24 +144,6 @@ class UPoly:
 
     def __repr__(self) -> str:
         return f"UPoly({[str(self.coeff(d)) for d in range(len(self.coeffs))]})"
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeff(d)
-            if not c:
-                continue
-            mono = "1" if d == 0 else ("X" if d == 1 else f"X^{d}")
-            if d == 0:
-                body = str(c) if c > 0 else str(-c)
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            chunks.append(("- " if c < 0 else ("+ " if chunks else "")) + body)
-        return " ".join(chunks)
 
 
 def rising_poly(n: int, shift: int = 0) -> UPoly:

@@ -12,11 +12,10 @@ either way.  Instances are immutable values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .exactnum import Rat, as_int, rat_str
+from .exactnum import Rat, as_int
 
 Expt = Tuple[int, ...]
 
@@ -151,17 +150,6 @@ class MPoly:
         if any(x < 0 for x in e) or any(x > cap for x, cap in zip(e, self.caps)):
             raise ValueError(f"exponent {e} outside caps {self.caps}")
         return self.terms.get(e, 0)
-
-    def debug_lines(self) -> list[str]:
-        """Lexicographically sorted "coef * x1^a1...xm^am" lines."""
-        lines = []
-        for e in sorted(self.terms):
-            mono = "".join(f"x{i + 1}^{a}" for i, a in enumerate(e))
-            lines.append(f"{rat_str(Fraction(self.terms[e]))} * {mono}")
-        return lines
-
-    def __str__(self) -> str:
-        return "\n".join(self.debug_lines()) if self.terms else "0"
 
 
 def geom_inverse_product(caps: Sequence[int]) -> MPoly:

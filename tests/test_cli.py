@@ -81,6 +81,17 @@ def test_table_over_budget_exits_2_at_once(capsys, command):
     assert "table budget" in err
 
 
+@pytest.mark.parametrize("ident", ["linm", "linbin", "linlas"])
+def test_verify_table_over_budget_exits_2_at_once(capsys, ident):
+    # the checker takes its linearization table before building the product,
+    # so |r| = 100000 is rejected by TABLE_SIZE_MAX before any polynomial
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--id", ident, "--r", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "table budget" in err
+
+
 def test_exit_codes_come_from_exception_types(capsys, monkeypatch):
     for argv, want in [
         (["coeff", "--r", "1,1,1", "--method", "hyp3f2"], 3),

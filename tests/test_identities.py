@@ -56,7 +56,7 @@ def test_report_json_line():
 def test_all_identities_verify_small():
     for ident in IDENTITY_IDS:
         for report in sweep(ident, n_max=4, m_max=2, r_max=2, t_max=3):
-            assert report.verified, (ident, report.params, report.lhs, report.rhs)
+            assert report.verified, (ident, report.params, report.pair, report.first_diff)
 
 
 def test_sweep_rejects_bad_grid_up_front():
@@ -143,10 +143,14 @@ def test_failure_reports_sides():
     # a deliberately broken comparison exercises the failure path
     from genbinom import identities
 
-    report = identities.IdentityReport("las", {"n": 1}, "failed", lhs="X", rhs="X + 1")
+    report = identities.IdentityReport("las", {"n": 1}, "failed", 0, {"at": 0, "lhs": "0", "rhs": "1"})
     assert not report.verified
-    assert report.lhs == "X"
-    assert json.loads(report.to_json_line())["status"] == "failed"
+    assert report.pair == 0 and report.first_diff["rhs"] == "1"
+    assert report.to_json_line() == (
+        '{"id":"las","params":{"n":1},"status":"failed","pair":0,"first_diff":{"at":0,"lhs":"0","rhs":"1"}}')
+    # a verified line carries neither field
+    assert identities.IdentityReport("las", {"n": 1}, "verified").to_json_line() == (
+        '{"id":"las","params":{"n":1},"status":"verified"}')
 
 
 def test_las_requires_valid_params():
@@ -227,10 +231,40 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
     monkeypatch.setitem(identities._IDENTITIES, "mac", (unequal, identities._IDENTITIES["mac"][1]))
     report = verify("mac", n=2)
     assert report.status == "failed" and not report.verified
-    assert (report.lhs, report.rhs) == ("X", "2")
+    # pair 0 is equal; pair 1, X against 2, first differs at degree 0
+    assert (report.pair, report.first_diff) == (1, {"at": 0, "lhs": "0", "rhs": "2"})
     assert main(["verify", "--id", "mac", "--n", "2"]) == 1
     line = capsys.readouterr().out.strip()
-    assert json.loads(line) == {"id": "mac", "params": {"n": 2}, "status": "failed"}
+    assert json.loads(line) == {"id": "mac", "params": {"n": 2}, "status": "failed",
+                                "pair": 1, "first_diff": {"at": 0, "lhs": "0", "rhs": "2"}}
+
+
+@pytest.mark.parametrize("name, bump, ident, params, line", [
+    # S_1 + 1: bigeq's pairs are the c, S and F forms, so the S form is pair 1
+    ("forward_differences", lambda real: lambda F: [s + (k == 1) for k, s in enumerate(real(F))],
+     "bigeq", dict(n=3, r=(2, 1)),
+     '{"id":"bigeq","params":{"n":3,"r":[2,1]},"status":"failed",'
+     '"pair":1,"first_diff":{"at":0,"lhs":"72","rhs":"78"}}'),
+    # C(k, 2) + 1 enters only the right side of y^2, lemma1's pair 2
+    ("binomial", lambda real: lambda a, b: real(a, b) + (b == 2), "lemma1", dict(n=3),
+     '{"id":"lemma1","params":{"n":3},"status":"failed",'
+     '"pair":2,"first_diff":{"at":0,"lhs":"0","rhs":"-1/3"}}'),
+    # c_2 + 1 changes the left side of t^2, waring's pair 1, first at x^(0,1)
+    ("c_table", lambda real: lambda r: real(r)._replace(values={**real(r).values, 2: real(r).values.get(2, 0) + 1}),
+     "waring", dict(caps=(2, 2), t_max=3),
+     '{"id":"waring","params":{"caps":[2,2],"t_max":3},"status":"failed",'
+     '"pair":1,"first_diff":{"at":[0,1],"lhs":"1","rhs":"0"}}'),
+    # C(r_i, 1) + 1 enters only linm's m = 2 closed form, pair 1
+    ("binomial", lambda real: lambda a, b: real(a, b) + (b == 1), "linm", dict(r=(2, 1)),
+     '{"id":"linm","params":{"r":[2,1]},"status":"failed",'
+     '"pair":1,"first_diff":{"at":1,"lhs":"0","rhs":"-4"}}'),
+], ids=["bigeq", "lemma1", "waring", "linm"])
+def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
+    monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
+    report = verify(ident, **params)
+    assert report.to_json_line() == line
+    decoded = json.loads(line)
+    assert (report.pair, report.first_diff) == (decoded["pair"], decoded["first_diff"])
 
 
 # The partition loops the class-size table replaced, kept as references.

@@ -164,14 +164,10 @@ def test_exponential_collapse_to_rising():
             assert product[i] == rising_poly(i, shift=k).scale(Fraction(1, factorial(i)))
 
 
-def test_serialization():
-    assert str(UPoly((1, -1, 1))) == "X^2 - X + 1"
-    assert str(UPoly.zero()) == "0"
-
-
 # ---------------------------------------------------------------------------
 # reference: the former Fraction-tuple UPoly, kept verbatim (renamed
-# RefUPoly), and the former rising_poly as a product of linear factors
+# RefUPoly) but for its pretty-printer, gone with UPoly's, and the former
+# rising_poly as a product of linear factors
 # ---------------------------------------------------------------------------
 
 def _integer_coeffs(p: "RefUPoly") -> Tuple[int, List[int]]:
@@ -285,24 +281,6 @@ class RefUPoly:
     def __repr__(self) -> str:
         return f"UPoly({[str(c) for c in self.coeffs]})"
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            mono = "1" if d == 0 else ("X" if d == 1 else f"X^{d}")
-            if d == 0:
-                body = str(c) if c > 0 else str(-c)
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            chunks.append(("- " if c < 0 else ("+ " if chunks else "")) + body)
-        return " ".join(chunks)
-
 
 def _ref_rising_poly(n: int, shift: int = 0) -> RefUPoly:
     out = RefUPoly.one()
@@ -337,7 +315,6 @@ def test_integer_layout_matches_fraction_reference(a, b, value, x):
                       (p ** 2, rp ** 2)):
         _assert_canonical(got)
         assert _matches(got, want)
-        assert str(got) == str(want)
         assert repr(got) == repr(want)
         assert got(x) == want(x) and isinstance(got(x), Fraction)
         assert got.coeff(-1) == want.coeff(-1) and got.coeff(9) == want.coeff(9)

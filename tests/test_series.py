@@ -164,9 +164,3 @@ def test_pow_matches_repeated_product(a, e):
     for _ in range(e):
         expected = expected * a
     assert a**e == expected
-
-
-def test_debug_serialization():
-    p = MPoly((2, 2), {(1, 0): Fraction(1, 2), (0, 2): -3})
-    assert p.debug_lines() == ["-3/1 * x1^0x2^2", "1/2 * x1^1x2^0"]
-    assert str(MPoly.zero((1,))) == "0"
