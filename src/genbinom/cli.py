@@ -149,6 +149,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # str(int) refuses more than 4300 digits from Python 3.10.7 on; a table within
+    # TABLE_SIZE_MAX has values of up to 6053 digits (c_k, d~ and c~ at (1,)*2000)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _parser()
     # a known command's own parser reads the rest of the line, so the line is
     # parsed once; the top-level parser prints help or rejects the command

@@ -7,15 +7,19 @@ finite_diff's Delta^k f(0) is prod (r_l - 1)! times inclusion_exclusion's S_k.
 Each route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
 in one exact integer pass: ``c_table`` returns its list and ``c_coeff(r, k)``
 reads entry k of it.  The kernels work on whole integer runs over i = 1..|r|:
-each species contributes one run, built by one ``math.comb`` or ``math.perm``
-map, and runs are combined entrywise by ``map`` (no Python call per entry).
+each nonzero species, read from ``Composition.species`` (a zero part's run is
+all ones), contributes one run (entiere two), built by one ``math.comb`` or
+``math.perm`` map, and runs are combined entrywise by ``map`` (no Python call
+per entry): a run-based kernel makes O(m |r|) entrywise products.
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
                        differences of the integers lcm(1..|r|) P_i / i, the
                        run lcm // i times every species' C(r_l+i-1, r_l) run
   entiere              integer-valued double sum (one term per species):
-                       differences of the integers Q_i, term j species j's
-                       C(i+r_j-1, r_j-1) run times the other species' runs
+                       differences of the integers Q_i = sum_j B_j prod_(l!=j)
+                       A_l, by the product rule over the species,
+                       Q <- Q A_l + P B_l, then P <- P A_l, A_l and B_l the
+                       C(i+r_l-1, r_l) and C(i+r_l-1, r_l-1) runs
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
                        prod (r_i + 1) of ``Composition.species`` (G is
@@ -82,8 +86,10 @@ DEFAULT_C_METHOD = "inclusion_exclusion"
 # genfun's budget on |r| * prod(r_i + 1), its box steps at 0.6 to 1.4 us each (Python 3.11,
 # 2-core Xeon VM; largest accepted boxes (4,)*6 0.24 s, (2,)*10 1.2 s, (1,)*16 1.5 s)
 GENFUN_STEPS_MAX = 2 * 10**6
-# every table's budget on its length, |r| or a seating count's k (same machine; largest
-# accepted two-species case (1000,1000) 0.01 s on hyp3f2 to 3.3 s on finite_diff, 2.5 s for d)
+# every table's budget on its length, |r| or a seating count's k.  Largest accepted cases,
+# two-species (1000,1000) then many-species (1,)*2000, same machine: explicit 1.8, 7.1 s;
+# entiere 1.8, 16 s; inclusion_exclusion 1.0, 6.6 s; finite_diff 3.1, 7.0 s; recurrence
+# 0.3, 23 s; d 2.5, 5.9 s; hyp3f2 (m = 2 only) 0.01 s; genfun's own budget rejects both
 TABLE_SIZE_MAX = 2000
 
 
@@ -277,23 +283,20 @@ def _explicit(r: Composition) -> List[int]:
     # the run L // i times every species' run
     lcm = math.lcm(*range(1, r.total + 1))
     scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
-    for rl in r.parts:
+    for rl in r.species:
         scaled = list(map(mul, scaled, _multichoose_run(rl, r.total)))
     return _exact(map(r.total.__mul__, forward_differences(scaled)), repeat(lcm))
 
 
 def _entiere(r: Composition) -> List[int]:
-    # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i,
-    # Q_i = sum_j C(i+r_j-1, r_j-1) prod_{l != j} C(r_l+i-1, r_l): term j is
-    # species j's C(i+r_j-1, r_j-1) run times every other species' run; a zero
-    # species' term vanishes and its run is all ones
-    runs = [list(_multichoose_run(rl, r.total)) for rl in r.species]
-    q = [0] * r.total
-    for j, rj in enumerate(r.species):
-        term = map(math.comb, range(rj, rj + r.total), repeat(rj - 1))
-        for run in runs[:j] + runs[j + 1:]:
-            term = map(mul, term, run)
-        q = list(map(add, q, term))
+    # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i, Q_i = sum_j B_j prod_{l != j} A_l,
+    # A_l = C(i+r_l-1, r_l), B_l = C(i+r_l-1, r_l-1): by the product rule over the
+    # species, Q <- Q A_l + P B_l, then P <- P A_l: P is the product of the A runs so far
+    p, q = [1] * r.total, [0] * r.total
+    for rl in r.species:
+        a, b = list(_multichoose_run(rl, r.total)), map(math.comb, range(rl, rl + r.total), repeat(rl - 1))
+        q = list(map(add, map(mul, q, a), map(mul, p, b)))
+        p = list(map(mul, p, a))
     return forward_differences(q)
 
 
@@ -350,9 +353,9 @@ def _finite_diff(r: Composition) -> List[int]:
     # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
     # rising(x, r_i) = perm(x+r_i-1, r_i) for x >= 1; f(0) = 0 as some r_i > 0
     f = [1] * r.total
-    for ri in r.parts:
+    for ri in r.species:
         f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
-    return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.parts)))
+    return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
 
 
 def _recurrence(r: Composition) -> List[int]:

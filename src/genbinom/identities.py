@@ -76,9 +76,9 @@ Each id has one entry in a table holding its checker and its parameter
 grid; the fixed parameters (n, p, r) an id takes are those its grid
 function reads, the named parameters of its code object
 (``__code__.co_varnames[:co_argcount]``).  Each (id, params) verification
-is independent, so sweeps can be fanned out; `sweep` validates the whole
-grid before checking any instance, then yields reports in a fixed
-deterministic parameter order.
+is independent, so sweeps can be fanned out; `sweep` makes every grid check
+before checking any instance, then streams the grid, drawing compositions
+and pairs as it yields reports in a fixed deterministic parameter order.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
-from itertools import accumulate, count, product as _cartesian, repeat
+from itertools import accumulate, chain, count, product as _cartesian, repeat
 from operator import mul
-from typing import Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .coefficients import (
     CoeffTable,
@@ -467,44 +467,48 @@ def _partition_ns(ns):
     return ns
 
 
+# a grid over compositions or pairs is a generator expression: its checks and
+# its outermost range run when the grid function is called, the inner ranges,
+# a fresh comps() per n (and per p) among them, only as instances are drawn
+
 def _grid_n(ns, **_) -> List[dict]:
     return [dict(n=n) for n in _partition_ns(ns)]
 
 
-def _grid_r(comps, **_) -> List[dict]:
-    return [dict(r=r) for r in comps()]
+def _grid_r(comps, **_) -> Iterator[dict]:
+    return (dict(r=r) for r in comps())
 
 
-def _grid_n_r(ns, comps, **_) -> List[dict]:
-    ns, rs = _partition_ns(ns), comps()
-    return [dict(n=n, r=r) for n in ns for r in rs]
+def _grid_n_r(ns, comps, **_) -> Iterator[dict]:
+    return (dict(n=n, r=r) for n in _partition_ns(ns) for r in comps())
 
 
-def _grid_bigeq(ns, comps, r, **_) -> List[dict]:
+def _grid_bigeq(ns, comps, r, **_) -> Iterator[dict]:
     if r is not None:  # a fixed r is rejected, not dropped from the grid
         check_positive_species(r)
-    ns, rs = _partition_ns(ns), [q for q in comps() if 0 not in q.parts]
-    return [dict(n=n, r=q) for n in ns for q in rs]
+    return (dict(n=n, r=q) for n in _partition_ns(ns) for q in comps() if 0 not in q.parts)
 
 
-def _grid_las0pp(ns, comps, p, **_) -> List[dict]:
-    ns, rs = _partition_ns(ns), comps()
-    return [dict(n=n, p=q, r=r) for n in ns for q in ([p] if p else range(1, n + 1)) if q <= n for r in rs]
+def _grid_las0pp(ns, comps, p, **_) -> Iterator[dict]:
+    return (dict(n=n, p=q, r=r) for n in _partition_ns(ns) for q in ([p] if p else range(1, n + 1)) if q <= n
+            for r in comps())
 
 
 def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
     if t_max < 1:
         raise ValueError(f"waring: t_max must be positive, got {t_max}")
-    # caps go through Composition, so negative or all-zero caps are rejected
-    caps = [r] if r is not None else [Composition((r_max,) * m) for m in range(1, m_max + 1)]
-    for c in caps:
+    # caps go through Composition, so negative or all-zero caps are rejected;
+    # each is checked as it is built, so the box budget stops a large m_max by m = 9
+    grid = []
+    for c in [r] if r is not None else (Composition((r_max,) * m) for m in range(1, m_max + 1)):
         _check_waring_budget(c.parts, t_max)
-    return [dict(caps=c.parts, t_max=t_max) for c in caps]
+        grid.append(dict(caps=c.parts, t_max=t_max))
+    return grid
 
 
-def _grid_binom2(r, r_max, **_) -> List[dict]:
+def _grid_binom2(r, r_max, **_) -> Iterable[dict]:
     if r is None:
-        return [dict(r1=a, r2=b) for a in range(r_max + 1) for b in range(r_max + 1) if a + b]
+        return (dict(r1=a, r2=b) for a in range(r_max + 1) for b in range(r_max + 1) if a + b)
     if r.m != 2:
         raise ValueError("binom2 needs a two-entry composition")
     return [dict(r1=r.parts[0], r2=r.parts[1])]
@@ -560,11 +564,15 @@ def sweep(
     or ``r`` narrows the corresponding range to that single value.  An
     identity takes the fixed parameters its grid function reads.
 
-    The grid is built before any instance runs, so an unknown id, a fixed
+    The grid is streamed, not listed: compositions and pairs are drawn as
+    the reports are, a fresh ``iter_compositions`` per n (and per p), so the
+    first report of a grid of 10^8 compositions comes at once.  Every grid
+    check still runs here, before any instance: an unknown id, a fixed
     parameter the identity does not take, ``n``, ``p`` or ``t_max`` below
-    1, ``p > n``, an ``r`` that is not a composition, an oracle or
-    partition-sum budget overrun or an empty grid raises ValueError here,
-    not midway through the returned iterator."""
+    1, ``p > n``, an ``r`` that is not a composition (or, for bigeq, has a
+    zero species), an oracle or partition-sum budget overrun or an empty
+    grid (found by drawing its first instance) raises ValueError here, not
+    midway through the returned iterator."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
     grid_fn = _IDENTITIES[identity][1]
@@ -577,10 +585,11 @@ def sweep(
     # a range, not a list: a large n_max costs nothing for an id that reads no n
     ns = range(n, n + 1) if n is not None else range(1, n_max + 1)
 
-    def comps() -> List[Composition]:  # built only for the ids that take r, each calling it once
-        return [r] if r is not None else list(iter_compositions(m_max, r_max))
+    def comps() -> Iterable[Composition]:  # called by the ids that take r, once per n (and p)
+        return [r] if r is not None else iter_compositions(m_max, r_max)
 
-    grid = grid_fn(ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max)
-    if not grid:
+    grid = iter(grid_fn(ns=ns, comps=comps, p=p, r=r, m_max=m_max, r_max=r_max, t_max=t_max))
+    first = next(grid, None)
+    if first is None:
         raise ValueError(f"{identity}: no instance within the given bounds")
-    return (verify(identity, **params) for params in grid)
+    return (verify(identity, **params) for params in chain([first], grid))

@@ -131,6 +131,16 @@ def test_coeff_json_round_trip(capsys):
     values = json.loads(out)
     assert list(values) == [str(k) for k in range(1, 13)]
     assert all(Fraction(v) >= 1 for v in values.values())
+    # values over str()'s digit limit (lowered here to its floor, 640) print
+    # whole: c_k((1,)*400) has up to 932 digits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, _ = run(capsys, "coeff", "--r", ",".join(["1"] * 400))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert {int(k): int(v) for k, v in json.loads(out).items()} == coefficients.c_table((1,) * 400).values
 
 
 def test_verify_sweep_ok(capsys):

@@ -814,8 +814,12 @@ def test_recurrence_merge_step_remainder_raises(monkeypatch):
 # catches little that the other misses; these tests state the two facts.
 def test_explicit_and_entiere_difference_one_table():
     # C(i+r_j-1, r_j-1) = C(i+r_j-1, r_j) r_j / i, so entiere's Q_i is |r| P_i / i,
-    # P_i = prod_l C(r_l+i-1, r_l), the table explicit differences (over lcm(1..|r|))
-    for r in iter_compositions(4, 4):
+    # P_i = prod_l C(r_l+i-1, r_l), the table explicit differences (over lcm(1..|r|));
+    # this O(m^2) double sum is the reference for entiere's product rule, so it also
+    # takes 20 seeded shapes of up to 30 species (|r| <= 60, zeros among them)
+    rng = random.Random(30)
+    many = [Composition([1] + [rng.randint(0, 59 // m) for _ in range(m)]) for m in rng.choices(range(1, 30), k=20)]
+    for r in [*iter_compositions(4, 4), *many, Composition((1,) * 12), Composition((2,) * 8)]:
         q = []
         for i in range(1, r.total + 1):
             runs = [math.comb(rl + i - 1, rl) for rl in r.parts]

@@ -1,6 +1,8 @@
 import inspect
 import json
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as _cartesian
@@ -71,6 +73,7 @@ def test_sweep_rejects_bad_grid_up_front():
         ("mac", {"n_max": 0}),
         ("bigeq", {"r": Composition([1, 0])}),
         ("waring", {"t_max": 0}),
+        ("waring", {"m_max": 10**6}),  # the box budget stops it at m = 9
     ]:
         with pytest.raises(ValueError):
             sweep(ident, **bounds)
@@ -82,8 +85,8 @@ def test_sweep_deterministic():
     assert first == second
 
 
-def test_sweep_builds_its_compositions_once(monkeypatch):
-    # one list per sweep call, in the order every n (and p) repeats it
+def test_sweep_draws_its_compositions_per_n(monkeypatch):
+    # a fresh iterator per n (and p), each in the same order
     built = []
 
     def counted(m_max, r_max):
@@ -92,20 +95,34 @@ def test_sweep_builds_its_compositions_once(monkeypatch):
 
     monkeypatch.setattr(identities, "iter_compositions", counted)
     comps = list(iter_compositions(2, 2))
-    for ident, expected in (
-        ("las0pp", [dict(n=n, p=p, r=r) for n in range(1, 5) for p in range(1, n + 1) for r in comps]),
-        ("las", [dict(n=n, r=r) for n in range(1, 5) for r in comps]),
-        ("bigeq", [dict(n=n, r=r) for n in range(1, 5) for r in comps if 0 not in r.parts]),
-        ("linm", [dict(r=r) for r in comps]),
+    for ident, expected, draws in (
+        ("las0pp", [dict(n=n, p=p, r=r) for n in range(1, 5) for p in range(1, n + 1) for r in comps], 10),
+        ("las", [dict(n=n, r=r) for n in range(1, 5) for r in comps], 4),
+        ("bigeq", [dict(n=n, r=r) for n in range(1, 5) for r in comps if 0 not in r.parts], 4),
+        ("linm", [dict(r=r) for r in comps], 1),
     ):
         built.clear()
         got = [report.params for report in sweep(ident, n_max=4, m_max=2, r_max=2)]
-        assert built == [(2, 2)], ident
+        assert built == [(2, 2)] * draws, ident
         assert got == [{k: list(v.parts) if k == "r" else v for k, v in e.items()} for e in expected], ident
     built.clear()
     assert [report.params for report in sweep("las0pp", n_max=3, r=(2, 1))] == [
         dict(n=n, p=p, r=[2, 1]) for n in range(1, 4) for p in range(1, n + 1)]
     assert built == []  # a fixed r is the whole list
+
+
+def test_sweep_streams_a_huge_grid():
+    # 10^8 compositions, and 10^10 pairs: the first report comes at once, in
+    # a few MiB, as the grid is drawn and not listed
+    for ident, bounds in (("linm", dict(m_max=8, r_max=9)), ("binom2", dict(r_max=100000))):
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            report = next(sweep(ident, **bounds))
+            elapsed, (_, peak) = time.perf_counter() - start, tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.verified and elapsed < 1 and peak < 4 * 2**20, (ident, elapsed, peak)
 
 
 def test_extract_c_examples():

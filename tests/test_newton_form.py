@@ -232,8 +232,8 @@ def _grid(ident: str) -> List[dict]:
     """The id's sweep grid at n <= 8, m <= 3, r_i <= 3 (binom2: r1, r2 <= 12)."""
     grid_fn = identities._IDENTITIES[ident][1]
     comps = list(iter_compositions(3, 3))
-    return grid_fn(ns=range(1, 9), comps=lambda: comps, p=None, r=None,
-                   m_max=3, r_max=12 if ident == "binom2" else 3, t_max=1)
+    return list(grid_fn(ns=range(1, 9), comps=lambda: comps, p=None, r=None,
+                        m_max=3, r_max=12 if ident == "binom2" else 3, t_max=1))
 
 
 @pytest.mark.parametrize("ident", sorted(REFERENCES))
