@@ -37,17 +37,22 @@ per entry): a run-based kernel makes O(m |r|) entrywise products.
                        two-factor linearization (the binom2 identity); then
                        the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
   hyp3f2               c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
-                       (m = 2 only): c_1, c_2 from the evaluator, then the
-                       three-term relation in k of these continuous dual
-                       Hahn polynomials, one exact integer step per k
+                       (at most two nonzero species, (r_1, r_2) the species
+                       padded with zeros to a pair): c_1, c_2 from the
+                       evaluator, then the three-term relation in k of these
+                       continuous dual Hahn polynomials, one exact integer
+                       step per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
 route that takes every shape.  The others stay as cross-checks, though not
 all independent ones: each pair above shares one table, so within a pair
 only the scaling differs.
 A route's shape rule is checked before its kernel runs, and breaking it
-raises ShapeError: hyp3f2 needs m = 2, genfun at most GENFUN_STEPS_MAX box
-steps |r| * prod (r_i + 1).  Before that, every table, c_k, linearization or
+raises ShapeError: hyp3f2 needs at most two nonzero species (``_species_pair``,
+the one two-species rule, which the linm and linbin closed forms read too),
+genfun at most GENFUN_STEPS_MAX box steps |r| * prod (r_i + 1), recurrence at
+most RECURRENCE_STEPS_MAX merge steps.  Like the kernels, each rule reads only
+``Composition.species``.  Before that, every table, c_k, linearization or
 seating count, is checked against TABLE_SIZE_MAX on its length (|r| or k),
 and a longer one raises ValueError.
 
@@ -55,8 +60,9 @@ Also here: the round-table seating counts F_k/S_k/T_k, the linearization
 tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
 on integer numerator/denominator pairs.  Every family is a count and every
 value an ``int``: each division goes through ``_exact``, where a nonzero
-remainder raises ArithmeticError naming its k instead of being rounded, or,
-in recurrence's merge step, through one ``divmod`` that names a, b and l.
+remainder raises ArithmeticError naming its k instead of being rounded, or
+through one checked ``divmod``: hyp3f2's three-term step names its k, and
+recurrence's merge step names a, b and l.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by ``Composition.species`` (the sorted
@@ -89,8 +95,15 @@ GENFUN_STEPS_MAX = 2 * 10**6
 # every table's budget on its length, |r| or a seating count's k.  Largest accepted cases,
 # two-species (1000,1000) then many-species (1,)*2000, same machine: explicit 1.8, 7.1 s;
 # entiere 1.8, 16 s; inclusion_exclusion 1.0, 6.6 s; finite_diff 3.1, 7.0 s; recurrence
-# 0.3, 23 s; d 2.5, 5.9 s; hyp3f2 (m = 2 only) 0.01 s; genfun's own budget rejects both
+# 0.4 s, then its own budget rejects (1,)*2000; d 2.5, 5.9 s; hyp3f2 (at most two species)
+# 0.01 s; genfun's own budget rejects both
 TABLE_SIZE_MAX = 2000
+# recurrence's budget on its merge steps, counted from the species by `_recurrence_steps`
+# before any work; a step is a big-integer product and division, slower the larger |r|.
+# Same machine: (1000,1000) 1,001 steps 0.4 s; (50,)*20 437,019 steps 1.0 s; the most
+# ones accepted, (1,)*1000, 999,000 steps 2.6 to 3.6 s; (1,)*815+(1185,) 996,745 steps
+# 4.6 s.  Over it, (10,)*200 (2.2*10^6 steps) took 12.8 s and (1,)*2000 (4*10^6) 23 s
+RECURRENCE_STEPS_MAX = 10**6
 
 
 class ShapeError(ValueError):
@@ -167,6 +180,12 @@ def _check_table_size(n: int, name: str) -> None:
     """Raise ValueError if a table of length n is over TABLE_SIZE_MAX, before any work."""
     if n > TABLE_SIZE_MAX:
         raise ValueError(f"{name} = {n} is over the table budget TABLE_SIZE_MAX = {TABLE_SIZE_MAX}")
+
+
+def _species_pair(r: Composition) -> Tuple[int, int] | None:
+    """r's nonzero species padded with zeros to a pair, smallest first, or None
+    if r has three or more: the one two-species rule."""
+    return (0, *r.species)[-2:] if len(r.species) <= 2 else None
 
 
 def _exact(nums: Iterable[int], dens: Iterable[int], k0: int = 1) -> List[int]:
@@ -382,19 +401,34 @@ def _recurrence(r: Composition) -> List[int]:
     return _scaled_by_total(r, e)
 
 
+def _recurrence_steps(species: Sequence[int]) -> int:
+    """An upper bound on recurrence's merge steps, species ascending: once the
+    species up to s are merged the weights lie on [s, S], S their sum, and merging
+    b takes min(a, b) + 1 steps for each a there (fewer where w_a is zero)."""
+    steps, s, total = 0, species[0], species[0]
+    for b in species[1:]:
+        mid = min(b, total)  # a <= mid takes a + 1 steps, a > mid takes b + 1
+        steps += (s + mid + 2) * (mid - s + 1) // 2 + (total - mid) * (b + 1)
+        s, total = b, total + b
+    return steps
+
+
 def _hyp3f2(r: Composition) -> List[int]:
     # c_k = (-1)^(k-1) |r| F_(k-1), F_n = 3F2(-n, r_1+1, r_2+1; 2, 1; 1), a continuous
     # dual Hahn polynomial in n (Koekoek-Lesky-Swarttouw (9.3.3) with a + b = 2,
     # a + c = 1, a^2 + x^2 = R): c_1, c_2 from the evaluator, then for n = 1..|r|-2
     # A_n c_(n+2) = (R - A_n - C_n) c_(n+1) - C_n c_n,
     # A_n = (n+1)(n+2), C_n = n(n - |r|), R = (r_1+1)(r_2+1)
-    r1, r2 = r.parts
+    r1, r2 = _species_pair(r)
     values = [hypergeom_terminating([1 - k, r1 + 1, r2 + 1], [2, 1], 1) for k in range(1, min(2, r.total) + 1)]
     c = _exact([(-1) ** i * r.total * v.numerator for i, v in enumerate(values)], [v.denominator for v in values])
     big_r = (r1 + 1) * (r2 + 1)
     for n in range(1, r.total - 1):  # c[n] is c_(n+1)
         a, cn = (n + 1) * (n + 2), n * (n - r.total)
-        c += _exact([(big_r - a - cn) * c[n] - cn * c[n - 1]], [a], n + 2)
+        q, rem = divmod((big_r - a - cn) * c[n] - cn * c[n - 1], a)
+        if rem:
+            raise ArithmeticError(f"exact division leaves a remainder at k={n + 2}")
+        c.append(q)
     return c
 
 
@@ -416,10 +450,12 @@ def _kernel(r: Composition, method: str):
     if method not in _KERNELS:
         raise ValueError(f"unknown c_k method {method!r}; known methods: {', '.join(C_METHODS)}")
     _check_table_size(r.total, "|r|")
-    if method == "hyp3f2" and r.m != 2:
-        raise ShapeError(f"hyp3f2 method supports m = 2 only, got m = {r.m}")
-    if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > GENFUN_STEPS_MAX:
+    if method == "hyp3f2" and _species_pair(r) is None:
+        raise ShapeError(f"hyp3f2 method supports at most two nonzero species, got {len(r.species)}")
+    if method == "genfun" and r.total * math.prod(p + 1 for p in r.species) > GENFUN_STEPS_MAX:
         raise ShapeError(f"genfun: |r| * prod(r_i + 1) is over the budget {GENFUN_STEPS_MAX}")
+    if method == "recurrence" and _recurrence_steps(r.species) > RECURRENCE_STEPS_MAX:
+        raise ShapeError(f"recurrence: its merge steps are over the budget {RECURRENCE_STEPS_MAX}")
     return _KERNELS[method]
 
 
@@ -427,7 +463,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> int:
     """The generalized binomial coefficient c_k(r).
 
     Defined for 1 <= k <= |r| (a positive integer there); k > |r| gives 0.
-    All methods agree.  Each route divides only through ``_exact``, so an
+    All methods agree.  Each route divides only by a checked exact division, so an
     integrality bug raises ArithmeticError instead of being rounded.  Runs
     the route's whole kernel; a caller needing several k should take
     ``c_table`` once.
@@ -471,8 +507,8 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
         # Delta^k f(0), k = 1..|r|, of f(x) = prod falling(x, r_i) from one integer
         # difference table of f(0..|r|), falling(x, r) = perm(x, r), f(0) = 0:
         # d_k is Delta^k f(0) / k! (Newton form), dt_k is Delta^k f(0) / prod r_i!
-        f = [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
-        dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.parts)))
+        f = [math.prod(math.perm(x, ri) for ri in r.species) for x in range(r.total + 1)]
+        dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.species)))
         vals = _exact(forward_differences(f)[1:], dens)
     else:
         raise ValueError(f"linearization_d: unknown variant {variant!r}")

@@ -11,15 +11,18 @@ vector for waring) where its two sides differ.  The ids with more than one
 pair list them in this order:
 
   bigeq       the c, S and F forms
-  linm        the d table, the m = 2 closed form, the transversal oracle
-  linbin      the d~ table, the m = 2 two-factor form, the covering oracle
+  linm        the d table, the two-species closed form, the transversal oracle
+  linbin      the d~ table, the two-species two-factor form, the covering oracle
   linlas      the c~ table, the covering oracle
   mac         binomial(X+n-1, n), then its alternating companion
   lemma1      one pair per power y^j, j = 0..n: pair j
   waring      one pair per power t^l, l = 1..t_max: pair l-1
 
-A pair the instance lacks (a closed form at m != 2, an oracle over its
-budget) is left out, so the later ones move down.  Supported identity ids:
+A pair the instance lacks (a closed form at three or more nonzero species,
+an oracle over its budget) is left out, so the later ones move down.  The
+closed forms take the nonzero species padded with zeros to a pair
+(``coefficients._species_pair``), so they apply at two or fewer nonzero
+species, whatever the zero padding or order of r.  Supported identity ids:
 
   las         partition sum against the c_k expansion in binomial(X+n-1, n-k)
   bigeq       scenario count: partition sum vs the S_k / F_k / c_k forms
@@ -94,6 +97,7 @@ from .coefficients import (
     CoeffTable,
     Composition,
     _exact,
+    _species_pair,
     as_composition,
     c_table,
     check_positive_species,
@@ -204,11 +208,11 @@ def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | No
     return UPoly._of(_partition_sum(n, g, p), factorial(n))
 
 
-# waring builds one c_table per point of its box, prod(cap_i + 1) points, then
-# enumerates the partitions of each size up to |caps| with at most t_max parts,
-# as conjugates of those with parts <= t_max, and takes one truncated MPoly
-# product per partition.  A box over WARING_BOX_MAX, or a |caps| or t_max over
-# WARING_DEGREE_MAX, is rejected before any of it.  The largest accepted
+# waring builds one c_table per species multiset of its box, prod(cap_i + 1)
+# points, then enumerates the partitions of each size up to |caps| with at most
+# t_max parts, as conjugates of those with parts <= t_max, and takes one
+# truncated MPoly product per partition.  A box over WARING_BOX_MAX, or a |caps|
+# or t_max over WARING_DEGREE_MAX, is rejected before any of it.  The largest accepted
 # instances, cold, take 1.8 s: caps (15, 15) or (10, 20) at t_max 30; (15, 15)
 # at t_max 4, as the CLI runs it, takes 0.3 s.  Over budget, (3,3,3,3,3,3) at
 # t_max 4 took 24 s and (63,) 23 s (Python 3.11, 2-core Xeon VM).
@@ -319,8 +323,9 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
     caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
     _check_waring_budget(caps, t_max)
-    tables = [(parts, c_table(Composition(parts)).values)
-              for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
+    # c_k(r) reads only r's species: one c_table per species multiset, (3,3,3) 19, not 63
+    points = {parts: Composition(parts).species for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)}
+    tables = {s: c_table(Composition(s)).values for s in dict.fromkeys(points.values())}
     h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
     # h_lambda by multiplicity form: lambda less one copy of its smallest part
     # has a smaller size, so it is already here and each h_lambda is one product
@@ -339,7 +344,7 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
             if rem:
                 raise ArithmeticError(f"waring: |lambda| (l-1)!/prod m_j! is not an integer at lambda = {mults}")
             rhs[length] = rhs[length] + h_lam[mults].scale(coef)
-    return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
+    return [(MPoly(caps, {parts: tables[s].get(l, 0) for parts, s in points.items()}), rhs[l]) for l in rhs]
 
 
 def _check_linm(r: Composition) -> List[Pair]:
@@ -348,8 +353,8 @@ def _check_linm(r: Composition) -> List[Pair]:
     table = linearization_d(r, "d").values
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, from_falling_basis(table))]
-    if r.m == 2:
-        r1, r2 = r.parts
+    if (pair := _species_pair(r)) is not None:
+        r1, r2 = pair
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
         pairs.append((lhs, from_falling_basis(closed)))
     if r.total <= TRANSVERSAL_T_MAX:
@@ -372,8 +377,8 @@ def _check_linbin(r: Composition) -> List[Pair]:
     table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if r.m == 2:
-        sides.append(_two_factor(*r.parts, 1))
+    if (pair := _species_pair(r)) is not None:
+        sides.append(_two_factor(*pair, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         sides.append([0, *_oracle_counts("set", r.species)])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]

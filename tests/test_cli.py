@@ -64,6 +64,24 @@ def test_coeff_hyp3f2_shape_mismatch(capsys):
     assert "hyp3f2" in err
 
 
+def test_coeff_hyp3f2_reads_the_species(capsys):
+    # a zero species sends no delegation: (4, 0, 3) prints the bytes of (3, 4)
+    want = run(capsys, "coeff", "--r", "3,4")
+    assert want[0] == 0
+    for r in ("4,0,3", "4,3", "0,3,4"):
+        assert run(capsys, "coeff", "--r", r, "--method", "hyp3f2") == want, r
+
+
+def test_coeff_recurrence_over_budget_exits_3_at_once(capsys):
+    # 2000 ones are about 4*10^6 merge steps, over RECURRENCE_STEPS_MAX: rejected
+    # before any work (the route took 23 s there)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "coeff", "--r", ",".join(["1"] * 2000), "--method", "recurrence")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert "budget" in err
+
+
 def test_coeff_genfun_over_budget(capsys):
     code, out, err = run(capsys, "coeff", "--r", "20,20,20,20,20,20", "--method", "genfun")
     assert (code, out) == (3, "")

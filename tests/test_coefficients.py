@@ -86,10 +86,10 @@ def test_c_beyond_range_and_validation():
 
 
 def test_hyp3f2_requires_two_species():
+    # at most two nonzero species: one species is the pair (0, r_1)
     with pytest.raises(ValueError):
         c_coeff(Composition([1, 1, 1]), 1, "hyp3f2")
-    with pytest.raises(ValueError):
-        c_coeff(Composition([3]), 1, "hyp3f2")
+    assert c_coeff(Composition([3]), 1, "hyp3f2") == c_coeff(Composition([3]), 1)
 
 
 def test_shape_errors_are_value_errors():
@@ -110,6 +110,67 @@ def test_genfun_budget_edge():
     r = Composition((1,) * 17)
     with pytest.raises(ShapeError, match="budget"):
         c_coeff(r, r.total + 1, "genfun")
+
+
+def _merge_steps(species: Sequence[int]) -> int:
+    """Reference: recurrence's merge steps counted on the weights' support sets,
+    min(a, b) + 1 for each a in the support when b is merged in."""
+    support, steps = {species[0]}, 0
+    for b in species[1:]:
+        steps += sum(min(a, b) + 1 for a in support)
+        support = {a + b - l for a in support for l in range(min(a, b) + 1)}
+    return steps
+
+
+def test_recurrence_budget_edge():
+    # the step count is the support-set count, on known figures and seeded shapes
+    rng = random.Random(31)
+    shapes = [(1000, 1000), (50,) * 20, (1,) * 30, (2, 3, 5)]
+    shapes += [tuple(sorted(rng.randint(1, 12) for _ in range(rng.randint(1, 8)))) for _ in range(40)]
+    for species in shapes:
+        assert coefficients._recurrence_steps(species) == _merge_steps(species), species
+    assert coefficients._recurrence_steps((1000, 1000)) == 1001
+    assert coefficients._recurrence_steps((50,) * 20) == 437019
+    # k = |r| + 1 runs the shape check but not the kernel: (1,)*1000 has
+    # 999,000 merge steps, (1,)*1001 has 1,001,000
+    assert coefficients.RECURRENCE_STEPS_MAX == 10**6
+    r = Composition((1,) * 1000)
+    assert c_coeff(r, r.total + 1, "recurrence") == 0
+    for parts in ((1,) * 1001, (1,) * 2000, (0,) + (1,) * 1001):
+        with pytest.raises(ShapeError, match="budget"):
+            c_table(parts, "recurrence")
+
+
+def test_every_shape_rule_reads_only_the_species():
+    # c_k(r), d, d~ and c~ depend on r only through its nonzero species: every
+    # permutation and zero padding of r gives one table on each route, and a
+    # route that rejects one of them rejects them all
+    rng = random.Random(31)
+    for _ in range(50):
+        parts = tuple(rng.randint(0, 6) for _ in range(rng.randint(1, 5)))
+        if not any(parts):
+            parts = (*parts[:-1], 1)
+        variants = [*set(itertools.permutations(parts)), parts + (0,), (0, 0) + parts]
+        for method in C_METHODS:
+            outcomes = []
+            for v in variants:
+                try:
+                    outcomes.append(c_table(v, method).values)
+                except ShapeError:
+                    outcomes.append(None)
+            assert all(o == outcomes[0] for o in outcomes), (parts, method)
+        for variant in ("d", "d_tilde", "c_tilde"):
+            tables = [linearization_d(v, variant).values for v in variants]
+            assert all(t == tables[0] for t in tables), (parts, variant)
+
+
+def test_hyp3f2_takes_at_most_two_species():
+    for r in iter_compositions(4, 5):
+        if len(r.species) <= 2:
+            assert c_table(r, "hyp3f2").values == c_table(r).values, r
+        else:
+            with pytest.raises(ShapeError, match="hyp3f2"):
+                c_table(r, "hyp3f2")
 
 
 def test_table_budget_edge():
@@ -328,7 +389,7 @@ def _old_finite_diff(r, k):
 
 
 def _old_hyp3f2(r, k):
-    r1, r2 = r.parts
+    r1, r2 = (0, *r.species)[-2:]  # the nonzero species padded with zeros to a pair
     val = _old_hypergeom([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
     return (-1) ** (k - 1) * (r1 + r2) * val
 
@@ -455,7 +516,7 @@ _KERNEL_CASES = list(iter_compositions(3, 4)) + [
 @pytest.mark.parametrize("method", C_METHODS)
 def test_route_kernels_match_per_k_formulas(method):
     for r in _KERNEL_CASES:
-        if method == "hyp3f2" and r.m != 2:
+        if method == "hyp3f2" and len(r.species) > 2:
             continue
         # the reference genfun step takes about a microsecond per box step
         if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > 10**6:

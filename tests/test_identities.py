@@ -284,6 +284,37 @@ def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, param
     assert (report.pair, report.first_diff) == (decoded["pair"], decoded["first_diff"])
 
 
+def test_waring_takes_one_table_per_species_multiset(monkeypatch):
+    # c_k(r) reads only r's species: caps (3, 3, 3) have 63 nonzero box points
+    # but 19 species multisets, so 19 tables
+    calls = []
+    real = identities.c_table
+    monkeypatch.setattr(identities, "c_table", lambda r: calls.append(r.species) or real(r))
+    assert verify("waring", caps=(3, 3, 3), t_max=2).verified
+    assert len(calls) == len(set(calls)) == 19
+
+
+def test_closed_forms_take_at_most_two_species(monkeypatch):
+    # the closed forms read the nonzero species padded with zeros to a pair, so
+    # at (0, 3, 4) linm compares the d table, the closed form and the oracle, and
+    # linbin (|r| = 7 is over its oracle budget) the d~ table and the two-factor form
+    r = Composition((0, 3, 4))
+    assert len(identities._check_linm(r)) == 3 and verify("linm", r=r).verified
+    assert len(identities._check_linbin(r)) == 2 and verify("linbin", r=r).verified
+    for q in iter_compositions(4, 5):
+        closed = len(q.species) <= 2
+        assert len(identities._check_linm(q)) == 1 + closed + (q.total <= identities.TRANSVERSAL_T_MAX), q
+        assert len(identities._check_linbin(q)) == 1 + closed + (q.total <= COVERING_K_MAX), q
+        if closed:
+            assert verify("linm", r=q).verified and verify("linbin", r=q).verified, q
+    # a fault in the two-factor form fails linbin at (0, 3, 4) on that pair
+    real = identities._two_factor
+    monkeypatch.setattr(identities, "_two_factor", lambda r1, r2, sign: [a + 1 for a in real(r1, r2, sign)])
+    report = verify("linbin", r=r)
+    assert report.status == "failed" and report.pair == 1
+    assert '"pair":1' in report.to_json_line()
+
+
 # The partition loops the class-size table replaced, kept as references.
 
 def _old_las_lhs(n, r, weight=None):
@@ -715,8 +746,8 @@ def test_wrong_oracle_fails_through_the_memo(monkeypatch, cold_oracle_memo, iden
 def _ref_check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
-    if r.m == 2:
-        r1, r2 = r.parts
+    if len(r.species) <= 2:  # the nonzero species padded with zeros to a pair
+        r1, r2 = (0, *r.species)[-2:]
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
         pairs.append((lhs, from_falling_basis(closed)))
     if r.total <= 7:
@@ -729,8 +760,8 @@ def _ref_check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if r.m == 2:
-        sides.append(_two_factor(*r.parts, 1))
+    if len(r.species) <= 2:
+        sides.append(_two_factor(*(0, *r.species)[-2:], 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]

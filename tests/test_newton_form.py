@@ -152,8 +152,8 @@ def _check_lemma1(n: int) -> List[Pair]:
 def _check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, _old_from_falling_basis(linearization_d(r, "d").values))]
-    if r.m == 2:
-        r1, r2 = r.parts
+    if len(r.species) <= 2:  # the nonzero species padded with zeros to a pair
+        r1, r2 = (0, *r.species)[-2:]
         closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
         pairs.append((lhs, _old_from_falling_basis(closed)))
     if r.total <= 7:
@@ -166,8 +166,8 @@ def _check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values
     pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
-    if r.m == 2:
-        r1, r2 = r.parts
+    if len(r.species) <= 2:
+        r1, r2 = (0, *r.species)[-2:]
         closed = (binom_poly(r1 + r2 - k).scale(multinomial(r1 + r2 - k, (k, r1 - k, r2 - k)))
                   for k in range(min(r1, r2) + 1))
         pairs.append((lhs, sum(closed, UPoly.zero())))
