@@ -10,7 +10,11 @@ reads entry k of it.  The kernels work on whole integer runs over i = 1..|r|:
 each nonzero species, read from ``Composition.species`` (a zero part's run is
 all ones), contributes one run (entiere two), built by one ``math.comb`` or
 ``math.perm`` map, and runs are combined entrywise by ``map`` (no Python call
-per entry): a run-based kernel makes O(m |r|) entrywise products.
+per entry).  ``_species_product`` reads the sorted species as (size, count)
+groups: t equal species are one run raised to the power t by one ``pow`` map,
+so explicit, inclusion_exclusion, finite_diff and d/d~ make O(|r|) entrywise
+products and powers per distinct size; entiere keeps one product-rule step
+per species, O(m |r|) products.
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
                        differences of the integers lcm(1..|r|) P_i / i, the
@@ -81,10 +85,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from itertools import product as _cartesian
 from operator import add, floordiv, itemgetter, mul, sub
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .exactnum import Rat, as_int, binomial, factorial, forward_differences
 
@@ -93,10 +97,10 @@ DEFAULT_C_METHOD = "inclusion_exclusion"
 # 2-core Xeon VM; largest accepted boxes (4,)*6 0.24 s, (2,)*10 1.2 s, (1,)*16 1.5 s)
 GENFUN_STEPS_MAX = 2 * 10**6
 # every table's budget on its length, |r| or a seating count's k.  Largest accepted cases,
-# two-species (1000,1000) then many-species (1,)*2000, same machine: explicit 1.8, 7.1 s;
-# entiere 1.8, 16 s; inclusion_exclusion 1.0, 6.6 s; finite_diff 3.1, 7.0 s; recurrence
-# 0.4 s, then its own budget rejects (1,)*2000; d 2.5, 5.9 s; hyp3f2 (at most two species)
-# 0.01 s; genfun's own budget rejects both
+# two-species (1000,1000) then many-species (1,)*2000, same machine, medians of 4 runs in
+# process: explicit 1.3, 2.9 s; entiere 1.2, 12.6 s; inclusion_exclusion 0.7, 2.1 s;
+# finite_diff 2.4, 2.2 s; recurrence 0.4 s, then its own budget rejects (1,)*2000; d 1.7,
+# 2.4 s; d~ 1.5, 2.2 s; hyp3f2 (at most two species) 0.01 s; genfun's own budget rejects both
 TABLE_SIZE_MAX = 2000
 # recurrence's budget on its merge steps, counted from the species by `_recurrence_steps`
 # before any work; a step is a big-integer product and division, slower the larger |r|.
@@ -242,19 +246,16 @@ def check_positive_species(r: Composition) -> None:
         raise ValueError("a species with zero representatives cannot send a delegation")
 
 
-def _seating_f(parts: Sequence[int], k_max: int) -> List[int]:
+def _seating_f(species: Sequence[int], k_max: int) -> List[int]:
     """F_0 .. F_k_max, F_k the product over the species of r_l * C(k+r_l-1, r_l)
     seatings: prod r_l times the species' runs, with F_0 = 0 (no species is empty)."""
-    f = [math.prod(parts)] * k_max
-    for rl in parts:
-        f = list(map(mul, f, _multichoose_run(rl, k_max)))
-    return [0] + f
+    return [0, *_species_product(repeat(math.prod(species), k_max), species, lambda s: _multichoose_run(s, k_max))]
 
 
-def _seating_s(parts: Sequence[int], k_max: int) -> List[int]:
+def _seating_s(species: Sequence[int], k_max: int) -> List[int]:
     """S_0 .. S_k_max: S_k = sum_i (-1)^(k-i) C(k, i) F_i = Delta^k F(0), the
     binomial inverse of F, from one integer difference table."""
-    return forward_differences(_seating_f(parts, k_max))
+    return forward_differences(_seating_f(species, k_max))
 
 
 def seating_counts(r: Composition, k: int, which: str) -> int:
@@ -270,9 +271,9 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     r = as_composition(r)
     check_positive_species(r)
     if which == "F":
-        return _seating_f(r.parts, k)[k]
+        return _seating_f(r.species, k)[k]
     if which == "S":
-        return _seating_s(r.parts, k)[k]
+        return _seating_s(r.species, k)[k]
     raise ValueError(f"seating_counts: unknown kind {which!r}")
 
 
@@ -296,14 +297,22 @@ def _multichoose_run(rl: int, n: int) -> Iterator[int]:
     return map(math.comb, range(rl, rl + n), repeat(rl))
 
 
+def _species_product(start: Iterable[int], species: Sequence[int], run: Callable[[int], Iterable[int]]) -> List[int]:
+    """start times every species' run(s) entrywise, for nonempty ascending species:
+    t equal species, one (size, count) group, are one run raised to the power t."""
+    for s, group in groupby(species):
+        t = len(list(group))
+        start = list(map(mul, start, run(s) if t == 1 else map(pow, run(s), repeat(t))))
+    return start
+
+
 def _explicit(r: Composition) -> List[int]:
     # c_k = |r| sum_i (-1)^(k-i) C(k-1, i-1) P_i / i, P_i = prod C(r_l+i-1, r_l):
     # over L = lcm(1..|r|) the sum is Delta^(k-1) of the integers L P_i / i,
     # the run L // i times every species' run
     lcm = math.lcm(*range(1, r.total + 1))
-    scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
-    for rl in r.species:
-        scaled = list(map(mul, scaled, _multichoose_run(rl, r.total)))
+    scaled = _species_product(map(floordiv, repeat(lcm), range(1, r.total + 1)), r.species,
+                              lambda s: _multichoose_run(s, r.total))
     return _exact(map(r.total.__mul__, forward_differences(scaled)), repeat(lcm))
 
 
@@ -371,9 +380,7 @@ def _finite_diff(r: Composition) -> List[int]:
     # Newton coefficient A_k = Delta^k f(0) / k! of f(x) = prod (x)_{r_i}, from
     # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
     # rising(x, r_i) = perm(x+r_i-1, r_i) for x >= 1; f(0) = 0 as some r_i > 0
-    f = [1] * r.total
-    for ri in r.species:
-        f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
+    f = _species_product(repeat(1, r.total), r.species, lambda s: map(math.perm, range(s, s + r.total), repeat(s)))
     return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
 
 
@@ -507,8 +514,9 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
         # Delta^k f(0), k = 1..|r|, of f(x) = prod falling(x, r_i) from one integer
         # difference table of f(0..|r|), falling(x, r) = perm(x, r), f(0) = 0:
         # d_k is Delta^k f(0) / k! (Newton form), dt_k is Delta^k f(0) / prod r_i!
-        f = [math.prod(math.perm(x, ri) for ri in r.species) for x in range(r.total + 1)]
-        dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.species)))
+        f = _species_product(repeat(1, r.total + 1), r.species, lambda s: map(math.perm, range(r.total + 1), repeat(s)))
+        dens = (accumulate(range(1, r.total + 1), mul) if variant == "d"  # k! as a running product
+                else repeat(math.prod(map(factorial, r.species))))
         vals = _exact(forward_differences(f)[1:], dens)
     else:
         raise ValueError(f"linearization_d: unknown variant {variant!r}")

@@ -48,6 +48,10 @@ two-factor coefficient lists) are whole integer runs, `math.comb` mapped over
 ranges and multiplied entrywise, built in this module: they share no code
 with the c_k routes they check.  waring's caps and t_max have a budget,
 WARING_BOX_MAX and WARING_DEGREE_MAX, checked by its grid and its checker.
+binom2's r1 + r2 is held to TABLE_SIZE_MAX by its grid (2 r_max when swept)
+and its checker; the ids whose instances build a table of length |r| (las,
+bigeq, linm, linbin, linlas) hold a swept grid's largest |r|, m_max * r_max,
+to it in their grids.
 
 The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
@@ -96,6 +100,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 from .coefficients import (
     CoeffTable,
     Composition,
+    _check_table_size,
     _exact,
     _species_pair,
     as_composition,
@@ -395,6 +400,10 @@ def _check_linlas(r: Composition) -> List[Pair]:
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     r1, r2 = Composition((r1, r2)).parts  # the rule sweep's grid applies: no empty pair
+    # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
+    # either; the largest accepted pair, (1000, 1000), takes 25 s, most of it in the
+    # UPoly product (Python 3.11, 2-core Xeon VM)
+    _check_table_size(r1 + r2, "r1 + r2")
     lhs = shifted_binom_poly(r1, 0) * shifted_binom_poly(r2, 0)  # binomial(X+r_i-1, r_i)
     return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
 
@@ -480,17 +489,32 @@ def _grid_n(ns, **_) -> List[dict]:
     return [dict(n=n) for n in _partition_ns(ns)]
 
 
-def _grid_r(comps, **_) -> Iterator[dict]:
-    return (dict(r=r) for r in comps())
+def _check_swept_total(r, m_max, r_max) -> None:
+    """The grid rule of the ids whose instances build a table of length |r| (las,
+    bigeq, linm, linbin, linlas): a swept grid's largest |r|, m_max * r_max, is
+    within TABLE_SIZE_MAX.  A fixed r is checked by its instance's table."""
+    if r is None:
+        _check_table_size(m_max * r_max, "m_max * r_max")
+
+
+def _grid_r(comps, r, m_max, r_max, **_) -> Iterator[dict]:
+    _check_swept_total(r, m_max, r_max)
+    return (dict(r=q) for q in comps())
 
 
 def _grid_n_r(ns, comps, **_) -> Iterator[dict]:
     return (dict(n=n, r=r) for n in _partition_ns(ns) for r in comps())
 
 
-def _grid_bigeq(ns, comps, r, **_) -> Iterator[dict]:
+def _grid_las(ns, comps, r, m_max, r_max, **_) -> Iterator[dict]:
+    _check_swept_total(r, m_max, r_max)
+    return _grid_n_r(ns, comps)
+
+
+def _grid_bigeq(ns, comps, r, m_max, r_max, **_) -> Iterator[dict]:
     if r is not None:  # a fixed r is rejected, not dropped from the grid
         check_positive_species(r)
+    _check_swept_total(r, m_max, r_max)
     return (dict(n=n, r=q) for n in _partition_ns(ns) for q in comps() if 0 not in q.parts)
 
 
@@ -513,9 +537,11 @@ def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
 
 def _grid_binom2(r, r_max, **_) -> Iterable[dict]:
     if r is None:
+        _check_table_size(2 * r_max, "2 * r_max")  # the largest r1 + r2
         return (dict(r1=a, r2=b) for a in range(r_max + 1) for b in range(r_max + 1) if a + b)
     if r.m != 2:
         raise ValueError("binom2 needs a two-entry composition")
+    _check_table_size(r.total, "r1 + r2")
     return [dict(r1=r.parts[0], r2=r.parts[1])]
 
 
@@ -529,7 +555,7 @@ def _grid_injections(ns, **_) -> List[dict]:
 _FIXES = {"ns": "n", "comps": "r", "r": "r", "p": "p"}
 
 _IDENTITIES = {
-    "las": (_check_las, _grid_n_r),
+    "las": (_check_las, _grid_las),
     "bigeq": (_check_bigeq, _grid_bigeq),
     "las0p": (_check_las0p, _grid_n_r),
     "las0pp": (_check_las0pp, _grid_las0pp),
@@ -575,7 +601,7 @@ def sweep(
     check still runs here, before any instance: an unknown id, a fixed
     parameter the identity does not take, ``n``, ``p`` or ``t_max`` below
     1, ``p > n``, an ``r`` that is not a composition (or, for bigeq, has a
-    zero species), an oracle or partition-sum budget overrun or an empty
+    zero species), an oracle, partition-sum or table budget overrun or an empty
     grid (found by drawing its first instance) raises ValueError here, not
     midway through the returned iterator."""
     if identity not in _IDENTITIES:

@@ -110,6 +110,27 @@ def test_verify_table_over_budget_exits_2_at_once(capsys, ident):
     assert "table budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--id", "binom2", "--r", "3000,3000"],
+    ["--id", "binom2", "--r-max", "1001"],
+    ["--id", "las", "--n", "1", "--m-max", "1", "--r-max", "3000"],
+    ["--id", "bigeq", "--n", "1", "--m-max", "2", "--r-max", "1001"],
+    ["--id", "linm", "--m-max", "1", "--r-max", "2001"],
+    ["--id", "linbin", "--m-max", "3", "--r-max", "667"],
+    ["--id", "linlas", "--m-max", "2001", "--r-max", "1"],
+])
+def test_verify_grid_over_table_budget_exits_2_at_once(capsys, argv):
+    # binom2's r1 + r2, and the largest |r| of a swept grid of an id whose instances
+    # build a length-|r| table, m_max * r_max, are checked against TABLE_SIZE_MAX
+    # before any instance: without the budget each of these ran past 20 s, binom2 on
+    # one product and las printing reports for r = 1, 2, ... until r = 2001 failed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "table budget" in err
+
+
 def test_exit_codes_come_from_exception_types(capsys, monkeypatch):
     for argv, want in [
         (["coeff", "--r", "1,1,1", "--method", "hyp3f2"], 3),

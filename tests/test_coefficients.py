@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import List, Sequence, Tuple
 
 import pytest
@@ -898,3 +898,67 @@ def test_finite_diff_is_scaled_inclusion_exclusion():
         scale = math.prod(factorial(rl - 1) for rl in r.species)
         s_k = coefficients._seating_s(r.species, r.total)
         assert forward_differences(f) == [scale * s for s in s_k], r
+
+
+# The per-species loops as they stood before equal species were taken as one
+# pow run, kept verbatim as references but for their names: one entrywise
+# product per species, t products for t equal species
+def _ref_seating_f(parts: Sequence[int], k_max: int) -> List[int]:
+    f = [math.prod(parts)] * k_max
+    for rl in parts:
+        f = list(map(mul, f, coefficients._multichoose_run(rl, k_max)))
+    return [0] + f
+
+
+def _ref_explicit(r: Composition) -> List[int]:
+    lcm = math.lcm(*range(1, r.total + 1))
+    scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
+    for rl in r.species:
+        scaled = list(map(mul, scaled, coefficients._multichoose_run(rl, r.total)))
+    return coefficients._exact(map(r.total.__mul__, forward_differences(scaled)), repeat(lcm))
+
+
+def _ref_finite_diff(r: Composition) -> List[int]:
+    f = [1] * r.total
+    for ri in r.species:
+        f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
+    return coefficients._scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
+
+
+def _ref_linearization_d(r: Composition, variant: str) -> dict:
+    f = [math.prod(math.perm(x, ri) for ri in r.species) for x in range(r.total + 1)]
+    dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.species)))
+    vals = coefficients._exact(forward_differences(f)[1:], dens)
+    return {k: v for k, v in enumerate(vals, 1) if v}
+
+
+def _many_species_shapes(count: int, seed: int) -> List[Composition]:
+    """Seeded shapes of up to 2000 parts, |r| at most 442: a run of ones and a run
+    of one other size mixed with up to three distinct sizes, padded with zeros
+    and shuffled."""
+    rng, shapes = random.Random(seed), []
+    for _ in range(count):
+        parts = [1] * rng.randint(1, 250) + [rng.randint(2, 9)] * rng.randint(0, 12)
+        parts += rng.sample(range(10, 30), rng.randint(0, 3))
+        parts += [0] * (min(2000, round(2 ** rng.uniform(1, 11))) - len(parts))
+        rng.shuffle(parts)
+        shapes.append(Composition(parts))
+    return shapes
+
+
+def test_species_runs_match_per_species_loops():
+    # equal species taken as one pow run give the per-species loops' tables: the
+    # run-product routes, d, d~, and the seating counts F and S
+    for r in [*iter_compositions(4, 4), *_many_species_shapes(30, 32)]:
+        assert c_table(r, "explicit").values == dict(enumerate(_ref_explicit(r), 1)), r
+        assert c_table(r, "finite_diff").values == dict(enumerate(_ref_finite_diff(r), 1)), r
+        f = _ref_seating_f(r.species, r.total)
+        assert coefficients._seating_f(r.species, r.total) == f, r
+        want = coefficients._scaled_by_total(r, forward_differences(f)[1:], math.prod(r.species))
+        assert c_table(r, "inclusion_exclusion").values == dict(enumerate(want, 1)), r
+        for variant in ("d", "d_tilde"):
+            assert linearization_d(r, variant).values == _ref_linearization_d(r, variant), (r, variant)
+        if 0 not in r.parts:
+            k = min(r.total, 9)
+            assert seating_counts(r, k, "F") == _ref_seating_f(r.parts, k)[k], r
+            assert seating_counts(r, k, "S") == forward_differences(_ref_seating_f(r.parts, k))[k], r

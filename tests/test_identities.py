@@ -79,6 +79,32 @@ def test_sweep_rejects_bad_grid_up_front():
             sweep(ident, **bounds)
 
 
+def test_sweep_table_budget_edge():
+    # a swept grid whose largest |r| (binom2: r1 + r2) is TABLE_SIZE_MAX = 2000 is
+    # taken and gives its first report at once; one step more is rejected by
+    # the call itself, before any instance
+    for ident, bounds in [
+        ("las", dict(n=1, m_max=1, r_max=2000)),
+        ("bigeq", dict(n=1, m_max=2, r_max=1000)),
+        ("linm", dict(m_max=1, r_max=2000)),
+        ("linbin", dict(m_max=4, r_max=500)),
+        ("linlas", dict(m_max=1, r_max=2000)),
+        ("binom2", dict(r_max=1000)),
+    ]:
+        start = time.perf_counter()
+        assert next(sweep(ident, **bounds)).verified, ident
+        assert time.perf_counter() - start < 1, ident
+        with pytest.raises(ValueError, match="table budget"):
+            sweep(ident, **{**bounds, "r_max": bounds["r_max"] + 1})
+    # the ids that build no length-|r| table keep their grids
+    assert next(sweep("las0p", n=1, m_max=1, r_max=3000)).verified
+    assert next(sweep("las0pp", n=1, m_max=1, r_max=3000)).verified
+    # binom2 checks r1 + r2 on a fixed pair, in sweep and in the checker
+    for call in (lambda: sweep("binom2", r=(1000, 1001)), lambda: verify("binom2", r1=1000, r2=1001)):
+        with pytest.raises(ValueError, match="r1 \\+ r2 = 2001 is over the table budget"):
+            call()
+
+
 def test_sweep_deterministic():
     first = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
     second = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
@@ -112,9 +138,9 @@ def test_sweep_draws_its_compositions_per_n(monkeypatch):
 
 
 def test_sweep_streams_a_huge_grid():
-    # 10^8 compositions, and 10^10 pairs: the first report comes at once, in
+    # 10^8 compositions, and 10^6 pairs: the first report comes at once, in
     # a few MiB, as the grid is drawn and not listed
-    for ident, bounds in (("linm", dict(m_max=8, r_max=9)), ("binom2", dict(r_max=100000))):
+    for ident, bounds in (("linm", dict(m_max=8, r_max=9)), ("binom2", dict(r_max=1000))):
         tracemalloc.start()
         start = time.perf_counter()
         try:
