@@ -8,22 +8,20 @@ Each route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
 in one exact integer pass: ``c_table`` returns its list and ``c_coeff(r, k)``
 reads entry k of it.  The kernels work on whole integer runs over i = 1..|r|:
 each nonzero species, read from ``Composition.species`` (a zero part's run is
-all ones), contributes one run (entiere two), built by one ``math.comb`` or
-``math.perm`` map, and runs are combined entrywise by ``map`` (no Python call
-per entry).  ``_species_product`` reads the sorted species as (size, count)
-groups: t equal species are one run raised to the power t by one ``pow`` map,
-so explicit, inclusion_exclusion, finite_diff and d/d~ make O(|r|) entrywise
-products and powers per distinct size; entiere keeps one product-rule step
-per species, O(m |r|) products.
+all ones), contributes one run, built by one ``math.comb`` or ``math.perm``
+map, and runs are combined entrywise by ``map`` (no Python call per entry).
+``_species_product`` reads the sorted species as (size, count) groups: t equal
+species are one run raised to the power t by one ``pow`` map, so explicit,
+entiere, inclusion_exclusion, finite_diff and d/d~ make O(|r|) entrywise
+products and powers per distinct size.
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
                        differences of the integers lcm(1..|r|) P_i / i, the
                        run lcm // i times every species' C(r_l+i-1, r_l) run
   entiere              integer-valued double sum (one term per species):
-                       differences of the integers Q_i = sum_j B_j prod_(l!=j)
-                       A_l, by the product rule over the species,
-                       Q <- Q A_l + P B_l, then P <- P A_l, A_l and B_l the
-                       C(i+r_l-1, r_l) and C(i+r_l-1, r_l-1) runs
+                       differences of the integers Q_i = sum_j C(i+r_j-1,
+                       r_j-1) prod_(l!=j) C(i+r_l-1, r_l) = |r| P_i / i,
+                       P_i explicit's species product, by one checked division
   genfun               (|r|/k) * [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
                        powers kept as dense integer arrays over the box
                        prod (r_i + 1) of ``Composition.species`` (G is
@@ -98,7 +96,7 @@ DEFAULT_C_METHOD = "inclusion_exclusion"
 GENFUN_STEPS_MAX = 2 * 10**6
 # every table's budget on its length, |r| or a seating count's k.  Largest accepted cases,
 # two-species (1000,1000) then many-species (1,)*2000, same machine, medians of 4 runs in
-# process: explicit 1.3, 2.9 s; entiere 1.2, 12.6 s; inclusion_exclusion 0.7, 2.1 s;
+# process: explicit 1.3, 2.9 s; entiere 0.9, 2.7 s; inclusion_exclusion 0.7, 2.1 s;
 # finite_diff 2.4, 2.2 s; recurrence 0.4 s, then its own budget rejects (1,)*2000; d 1.7,
 # 2.4 s; d~ 1.5, 2.2 s; hyp3f2 (at most two species) 0.01 s; genfun's own budget rejects both
 TABLE_SIZE_MAX = 2000
@@ -318,14 +316,11 @@ def _explicit(r: Composition) -> List[int]:
 
 def _entiere(r: Composition) -> List[int]:
     # c_k = sum_i (-1)^(k-i) C(k-1, i-1) Q_i, Q_i = sum_j B_j prod_{l != j} A_l,
-    # A_l = C(i+r_l-1, r_l), B_l = C(i+r_l-1, r_l-1): by the product rule over the
-    # species, Q <- Q A_l + P B_l, then P <- P A_l: P is the product of the A runs so far
-    p, q = [1] * r.total, [0] * r.total
-    for rl in r.species:
-        a, b = list(_multichoose_run(rl, r.total)), map(math.comb, range(rl, rl + r.total), repeat(rl - 1))
-        q = list(map(add, map(mul, q, a), map(mul, p, b)))
-        p = list(map(mul, p, a))
-    return forward_differences(q)
+    # A_l = C(i+r_l-1, r_l), B_l = C(i+r_l-1, r_l-1) = r_l A_l / i: so Q_i = |r| P_i / i,
+    # P_i = prod_l A_l the species product; the checked division tests the paper's
+    # claim that the double sum is an integer at every i
+    p = _species_product(repeat(r.total, r.total), r.species, lambda s: _multichoose_run(s, r.total))
+    return forward_differences(_exact(p, range(1, r.total + 1)))
 
 
 def _times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:

@@ -50,8 +50,8 @@ with the c_k routes they check.  waring's caps and t_max have a budget,
 WARING_BOX_MAX and WARING_DEGREE_MAX, checked by its grid and its checker.
 binom2's r1 + r2 is held to TABLE_SIZE_MAX by its grid (2 r_max when swept)
 and its checker; the ids whose instances build a table of length |r| (las,
-bigeq, linm, linbin, linlas) hold a swept grid's largest |r|, m_max * r_max,
-to it in their grids.
+bigeq, linm, linbin, linlas) hold their grid's largest |r|, a fixed r's own
+or a swept grid's m_max * r_max, to it in their grids.
 
 The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
@@ -491,10 +491,10 @@ def _grid_n(ns, **_) -> List[dict]:
 
 def _check_swept_total(r, m_max, r_max) -> None:
     """The grid rule of the ids whose instances build a table of length |r| (las,
-    bigeq, linm, linbin, linlas): a swept grid's largest |r|, m_max * r_max, is
-    within TABLE_SIZE_MAX.  A fixed r is checked by its instance's table."""
-    if r is None:
-        _check_table_size(m_max * r_max, "m_max * r_max")
+    bigeq, linm, linbin, linlas): the grid's largest |r|, a fixed r's own or a
+    swept grid's m_max * r_max, is within TABLE_SIZE_MAX, checked when the grid is made."""
+    total, name = (m_max * r_max, "m_max * r_max") if r is None else (r.total, "|r|")
+    _check_table_size(total, name)
 
 
 def _grid_r(comps, r, m_max, r_max, **_) -> Iterator[dict]:

@@ -99,10 +99,10 @@ def test_table_over_budget_exits_2_at_once(capsys, command):
     assert "table budget" in err
 
 
-@pytest.mark.parametrize("ident", ["linm", "linbin", "linlas"])
+@pytest.mark.parametrize("ident", ["las", "bigeq", "linm", "linbin", "linlas"])
 def test_verify_table_over_budget_exits_2_at_once(capsys, ident):
-    # the checker takes its linearization table before building the product,
-    # so |r| = 100000 is rejected by TABLE_SIZE_MAX before any polynomial
+    # the grid holds a fixed |r| = 100000 to TABLE_SIZE_MAX before any instance
+    # (and the linearization checkers take their table before the product)
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "--id", ident, "--r", "100000")
     assert time.perf_counter() - start < 1

@@ -816,10 +816,11 @@ def _bump(f, index):
 
 # Each case perturbs one intermediate of a division so that entry k = 2 of
 # r = (2, 1) leaves a remainder (for hyp3f2 both evaluator seeds, so k = 1 is
-# named first).  entiere never divides, so it has no case.
+# named first).
 _R = Composition([2, 1])
 _REMAINDER_CASES = {
     "explicit": ("forward_differences", 1, lambda: c_table(_R, "explicit")),
+    "entiere": ("_species_product", 1, lambda: c_table(_R, "entiere")),  # 3 P_2 + 1 = 19 over 2
     "genfun": ("_geom_minus_one_powers", 1, lambda: c_table(_R, "genfun")),
     "inclusion_exclusion": ("forward_differences", 2, lambda: c_table(_R, "inclusion_exclusion")),
     "finite_diff": ("forward_differences", 2, lambda: c_table(_R, "finite_diff")),
@@ -902,7 +903,8 @@ def test_finite_diff_is_scaled_inclusion_exclusion():
 
 # The per-species loops as they stood before equal species were taken as one
 # pow run, kept verbatim as references but for their names: one entrywise
-# product per species, t products for t equal species
+# product per species, t products for t equal species (entiere's, its product
+# rule over the double sum Q, two runs per species)
 def _ref_seating_f(parts: Sequence[int], k_max: int) -> List[int]:
     f = [math.prod(parts)] * k_max
     for rl in parts:
@@ -923,6 +925,15 @@ def _ref_finite_diff(r: Composition) -> List[int]:
     for ri in r.species:
         f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
     return coefficients._scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
+
+
+def _ref_entiere(r: Composition) -> List[int]:
+    p, q = [1] * r.total, [0] * r.total
+    for rl in r.species:
+        a, b = list(coefficients._multichoose_run(rl, r.total)), map(math.comb, range(rl, rl + r.total), repeat(rl - 1))
+        q = list(map(add, map(mul, q, a), map(mul, p, b)))
+        p = list(map(mul, p, a))
+    return forward_differences(q)
 
 
 def _ref_linearization_d(r: Composition, variant: str) -> dict:
@@ -951,6 +962,7 @@ def test_species_runs_match_per_species_loops():
     # run-product routes, d, d~, and the seating counts F and S
     for r in [*iter_compositions(4, 4), *_many_species_shapes(30, 32)]:
         assert c_table(r, "explicit").values == dict(enumerate(_ref_explicit(r), 1)), r
+        assert c_table(r, "entiere").values == dict(enumerate(_ref_entiere(r), 1)), r
         assert c_table(r, "finite_diff").values == dict(enumerate(_ref_finite_diff(r), 1)), r
         f = _ref_seating_f(r.species, r.total)
         assert coefficients._seating_f(r.species, r.total) == f, r

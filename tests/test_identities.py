@@ -105,6 +105,14 @@ def test_sweep_table_budget_edge():
             call()
 
 
+@pytest.mark.parametrize("ident", ["las", "bigeq", "linm", "linbin", "linlas"])
+def test_sweep_rejects_a_fixed_r_over_the_table_budget(ident):
+    # a fixed r is held to TABLE_SIZE_MAX by the call itself, as a swept grid is,
+    # not by the first instance drawn from the returned iterator
+    with pytest.raises(ValueError, match=r"\|r\| = 3000 is over the table budget"):
+        sweep(ident, r=[3000])
+
+
 def test_sweep_deterministic():
     first = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
     second = [r.to_json_line() for r in sweep("las", n_max=3, m_max=2, r_max=2)]
