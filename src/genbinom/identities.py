@@ -80,12 +80,13 @@ hook or monkeypatch on them sees each enumeration it makes.  After one
 mode, 27 for linm), read by 537 instances.
 
 Each id has one entry in a table holding its checker and its parameter
-grid; the fixed parameters (n, p, r) an id takes are those its grid
-function reads, the named parameters of its code object
-(``__code__.co_varnames[:co_argcount]``).  Each (id, params) verification
-is independent, so sweeps can be fanned out; `sweep` makes every grid check
-before checking any instance, then streams the grid, drawing compositions
-and pairs as it yields reports in a fixed deterministic parameter order.
+grid; `verify` takes exactly the checker's named parameters, and `sweep`
+the fixed parameters (n, p, r) its grid function reads, each read once
+from the code object (``__code__.co_varnames[:co_argcount]``).  Each (id,
+params) verification is independent, so sweeps can be fanned out; `sweep`
+makes every grid check before checking any instance, then streams the
+grid, drawing compositions and pairs as it yields reports in a fixed
+deterministic parameter order.
 """
 
 from __future__ import annotations
@@ -352,6 +353,9 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     return [(MPoly(caps, {parts: tables[s].get(l, 0) for parts, s in points.items()}), rhs[l]) for l in rhs]
 
 
+# linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
+# through the CLI, two runs each, linm takes 38-48 s, linbin 28-30 s and linlas 25-29 s
+# (Python 3.11, 2-core Xeon VM), too long to run on every CI push
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
@@ -401,8 +405,8 @@ def _check_linlas(r: Composition) -> List[Pair]:
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     r1, r2 = Composition((r1, r2)).parts  # the rule sweep's grid applies: no empty pair
     # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 25 s, most of it in the
-    # UPoly product (Python 3.11, 2-core Xeon VM)
+    # either; the largest accepted pair, (1000, 1000), takes 24-35 s cold through the CLI
+    # (four runs), most of it in the UPoly product (Python 3.11, 2-core Xeon VM); CI runs it
     _check_table_size(r1 + r2, "r1 + r2")
     lhs = shifted_binom_poly(r1, 0) * shifted_binom_poly(r2, 0)  # binomial(X+r_i-1, r_i)
     return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
@@ -421,11 +425,17 @@ def _check_n_p(n: int | None, p: int | None) -> None:
 
 
 def verify(identity: str, **params) -> IdentityReport:
-    """Check one identity instance; exact equality decides the verdict.  An
-    ``r`` that is not a composition, or an instance with no pair to compare,
-    raises ValueError."""
+    """Check one identity instance; exact equality decides the verdict.  The
+    params are exactly the named parameters of the id's checker: n and r for
+    las, caps and t_max for waring, r1 and r2 for binom2, and so on.  An
+    unknown id, a missing or extra parameter (checked before the checker
+    runs), an ``r`` that is not a composition, or an instance with no pair
+    to compare raises ValueError."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
+    takes = _PARAMS[identity]
+    if params.keys() != set(takes):
+        raise ValueError(f"{identity} takes the parameters {', '.join(takes)}; got {', '.join(params) or 'none'}")
     _check_n_p(params.get("n"), params.get("p"))
     if "r" in params:  # any sequence, checked as waring's caps are
         params["r"] = as_composition(params["r"])
@@ -458,6 +468,9 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     uniquely.
     Entries are |r| times the expansion coefficients, each by one checked
     exact division (ArithmeticError names k); zero entries are dropped.
+    The degree-(n-1) sum fixes only c_1..c_n, so n >= |r| gives the whole
+    table and a smaller n its prefix: ``extract_c_from_las(2, (2, 1))``
+    holds {1: 3, 2: 6}, and its ``value(3)`` reads 0 where c_3 = 3.
     """
     _check_n_p(n, None)
     r = as_composition(r)
@@ -570,6 +583,11 @@ _IDENTITIES = {
 }
 
 IDENTITY_IDS = tuple(sorted(_IDENTITIES))
+
+# id -> the named parameters of its checker, the params verify() takes
+_PARAMS = {
+    ident: check.__code__.co_varnames[:check.__code__.co_argcount] for ident, (check, _) in _IDENTITIES.items()
+}
 
 # id -> the fixed sweep() parameters it takes: those its grid function reads,
 # the named parameters of its code object (the catch-all **_ is not among them)

@@ -45,6 +45,14 @@ def test_unknown_identity():
         list(sweep("nosuch"))
 
 
+@pytest.mark.parametrize("ident, params", [("mac", dict(n=3, r=(1,))), ("las", dict(n=3)), ("binom2", dict(r=(1, 2)))])
+def test_verify_rejects_params_its_id_does_not_take(ident, params):
+    # an extra or missing parameter is a ValueError naming the id, as in sweep,
+    # not a TypeError from the private checker
+    with pytest.raises(ValueError, match=f"^{ident} takes the parameters "):
+        verify(ident, **params)
+
+
 def test_report_json_line():
     report = verify("las", n=3, r=Composition([2, 1]))
     decoded = json.loads(report.to_json_line())
