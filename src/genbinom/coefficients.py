@@ -12,8 +12,8 @@ all ones), contributes one run, built by one ``math.comb`` or ``math.perm``
 map, and runs are combined entrywise by ``map`` (no Python call per entry).
 ``_species_product`` reads the sorted species as (size, count) groups: t equal
 species are one run raised to the power t by one ``pow`` map, so explicit,
-entiere, inclusion_exclusion, finite_diff and d/d~ make O(|r|) entrywise
-products and powers per distinct size.
+entiere, inclusion_exclusion, finite_diff and the d, d~ and c~ tables make
+O(|r|) entrywise products and powers per distinct size.
 
   explicit             alternating sum over P_i = prod C(r_l+i-1, r_l):
                        differences of the integers lcm(1..|r|) P_i / i, the
@@ -59,12 +59,14 @@ seating count, is checked against TABLE_SIZE_MAX on its length (|r| or k),
 and a longer one raises ValueError.
 
 Also here: the round-table seating counts F_k/S_k/T_k, the linearization
-tables d, d-tilde and c-tilde, and a terminating hypergeometric evaluator
-on integer numerator/denominator pairs.  Every family is a count and every
-value an ``int``: each division goes through ``_exact``, where a nonzero
-remainder raises ArithmeticError naming its k instead of being rounded, or
-through one checked ``divmod``: hyp3f2's three-term step names its k, and
-recurrence's merge step names a, b and l.
+tables d, d-tilde and c-tilde (one difference table of a species product of
+binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route), and a
+terminating hypergeometric evaluator on integer numerator/denominator
+pairs.  Every family is a count and every value an ``int``: each division
+goes through ``_exact``, where a nonzero remainder raises ArithmeticError
+naming its k instead of being rounded, or through one checked ``divmod``:
+hyp3f2's three-term step names its k, and recurrence's merge step names a, b
+and l.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by ``Composition.species`` (the sorted
@@ -97,8 +99,9 @@ GENFUN_STEPS_MAX = 2 * 10**6
 # every table's budget on its length, |r| or a seating count's k.  Largest accepted cases,
 # two-species (1000,1000) then many-species (1,)*2000, same machine, medians of 4 runs in
 # process: explicit 1.3, 2.9 s; entiere 0.9, 2.7 s; inclusion_exclusion 0.7, 2.1 s;
-# finite_diff 2.4, 2.2 s; recurrence 0.4 s, then its own budget rejects (1,)*2000; d 1.7,
-# 2.4 s; d~ 1.5, 2.2 s; hyp3f2 (at most two species) 0.01 s; genfun's own budget rejects both
+# finite_diff 2.4, 2.2 s; recurrence 0.4 s, then its own budget rejects (1,)*2000; d 0.5,
+# 2.8 s; d~ 0.4, 2.7 s; c~ 0.8, 2.6 s (one difference table, no c route); hyp3f2 (at
+# most two species) 0.01 s; genfun's own budget rejects both
 TABLE_SIZE_MAX = 2000
 # recurrence's budget on its merge steps, counted from the species by `_recurrence_steps`
 # before any work; a step is a big-integer product and division, slower the larger |r|.
@@ -497,22 +500,20 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     d_tilde: prod binom(x, r_i)  = sum_k dt_k * binom(x, k);  dt_k = k! d_k / prod r_i!
     c_tilde: prod multichoose(x, r_i) = sum_k ct_k * binom(x, k);  ct_k = k c_k / |r|
 
-    Entries not stored are zero.  Zero species sizes are allowed for d and
-    d_tilde (an empty species contributes the factor 1).
+    One kernel for all three: the integer difference table of g(0..|r|), g(x) the
+    product of the species' binomial runs, C(x, r_i) for d and d_tilde and
+    C(x+r_i-1, r_i) for c_tilde, so Delta^k g(0) is dt_k or ct_k with no division,
+    and d_k = prod r_i! dt_k / k! is the one checked division.  No c_k route runs.
+    Entries not stored are zero.  Zero species sizes are allowed (an empty
+    species contributes the factor 1).
     """
     r = as_composition(r)
     _check_table_size(r.total, "|r|")
-    if variant == "c_tilde":
-        c = c_table(r).values
-        vals = _exact(map(mul, c, c.values()), repeat(r.total))
-    elif variant in ("d", "d_tilde"):
-        # Delta^k f(0), k = 1..|r|, of f(x) = prod falling(x, r_i) from one integer
-        # difference table of f(0..|r|), falling(x, r) = perm(x, r), f(0) = 0:
-        # d_k is Delta^k f(0) / k! (Newton form), dt_k is Delta^k f(0) / prod r_i!
-        f = _species_product(repeat(1, r.total + 1), r.species, lambda s: map(math.perm, range(r.total + 1), repeat(s)))
-        dens = (accumulate(range(1, r.total + 1), mul) if variant == "d"  # k! as a running product
-                else repeat(math.prod(map(factorial, r.species))))
-        vals = _exact(forward_differences(f)[1:], dens)
-    else:
+    if variant not in ("d", "d_tilde", "c_tilde"):
         raise ValueError(f"linearization_d: unknown variant {variant!r}")
+    # g(0) = 0 as some r_i > 0, and g(1..|r|) is one species product
+    run = _multichoose_run if variant == "c_tilde" else lambda s, n: map(math.comb, range(1, n + 1), repeat(s))
+    vals = forward_differences([0, *_species_product(repeat(1, r.total), r.species, lambda s: run(s, r.total))])[1:]
+    if variant == "d":  # prod falling(x, r_i) = prod r_i! g(x); k! as a running product
+        vals = _exact(map(math.prod(map(factorial, r.species)).__mul__, vals), accumulate(range(1, r.total + 1), mul))
     return CoeffTable(variant, r, {k: v for k, v in enumerate(vals, 1) if v})

@@ -41,8 +41,10 @@ species, whatever the zero padding or order of r.  Supported identity ids:
 
 Each univariate right side is one `newton_sum` on binomial(X+n-1, j),
 binomial(X+j-1, j) or binomial(X, j), over integer numerators and one
-denominator (|r|, lcm(1..n) or lcm(1..p)), so no side builds a Fraction;
-product sides keep the basis constructors' own loops: no two sides share code.
+denominator (|r|, lcm(1..n) or lcm(1..p)), so no side builds a Fraction.
+linm, linbin and linlas all expand on binomial(X, k): linm's falling(k)
+coefficients (table, closed form, oracle counts) are scaled by k! first.
+Product sides keep the basis constructors' own loops: no two sides share code.
 The checker inputs (species products, partition sums, the las0pp and
 two-factor coefficient lists) are whole integer runs, `math.comb` mapped over
 ranges and multiplied entrywise, built in this module: they share no code
@@ -120,7 +122,7 @@ from .oracles import (
 )
 from .partitions import ferrers_poly, partitions_of
 from .polybasis import (
-    UPoly, binom_poly, falling_poly, from_falling_basis, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
+    UPoly, binom_poly, falling_poly, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
 from .series import MPoly, homogeneous_h
 
 
@@ -359,17 +361,16 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
-    table = linearization_d(r, "d").values
+    table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    pairs: List[Pair] = [(lhs, from_falling_basis(table))]
-    if (pair := _species_pair(r)) is not None:
+    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    if (pair := _species_pair(r)) is not None:  # C(r1, j) C(r2, j) j! at k = r1 + r2 - j, r1 + r2 = |r|
         r1, r2 = pair
-        closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
-        pairs.append((lhs, from_falling_basis(closed)))
+        sides.append([0] * r2 + [binomial(r1, j) * binomial(r2, j) * factorial(j) for j in range(r1, -1, -1)])
     if r.total <= TRANSVERSAL_T_MAX:
-        oracle = dict(enumerate(_oracle_counts("transversal", r.species), 1))
-        pairs.append((lhs, from_falling_basis(oracle)))
-    return pairs
+        sides.append([0, *_oracle_counts("transversal", r.species)])
+    # falling(k) = k! binomial(X, k)
+    return [(lhs, newton_sum(0, 1, list(map(mul, a, map(factorial, range(r.total + 1)))))) for a in sides]
 
 
 def _two_factor(r1: int, r2: int, sign: int) -> List[int]:

@@ -816,7 +816,8 @@ def _bump(f, index):
 
 # Each case perturbs one intermediate of a division so that entry k = 2 of
 # r = (2, 1) leaves a remainder (for hyp3f2 both evaluator seeds, so k = 1 is
-# named first).
+# named first).  d's one division, prod r_i! dt_k / k!, is taken at r = (1, 1),
+# where prod r_i! = 1: at (2, 1) the bumped 2 (dt_2 + 1) is still divisible by 2!.
 _R = Composition([2, 1])
 _REMAINDER_CASES = {
     "explicit": ("forward_differences", 1, lambda: c_table(_R, "explicit")),
@@ -826,9 +827,7 @@ _REMAINDER_CASES = {
     "finite_diff": ("forward_differences", 2, lambda: c_table(_R, "finite_diff")),
     "recurrence": ("_scaled_by_total", None, lambda: c_table(_R, "recurrence")),
     "hyp3f2": ("hypergeom_terminating", None, lambda: c_table(_R, "hyp3f2")),
-    "d": ("forward_differences", 2, lambda: linearization_d(_R, "d")),
-    "d_tilde": ("forward_differences", 2, lambda: linearization_d(_R, "d_tilde")),
-    "c_tilde": ("_KERNELS", None, lambda: linearization_d(_R, "c_tilde")),
+    "d": ("forward_differences", 2, lambda: linearization_d(Composition([1, 1]), "d")),
     "t_coeff": ("forward_differences", 2, lambda: t_coeff(_R, 2, 1)),
 }
 
@@ -841,9 +840,6 @@ def test_remainder_raises_and_is_never_rounded(monkeypatch, case):
         monkeypatch.setattr(coefficients, name, lambda r, e: real(r, [e[0], e[1] + 1, *e[2:]]))
     elif name == "hypergeom_terminating":  # every 3F2 value + 1/2: c_k = +-3 (F + 1/2)
         monkeypatch.setattr(coefficients, name, lambda *args: real(*args) + Fraction(1, 2))
-    elif name == "_KERNELS":  # c_2 + 1: ct_2 = 2 (c_2 + 1) / 3
-        kernel = real[coefficients.DEFAULT_C_METHOD]
-        monkeypatch.setitem(real, coefficients.DEFAULT_C_METHOD, _bump(kernel, 1))
     else:
         monkeypatch.setattr(coefficients, name, _bump(real, index))
     with pytest.raises(ArithmeticError, match=r"\bk=1\b" if case == "hyp3f2" else r"\bk=2\b"):
@@ -943,6 +939,12 @@ def _ref_linearization_d(r: Composition, variant: str) -> dict:
     return {k: v for k, v in enumerate(vals, 1) if v}
 
 
+def _ref_c_tilde(r: Composition) -> dict:
+    # ct_k = k c_k / |r|, c_k from explicit's per-species loop
+    vals = coefficients._exact(map(mul, itertools.count(1), _ref_explicit(r)), repeat(r.total))
+    return {k: v for k, v in enumerate(vals, 1) if v}
+
+
 def _many_species_shapes(count: int, seed: int) -> List[Composition]:
     """Seeded shapes of up to 2000 parts, |r| at most 442: a run of ones and a run
     of one other size mixed with up to three distinct sizes, padded with zeros
@@ -959,8 +961,8 @@ def _many_species_shapes(count: int, seed: int) -> List[Composition]:
 
 def test_species_runs_match_per_species_loops():
     # equal species taken as one pow run give the per-species loops' tables: the
-    # run-product routes, d, d~, and the seating counts F and S
-    for r in [*iter_compositions(4, 4), *_many_species_shapes(30, 32)]:
+    # run-product routes, d, d~, c~, and the seating counts F and S
+    for r in [*iter_compositions(4, 4), *_many_species_shapes(30, 32), Composition((400, 600)), Composition((100, 150))]:
         assert c_table(r, "explicit").values == dict(enumerate(_ref_explicit(r), 1)), r
         assert c_table(r, "entiere").values == dict(enumerate(_ref_entiere(r), 1)), r
         assert c_table(r, "finite_diff").values == dict(enumerate(_ref_finite_diff(r), 1)), r
@@ -970,7 +972,22 @@ def test_species_runs_match_per_species_loops():
         assert c_table(r, "inclusion_exclusion").values == dict(enumerate(want, 1)), r
         for variant in ("d", "d_tilde"):
             assert linearization_d(r, variant).values == _ref_linearization_d(r, variant), (r, variant)
+        assert linearization_d(r, "c_tilde").values == _ref_c_tilde(r), r
         if 0 not in r.parts:
             k = min(r.total, 9)
             assert seating_counts(r, k, "F") == _ref_seating_f(r.parts, k)[k], r
             assert seating_counts(r, k, "S") == forward_differences(_ref_seating_f(r.parts, k))[k], r
+
+
+def test_linearization_tables_run_no_c_route(monkeypatch):
+    # d, d~ and c~ are one difference table of binomial runs: with every c_k
+    # kernel raising, each still equals its reference
+    def no_route(r):
+        raise AssertionError(f"a c_k route ran on {r}")
+
+    for method in C_METHODS:
+        monkeypatch.setitem(coefficients._KERNELS, method, no_route)
+    for r in [*iter_compositions(3, 3), Composition((0, 5, 7)), Composition((1,) * 12), Composition((3, 3, 3, 8))]:
+        for variant in ("d", "d_tilde"):
+            assert linearization_d(r, variant).values == _ref_linearization_d(r, variant), (r, variant)
+        assert linearization_d(r, "c_tilde").values == _ref_c_tilde(r), r
