@@ -9,7 +9,11 @@ Exit codes: 0 ok / all verified, 1 falsified value or identity (or a division
 that leaves a remainder), 2 usage error, 3 method unsupported for the given
 shape (a ShapeError), 141 stdout closed by its reader (128 + SIGPIPE, as
 for ``| head``).  Only ``main`` maps exceptions to exit codes, by type.
-Values are integers, emitted as decimal strings to keep precision.
+Values are integers, emitted as decimal strings to keep precision.  Numbers
+are read as ASCII digits only: ``--r`` is digit runs joined by commas
+(``Composition.parse``), and every integer option one run; a sign, an
+underscore, a space or another script's digits, which ``int`` would take,
+is a usage error.
 """
 
 from __future__ import annotations
@@ -36,6 +40,14 @@ _BASIS_VARIANTS = {
     "binom": "d_tilde",
     "rising_over_binom": "c_tilde",
 }
+
+
+def _count(text: str) -> int:
+    """An integer option's value: ASCII digits only, where ``int`` would also take
+    a sign, underscores, spaces and non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
 
 
 def _emit_table(values: Dict[int, int], fmt: str) -> None:
@@ -112,18 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeff = sub.add_parser("coeff", help="print c_k values for a composition")
     p_coeff.add_argument("--r", required=True, help="composition, e.g. 2,1")
-    p_coeff.add_argument("--k", type=int, default=None, help="single k instead of the whole table")
+    p_coeff.add_argument("--k", type=_count, default=None, help="single k instead of the whole table")
     p_coeff.add_argument("--method", choices=C_METHODS, default=DEFAULT_C_METHOD)
     p_coeff.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_coeff.set_defaults(func=cmd_coeff)
 
     p_verify = sub.add_parser("verify", help="sweep one identity over bounded parameters")
     p_verify.add_argument("--id", required=True, help="identity name")
-    p_verify.add_argument("--n-max", type=int, default=6)
-    p_verify.add_argument("--m-max", type=int, default=2)
-    p_verify.add_argument("--r-max", type=int, default=3)
-    p_verify.add_argument("--n", type=int, default=None, help="verify at one n only")
-    p_verify.add_argument("--p", type=int, default=None, help="fix p (las0pp only)")
+    p_verify.add_argument("--n-max", type=_count, default=6)
+    p_verify.add_argument("--m-max", type=_count, default=2)
+    p_verify.add_argument("--r-max", type=_count, default=3)
+    p_verify.add_argument("--n", type=_count, default=None, help="verify at one n only")
+    p_verify.add_argument("--p", type=_count, default=None, help="fix p (las0pp only)")
     p_verify.add_argument("--r", default=None, help="fix the composition, e.g. 2,1")
     p_verify.set_defaults(func=cmd_verify)
 

@@ -35,9 +35,9 @@ O(|r|) entrywise products and powers per distinct size.
                        difference table of f(0..|r|), each rising factorial
                        run (x)_{r_i} = perm(x+r_i-1, r_i) from ``math.perm``
   recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
-                       merged one species at a time, smallest first, by the
-                       two-factor linearization (the binom2 identity); then
-                       the integers k c_k / |r| = sum_s w_s C(s-1, k-1)
+                       from the merge chain at sign -1 (below); then the
+                       integers k c_k / |r| = sum_s w_s C(s-1, k-1), one
+                       Horner pass
   hyp3f2               c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
                        (at most two nonzero species, (r_1, r_2) the species
                        padded with zeros to a pair): c_1, c_2 from the
@@ -51,22 +51,27 @@ all independent ones: each pair above shares one table, so within a pair
 only the scaling differs.
 A route's shape rule is checked before its kernel runs, and breaking it
 raises ShapeError: hyp3f2 needs at most two nonzero species (``_species_pair``,
-the one two-species rule, which the linm and linbin closed forms read too),
-genfun at most GENFUN_STEPS_MAX box steps |r| * prod (r_i + 1), recurrence at
-most RECURRENCE_STEPS_MAX merge steps.  Like the kernels, each rule reads only
-``Composition.species``.  Before that, every table, c_k, linearization or
-seating count, is checked against TABLE_SIZE_MAX on its length (|r| or k),
-and a longer one raises ValueError.
+the one two-species rule), genfun at most GENFUN_STEPS_MAX box steps
+|r| * prod (r_i + 1), recurrence at most RECURRENCE_STEPS_MAX merge steps
+(``_within_merge_budget``, which gates the chain pairs of linm, linbin and
+linlas too).  Like the kernels, each rule reads only ``Composition.species``.
+Before that, every table, c_k, linearization or seating count, is checked
+against TABLE_SIZE_MAX on its length (|r| or k), and a longer one raises
+ValueError.
 
-Also here: the round-table seating counts F_k/S_k/T_k, the linearization
+Also here: the round-table seating counts F_k/S_k/T_k; the linearization
 tables d, d-tilde and c-tilde (one difference table of a species product of
-binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route), and a
-terminating hypergeometric evaluator on integer numerator/denominator
-pairs.  Every family is a count and every value an ``int``: each division
-goes through ``_exact``, where a nonzero remainder raises ArithmeticError
-naming its k instead of being rounded, or through one checked ``divmod``:
-hyp3f2's three-term step names its k, and recurrence's merge step names a, b
-and l.
+binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route); the
+merge chain ``_merge_chain(species, sign)``, the one place of the two-factor
+rule b(x, a) b(x, b) = sum_l t_l b(x, a+b-l), merging one species at a time,
+smallest first, on b = C(x, .) at sign +1 (its weights are d-tilde) or on the
+multichoose at sign -1 (recurrence's weights and binom2's right side), which
+shares no code with the difference table; and a terminating hypergeometric
+evaluator on integer numerator/denominator pairs.  Every family is a count
+and every value an ``int``: each division goes through ``_exact``, where a
+nonzero remainder raises ArithmeticError naming its k instead of being
+rounded, or through one checked ``divmod``: hyp3f2's three-term step names
+its k, and the merge chain's step names a, b and l.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by ``Composition.species`` (the sorted
@@ -111,6 +116,12 @@ TABLE_SIZE_MAX = 2000
 RECURRENCE_STEPS_MAX = 10**6
 
 
+def _within_merge_budget(species: Sequence[int]) -> bool:
+    """Whether `_merge_chain` on these species takes at most RECURRENCE_STEPS_MAX steps:
+    the rule of recurrence and of the chain pairs of linm, linbin and linlas."""
+    return _recurrence_steps(species) <= RECURRENCE_STEPS_MAX
+
+
 class ShapeError(ValueError):
     """A composition of a shape the chosen c_k route does not take."""
 
@@ -135,12 +146,12 @@ class Composition:
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
-        """Parse a comma-separated list like "2,1"."""
-        try:
-            parts = [int(s) for s in text.split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse composition from {text!r}") from None
-        return cls(parts)
+        """Parse a comma-separated list of ASCII digit runs like "2,1"; ``int``
+        alone would also take signs, underscores, spaces and non-ASCII digits."""
+        parts = text.split(",")
+        if not all(s.isascii() and s.isdigit() for s in parts):
+            raise ValueError(f"cannot parse composition from {text!r}")
+        return cls([int(s) for s in parts])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Composition) and self.parts == other.parts
@@ -382,28 +393,43 @@ def _finite_diff(r: Composition) -> List[int]:
     return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
 
 
-def _recurrence(r: Composition) -> List[int]:
-    # prod mc(x, r_i) = sum_s w_s mc(x, s), mc(x, n) = C(x+n-1, n), merging one
-    # species b into w at a time by mc(x, a) mc(x, b) = sum_l t_l mc(x, a+b-l),
-    # t_l = (-1)^l C(a+b-l; l, a-l, b-l); then e_k = sum_s w_s C(s-1, k-1)
-    first, *rest = r.species
-    w = [0] * (r.total + 1)
+def _merge_chain(species: Sequence[int], sign: int) -> List[int]:
+    """w_0..w_S, S the total, with prod b(x, r_i) = sum_s w_s b(x, s) over the nonempty
+    ascending species r_i: b(x, n) = C(x, n) at sign +1, so w_s = d~_s, and the
+    multichoose C(x+n-1, n) at sign -1.  One species b merges into w at a time by
+    b(x, a) b(x, b) = sum_l t_l b(x, a+b-l), t_l = sign^l C(a+b-l; l, a-l, b-l), the
+    two-factor linearization (the binom2 identity at sign -1); each t_(l+1) comes
+    from t_l by one checked divmod, which names a, b and l on a remainder."""
+    first, *rest = species
+    w = [0] * (sum(species) + 1)
     w[first] = 1
     for b in rest:
-        merged = [0] * (r.total + 1)
+        merged = [0] * len(w)
         for a, wa in enumerate(w):
             if wa:
-                t = wa * binomial(a + b, a)  # w_a t_0
+                top = a + b
+                t = wa * binomial(top, a)  # w_a t_0
                 for l in range(min(a, b) + 1):
-                    merged[a + b - l] += t
-                    t, rem = divmod(-t * (a - l) * (b - l), (l + 1) * (a + b - l))
+                    merged[top - l] += t
+                    t, rem = divmod(t * (sign * (a - l) * (b - l)), (l + 1) * (top - l))
                     if rem:
-                        raise ArithmeticError(f"recurrence: merge step leaves a remainder at a={a}, b={b}, l={l}")
+                        raise ArithmeticError(f"merge chain: merge step leaves a remainder at a={a}, b={b}, l={l}")
         w = merged
-    e: List[int] = []  # Horner in (1 + y): e_k = [y^(k-1)] sum_s w_s (1 + y)^(s-1)
+    return w
+
+
+def _on_binomials(w: Sequence[int]) -> List[int]:
+    """e_1..e_S with sum_s w_s C(x+s-1, s) = sum_k e_k C(x, k), S = len(w) - 1:
+    e_k = sum_s w_s C(s-1, k-1) = [y^(k-1)] sum_s w_s (1 + y)^(s-1), by Horner in (1 + y)."""
+    e: List[int] = []
     for ws in reversed(w[1:]):
         e = list(map(add, [ws] + e, e + [0]))
-    return _scaled_by_total(r, e)
+    return e
+
+
+def _recurrence(r: Composition) -> List[int]:
+    # k c_k / |r| = c~_k, the C(x, k) coefficients of prod mc(x, r_i) = sum_s w_s mc(x, s)
+    return _scaled_by_total(r, _on_binomials(_merge_chain(r.species, -1)))
 
 
 def _recurrence_steps(species: Sequence[int]) -> int:
@@ -459,7 +485,7 @@ def _kernel(r: Composition, method: str):
         raise ShapeError(f"hyp3f2 method supports at most two nonzero species, got {len(r.species)}")
     if method == "genfun" and r.total * math.prod(p + 1 for p in r.species) > GENFUN_STEPS_MAX:
         raise ShapeError(f"genfun: |r| * prod(r_i + 1) is over the budget {GENFUN_STEPS_MAX}")
-    if method == "recurrence" and _recurrence_steps(r.species) > RECURRENCE_STEPS_MAX:
+    if method == "recurrence" and not _within_merge_budget(r.species):
         raise ShapeError(f"recurrence: its merge steps are over the budget {RECURRENCE_STEPS_MAX}")
     return _KERNELS[method]
 

@@ -11,18 +11,24 @@ vector for waring) where its two sides differ.  The ids with more than one
 pair list them in this order:
 
   bigeq       the c, S and F forms
-  linm        the d table, the two-species closed form, the transversal oracle
-  linbin      the d~ table, the two-species two-factor form, the covering oracle
-  linlas      the c~ table, the covering oracle
+  linm        the d table, the merge chain, the transversal oracle
+  linbin      the d~ table, the merge chain, the covering oracle
+  linlas      the c~ table, the merge chain, the covering oracle
   mac         binomial(X+n-1, n), then its alternating companion
   lemma1      one pair per power y^j, j = 0..n: pair j
   waring      one pair per power t^l, l = 1..t_max: pair l-1
 
-A pair the instance lacks (a closed form at three or more nonzero species,
-an oracle over its budget) is left out, so the later ones move down.  The
-closed forms take the nonzero species padded with zeros to a pair
-(``coefficients._species_pair``), so they apply at two or fewer nonzero
-species, whatever the zero padding or order of r.  Supported identity ids:
+A pair the instance lacks (the merge chain over RECURRENCE_STEPS_MAX merge
+steps, an oracle over its budget) is left out, so the later ones move down.
+The merge chain is ``coefficients._merge_chain``, the two-factor rule
+b(x, a) b(x, b) = sum_l t_l b(x, a+b-l) folded over the species: at sign +1
+its weights are the d~ table itself (linm's d_k = prod r_i! d~_k / k!, one
+checked division), at sign -1 the multichoose weights, which one Horner pass
+moves onto binomial(X, k) for linlas and which binom2's right side reads
+directly.  It takes the sorted nonzero species, so it applies whatever the
+zero padding or order of r, at every shape within the budget
+(``coefficients._within_merge_budget``, recurrence's rule).  Supported
+identity ids:
 
   las         partition sum against the c_k expansion in binomial(X+n-1, n-k)
   bigeq       scenario count: partition sum vs the S_k / F_k / c_k forms
@@ -43,10 +49,12 @@ Each univariate right side is one `newton_sum` on binomial(X+n-1, j),
 binomial(X+j-1, j) or binomial(X, j), over integer numerators and one
 denominator (|r|, lcm(1..n) or lcm(1..p)), so no side builds a Fraction.
 linm, linbin and linlas all expand on binomial(X, k): linm's falling(k)
-coefficients (table, closed form, oracle counts) are scaled by k! first.
-Product sides keep the basis constructors' own loops: no two sides share code.
-The checker inputs (species products, partition sums, the las0pp and
-two-factor coefficient lists) are whole integer runs, `math.comb` mapped over
+coefficients (table, chain, oracle counts) are scaled by k! first, and their
+sides whose integer lists are equal share one `newton_sum`, each pair still
+compared.  Their table and chain sides come from two kernels that share no
+code.  Product sides keep the basis constructors' own loops: no two sides
+share code.  The other checker inputs (species products, partition sums, the
+las0pp coefficient lists) are whole integer runs, `math.comb` mapped over
 ranges and multiplied entrywise, built in this module: they share no code
 with the c_k routes they check.  waring's caps and t_max have a budget,
 WARING_BOX_MAX and WARING_DEGREE_MAX, checked by its grid and its checker.
@@ -73,7 +81,7 @@ partitions, covering choices by sets and by multisets) come from
 by the oracle and `Composition.species`, the sorted nonzero species sizes:
 an oracle count depends only on that multiset, so each permutation or zero
 padding of a composition reads one enumeration.  Each instance still builds
-its own closed form and product polynomial and compares them with the
+its own table, chain and product polynomial and compares them with the
 counts; none is inferred from another.  The oracles keep no memo: they are
 the ground truth, enumerating every object, and reusing a count is this
 checker's choice.  The memo calls them through this module's globals, so a
@@ -105,7 +113,9 @@ from .coefficients import (
     Composition,
     _check_table_size,
     _exact,
-    _species_pair,
+    _merge_chain,
+    _on_binomials,
+    _within_merge_budget,
     as_composition,
     c_table,
     check_positive_species,
@@ -355,62 +365,64 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     return [(MPoly(caps, {parts: tables[s].get(l, 0) for parts, s in points.items()}), rhs[l]) for l in rhs]
 
 
+def _on_binomial_pairs(lhs: UPoly, sides: List[List[int]]) -> List[Pair]:
+    """(lhs, sum_k a_k binomial(X, k)) for each side a; equal sides share one
+    `newton_sum`, and every pair is still compared."""
+    rhs = {a: newton_sum(0, 1, a) for a in dict.fromkeys(map(tuple, sides))}
+    return [(lhs, rhs[tuple(a)]) for a in sides]
+
+
 # linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
-# through the CLI, two runs each, linm takes 38-48 s, linbin 28-30 s and linlas 25-29 s
-# (Python 3.11, 2-core Xeon VM), too long to run on every CI push
+# through the CLI, one run each, linm takes 31 s, linbin 35 s and linlas 28 s (Python
+# 3.11, 2-core Xeon VM), too long to run on every CI push
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
     table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if (pair := _species_pair(r)) is not None:  # C(r1, j) C(r2, j) j! at k = r1 + r2 - j, r1 + r2 = |r|
-        r1, r2 = pair
-        sides.append([0] * r2 + [binomial(r1, j) * binomial(r2, j) * factorial(j) for j in range(r1, -1, -1)])
+    facts = list(accumulate(range(1, r.total + 1), mul, initial=1))  # k!, k = 0..|r|
+    if _within_merge_budget(r.species):  # d_k = prod r_i! d~_k / k!
+        scale = math.prod(map(factorial, r.species))
+        sides.append(_exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0))
     if r.total <= TRANSVERSAL_T_MAX:
         sides.append([0, *_oracle_counts("transversal", r.species)])
     # falling(k) = k! binomial(X, k)
-    return [(lhs, newton_sum(0, 1, list(map(mul, a, map(factorial, range(r.total + 1)))))) for a in sides]
-
-
-def _two_factor(r1: int, r2: int, sign: int) -> List[int]:
-    # a[i] = sign^l multinomial(i, (l, i-r2, i-r1)) = sign^l C(i, l) C(2i-r1-r2, i-r2)
-    # at l = r1+r2-i <= min(r1, r2), else 0: two runs over i = max(r1, r2)..r1+r2
-    s, top = r1 + r2, max(r1, r2)
-    ls = range(s - top, -1, -1)
-    c_il = map(math.comb, range(top, s + 1), ls)  # C(i, l)
-    c_rest = map(math.comb, range(2 * top - s, s + 1, 2), range(top - r2, r1 + 1))  # C(2i-r1-r2, i-r2)
-    return [0] * top + [sign ** l * x * y for l, x, y in zip(ls, c_il, c_rest)]
+    return _on_binomial_pairs(lhs, [list(map(mul, a, facts)) for a in sides])
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
     table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if (pair := _species_pair(r)) is not None:
-        sides.append(_two_factor(*pair, 1))
+    if _within_merge_budget(r.species):
+        sides.append(_merge_chain(r.species, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         sides.append([0, *_oracle_counts("set", r.species)])
-    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+    return _on_binomial_pairs(lhs, sides)
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
     lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    if _within_merge_budget(r.species):  # the multichoose chain's weights, moved onto binomial(X, k)
+        sides.append([0, *_on_binomials(_merge_chain(r.species, -1))])
     if r.total <= COVERING_K_MAX:
         sides.append([0, *_oracle_counts("multiset", r.species)])
-    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+    return _on_binomial_pairs(lhs, sides)
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
-    r1, r2 = Composition((r1, r2)).parts  # the rule sweep's grid applies: no empty pair
+    pair = Composition((r1, r2))  # the rule sweep's grid applies: no empty pair
+    r1, r2 = pair.parts
     # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 24-35 s cold through the CLI
-    # (four runs), most of it in the UPoly product (Python 3.11, 2-core Xeon VM); CI runs it
+    # either; the largest accepted pair, (1000, 1000), takes 29 s cold through the CLI (two
+    # runs); in process the UPoly product takes 28 s, the Newton pass 2 s and the merge
+    # chain 1 ms (Python 3.11, 2-core Xeon VM); CI runs it
     _check_table_size(r1 + r2, "r1 + r2")
     lhs = shifted_binom_poly(r1, 0) * shifted_binom_poly(r2, 0)  # binomial(X+r_i-1, r_i)
-    return [(lhs, newton_sum(0, -1, _two_factor(r1, r2, -1)))]
+    return [(lhs, newton_sum(0, -1, _merge_chain(pair.species, -1)))]
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:

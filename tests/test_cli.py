@@ -131,6 +131,34 @@ def test_verify_grid_over_table_budget_exits_2_at_once(capsys, argv):
     assert "table budget" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeff", "--r", "\u0661,\u0662"],  # Arabic-Indic 1,2: int() reads them as (1,2)
+    ["coeff", "--r", "1_000"],
+    ["coeff", "--r", "+3"],
+    ["coeff", "--r", " 2, 1"],
+    ["coeff", "--r", "2,1,"],
+    ["coeff", "--r", "-1,2"],
+    ["coeff", "--r", ""],
+    ["coeff", "--r", "\u00b2"],  # superscript 2, a digit to str.isdigit
+    ["linearize", "--r", "2,\u0661"],
+    ["coeff", "--r", "2,1", "--k", "\u0663"],
+    ["coeff", "--r", "2,1", "--k", "+3"],
+    ["coeff", "--r", "2,1", "--k", "1_0"],
+    ["coeff", "--r", "2,1", "--k", " 3"],
+    ["verify", "--id", "mac", "--n", "\u0663"],
+    ["verify", "--id", "las", "--n", "3", "--r", "\u0662,1"],
+    ["verify", "--id", "las0pp", "--n", "3", "--p", "+1", "--r", "1"],
+    ["verify", "--id", "mac", "--n-max", "1_2"],
+    ["verify", "--id", "linm", "--m-max", "\uff12"],  # fullwidth 2
+    ["verify", "--id", "linm", "--r-max", "3.0"],
+])
+def test_numbers_take_ascii_digits_only(capsys, argv):
+    # --r is ASCII digit runs joined by commas, every other number ASCII digits alone
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, ""), argv
+    assert "error" in err, argv
+
+
 def test_exit_codes_come_from_exception_types(capsys, monkeypatch):
     for argv, want in [
         (["coeff", "--r", "1,1,1", "--method", "hyp3f2"], 3),

@@ -10,11 +10,11 @@ from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
-from genbinom import identities
+from genbinom import coefficients, identities
 from genbinom.cli import main
-from genbinom.coefficients import Composition, c_coeff, c_table, iter_compositions, linearization_d, seating_counts
+from genbinom.coefficients import CoeffTable, Composition, c_coeff, c_table, iter_compositions, linearization_d, seating_counts
 from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
-from genbinom.identities import IDENTITY_IDS, Pair, _class_table, _two_factor, extract_c_from_las, sweep, verify
+from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.partitions import ferrers_choose, partitions_of
 from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_sum, rising_poly, shifted_binom_poly
@@ -200,7 +200,7 @@ def test_las0pp_at_p_equals_n_matches_las0p():
 
 def test_failure_reports_sides():
     # a deliberately broken comparison exercises the failure path
-    from genbinom import identities
+    from genbinom import coefficients, identities
 
     report = identities.IdentityReport("las", {"n": 1}, "failed", 0, {"at": 0, "lhs": "0", "rhs": "1"})
     assert not report.verified
@@ -313,10 +313,11 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
      "waring", dict(caps=(2, 2), t_max=3),
      '{"id":"waring","params":{"caps":[2,2],"t_max":3},"status":"failed",'
      '"pair":1,"first_diff":{"at":[0,1],"lhs":"1","rhs":"0"}}'),
-    # C(r_i, 1) + 1 enters only linm's m = 2 closed form, pair 1
-    ("binomial", lambda real: lambda a, b: real(a, b) + (b == 1), "linm", dict(r=(2, 1)),
+    # the merge chain's w_1 + 1 enters only linm's chain side, pair 1
+    ("_merge_chain", lambda real: lambda species, sign: [w + (s == 1) for s, w in enumerate(real(species, sign))],
+     "linm", dict(r=(2, 1)),
      '{"id":"linm","params":{"r":[2,1]},"status":"failed",'
-     '"pair":1,"first_diff":{"at":1,"lhs":"0","rhs":"-4"}}'),
+     '"pair":1,"first_diff":{"at":1,"lhs":"0","rhs":"2"}}'),
 ], ids=["bigeq", "lemma1", "waring", "linm"])
 def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
     monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
@@ -336,25 +337,63 @@ def test_waring_takes_one_table_per_species_multiset(monkeypatch):
     assert len(calls) == len(set(calls)) == 19
 
 
-def test_closed_forms_take_at_most_two_species(monkeypatch):
-    # the closed forms read the nonzero species padded with zeros to a pair, so
-    # at (0, 3, 4) linm compares the d table, the closed form and the oracle, and
-    # linbin (|r| = 7 is over its oracle budget) the d~ table and the two-factor form
-    r = Composition((0, 3, 4))
-    assert len(identities._check_linm(r)) == 3 and verify("linm", r=r).verified
-    assert len(identities._check_linbin(r)) == 2 and verify("linbin", r=r).verified
+def test_chain_pairs_run_within_the_merge_budget(monkeypatch):
+    # each lin id compares its table, the merge chain at any shape within
+    # RECURRENCE_STEPS_MAX and the oracle within its budget, in that order
     for q in iter_compositions(4, 5):
-        closed = len(q.species) <= 2
-        assert len(identities._check_linm(q)) == 1 + closed + (q.total <= identities.TRANSVERSAL_T_MAX), q
-        assert len(identities._check_linbin(q)) == 1 + closed + (q.total <= COVERING_K_MAX), q
-        if closed:
-            assert verify("linm", r=q).verified and verify("linbin", r=q).verified, q
-    # a fault in the two-factor form fails linbin at (0, 3, 4) on that pair
-    real = identities._two_factor
-    monkeypatch.setattr(identities, "_two_factor", lambda r1, r2, sign: [a + 1 for a in real(r1, r2, sign)])
-    report = verify("linbin", r=r)
+        chain = coefficients._recurrence_steps(q.species) <= coefficients.RECURRENCE_STEPS_MAX
+        assert len(identities._check_linm(q)) == 1 + chain + (q.total <= identities.TRANSVERSAL_T_MAX), q
+        assert len(identities._check_linbin(q)) == 1 + chain + (q.total <= COVERING_K_MAX), q
+        assert len(identities._check_linlas(q)) == 1 + chain + (q.total <= COVERING_K_MAX), q
+    for ident in ("linm", "linbin", "linlas"):
+        check = identities._IDENTITIES[ident][0]
+        assert len(check(Composition((1, 2, 3)))) == 3 and verify(ident, r=(1, 2, 3)).verified, ident
+        assert len(check(Composition((2, 3, 4)))) == 2 and verify(ident, r=(2, 3, 4)).verified, ident
+    # (1,)*1001 takes 1,001,000 merge steps, over the budget: the table alone
+    assert not coefficients._within_merge_budget((1,) * 1001)
+    monkeypatch.setattr(identities, "_merge_chain", lambda species, sign: pytest.fail("the chain ran"))
+    monkeypatch.setattr(identities, "linearization_d", lambda r, variant: CoeffTable(variant, r, {}))
+    monkeypatch.setattr(identities, "newton_sum", lambda *args: UPoly.zero())
+    for check in (identities._check_linm, identities._check_linbin, identities._check_linlas):
+        assert len(check(Composition((1,) * 1001))) == 1, check.__name__
+    # a fault in the chain fails linbin at (0, 3, 4) on that pair
+    monkeypatch.undo()
+    real = identities._merge_chain
+    monkeypatch.setattr(identities, "_merge_chain", lambda species, sign: [a + 1 for a in real(species, sign)])
+    report = verify("linbin", r=(0, 3, 4))
     assert report.status == "failed" and report.pair == 1
     assert '"pair":1' in report.to_json_line()
+
+
+def test_table_and_chain_pairs_share_no_code(monkeypatch):
+    # the linearization table and the merge chain are two kernels: a fault in either
+    # shows on its own pair and leaves the other's output as it was
+    r = Composition((1, 2, 3))
+    chains = {sign: coefficients._merge_chain(r.species, sign) for sign in (1, -1)}
+    tables = {v: linearization_d(r, v) for v in ("d", "d_tilde", "c_tilde")}
+    real_fd = coefficients.forward_differences
+    monkeypatch.setattr(coefficients, "forward_differences", lambda t: [v + (k == 1) for k, v in enumerate(real_fd(t))])
+    for ident in ("linm", "linbin", "linlas"):
+        report = verify(ident, r=r)
+        assert (report.status, report.pair) == ("failed", 0), ident
+    assert {sign: coefficients._merge_chain(r.species, sign) for sign in (1, -1)} == chains
+    monkeypatch.undo()
+    # a chain fault, C(n, k) + 2 as in the recurrence route's remainder test
+    real_binomial = coefficients.binomial
+    monkeypatch.setattr(coefficients, "binomial", lambda n, k: real_binomial(n, k) + 2)
+    with pytest.raises(ArithmeticError, match="merge step leaves a remainder"):
+        c_table(r, "recurrence")
+    for ident, params in (("linbin", dict(r=r)), ("binom2", dict(r1=2, r2=1))):
+        try:
+            report = verify(ident, **params)
+        except ArithmeticError:
+            continue
+        assert (report.status, report.pair) == ("failed", 1 if ident == "linbin" else 0), ident
+    assert {v: linearization_d(r, v) for v in tables} == tables
+    # no package function is called by both kernels
+    table_names = set(linearization_d.__code__.co_names) | set(coefficients._species_product.__code__.co_names)
+    shared = set(coefficients._merge_chain.__code__.co_names) & table_names
+    assert not {name for name in shared if callable(getattr(coefficients, name, None))}, shared
 
 
 # The partition loops the class-size table replaced, kept as references.
@@ -695,6 +734,20 @@ def _ref_two_factor(r1: int, r2: int, sign: int) -> List[int]:
             for i in range(r1 + r2 + 1)]
 
 
+def _ref_merge_chain(species: Sequence[int], sign: int) -> List[int]:
+    # the weights of the product of b(x, r_i), b(x, n) = C(x, n) at sign +1 or C(x+n-1, n)
+    # at sign -1, folding in one species at a time by `_ref_two_factor` on the dict of weights
+    first, *rest = species
+    w = {first: 1}
+    for b in rest:
+        merged = {}
+        for a, wa in w.items():
+            for i, t in enumerate(_ref_two_factor(a, b, sign)):
+                merged[i] = merged.get(i, 0) + wa * t
+        w = merged
+    return [w.get(s, 0) for s in range(sum(species) + 1)]
+
+
 def _coeffs_den(pairs):
     return [((a.coeffs, a.den), (b.coeffs, b.den)) for a, b in pairs]
 
@@ -722,12 +775,19 @@ def test_las_inputs_match_per_entry_reference():
 
 
 def test_two_factor_matches_per_entry_reference():
+    # the merge chain at two species is the two-factor linearization, at three and
+    # four the fold of it; every shape here is within RECURRENCE_STEPS_MAX
     for r1 in range(13):
         for r2 in range(13):
+            species = tuple(sorted(p for p in (r1, r2) if p))
             for sign in (1, -1):
-                got = identities._two_factor(r1, r2, sign)
-                assert got == _ref_two_factor(r1, r2, sign), (r1, r2, sign)
-                assert all(type(x) is int for x in got), (r1, r2, sign)
+                if species:
+                    got = coefficients._merge_chain(species, sign)
+                    assert got == _ref_two_factor(r1, r2, sign), (r1, r2, sign)
+                    assert all(type(x) is int for x in got), (r1, r2, sign)
+    for r in [*iter_compositions(4, 4), Composition((12, 9, 7, 5))]:
+        for sign in (1, -1):
+            assert coefficients._merge_chain(r.species, sign) == _ref_merge_chain(r.species, sign), (r, sign)
 
 
 # The oracle sides of linm, linbin and linlas read one memo keyed by the sorted
@@ -792,10 +852,9 @@ def test_wrong_oracle_fails_through_the_memo(monkeypatch, cold_oracle_memo, iden
 def _ref_check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
-    if len(r.species) <= 2:  # the nonzero species padded with zeros to a pair
-        r1, r2 = (0, *r.species)[-2:]
-        closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
-        pairs.append((lhs, from_falling_basis(closed)))
+    scale = math.prod(map(factorial, r.parts))  # every shape here is within RECURRENCE_STEPS_MAX
+    chain = {k: Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))}
+    pairs.append((lhs, from_falling_basis(chain)))
     if r.total <= 7:
         oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
         pairs.append((lhs, from_falling_basis(oracle)))
@@ -806,8 +865,7 @@ def _ref_check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
     sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if len(r.species) <= 2:
-        sides.append(_two_factor(*(0, *r.species)[-2:], 1))
+    sides.append(_ref_merge_chain(r.species, 1))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
     return [(lhs, newton_sum(0, 1, a)) for a in sides]
@@ -816,10 +874,11 @@ def _ref_check_linbin(r: Composition) -> List[Pair]:
 def _ref_check_linlas(r: Composition) -> List[Pair]:
     lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
-    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    pairs: List[Pair] = [(lhs, newton_sum(0, 1, [table.get(k, 0) for k in range(r.total + 1)]))]
+    pairs.append((lhs, newton_sum(0, -1, _ref_merge_chain(r.species, -1))))  # on binomial(X+s-1, s)
     if r.total <= COVERING_K_MAX:
-        sides.append([0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])
-    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+        pairs.append((lhs, newton_sum(0, 1, [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])))
+    return pairs
 
 
 def test_oracle_memo_checkers_match_per_instance_reference(cold_oracle_memo):

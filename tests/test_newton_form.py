@@ -5,9 +5,12 @@ The references below are the basis constructors, `from_falling_basis`,
 the ten univariate checkers and the triangular `extract_c_from_las` as they
 were before `polybasis.newton_sum` / `newton_coeffs` existed, kept verbatim:
 each right side is one `sum` of basis(k).scale(a_k), every basis built on
-the rising-factorial product loop defined here.  Only the partition-sum left
-sides (`_las_lhs`, `_partition_sum`, `_class_table`, `_species_products`)
-are shared with the package; they do not touch the Newton pair.
+the rising-factorial product loop defined here.  The merge-chain sides of
+linm, linbin and linlas, added later, take their weights from
+`test_identities._ref_merge_chain`, one multinomial per term.  Only the
+partition-sum left sides (`_las_lhs`, `_partition_sum`, `_class_table`,
+`_species_products`) are shared with the package; they do not touch the
+Newton pair.
 """
 
 import math
@@ -38,6 +41,7 @@ from genbinom.identities import (
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.polybasis import UPoly, from_falling_basis
 from test_identities import _ref_mchoose as _mchoose
+from test_identities import _ref_merge_chain
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +156,10 @@ def _check_lemma1(n: int) -> List[Pair]:
 def _check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, _old_from_falling_basis(linearization_d(r, "d").values))]
-    if len(r.species) <= 2:  # the nonzero species padded with zeros to a pair
-        r1, r2 = (0, *r.species)[-2:]
-        closed = {r1 + r2 - k: binomial(r1, k) * binomial(r2, k) * factorial(k) for k in range(min(r1, r2) + 1)}
-        pairs.append((lhs, _old_from_falling_basis(closed)))
+    # the merge chain's d~_k, every shape of the grid being within RECURRENCE_STEPS_MAX
+    scale = math.prod(map(factorial, r.parts))
+    chain = {k: Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1)) if w}
+    pairs.append((lhs, _old_from_falling_basis(chain)))
     if r.total <= 7:
         oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
         pairs.append((lhs, _old_from_falling_basis(oracle)))
@@ -166,11 +170,8 @@ def _check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values
     pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
-    if len(r.species) <= 2:
-        r1, r2 = (0, *r.species)[-2:]
-        closed = (binom_poly(r1 + r2 - k).scale(multinomial(r1 + r2 - k, (k, r1 - k, r2 - k)))
-                  for k in range(min(r1, r2) + 1))
-        pairs.append((lhs, sum(closed, UPoly.zero())))
+    chain = (binom_poly(s).scale(w) for s, w in enumerate(_ref_merge_chain(r.species, 1)))
+    pairs.append((lhs, sum(chain, UPoly.zero())))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "set")) for k in range(1, r.total + 1))
         pairs.append((lhs, sum(oracle, UPoly.zero())))
@@ -181,6 +182,8 @@ def _check_linlas(r: Composition) -> List[Pair]:
     lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
     pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
+    chain = (shifted_binom_poly(s, 0).scale(w) for s, w in enumerate(_ref_merge_chain(r.species, -1)))
+    pairs.append((lhs, sum(chain, UPoly.zero())))  # on binomial(X+s-1, s)
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "multiset")) for k in range(1, r.total + 1))
         pairs.append((lhs, sum(oracle, UPoly.zero())))

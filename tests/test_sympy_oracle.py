@@ -2,14 +2,16 @@
 
 sympy computes c_k(r) = |r|/k [x^r] (G - 1)^k, G = 1/((1-x_1)...(1-x_m)),
 from truncated sympy Poly powers, and the bases from its expanded rf, ff and
-binomial; nothing in genbinom is used on that side.
+binomial; nothing in genbinom is used on that side.  The merge chain's
+weights are checked the same way: sympy expands both sides of the product
+identity they state.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from genbinom.coefficients import C_METHODS, c_table, iter_compositions
+from genbinom.coefficients import C_METHODS, Composition, _merge_chain, c_table, iter_compositions
 from genbinom.polybasis import UPoly, binom_poly, falling_poly, rising_poly
 
 sympy = pytest.importorskip("sympy")
@@ -60,3 +62,19 @@ def test_bases_match_sympy():
         assert binom_poly(n) == _sympy_upoly(sympy.expand_func(sympy.binomial(x, n)), x), n
         for shift in range(-6, 7):
             assert rising_poly(n, shift) == _sympy_upoly(sympy.rf(x + shift, n), x), (n, shift)
+
+
+def test_merge_chain_matches_sympy():
+    # the merge chain's weights w_s: sum_s w_s binomial(x, s) is prod binomial(x, r_i)
+    # at sign +1, and sum_s w_s binomial(x+s-1, s) is prod binomial(x+r_i-1, r_i) at -1
+    x = sympy.Symbol("x")
+
+    def expanded(expr):
+        return sympy.expand(sympy.expand_func(expr))
+
+    for r in [*iter_compositions(3, 3), Composition((4, 5, 6))]:
+        for sign, shift in ((1, lambda n: 0), (-1, lambda n: n - 1)):
+            w = _merge_chain(r.species, sign)
+            lhs = expanded(sympy.Mul(*(sympy.binomial(x + shift(ri), ri) for ri in r.parts)))
+            rhs = expanded(sympy.Add(*(ws * sympy.binomial(x + shift(s), s) for s, ws in enumerate(w))))
+            assert sympy.expand(lhs - rhs) == 0, (r, sign)
