@@ -48,10 +48,13 @@ O(|r|) entrywise products and powers per distinct size.
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
 route that takes every shape.  The others stay as cross-checks, though not
 all independent ones: each pair above shares one table, so within a pair
-only the scaling differs.
+only the scaling differs.  inclusion_exclusion, finite_diff, genfun and
+recurrence end in one scaling step, ``_scaled_by_total``: c_k = |r| e_k /
+(k D) from their integers e_k.
 A route's shape rule is checked before its kernel runs, and breaking it
-raises ShapeError: hyp3f2 needs at most two nonzero species (``_species_pair``,
-the one two-species rule), genfun at most GENFUN_STEPS_MAX box steps
+raises ShapeError (a ValueError, not among the package's 17 public names):
+hyp3f2 needs at most two nonzero species (``_species_pair``, the one
+two-species rule), genfun at most GENFUN_STEPS_MAX box steps
 |r| * prod (r_i + 1), recurrence at most RECURRENCE_STEPS_MAX merge steps
 (``_within_merge_budget``, which gates the chain pairs of linm, linbin and
 linlas too).  Like the kernels, each rule reads only ``Composition.species``.
@@ -59,19 +62,24 @@ Before that, every table, c_k, linearization or seating count, is checked
 against TABLE_SIZE_MAX on its length (|r| or k), and a longer one raises
 ValueError.
 
-Also here: the round-table seating counts F_k/S_k/T_k; the linearization
+Results are ``CoeffTable``s, a NamedTuple of the family, r and its values,
+k -> int.  Also here: the round-table seating counts F_k/S_k/T_k (one run
+F_0..F_k written once, S its forward-difference table); the linearization
 tables d, d-tilde and c-tilde (one difference table of a species product of
-binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route); the
-merge chain ``_merge_chain(species, sign)``, the one place of the two-factor
-rule b(x, a) b(x, b) = sum_l t_l b(x, a+b-l), merging one species at a time,
+binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route and
+imports nothing from ``polybasis``); the merge chain
+``_merge_chain(species, sign)``, the one place of the two-factor rule
+b(x, a) b(x, b) = sum_l t_l b(x, a+b-l), merging one species at a time,
 smallest first, on b = C(x, .) at sign +1 (its weights are d-tilde) or on the
 multichoose at sign -1 (recurrence's weights and binom2's right side), which
 shares no code with the difference table; and a terminating hypergeometric
-evaluator on integer numerator/denominator pairs.  Every family is a count
-and every value an ``int``: each division goes through ``_exact``, where a
-nonzero remainder raises ArithmeticError naming its k instead of being
-rounded, or through one checked ``divmod``: hyp3f2's three-term step names
-its k, and the merge chain's step names a, b and l.
+evaluator, one Horner loop from the last term on one integer
+numerator/denominator pair, each parameter p/q giving the term ratio one
+factor (p + j q)/q.  Every family is a count and every value an ``int``:
+each division goes through ``_exact``, where a nonzero remainder raises
+ArithmeticError naming its k instead of being rounded, or through one
+checked ``divmod``: hyp3f2's three-term step names its k, and the merge
+chain's step names a, b and l.
 
 Everything is pure except one internal memo behind ``functools.lru_cache``
 (safe for concurrent use), keyed by ``Composition.species`` (the sorted

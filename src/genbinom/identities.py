@@ -5,15 +5,19 @@ coefficient by coefficient; "verified" means exact equality.  A pair is
 two UPoly in X, except for the two identities in an extra variable, which
 compare one pair per power of it: lemma1 one UPoly pair in X per power
 of y, waring one MPoly pair in the x variables (truncated to the caps)
-per power of t.  A failed report names the first unequal pair, by its
-index in the checker's list, and the lowest X-degree (the smallest exponent
-vector for waring) where its two sides differ.  The ids with more than one
-pair list them in this order:
+per power of t.  A pair of integer sides, two integer lists a_k and b_k on
+k, is two UPoly sum_k a_k T^k of denominator 1, so it is compared as
+integers.  A failed report names the first unequal pair, by its index in
+the checker's list, and the lowest degree where its two sides differ: an
+X-degree, the k and the two integers of an integer pair, or the smallest
+exponent vector for waring.  The ids with more than one pair list them in
+this order (integer pairs marked *):
 
-  bigeq       the c, S and F forms
-  linm        the d table, the merge chain, the transversal oracle
-  linbin      the d~ table, the merge chain, the covering oracle
-  linlas      the c~ table, the merge chain, the covering oracle
+  bigeq       the c form, k prod(r) c_k against |r| S_k*, the F form
+  linm        the d table against the product, then the table against
+              the merge chain* and the transversal oracle*
+  linbin      the d~ table, then against the chain* and the covering oracle*
+  linlas      the c~ table, then against the chain* and the covering oracle*
   mac         binomial(X+n-1, n), then its alternating companion
   lemma1      one pair per power y^j, j = 0..n: pair j
   waring      one pair per power t^l, l = 1..t_max: pair l-1
@@ -47,21 +51,41 @@ identity ids:
 
 Each univariate right side is one `newton_sum` on binomial(X+n-1, j),
 binomial(X+j-1, j) or binomial(X, j), over integer numerators and one
-denominator (|r|, lcm(1..n) or lcm(1..p)), so no side builds a Fraction.
-linm, linbin and linlas all expand on binomial(X, k): linm's falling(k)
-coefficients (table, chain, oracle counts) are scaled by k! first, and their
-sides whose integer lists are equal share one `newton_sum`, each pair still
-compared.  Their table and chain sides come from two kernels that share no
-code.  Product sides keep the basis constructors' own loops: no two sides
-share code.  The other checker inputs (species products, partition sums, the
-las0pp coefficient lists) are whole integer runs, `math.comb` mapped over
-ranges and multiplied entrywise, built in this module: they share no code
-with the c_k routes they check.  waring's caps and t_max have a budget,
-WARING_BOX_MAX and WARING_DEGREE_MAX, checked by its grid and its checker.
-binom2's r1 + r2 is held to TABLE_SIZE_MAX by its grid (2 r_max when swept)
-and its checker; the ids whose instances build a table of length |r| (las,
-bigeq, linm, linbin, linlas) hold their grid's largest |r|, a fixed r's own
-or a swept grid's m_max * r_max, to it in their grids.
+denominator (|r| for las and bigeq's c form, lcm(1..n) for las0p, mac and
+lemma1, lcm(1..p) for las0pp), so no side builds a Fraction and the module
+imports no `fractions`.  linm, linbin and linlas expand only their table, on
+binomial(X, k) (linm's falling(k) coefficients scaled by k! first), and
+bigeq its c and F forms: the S form is the c form over |r|, k prod(r) c_k =
+|r| S_k.  The lin ids' table and chain sides come from two kernels that
+share no code.  Each product side is one `math.prod` of the basis
+constructors, which keep their own loops (linlas's are shifted_binom_poly(r_i,
+0) = binomial(X+r_i-1, r_i)); binom2's two factors are one rising loop over
+both factors' shifts.  No two sides share code.  The other checker inputs
+(species products, partition sums, the las0pp coefficient lists) are whole
+integer runs, `math.comb` mapped over ranges and multiplied entrywise, built
+in this module: they share no code with the c_k routes they check.  las,
+las0p and las0pp read one species sequence P_j per instance, and bigeq one
+F_j list, prod(r) times that sequence, whose one difference table gives its
+S_j.  waring's caps and t_max have a budget, WARING_BOX_MAX and
+WARING_DEGREE_MAX, checked by its grid and its checker.  binom2's r1 + r2 is
+held to TABLE_SIZE_MAX by its grid (2 r_max when swept) and its checker; the
+ids whose instances build a table of length |r| (las, bigeq, linm, linbin,
+linlas) hold their grid's largest |r|, a fixed r's own or a swept grid's
+m_max * r_max, to it in their grids.
+
+waring takes one `c_table` per species multiset of its box (19 for caps
+(3,3,3), not one per point).  lambda runs over the conjugates of
+`partitions_of(size, t_max)`, so no partition with more than t_max parts is
+visited; each h_lambda, keyed by its multiplicity form, is one product from h
+of lambda less one copy of its smallest part, and its weight
+|lambda| (l-1)! / prod m_j! is one checked integer division, raising
+ArithmeticError naming lambda on a remainder.
+
+`extract_c_from_las` reads c_1..c_n off the partition sum by one
+`newton_coeffs` pass at the nodes 1-n, 2-n, ...: each c_k = |r| nums[n-k] /
+den is one checked division (ArithmeticError names k), and a term outside
+binomial(X+n-1, n-k), k = 1..n, raises AssertionError.  A report's JSON line
+reuses one encoder.
 
 The six partition-sum left sides (las, las0p, las0pp, bigeq, mac, lemma1)
 read one integer table of S_n class sizes n!/z_mu, `_class_table`.  It is
@@ -77,10 +101,11 @@ partition-sum id, before `sweep` runs any instance.
 
 The brute-force oracle sides of linm, linbin and linlas (transversal
 partitions, covering choices by sets and by multisets) come from
-`_oracle_counts(kind, parts)`, one bounded `lru_cache` (128 entries) keyed
-by the oracle and `Composition.species`, the sorted nonzero species sizes:
-an oracle count depends only on that multiset, so each permutation or zero
-padding of a composition reads one enumeration.  Each instance still builds
+`_oracle_counts(kind, parts)`, one bounded `lru_cache` (128 entries, for
+the 102 keys the oracle budgets allow) keyed by the oracle and
+`Composition.species`, the sorted nonzero species sizes: an oracle count
+depends only on that multiset, so each permutation or zero padding of a
+composition reads one enumeration.  Each instance still builds
 its own table, chain and product polynomial and compares them with the
 counts; none is inferred from another.  The oracles keep no memo: they are
 the ground truth, enumerating every object, and reusing a count is this
@@ -93,7 +118,8 @@ Each id has one entry in a table holding its checker and its parameter
 grid; `verify` takes exactly the checker's named parameters, and `sweep`
 the fixed parameters (n, p, r) its grid function reads, each read once
 from the code object (``__code__.co_varnames[:co_argcount]``).  Each (id,
-params) verification is independent, so sweeps can be fanned out; `sweep`
+params) verification is independent, so sweeps can be fanned out; `verify`
+raises ValueError on an instance with no pair to compare; `sweep`
 makes every grid check before checking any instance, then streams the
 grid, drawing compositions and pairs as it yields reports in a fixed
 deterministic parameter order.
@@ -132,7 +158,7 @@ from .oracles import (
 )
 from .partitions import ferrers_poly, partitions_of
 from .polybasis import (
-    UPoly, binom_poly, falling_poly, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
+    UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
 from .series import MPoly, homogeneous_h
 
 
@@ -268,6 +294,14 @@ def _oracle_counts(kind: str, parts: Tuple[int, ...]) -> Tuple[int, ...]:
 Pair = Tuple[object, object]
 
 
+def _integer_pairs(a: List[int], *sides: List[int] | None) -> List[Pair]:
+    """(sum_k a_k T^k, sum_k b_k T^k) for each side b that is not None: integer
+    lists on k compared as coefficient polynomials, so a failed pair's first_diff
+    names k and the two integers there."""
+    poly = UPoly._of(list(a))
+    return [(poly, UPoly._of(b)) for b in sides if b is not None]
+
+
 # ---------------------------------------------------------------------------
 # checkers: each returns a list of (lhs, rhs) pairs that must be equal
 # ---------------------------------------------------------------------------
@@ -284,14 +318,14 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     rprod = math.prod(r.parts)
     F = [rprod * x for x in _species_products(n, r)]
     lhs = UPoly._of(_partition_sum(n, F))
-    # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c and S
-    # forms, of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
+    # term k is a multiple of rising(X+k, n-k) = (n-k)! binomial(X+n-1, n-k) in the c form,
+    # of rising(X, n-k) = (n-k)! binomial(X+n-k-1, n-k) in F; the lists run k = n..1
     nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
     form_c = [c.get(k, 0) * nfact * rprod for k in range(n, 0, -1)]
-    form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(lhs, newton_sum(1 - n, 1, form_c, r.total)), (lhs, newton_sum(1 - n, 1, form_s)),
-            (lhs, newton_sum(0, -1, form_f))]
+    # the S form is the c form over |r|: k prod(r) c_k = |r| S_k, compared at k = 0..n
+    form_s = _integer_pairs([k * rprod * c.get(k, 0) for k in range(n + 1)], [r.total * s for s in S])
+    return [(lhs, newton_sum(1 - n, 1, form_c, r.total)), *form_s, (lhs, newton_sum(0, -1, form_f))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
@@ -365,13 +399,6 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     return [(MPoly(caps, {parts: tables[s].get(l, 0) for parts, s in points.items()}), rhs[l]) for l in rhs]
 
 
-def _on_binomial_pairs(lhs: UPoly, sides: List[List[int]]) -> List[Pair]:
-    """(lhs, sum_k a_k binomial(X, k)) for each side a; equal sides share one
-    `newton_sum`, and every pair is still compared."""
-    rhs = {a: newton_sum(0, 1, a) for a in dict.fromkeys(map(tuple, sides))}
-    return [(lhs, rhs[tuple(a)]) for a in sides]
-
-
 # linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
 # through the CLI, one run each, linm takes 31 s, linbin 35 s and linlas 28 s (Python
 # 3.11, 2-core Xeon VM), too long to run on every CI push
@@ -380,48 +407,46 @@ def _check_linm(r: Composition) -> List[Pair]:
     # rejects a huge |r| before the product is built
     table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
+    d = [table.get(k, 0) for k in range(r.total + 1)]
     facts = list(accumulate(range(1, r.total + 1), mul, initial=1))  # k!, k = 0..|r|
+    merged = None
     if _within_merge_budget(r.species):  # d_k = prod r_i! d~_k / k!
         scale = math.prod(map(factorial, r.species))
-        sides.append(_exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0))
-    if r.total <= TRANSVERSAL_T_MAX:
-        sides.append([0, *_oracle_counts("transversal", r.species)])
+        merged = _exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0)
+    oracle = [0, *_oracle_counts("transversal", r.species)] if r.total <= TRANSVERSAL_T_MAX else None
     # falling(k) = k! binomial(X, k)
-    return _on_binomial_pairs(lhs, [list(map(mul, a, facts)) for a in sides])
+    return [(lhs, newton_sum(0, 1, list(map(mul, d, facts)))), *_integer_pairs(d, merged, oracle)]
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
-    table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
+    table = linearization_d(r, "d_tilde").values  # coefficients on binomial(X, k), k = 0..|r|
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
-    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if _within_merge_budget(r.species):
-        sides.append(_merge_chain(r.species, 1))
-    if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        sides.append([0, *_oracle_counts("set", r.species)])
-    return _on_binomial_pairs(lhs, sides)
+    dt = [table.get(k, 0) for k in range(r.total + 1)]
+    merged = _merge_chain(r.species, 1) if _within_merge_budget(r.species) else None
+    oracle = [0, *_oracle_counts("set", r.species)] if r.total <= COVERING_K_MAX else None  # k up to |r|
+    return [(lhs, newton_sum(0, 1, dt)), *_integer_pairs(dt, merged, oracle)]
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
     lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
-    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    if _within_merge_budget(r.species):  # the multichoose chain's weights, moved onto binomial(X, k)
-        sides.append([0, *_on_binomials(_merge_chain(r.species, -1))])
-    if r.total <= COVERING_K_MAX:
-        sides.append([0, *_oracle_counts("multiset", r.species)])
-    return _on_binomial_pairs(lhs, sides)
+    ct = [table.get(k, 0) for k in range(r.total + 1)]
+    # the multichoose chain's weights, moved onto binomial(X, k)
+    merged = [0, *_on_binomials(_merge_chain(r.species, -1))] if _within_merge_budget(r.species) else None
+    oracle = [0, *_oracle_counts("multiset", r.species)] if r.total <= COVERING_K_MAX else None
+    return [(lhs, newton_sum(0, 1, ct)), *_integer_pairs(ct, merged, oracle)]
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     pair = Composition((r1, r2))  # the rule sweep's grid applies: no empty pair
     r1, r2 = pair.parts
     # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 29 s cold through the CLI (two
-    # runs); in process the UPoly product takes 28 s, the Newton pass 2 s and the merge
-    # chain 1 ms (Python 3.11, 2-core Xeon VM); CI runs it
+    # either; the largest accepted pair, (1000, 1000), takes 3.9-4.7 s cold through the CLI
+    # (three runs); in process the left side's rising loop takes 1.8 s, the Newton pass
+    # 2.9 s and the merge chain 2 ms (Python 3.11, 2-core Xeon VM); CI runs it
     _check_table_size(r1 + r2, "r1 + r2")
-    lhs = shifted_binom_poly(r1, 0) * shifted_binom_poly(r2, 0)  # binomial(X+r_i-1, r_i)
+    # binomial(X+r1-1, r1) binomial(X+r2-1, r2): one rising loop over both factors' shifts
+    lhs = UPoly._of(_linear_product(chain(range(r1), range(r2))), factorial(r1) * factorial(r2))
     return [(lhs, newton_sum(0, -1, _merge_chain(pair.species, -1)))]
 
 

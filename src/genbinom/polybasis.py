@@ -146,14 +146,19 @@ class UPoly:
         return f"UPoly({[str(self.coeff(d)) for d in range(len(self.coeffs))]})"
 
 
+def _linear_product(shifts: Iterable[int]) -> List[int]:
+    """The integer coefficients of prod_a (X + a) over the shifts a; none gives [1]."""
+    cs = [1]
+    for a in shifts:  # cs times (X + a)
+        cs = [a * c + b for c, b in zip(cs + [0], [0] + cs)]
+    return cs
+
+
 def rising_poly(n: int, shift: int = 0) -> UPoly:
     """(X+shift)(X+shift+1)...(X+shift+n-1); n = 0 gives 1."""
     if n < 0:
         raise ValueError(f"rising_poly: n must be nonnegative, got {n}")
-    cs = [1]
-    for a in range(shift, shift + n):  # cs times (X + a)
-        cs = [a * c + b for c, b in zip(cs + [0], [0] + cs)]
-    return UPoly._of(cs)
+    return UPoly._of(_linear_product(range(shift, shift + n)))
 
 
 def falling_poly(n: int) -> UPoly:

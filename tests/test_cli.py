@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genbinom
 from genbinom import cli, coefficients
@@ -520,3 +524,112 @@ def test_closed_stdout_exits_141_quietly():
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
     assert (code, err) == (141, b"")
+
+
+# The CLI contract over generated command lines: a valid line (|r| <= 12, n <= 8, sweeps
+# over m_max <= 2 and r_max <= 3), and on half of them one token made wrong: a value
+# that is not ASCII digits or not a composition, an unknown id, method, basis, format
+# or option, or a value one past or far past a budget.  Every line finishes fast: each
+# value past a budget is one that the budget rejects before any work.  las0p and las0pp
+# hold no budget on m_max or r_max (their instances build no table of length |r|), and
+# a huge bound is a grid that streams without end, so they draw no huge bound.
+_HUGE = str(10**30)
+_NOT_DIGITS = ["0", "-1", "+3", "1_0", "\u0663", "\uff12", " 3", "2.5", "x", ""]
+
+
+def _ones(t):
+    return ",".join(["1"] * t)
+
+
+# not a composition; then over TABLE_SIZE_MAX on |r| or on r1 + r2, waring's box (9 ones,
+# 512) or |caps| (31), or genfun's box steps (17 ones, 2.2*10^6)
+_NOT_COMPOSITIONS = ["", ",", "2,", ",2", "0", "0,0", "-1,2", "+3", "1_000", "\u0661,\u0662", " 2, 1", "2;1",
+                     "2001", "1000,1001", _HUGE, "1," + _HUGE, "3,3,3,3,3,3", "31", _ones(9), _ones(17)]
+
+
+@st.composite
+def _composition(draw):
+    parts, left = [], 12
+    for _ in range(draw(st.integers(1, 4))):
+        parts.append(draw(st.integers(0, left)))
+        left -= parts[-1]
+    return ",".join(map(str, parts))
+
+
+def _count(low, high):
+    return st.integers(low, high).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["coeff", "linearize", "verify"]))
+    fmt = st.sampled_from(["json", "csv", "text"])
+    if command == "coeff":
+        method = draw(st.sampled_from(coefficients.C_METHODS))
+        good = {"--r": _composition(), "--k": _count(1, 13), "--method": st.just(method), "--format": fmt}
+        # over RECURRENCE_STEPS_MAX (1,001,000 and 4*10^6 merge steps): the routes that
+        # reject them at once draw them, the others would take a second each
+        ones = [_ones(1001), _ones(2000)] if method in ("recurrence", "genfun", "hyp3f2") else []
+        bad = {"--r": _NOT_COMPOSITIONS + ones, "--k": [*_NOT_DIGITS, "2001", _HUGE], "--method": ["nosuch"],
+               "--format": ["xml"]}
+    elif command == "linearize":
+        good = {"--r": _composition(), "--basis": st.sampled_from(["falling", "binom", "rising_over_binom"]),
+                "--format": fmt}
+        bad = {"--r": _NOT_COMPOSITIONS, "--basis": ["nosuch"], "--format": ["xml"]}
+    else:
+        ident = draw(st.sampled_from(IDENTITY_IDS))
+        good = {"--id": st.just(ident), "--n-max": _count(1, 8), "--m-max": _count(1, 2), "--r-max": _count(1, 3)}
+        good.update({f"--{name}": _composition() if name == "r" else _count(1, 8) for name in _TAKES[ident]})
+        huge = ident not in ("las0p", "las0pp")
+        bad = {"--id": ["nosuch", "vraif", ""], "--n": [*_NOT_DIGITS, "46", _HUGE], "--p": [*_NOT_DIGITS, "9", _HUGE],
+               "--n-max": [*_NOT_DIGITS, "46", _HUGE], "--m-max": _NOT_DIGITS + ["2001", _HUGE] * huge,
+               "--r-max": _NOT_DIGITS + ["1001", "2001", _HUGE] * huge, "--r": _NOT_COMPOSITIONS}
+    required = {"coeff": "--r", "linearize": "--r", "verify": "--id"}[command]
+    opts = {key: draw(value) for key, value in good.items() if key == required or draw(st.booleans())}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from([*bad, "--bogus", required]))
+        if key == required and key in opts:
+            del opts[key]  # a missing required option
+        else:
+            opts[key] = draw(st.sampled_from(bad.get(key, ["1"])))
+    keys = draw(st.permutations(list(opts)))
+    return [command, *(x for key in keys for x in (key, opts[key]))], opts.get("--format", "json")
+
+
+def _parses(out, command, fmt):
+    """Whether every line of a successful run's stdout reads in its format."""
+    lines = out.splitlines()
+    if not lines:
+        return False
+    if command == "verify":
+        return all(json.loads(line)["status"] == "verified" for line in lines)
+    if fmt == "json":
+        value = json.loads(out)
+        values = value.values() if isinstance(value, dict) else [value]
+        return all(type(v) is str and v.isascii() and v.isdigit() for v in values)
+    if fmt == "csv":
+        return lines[0] == "k,value" and all(_digit_runs(line, ",", 2) for line in lines[1:])
+    return all(_digit_runs(line, " ", 2) for line in lines) or (len(lines) == 1 and _digit_runs(lines[0], " ", 1))
+
+
+def _digit_runs(line, sep, count):
+    fields = line.split(sep)
+    return len(fields) == count and all(f.isascii() and f.isdigit() for f in fields)
+
+
+@settings(max_examples=300, deadline=1000, derandomize=True)
+@given(_argv())
+def test_cli_contract_on_generated_command_lines(drawn):
+    # exit 0, 2 or 3 (1 is a falsified value, which no input here is); on 2 or 3 nothing
+    # on stdout and an error line last on stderr, no traceback; on 0 every line reads
+    argv, fmt = drawn
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code:
+        assert out == "" and "error:" in err.splitlines()[-1], (argv, out, err)
+    else:
+        assert _parses(out, argv[0], fmt), (argv, out)

@@ -299,11 +299,12 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name, bump, ident, params, line", [
-    # S_1 + 1: bigeq's pairs are the c, S and F forms, so the S form is pair 1
+    # S_1 + 1: bigeq's pairs are the c, S and F forms, so the S form is pair 1; it compares
+    # k prod(r) c_k with |r| S_k as integers, so it names k = 1 and 1*2*3 against 3*(2+1)
     ("forward_differences", lambda real: lambda F: [s + (k == 1) for k, s in enumerate(real(F))],
      "bigeq", dict(n=3, r=(2, 1)),
      '{"id":"bigeq","params":{"n":3,"r":[2,1]},"status":"failed",'
-     '"pair":1,"first_diff":{"at":0,"lhs":"72","rhs":"78"}}'),
+     '"pair":1,"first_diff":{"at":1,"lhs":"6","rhs":"9"}}'),
     # C(k, 2) + 1 enters only the right side of y^2, lemma1's pair 2
     ("binomial", lambda real: lambda a, b: real(a, b) + (b == 2), "lemma1", dict(n=3),
      '{"id":"lemma1","params":{"n":3},"status":"failed",'
@@ -318,7 +319,13 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
      "linm", dict(r=(2, 1)),
      '{"id":"linm","params":{"r":[2,1]},"status":"failed",'
      '"pair":1,"first_diff":{"at":1,"lhs":"0","rhs":"2"}}'),
-], ids=["bigeq", "lemma1", "waring", "linm"])
+    # the multiset covering count at k = 2, + 1, enters only linlas's oracle side, pair 2,
+    # compared with the c~ table as integers
+    ("_oracle_counts", lambda real: lambda kind, parts: tuple(v + (k == 2) for k, v in enumerate(real(kind, parts), 1)),
+     "linlas", dict(r=(2, 1, 2)),
+     '{"id":"linlas","params":{"r":[2,1,2]},"status":"failed",'
+     '"pair":2,"first_diff":{"at":2,"lhs":"16","rhs":"17"}}'),
+], ids=["bigeq", "lemma1", "waring", "linm", "linlas"])
 def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
     monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
     report = verify(ident, **params)
@@ -394,6 +401,21 @@ def test_table_and_chain_pairs_share_no_code(monkeypatch):
     table_names = set(linearization_d.__code__.co_names) | set(coefficients._species_product.__code__.co_names)
     shared = set(coefficients._merge_chain.__code__.co_names) & table_names
     assert not {name for name in shared if callable(getattr(coefficients, name, None))}, shared
+
+
+def test_integer_sides_take_no_newton_pass(monkeypatch):
+    # the lin ids expand only the table on binomial(X, k), bigeq its c and F forms; the
+    # chain, oracle and S sides (three pairs in all at these r) are integer lists on k
+    calls = []
+    real = identities.newton_sum
+    monkeypatch.setattr(identities, "newton_sum", lambda *args: calls.append(args) or real(*args))
+    for ident, params, want in (("linm", dict(r=(1, 2, 3)), 1), ("linbin", dict(r=(1, 2, 3)), 1),
+                                ("linlas", dict(r=(1, 2, 3)), 1), ("bigeq", dict(n=4, r=(2, 1)), 2)):
+        calls.clear()
+        assert verify(ident, **params).verified and len(calls) == want, (ident, len(calls))
+    # binom2's left side is one rising loop over both factors' shifts: no UPoly product
+    monkeypatch.setattr(UPoly, "__mul__", lambda a, b: pytest.fail("binom2 took a UPoly product"))
+    assert all(verify("binom2", r1=a, r2=b).verified for a, b in ((1, 0), (0, 3), (2, 1), (6, 7), (12, 12)))
 
 
 # The partition loops the class-size table replaced, kept as references.
@@ -748,6 +770,11 @@ def _ref_merge_chain(species: Sequence[int], sign: int) -> List[int]:
     return [w.get(s, 0) for s in range(sum(species) + 1)]
 
 
+def _ref_on_binomials(w: Sequence[int]) -> List[int]:
+    # sum_s w_s C(x+s-1, s) on C(x, k): C(x+s-1, s) = sum_k C(s-1, k-1) C(x, k) for s >= 1
+    return [w[0]] + [sum(w[s] * binomial(s - 1, k - 1) for s in range(k, len(w))) for k in range(1, len(w))]
+
+
 def _coeffs_den(pairs):
     return [((a.coeffs, a.den), (b.coeffs, b.den)) for a, b in pairs]
 
@@ -849,35 +876,40 @@ def test_wrong_oracle_fails_through_the_memo(monkeypatch, cold_oracle_memo, iden
         assert verify(ident, r=r).status == "failed", r
 
 
+# the table against the product first, then the table against the chain and the
+# oracle as integer lists on k = 0..|r|, each one UPoly in T of den 1
+
 def _ref_check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    pairs: List[Pair] = [(lhs, from_falling_basis(linearization_d(r, "d").values))]
+    table = linearization_d(r, "d").values
+    ints = UPoly([table.get(k, 0) for k in range(r.total + 1)])
     scale = math.prod(map(factorial, r.parts))  # every shape here is within RECURRENCE_STEPS_MAX
-    chain = {k: Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))}
-    pairs.append((lhs, from_falling_basis(chain)))
+    chain = [Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))]
+    pairs: List[Pair] = [(lhs, from_falling_basis(table)), (ints, UPoly(chain))]
     if r.total <= 7:
-        oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
-        pairs.append((lhs, from_falling_basis(oracle)))
+        pairs.append((ints, UPoly([0] + [oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)])))
     return pairs
 
 
 def _ref_check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
-    table = linearization_d(r, "d_tilde").values  # every right side on binomial(X, k), k = 0..|r|
-    sides = [[table.get(k, 0) for k in range(r.total + 1)]]
-    sides.append(_ref_merge_chain(r.species, 1))
+    table = linearization_d(r, "d_tilde").values  # on binomial(X, k), k = 0..|r|
+    a = [table.get(k, 0) for k in range(r.total + 1)]
+    pairs: List[Pair] = [(lhs, newton_sum(0, 1, a)), (UPoly(a), UPoly(_ref_merge_chain(r.species, 1)))]
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        sides.append([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])
-    return [(lhs, newton_sum(0, 1, a)) for a in sides]
+        pairs.append((UPoly(a), UPoly([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])))
+    return pairs
 
 
 def _ref_check_linlas(r: Composition) -> List[Pair]:
     lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
-    pairs: List[Pair] = [(lhs, newton_sum(0, 1, [table.get(k, 0) for k in range(r.total + 1)]))]
-    pairs.append((lhs, newton_sum(0, -1, _ref_merge_chain(r.species, -1))))  # on binomial(X+s-1, s)
+    a = [table.get(k, 0) for k in range(r.total + 1)]
+    chain = _ref_on_binomials(_ref_merge_chain(r.species, -1))  # moved onto binomial(X, k)
+    pairs: List[Pair] = [(lhs, newton_sum(0, 1, a)), (UPoly(a), UPoly(chain))]
     if r.total <= COVERING_K_MAX:
-        pairs.append((lhs, newton_sum(0, 1, [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)])))
+        oracle = [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)]
+        pairs.append((UPoly(a), UPoly(oracle)))
     return pairs
 
 
@@ -894,10 +926,9 @@ def _ref_check_bigeq(n: int, r: Composition) -> List[Pair]:
     lhs = UPoly(identities._partition_sum(n, F))
     nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
     form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
-    form_s = [nfact // k * S[k] for k in range(n, 0, -1)]
+    form_s = (UPoly([k * math.prod(r.parts) * c.get(k, 0) for k in range(n + 1)]), UPoly([r.total * s for s in S]))
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(lhs, newton_sum(1 - n, 1, *_over_lcm(form_c))), (lhs, newton_sum(1 - n, 1, form_s)),
-            (lhs, newton_sum(0, -1, form_f))]
+    return [(lhs, newton_sum(1 - n, 1, *_over_lcm(form_c))), form_s, (lhs, newton_sum(0, -1, form_f))]
 
 
 def test_bigeq_matches_per_entry_reference():

@@ -5,9 +5,11 @@ The references below are the basis constructors, `from_falling_basis`,
 the ten univariate checkers and the triangular `extract_c_from_las` as they
 were before `polybasis.newton_sum` / `newton_coeffs` existed, kept verbatim:
 each right side is one `sum` of basis(k).scale(a_k), every basis built on
-the rising-factorial product loop defined here.  The merge-chain sides of
-linm, linbin and linlas, added later, take their weights from
-`test_identities._ref_merge_chain`, one multinomial per term.  Only the
+the rising-factorial product loop defined here.  The integer pairs, added
+later, are lists on k compared as polynomials in T: those of linm, linbin
+and linlas compare the table with the merge chain, whose weights come from
+`test_identities._ref_merge_chain`, one multinomial per term, and with the
+oracle counts; bigeq's compares k prod(r) c_k with |r| S_k.  Only the
 partition-sum left sides (`_las_lhs`, `_partition_sum`, `_class_table`,
 `_species_products`) are shared with the package; they do not touch the
 Newton pair.
@@ -41,7 +43,7 @@ from genbinom.identities import (
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.polybasis import UPoly, from_falling_basis
 from test_identities import _ref_mchoose as _mchoose
-from test_identities import _ref_merge_chain
+from test_identities import _ref_merge_chain, _ref_on_binomials
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +105,12 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     terms_c = (rising_poly(n - k, shift=k).scale(c[k] * factorial(k) * binomial(n, k))
                for k in range(1, min(n, r.total) + 1))
     rhs_c = sum(terms_c, UPoly.zero()).scale(Fraction(math.prod(r.parts), r.total))
+    # k prod(r) c_k against |r| S_k, k = 0..n, S_0 = 0
+    ints = (UPoly([k * math.prod(r.parts) * c.get(k, 0) for k in range(n + 1)]),
+            UPoly([0] + [r.total * seating_counts(r, k, "S") for k in range(1, n + 1)]))
     w = {k: factorial(k - 1) * binomial(n, k) for k in range(1, n + 1)}
-    terms_s = (rising_poly(n - k, shift=k).scale(wk * seating_counts(r, k, "S")) for k, wk in w.items())
     terms_f = (rising_poly(n - k).scale(wk * F[k]) for k, wk in w.items())
-    return [(lhs, rhs_c), (lhs, sum(terms_s, UPoly.zero())), (lhs, sum(terms_f, UPoly.zero()))]
+    return [(lhs, rhs_c), ints, (lhs, sum(terms_f, UPoly.zero()))]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
@@ -153,16 +157,22 @@ def _check_lemma1(n: int) -> List[Pair]:
     return pairs
 
 
+def _table_list(r: Composition, variant: str) -> List[int]:
+    table = linearization_d(r, variant).values
+    return [table.get(k, 0) for k in range(r.total + 1)]
+
+
 def _check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
     pairs: List[Pair] = [(lhs, _old_from_falling_basis(linearization_d(r, "d").values))]
-    # the merge chain's d~_k, every shape of the grid being within RECURRENCE_STEPS_MAX
+    # the merge chain's d_k = prod r_i! d~_k / k!, every shape of the grid being within
+    # RECURRENCE_STEPS_MAX
     scale = math.prod(map(factorial, r.parts))
-    chain = {k: Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1)) if w}
-    pairs.append((lhs, _old_from_falling_basis(chain)))
+    chain = [Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))]
+    pairs.append((UPoly(_table_list(r, "d")), UPoly(chain)))
     if r.total <= 7:
-        oracle = {k: oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)}
-        pairs.append((lhs, _old_from_falling_basis(oracle)))
+        oracle = [0] + [oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)]
+        pairs.append((UPoly(_table_list(r, "d")), UPoly(oracle)))
     return pairs
 
 
@@ -170,11 +180,10 @@ def _check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values
     pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
-    chain = (binom_poly(s).scale(w) for s, w in enumerate(_ref_merge_chain(r.species, 1)))
-    pairs.append((lhs, sum(chain, UPoly.zero())))
+    pairs.append((UPoly(_table_list(r, "d_tilde")), UPoly(_ref_merge_chain(r.species, 1))))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "set")) for k in range(1, r.total + 1))
-        pairs.append((lhs, sum(oracle, UPoly.zero())))
+        oracle = [0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)]
+        pairs.append((UPoly(_table_list(r, "d_tilde")), UPoly(oracle)))
     return pairs
 
 
@@ -182,11 +191,11 @@ def _check_linlas(r: Composition) -> List[Pair]:
     lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "c_tilde").values
     pairs: List[Pair] = [(lhs, sum((binom_poly(k).scale(v) for k, v in table.items()), UPoly.zero()))]
-    chain = (shifted_binom_poly(s, 0).scale(w) for s, w in enumerate(_ref_merge_chain(r.species, -1)))
-    pairs.append((lhs, sum(chain, UPoly.zero())))  # on binomial(X+s-1, s)
+    chain = _ref_on_binomials(_ref_merge_chain(r.species, -1))  # moved onto binomial(X, k)
+    pairs.append((UPoly(_table_list(r, "c_tilde")), UPoly(chain)))
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        oracle = (binom_poly(k).scale(oracle_covering_choices(r, k, "multiset")) for k in range(1, r.total + 1))
-        pairs.append((lhs, sum(oracle, UPoly.zero())))
+        oracle = [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)]
+        pairs.append((UPoly(_table_list(r, "c_tilde")), UPoly(oracle)))
     return pairs
 
 
