@@ -10,10 +10,11 @@ that leaves a remainder), 2 usage error, 3 method unsupported for the given
 shape (a ShapeError), 141 stdout closed by its reader (128 + SIGPIPE, as
 for ``| head``).  Only ``main`` maps exceptions to exit codes, by type.
 Values are integers, emitted as decimal strings to keep precision.  Numbers
-are read as ASCII digits only: ``--r`` is digit runs joined by commas
-(``Composition.parse``), and every integer option one run; a sign, an
-underscore, a space or another script's digits, which ``int`` would take,
-is a usage error.
+are read as ASCII digits only, by argparse through ``_count``: ``--r`` is
+digit runs joined by commas (``composition``), and every integer option one
+run; a sign, an underscore, a space or another script's digits, which ``int``
+would take, is a usage error.  A ``verify`` bound left off the line is left to
+``sweep``'s default.
 """
 
 from __future__ import annotations
@@ -50,6 +51,12 @@ def _count(text: str) -> int:
     return int(text)
 
 
+def composition(text: str) -> Composition:
+    """``--r``'s value: ``_count`` runs joined by commas, checked as a Composition; a
+    ValueError there reads ``invalid composition value: '0,0'``."""
+    return Composition([_count(run) for run in text.split(",")])
+
+
 def _emit_table(values: Dict[int, int], fmt: str) -> None:
     keys = sorted(values)
     if fmt == "json":
@@ -73,14 +80,13 @@ def _emit_scalar(k: int, v: int, fmt: str) -> None:
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
-    r = Composition.parse(args.r)
     if args.k is None:
-        values = c_table(r, args.method).values
+        values = c_table(args.r, args.method).values
     else:
-        values = {args.k: c_coeff(r, args.k, args.method)}
-    bad = [k for k, v in values.items() if k <= r.total and v < 1]
+        values = {args.k: c_coeff(args.r, args.k, args.method)}
+    bad = [k for k, v in values.items() if k <= args.r.total and v < 1]
     if bad:
-        raise ArithmeticError(f"c_k({r}) is not a positive integer at k={bad}")
+        raise ArithmeticError(f"c_k({args.r}) is not a positive integer at k={bad}")
     if args.k is None:
         _emit_table(values, args.format)
     else:
@@ -91,16 +97,9 @@ def cmd_coeff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .identities import sweep  # loaded here: coeff and linearize never need it
 
-    # sweep rejects a bad id or grid when called, before any report is printed
-    reports = sweep(
-        args.id,
-        n_max=args.n_max,
-        m_max=args.m_max,
-        r_max=args.r_max,
-        n=args.n,
-        p=args.p,
-        r=None if args.r is None else Composition.parse(args.r),
-    )
+    # sweep rejects a bad id or grid when called, before any report is printed; an
+    # option left off the line is absent from args, so sweep's default applies
+    reports = sweep(args.id, **{name: v for name, v in vars(args).items() if name not in ("id", "func")})
     all_ok = True
     for report in reports:
         print(report.to_json_line())
@@ -109,7 +108,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
-    table = linearization_d(Composition.parse(args.r), _BASIS_VARIANTS[args.basis])
+    table = linearization_d(args.r, _BASIS_VARIANTS[args.basis])
     _emit_table(table.values, args.format)
     return 0
 
@@ -123,24 +122,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(commands=sub.choices)  # command -> its parser, read back by main
 
     p_coeff = sub.add_parser("coeff", help="print c_k values for a composition")
-    p_coeff.add_argument("--r", required=True, help="composition, e.g. 2,1")
+    p_coeff.add_argument("--r", type=composition, required=True, help="composition, e.g. 2,1")
     p_coeff.add_argument("--k", type=_count, default=None, help="single k instead of the whole table")
     p_coeff.add_argument("--method", choices=C_METHODS, default=DEFAULT_C_METHOD)
     p_coeff.add_argument("--format", choices=("json", "csv", "text"), default="json")
     p_coeff.set_defaults(func=cmd_coeff)
 
-    p_verify = sub.add_parser("verify", help="sweep one identity over bounded parameters")
+    p_verify = sub.add_parser("verify", help="sweep one identity over bounded parameters",
+                              argument_default=argparse.SUPPRESS)
     p_verify.add_argument("--id", required=True, help="identity name")
-    p_verify.add_argument("--n-max", type=_count, default=6)
-    p_verify.add_argument("--m-max", type=_count, default=2)
-    p_verify.add_argument("--r-max", type=_count, default=3)
-    p_verify.add_argument("--n", type=_count, default=None, help="verify at one n only")
-    p_verify.add_argument("--p", type=_count, default=None, help="fix p (las0pp only)")
-    p_verify.add_argument("--r", default=None, help="fix the composition, e.g. 2,1")
+    p_verify.add_argument("--n-max", type=_count)
+    p_verify.add_argument("--m-max", type=_count)
+    p_verify.add_argument("--r-max", type=_count)
+    p_verify.add_argument("--n", type=_count, help="verify at one n only")
+    p_verify.add_argument("--p", type=_count, help="fix p (las0pp only)")
+    p_verify.add_argument("--r", type=composition, help="fix the composition, e.g. 2,1")
     p_verify.set_defaults(func=cmd_verify)
 
     p_lin = sub.add_parser("linearize", help="print a linearization table")
-    p_lin.add_argument("--r", required=True, help="composition, e.g. 2,2")
+    p_lin.add_argument("--r", type=composition, required=True, help="composition, e.g. 2,2")
     p_lin.add_argument(
         "--basis",
         choices=tuple(_BASIS_VARIANTS),

@@ -152,15 +152,6 @@ class Composition:
         self.total: int = sum(parts)
         self.species: Tuple[int, ...] = tuple(sorted(p for p in parts if p))
 
-    @classmethod
-    def parse(cls, text: str) -> "Composition":
-        """Parse a comma-separated list of ASCII digit runs like "2,1"; ``int``
-        alone would also take signs, underscores, spaces and non-ASCII digits."""
-        parts = text.split(",")
-        if not all(s.isascii() and s.isdigit() for s in parts):
-            raise ValueError(f"cannot parse composition from {text!r}")
-        return cls([int(s) for s in parts])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Composition) and self.parts == other.parts
 

@@ -96,8 +96,10 @@ The tables come from `_class_tables(n, weighted)`, one bounded `lru_cache`
 `partitions.partitions_of` fills the unweighted table, or every p's
 table of las0pp's Ferrers weight at once.  After one `identity_sweep`
 benchmark list it holds 43 entries (163 tables), about 0.46 MiB.  An n
-over PARTITION_N_MAX is rejected there, and by the grid of each
-partition-sum id, before `sweep` runs any instance.
+over PARTITION_N_MAX is rejected there, by the grid of each partition-sum
+id before `sweep` runs any instance, and by `_species_products` before it
+builds a run of length n; so a direct `verify` or `extract_c_from_las` call
+raises before any work of size n (mac takes its partition sum before n!).
 
 The brute-force oracle sides of linm, linbin and linlas (transversal
 partitions, covering choices by sets and by multisets) come from
@@ -231,15 +233,18 @@ def _class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
     return _class_tables(n, p is not None)[p or 0]
 
 
-def _partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
+def _partition_sum(n: int, g: Iterable[int], p: int | None = None) -> List[int]:
     """n! times the X^(l-1) coefficients, l = 1..n, of the sum over mu |- n of
-    w(mu) * X^(l(mu)-1) / z_mu * sum_i g[mu_i]; w as in `_class_table`."""
+    w(mu) * X^(l(mu)-1) / z_mu * sum_i g[mu_i]; w as in `_class_table`.  g is
+    read from its start once per row: a list, or an endless ``repeat``."""
     return [sum(map(mul, g, row)) for row in _class_table(n, p)[1:]]
 
 
 def _species_products(n: int, r: Composition) -> List[int]:
     """[0, P_1, ..., P_n], P_j = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!:
-    one run of C(j+r_k-1, r_k), j = 1..n, per species, multiplied entrywise."""
+    one run of C(j+r_k-1, r_k), j = 1..n, per species, multiplied entrywise.  An
+    n over PARTITION_N_MAX raises ValueError first: every caller sums over its partitions."""
+    _check_partition_budget(n)
     P = [1] * n
     for rk in r.parts:
         P = list(map(mul, P, map(math.comb, range(rk, n + rk), repeat(rk))))
@@ -307,8 +312,8 @@ def _integer_pairs(a: List[int], *sides: List[int] | None) -> List[Pair]:
 # ---------------------------------------------------------------------------
 
 def _check_las(n: int, r: Composition) -> List[Pair]:
-    c = c_table(r).values
-    return [(_las_lhs(n, r), newton_sum(1 - n, 1, [c.get(k, 0) for k in range(n, 0, -1)], r.total))]
+    lhs, c = _las_lhs(n, r), c_table(r).values  # n's budget before a table of length |r|
+    return [(lhs, newton_sum(1 - n, 1, [c.get(k, 0) for k in range(n, 0, -1)], r.total))]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
@@ -348,8 +353,9 @@ def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
 
 def _check_mac(n: int) -> List[Pair]:
     # sum_j m_j(mu) = l(mu), so g = 1 weights each mu by its length
+    # the derivative's X^(l-1) numerators over n!, first: n's budget before n! and the lcm
+    sums = _partition_sum(n, repeat(1))
     nfact, L = factorial(n), math.lcm(*range(1, n + 1))
-    sums = _partition_sum(n, [1] * (n + 1))  # the derivative's X^(l-1) numerators over n!
     body = UPoly._of([0] + [s * (L // l) for l, s in enumerate(sums, 1)], nfact * L)  # X^l / l, over n! L
     return [
         (body, newton_sum(1 - n, 1, [0] * n + [1])),

@@ -37,9 +37,9 @@ def oracle_transversal_partitions(r: Composition, k: int) -> int:
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     r = as_composition(r)
+    if r.total > 10:
+        raise ValueError(f"budget exceeded: |E| = {r.total} > 10")
     species = [1 << sp for sp, rl in enumerate(r.parts) for _ in range(rl)]
-    if len(species) > 10:
-        raise ValueError(f"budget exceeded: |E| = {len(species)} > 10")
     blocks: List[int] = []
 
     def place(i: int) -> int:

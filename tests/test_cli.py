@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genbinom
-from genbinom import cli, coefficients
+from genbinom import cli, coefficients, identities
 from genbinom.cli import main
 from genbinom.identities import IDENTITY_IDS
 
@@ -60,6 +60,20 @@ def test_coeff_bad_composition(capsys):
     assert code == 2
     code, out, _ = run(capsys, "coeff", "--r", "2.5")
     assert (code, out) == (2, "")
+
+
+@pytest.mark.parametrize("command", ["coeff", "linearize", "verify --id las --n 3"])
+@pytest.mark.parametrize("r, message", [
+    ("2,x", "expected ASCII digits, got 'x'"),
+    ("0,0", "invalid composition value: '0,0'"),
+], ids=["not-digits", "not-a-composition"])
+def test_composition_is_read_by_argparse(capsys, command, r, message):
+    # --r is read by its argparse type, digit runs then Composition, and rejected by the
+    # command's own parser before any work
+    assert cli.composition("2,0,1") == coefficients.Composition([2, 0, 1])
+    code, out, err = run(capsys, *command.split(), "--r", r)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"genbinom {command.split()[0]}: error: argument --r: {message}"
 
 
 def test_coeff_hyp3f2_shape_mismatch(capsys):
@@ -229,6 +243,17 @@ def test_verify_mac(capsys):
     code, out, _ = run(capsys, "verify", "--id", "mac", "--n-max", "12")
     assert code == 0
     assert len(out.strip().splitlines()) == 12
+
+
+def test_verify_leaves_unset_bounds_to_sweep(capsys, monkeypatch):
+    # the bounds' defaults live in sweep's signature alone: the CLI passes only the
+    # options on the line
+    calls = []
+    real = identities.sweep
+    monkeypatch.setattr(identities, "sweep", lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
+    assert run(capsys, "verify", "--id", "mac")[0] == 0
+    assert run(capsys, "verify", "--id", "las", "--m-max", "1", "--r", "2,1")[0] == 0
+    assert calls == [(("mac",), {}), (("las",), {"m_max": 1, "r": coefficients.Composition([2, 1])})]
 
 
 def test_verify_fixed_instance(capsys):

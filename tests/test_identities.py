@@ -264,6 +264,21 @@ def test_partition_budget_rejects_before_enumerating():
                 call()
     with pytest.raises(ValueError, match="PARTITION_N_MAX"):
         extract_c_from_las(46, (1,))
+    # called directly, not through sweep's grid, each rejects n = 10^5 before building
+    # anything of length n or |r|: n!, lcm(1..n), a species run or c_table(r) (seconds
+    # and MiB before)
+    sample.update(n=10**5, r=Composition([1] * 2000))
+    calls = [lambda ident=ident: verify(ident, **{name: sample[name] for name in _takes(ident)})
+             for ident in partition_sum_ids]
+    for call in [*calls, lambda: extract_c_from_las(10**5, sample["r"])]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="PARTITION_N_MAX = 45"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
 
 
 def test_waring_budget_edge(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator, List, Sequence
 
@@ -30,6 +31,19 @@ def test_transversal_partitions_examples():
 def test_transversal_budget():
     with pytest.raises(ValueError):
         oracle_transversal_partitions(Composition([4, 4, 3]), 2)
+
+
+def test_transversal_budget_rejects_before_listing_elements():
+    # |E| is read off r, not off a list of one entry per element (0.48 s and
+    # 90 MiB at |E| = 10^7 before)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"\|E\| = 1000000 > 10"):
+            oracle_transversal_partitions((10**6,), 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, peak
 
 
 def test_transversal_matches_linearization():
