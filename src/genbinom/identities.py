@@ -1,25 +1,37 @@
 """Exact verification of the package's polynomial identities.
 
-Every check compares pairs of explicitly constructed polynomials
-coefficient by coefficient; "verified" means exact equality.  A pair is
-two UPoly in X, except for the two identities in an extra variable, which
-compare one pair per power of it: lemma1 one UPoly pair in X per power
-of y, waring one MPoly pair in the x variables (truncated to the caps)
-per power of t.  A pair of integer sides, two integer lists a_k and b_k on
-k, is two UPoly sum_k a_k T^k of denominator 1, so it is compared as
-integers.  A failed report names the first unequal pair, by its index in
-the checker's list, and the lowest degree where its two sides differ: an
-X-degree, the k and the two integers of an integer pair, or the smallest
-exponent vector for waring.  The ids with more than one pair list them in
-this order (integer pairs marked *):
+Every check compares pairs of explicitly constructed sides coefficient
+by coefficient; "verified" means exact equality.  A univariate pair is two
+lists on a basis index j, each held as a canonical UPoly sum_j a_j T^j, so
+equal rationals have equal (coeffs, den).  An identity p(X) = sum_j
+(nums_j / den) B_j on a Newton basis B_j = prod_{t<j} (X - s_t) / j!, s_t =
+start + t*step, is the pair (p's `newton_coeffs` at those nodes, nums / den):
+binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1) and binomial(X+n-1,
+j) at (1-n, 1).  An integer pair, two integer lists on k, has denominator 1.
+Two ids compare other pairs: injections two UPoly in X, and waring one MPoly
+pair in the x variables (truncated to the caps) per power of t.  A failed
+report names the first unequal pair, by its index in the checker's list, and
+the lowest index where its two sides differ, with the two exact values
+there: the basis index j of a Newton pair, the k of an integer pair, an
+X-degree for injections, or the smallest exponent vector for waring.  Each
+id's pairs, in order, with their basis (integer pairs marked *):
 
-  bigeq       the c form, k prod(r) c_k against |r| S_k*, the F form
-  linm        the d table against the product, then the table against
-              the merge chain* and the transversal oracle*
-  linbin      the d~ table, then against the chain* and the covering oracle*
-  linlas      the c~ table, then against the chain* and the covering oracle*
-  mac         binomial(X+n-1, n), then its alternating companion
-  lemma1      one pair per power y^j, j = 0..n: pair j
+  las         c_k / |r| on binomial(X+n-1, j), j = n-k
+  bigeq       the c form, n! prod(r) c_k / |r| on binomial(X+n-1, j), j = n-k;
+              k prod(r) c_k against |r| S_k*; the F form, n! F_k / k on
+              binomial(X+j-1, j), j = n-k
+  las0p       P_k / k on binomial(X+j-1, j), j = n-k
+  las0pp      the marked-cells sums on binomial(X+j-1, j), j = p-k
+  mac         1 at j = n on binomial(X+n-1, j), then its alternating
+              companion, (-1)^(k-1) / k at j = n-k
+  lemma1      one pair per power y^i, i = 0..n: pair i, (-1)^(k+i) C(k, i) / k
+              on binomial(X+n-1, j), j = n-k
+  linm        k! d_k on binomial(X, k) against the product, then the d table
+              against the merge chain* and the transversal oracle*
+  linbin      d~_k on binomial(X, k) against the product, then the table
+              against the chain* and the covering oracle*
+  linlas      c~_k on binomial(X, k), then as linbin
+  binom2      the multichoose chain's weights on binomial(X+j-1, j)
   waring      one pair per power t^l, l = 1..t_max: pair l-1
 
 A pair the instance lacks (the merge chain over RECURRENCE_STEPS_MAX merge
@@ -49,29 +61,29 @@ identity ids:
   binom2      two-factor normalized linearization with alternating signs
   injections  cycle-count polynomial of injections vs a rising factorial
 
-Each univariate right side is one `newton_sum` on binomial(X+n-1, j),
-binomial(X+j-1, j) or binomial(X, j), over integer numerators and one
-denominator (|r| for las and bigeq's c form, lcm(1..n) for las0p, mac and
-lemma1, lcm(1..p) for las0pp), so no side builds a Fraction and the module
-imports no `fractions`.  linm, linbin and linlas expand only their table, on
-binomial(X, k) (linm's falling(k) coefficients scaled by k! first), and
-bigeq its c and F forms: the S form is the c form over |r|, k prod(r) c_k =
-|r| S_k.  The lin ids' table and chain sides come from two kernels that
-share no code.  Each product side is one `math.prod` of the basis
-constructors, which keep their own loops (linlas's are shifted_binom_poly(r_i,
-0) = binomial(X+r_i-1, r_i)); binom2's two factors are one rising loop over
-both factors' shifts.  No two sides share code.  The other checker inputs
-(species products, partition sums, the las0pp coefficient lists) are whole
-integer runs, `math.comb` mapped over ranges and multiplied entrywise, built
-in this module: they share no code with the c_k routes they check.  las,
-las0p and las0pp read one species sequence P_j per instance, and bigeq one
-F_j list, prod(r) times that sequence, whose one difference table gives its
-S_j.  waring's caps and t_max have a budget, WARING_BOX_MAX and
-WARING_DEGREE_MAX, checked by its grid and its checker.  binom2's r1 + r2 is
-held to TABLE_SIZE_MAX by its grid (2 r_max when swept) and its checker; the
-ids whose instances build a table of length |r| (las, bigeq, linm, linbin,
+Each Newton pair takes one `newton_coeffs` pass, synthetic division of its
+left side at the nodes, and no expansion into monomials: its right side is
+the list itself, integer numerators over one denominator (|r| for las and
+bigeq's c form, lcm(1..n) for las0p, mac and lemma1, lcm(1..p) for las0pp),
+so no side builds a Fraction and the module imports no `fractions`.  bigeq's
+S form is the c form over |r|, k prod(r) c_k = |r| S_k.  The lin ids' table
+and chain sides come from two kernels that share no code.  Each lin id's
+product side is one `math.prod` of the basis constructors, which keep their
+own loops (linlas's are shifted_binom_poly(r_i, 0) = binomial(X+r_i-1,
+r_i)); binom2's two factors are one rising loop over both factors' shifts.
+No two sides share code.  The other checker inputs (species products,
+partition sums, the las0pp coefficient lists) are whole integer runs,
+`math.comb` mapped over ranges and multiplied entrywise, built in this
+module: they share no code with the c_k routes they check.  las, las0p and
+las0pp read one species sequence P_j per instance, and bigeq one F_j list,
+prod(r) times that sequence, whose one difference table gives its S_j.
+waring's caps and t_max have a budget, WARING_BOX_MAX and WARING_DEGREE_MAX,
+checked by its grid and its checker.  binom2's r1 + r2 is held to
+TABLE_SIZE_MAX by its grid (2 r_max when swept) and its checker; the ids
+whose instances build a table of length |r| (las, bigeq, linm, linbin,
 linlas) hold their grid's largest |r|, a fixed r's own or a swept grid's
-m_max * r_max, to it in their grids.
+m_max * r_max, to it in their grids; las and bigeq hold |r| to it in their
+checkers too, before they list the partitions of n.
 
 waring takes one `c_table` per species multiset of its box (19 for caps
 (3,3,3), not one per point).  lambda runs over the conjugates of
@@ -160,7 +172,7 @@ from .oracles import (
 )
 from .partitions import ferrers_poly, partitions_of
 from .polybasis import (
-    UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, newton_sum, rising_poly, shifted_binom_poly)
+    UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, rising_poly, shifted_binom_poly)
 from .series import MPoly, homogeneous_h
 
 
@@ -307,17 +319,27 @@ def _integer_pairs(a: List[int], *sides: List[int] | None) -> List[Pair]:
     return [(poly, UPoly._of(b)) for b in sides if b is not None]
 
 
+def _newton_pair(p: UPoly, start: int, step: int, nums: Iterable[int], den: int = 1) -> Pair:
+    """p's coefficients on the Newton basis prod_{t<j} (X - s_t) / j!, s_t = start +
+    t*step, against nums / den: both lists on j as UPolys in T, so a failed pair's
+    first_diff names j and the two fractions there."""
+    return UPoly._of(*newton_coeffs(p, start, step)), UPoly._of(list(nums), den)
+
+
 # ---------------------------------------------------------------------------
 # checkers: each returns a list of (lhs, rhs) pairs that must be equal
 # ---------------------------------------------------------------------------
 
 def _check_las(n: int, r: Composition) -> List[Pair]:
-    lhs, c = _las_lhs(n, r), c_table(r).values  # n's budget before a table of length |r|
-    return [(lhs, newton_sum(1 - n, 1, [c.get(k, 0) for k in range(n, 0, -1)], r.total))]
+    # |r|'s budget, then n's (`_species_products`), before the partitions of n or the table
+    _check_table_size(r.total, "|r|")
+    lhs, c = _las_lhs(n, r), c_table(r).values
+    return [_newton_pair(lhs, 1 - n, 1, [c.get(k, 0) for k in range(n, 0, -1)], r.total)]
 
 
 def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     check_positive_species(r)
+    _check_table_size(r.total, "|r|")  # as las does
     # F_j = prod_l r_l C(j+r_l-1, r_l): seatings of every species, r_l representatives
     # each, at one j-chair table, so F is prod(r) times the species products
     rprod = math.prod(r.parts)
@@ -330,12 +352,12 @@ def _check_bigeq(n: int, r: Composition) -> List[Pair]:
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
     # the S form is the c form over |r|: k prod(r) c_k = |r| S_k, compared at k = 0..n
     form_s = _integer_pairs([k * rprod * c.get(k, 0) for k in range(n + 1)], [r.total * s for s in S])
-    return [(lhs, newton_sum(1 - n, 1, form_c, r.total)), *form_s, (lhs, newton_sum(0, -1, form_f))]
+    return [_newton_pair(lhs, 1 - n, 1, form_c, r.total), *form_s, _newton_pair(lhs, 0, -1, form_f)]
 
 
 def _check_las0p(n: int, r: Composition) -> List[Pair]:
     P, L = _species_products(n, r), math.lcm(*range(1, n + 1))
-    return [(_las_lhs(n, r, P=P), newton_sum(0, -1, [P[k] * (L // k) for k in range(n, 0, -1)], L))]
+    return [_newton_pair(_las_lhs(n, r, P=P), 0, -1, [P[k] * (L // k) for k in range(n, 0, -1)], L)]
 
 
 def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
@@ -348,7 +370,7 @@ def _check_las0pp(n: int, p: int, r: Composition) -> List[Pair]:
         up = map(math.comb, range(k - 1, n - p + k), repeat(k - 1))  # C(j-1, k-1), j = k..n-p+k
         down = map(math.comb, range(n - 1 - k, p - 2 - k, -1), repeat(p - 1 - k))  # C(n-1-j, p-1-k)
         a.append(sum(map(mul, map(mul, up, down), P[k:n - p + k + 1])) * (L // k))
-    return [(_las_lhs(n, r, p, P), newton_sum(0, -1, a, L))]
+    return [_newton_pair(_las_lhs(n, r, p, P), 0, -1, a, L)]
 
 
 def _check_mac(n: int) -> List[Pair]:
@@ -358,21 +380,21 @@ def _check_mac(n: int) -> List[Pair]:
     nfact, L = factorial(n), math.lcm(*range(1, n + 1))
     body = UPoly._of([0] + [s * (L // l) for l, s in enumerate(sums, 1)], nfact * L)  # X^l / l, over n! L
     return [
-        (body, newton_sum(1 - n, 1, [0] * n + [1])),
-        (UPoly._of(sums, nfact), newton_sum(1 - n, 1, [(-1) ** (k - 1) * L // k for k in range(n, 0, -1)], L)),
+        _newton_pair(body, 1 - n, 1, [0] * n + [1]),
+        _newton_pair(UPoly._of(sums, nfact), 1 - n, 1, [(-1) ** (k - 1) * L // k for k in range(n, 0, -1)], L),
     ]
 
 
 def _check_lemma1(n: int) -> List[Pair]:
     # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)) against
-    # sum_k binomial(X+n-1, n-k) (y-1)^k / k: one UPoly pair in X per power y^j
+    # sum_k binomial(X+n-1, n-k) (y-1)^k / k: one Newton pair per power y^j
     rows, nfact, L = _class_table(n)[1:], factorial(n), math.lcm(*range(1, n + 1))
     pairs: List[Pair] = []
     for j in range(n + 1):
         # row l has n+2-l entries, so the rows too short for column j are a suffix
         col = [row[j] if j else -sum(row) for row in rows if j < len(row)]
         a = [(-1) ** (k + j) * binomial(k, j) * (L // k) for k in range(n, 0, -1)]
-        pairs.append((UPoly._of(col, nfact), newton_sum(1 - n, 1, a, L)))
+        pairs.append(_newton_pair(UPoly._of(col, nfact), 1 - n, 1, a, L))
     return pairs
 
 
@@ -421,7 +443,7 @@ def _check_linm(r: Composition) -> List[Pair]:
         merged = _exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0)
     oracle = [0, *_oracle_counts("transversal", r.species)] if r.total <= TRANSVERSAL_T_MAX else None
     # falling(k) = k! binomial(X, k)
-    return [(lhs, newton_sum(0, 1, list(map(mul, d, facts)))), *_integer_pairs(d, merged, oracle)]
+    return [_newton_pair(lhs, 0, 1, map(mul, d, facts)), *_integer_pairs(d, merged, oracle)]
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
@@ -430,7 +452,7 @@ def _check_linbin(r: Composition) -> List[Pair]:
     dt = [table.get(k, 0) for k in range(r.total + 1)]
     merged = _merge_chain(r.species, 1) if _within_merge_budget(r.species) else None
     oracle = [0, *_oracle_counts("set", r.species)] if r.total <= COVERING_K_MAX else None  # k up to |r|
-    return [(lhs, newton_sum(0, 1, dt)), *_integer_pairs(dt, merged, oracle)]
+    return [_newton_pair(lhs, 0, 1, dt), *_integer_pairs(dt, merged, oracle)]
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
@@ -440,20 +462,20 @@ def _check_linlas(r: Composition) -> List[Pair]:
     # the multichoose chain's weights, moved onto binomial(X, k)
     merged = [0, *_on_binomials(_merge_chain(r.species, -1))] if _within_merge_budget(r.species) else None
     oracle = [0, *_oracle_counts("multiset", r.species)] if r.total <= COVERING_K_MAX else None
-    return [(lhs, newton_sum(0, 1, ct)), *_integer_pairs(ct, merged, oracle)]
+    return [_newton_pair(lhs, 0, 1, ct), *_integer_pairs(ct, merged, oracle)]
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     pair = Composition((r1, r2))  # the rule sweep's grid applies: no empty pair
     r1, r2 = pair.parts
     # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 3.9-4.7 s cold through the CLI
-    # (three runs); in process the left side's rising loop takes 1.8 s, the Newton pass
-    # 2.9 s and the merge chain 2 ms (Python 3.11, 2-core Xeon VM); CI runs it
+    # either; the largest accepted pair, (1000, 1000), takes 4.1-4.6 s cold through the CLI
+    # (three runs); in process the left side's rising loop takes 1.7 s, the Newton pass
+    # 2.0-2.3 s and the merge chain 2 ms (Python 3.11, 2-core Xeon VM); CI runs it
     _check_table_size(r1 + r2, "r1 + r2")
     # binomial(X+r1-1, r1) binomial(X+r2-1, r2): one rising loop over both factors' shifts
     lhs = UPoly._of(_linear_product(chain(range(r1), range(r2))), factorial(r1) * factorial(r2))
-    return [(lhs, newton_sum(0, -1, _merge_chain(pair.species, -1)))]
+    return [_newton_pair(lhs, 0, -1, _merge_chain(pair.species, -1))]
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:
@@ -494,9 +516,10 @@ def verify(identity: str, **params) -> IdentityReport:
 
 
 def _first_diff(lhs, rhs) -> dict:
-    """A failed report's `first_diff`: "at" the lowest X-degree where an unequal
-    UPoly pair differs, or an MPoly pair's smallest differing exponent vector
-    (a list), and the two coefficients there as exact strings."""
+    """A failed report's `first_diff`: "at" the lowest index where an unequal
+    UPoly pair differs (a basis index j or k, or injections' X-degree), or an
+    MPoly pair's smallest differing exponent vector (a list), and the two
+    coefficients there as exact strings."""
     if isinstance(lhs, MPoly):
         at = min(e for e in lhs.terms.keys() | rhs.terms.keys() if lhs.coeff(e) != rhs.coeff(e))
     else:

@@ -5,18 +5,18 @@ numerators over one positive common denominator, kept in lowest terms, so
 all of its arithmetic is integer work.  The module also provides the
 factorial bases (falling, rising, shifted binomial), each its own product
 loop; `delta_at_zero`, the forward difference at zero as one alternating
-sum; and `newton_sum`/`newton_coeffs`, the one Newton-form pair (Horner's
-rule, synthetic division) behind every basis expansion.  Both hold their
-coefficients in `UPoly`'s layout, integers over one denominator.  The
-package's identities compare these polynomials coefficient by coefficient.
+sum; and `newton_coeffs`, the one Newton expansion (synthetic division), which
+returns its coefficients in `UPoly`'s layout, integers over one denominator.
+The package's identities compare these coefficients, and `from_falling_basis`
+sums the falling basis back by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, zip_longest
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import zip_longest
+from typing import Dict, Iterable, List, Tuple
 
 from .exactnum import Rat, binomial, factorial
 
@@ -195,30 +195,19 @@ def delta_at_zero(p: UPoly, k: int) -> Fraction:
     return acc
 
 
-def newton_sum(start: int, step: int, nums: Sequence[int], den: int = 1) -> UPoly:
-    """sum_j nums[j]/den prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
-    binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
-    at (1-n, 1); integer nums over one den > 0, `UPoly`'s layout.  Horner's rule
-    on the integers b_j = nums[j] d!/j!, d = len(nums) - 1, then one division by den d!."""
-    acc, ratio = [], 1  # the Horner numerators, and d!/j!
-    for j in range(len(nums) - 1, -1, -1):
-        s = start + j * step
-        acc = [x - s * y for x, y in zip([nums[j] * ratio] + acc, acc + [0])]  # acc * (X - s) + b_j
-        ratio *= j or 1
-    return UPoly._of(acc, den * ratio)
-
-
 def newton_coeffs(p: UPoly, start: int, step: int) -> Tuple[List[int], int]:
-    """(nums, p.den), one int per coefficient of p, with newton_sum(start, step, nums,
-    p.den) == p: p's numerators divided by X - s_0, the quotient by X - s_1, and
-    so on, synthetically; nums[j] is the j-th remainder times j!."""
+    """(nums, p.den), one int per coefficient of p, with p = sum_j nums[j]/p.den
+    prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step: binomial(X, j) at
+    (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j) at (1-n, 1).  p's
+    numerators divided by X - s_0, the quotient by X - s_1, and so on,
+    synthetically and in place; nums[j] is the j-th remainder times j!."""
     nums, out, jfact = list(p.coeffs), [], 1
     for j in range(len(nums)):
         jfact *= j or 1
         s = start + j * step
-        carries = list(accumulate(reversed(nums), lambda acc, c: acc * s + c))
-        out.append(carries.pop() * jfact)
-        nums = carries[::-1]
+        for i in range(len(nums) - 2, j - 1, -1):  # nums[j:] by X - s: quotient nums[j+1:]
+            nums[i] += s * nums[i + 1]
+        out.append(nums[j] * jfact)  # the remainder
     return out, p.den
 
 
@@ -231,7 +220,11 @@ def to_falling_basis(p: UPoly) -> Dict[int, Fraction]:
 
 
 def from_falling_basis(coeffs: Dict[int, Rat]) -> UPoly:
-    """Reassemble sum_k A_k * falling(k) = sum_k A_k k! * binomial(X, k)."""
-    a = [coeffs.get(k, 0) * factorial(k) for k in range(max(coeffs, default=-1) + 1)]
-    den = math.lcm(*(x.denominator for x in a))
-    return newton_sum(0, 1, [x.numerator * (den // x.denominator) for x in a], den)
+    """Reassemble sum_k A_k * falling(k) by Horner's rule on the monic basis
+    falling(k) = prod_{t<k} (X - t), acc <- acc * (X - k) + A_k, on the A_k's
+    numerators over their lcm."""
+    a = [coeffs.get(k, 0) for k in range(max(coeffs, default=-1) + 1)]
+    den, acc = math.lcm(*(x.denominator for x in a)), []
+    for k in range(len(a) - 1, -1, -1):
+        acc = [x - k * y for x, y in zip([a[k].numerator * (den // a[k].denominator)] + acc, acc + [0])]
+    return UPoly._of(acc, den)

@@ -10,17 +10,24 @@ from typing import Iterator, List, Sequence, Tuple
 
 import pytest
 
-from genbinom import coefficients, identities
+from genbinom import coefficients, identities, polybasis
 from genbinom.cli import main
 from genbinom.coefficients import CoeffTable, Composition, c_coeff, c_table, iter_compositions, linearization_d, seating_counts
 from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
 from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.partitions import ferrers_choose, partitions_of
-from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, newton_sum, rising_poly, shifted_binom_poly
+from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, rising_poly, shifted_binom_poly
 from genbinom.series import MPoly, homogeneous_h
 from test_partitions import partition_objects, z_mu
-from test_polybasis import _over_lcm
+from test_polybasis import _ref_newton_coeffs
+
+
+def _on_newton_basis(p: UPoly, start: int, step: int) -> UPoly:
+    """p's coefficients on the Newton basis prod_{t<j} (X - s_t) / j!, s_t = start +
+    t*step, by the Fraction reference `_ref_newton_coeffs`, as one UPoly in T: the
+    form in which a checker compares a univariate side."""
+    return UPoly(_ref_newton_coeffs(p, start, step))
 
 
 def test_las_example():
@@ -250,7 +257,7 @@ def test_ids_taking_n():
     assert {i for i in IDENTITY_IDS if "n" in _takes(i)} == expected
 
 
-def test_partition_budget_rejects_before_enumerating():
+def test_partition_budget_rejects_before_enumerating(monkeypatch):
     # the six ids whose left side sums over the partitions of n, the ids taking
     # n except injections, refuse n > PARTITION_N_MAX before any enumeration
     assert identities.PARTITION_N_MAX == 45
@@ -270,15 +277,25 @@ def test_partition_budget_rejects_before_enumerating():
     sample.update(n=10**5, r=Composition([1] * 2000))
     calls = [lambda ident=ident: verify(ident, **{name: sample[name] for name in _takes(ident)})
              for ident in partition_sum_ids]
-    for call in [*calls, lambda: extract_c_from_las(10**5, sample["r"])]:
+    # las and bigeq, whose c_table(r) takes |r| <= TABLE_SIZE_MAX, reject an |r| over it
+    # at an n within budget before they list the partitions of n (p(45) = 89,134)
+    listed = []
+    identities._class_tables.cache_clear()
+    monkeypatch.setattr(identities, "partitions_of", lambda *args: listed.append(args) or partitions_of(*args))
+    over = [lambda ident=ident, n=n, r=r: verify(ident, n=n, r=r)
+            for ident in ("las", "bigeq") for n, r in ((45, Composition([2001])), (44, Composition([1] * 2001)))]
+    for call, match in [*((call, "PARTITION_N_MAX = 45") for call in calls),
+                        (lambda: extract_c_from_las(10**5, sample["r"]), "PARTITION_N_MAX = 45"),
+                        *((call, r"\|r\| = 2001 is over the table budget") for call in over)]:
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="PARTITION_N_MAX = 45"):
+            with pytest.raises(ValueError, match=match):
                 call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**10, peak
+    assert listed == []
 
 
 def test_waring_budget_edge(monkeypatch):
@@ -313,6 +330,14 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
                                 "pair": 1, "first_diff": {"at": 0, "lhs": "0", "rhs": "2"}}
 
 
+def _bump_identity_class(real):
+    """_class_table with its entry for the identity class 1^n, row n at part 1, plus 1."""
+    def wrong(n, p=None):
+        table = real(n, p)
+        return (*table[:n], (table[n][0], table[n][1] + 1))
+    return wrong
+
+
 @pytest.mark.parametrize("name, bump, ident, params, line", [
     # S_1 + 1: bigeq's pairs are the c, S and F forms, so the S form is pair 1; it compares
     # k prod(r) c_k with |r| S_k as integers, so it names k = 1 and 1*2*3 against 3*(2+1)
@@ -320,10 +345,11 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
      "bigeq", dict(n=3, r=(2, 1)),
      '{"id":"bigeq","params":{"n":3,"r":[2,1]},"status":"failed",'
      '"pair":1,"first_diff":{"at":1,"lhs":"6","rhs":"9"}}'),
-    # C(k, 2) + 1 enters only the right side of y^2, lemma1's pair 2
+    # C(k, 2) + 1 enters only the right side of y^2, lemma1's pair 2, first at i = n - k = 0
+    # on binomial(X+n-1, i)
     ("binomial", lambda real: lambda a, b: real(a, b) + (b == 2), "lemma1", dict(n=3),
      '{"id":"lemma1","params":{"n":3},"status":"failed",'
-     '"pair":2,"first_diff":{"at":0,"lhs":"0","rhs":"-1/3"}}'),
+     '"pair":2,"first_diff":{"at":0,"lhs":"-1","rhs":"-4/3"}}'),
     # c_2 + 1 changes the left side of t^2, waring's pair 1, first at x^(0,1)
     ("c_table", lambda real: lambda r: real(r)._replace(values={**real(r).values, 2: real(r).values.get(2, 0) + 1}),
      "waring", dict(caps=(2, 2), t_max=3),
@@ -340,7 +366,35 @@ def test_failed_check_end_to_end(monkeypatch, capsys):
      "linlas", dict(r=(2, 1, 2)),
      '{"id":"linlas","params":{"r":[2,1,2]},"status":"failed",'
      '"pair":2,"first_diff":{"at":2,"lhs":"16","rhs":"17"}}'),
-], ids=["bigeq", "lemma1", "waring", "linm", "linlas"])
+    # c_2 + 1 enters only las's right side, c_k / |r| on binomial(X+n-1, j): the pair names
+    # the Newton index j = n - k = 2 and c_2 / |r| as computed and as bumped
+    ("c_table", lambda real: lambda r: real(r)._replace(values={**real(r).values, 2: real(r).values.get(2, 0) + 1}),
+     "las", dict(n=4, r=(2, 1)),
+     '{"id":"las","params":{"n":4,"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":2,"lhs":"2","rhs":"7/3"}}'),
+    # the identity class's entry + 1 enters only the partition sum, the left side, at X^(n-1):
+    # las0p and las0pp on binomial(X+j-1, j), mac's pair 0 on binomial(X+n-1, j)
+    ("_class_table", _bump_identity_class, "las0p", dict(n=4, r=(2, 1)),
+     '{"id":"las0p","params":{"n":4,"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":1,"lhs":"145/24","rhs":"6"}}'),
+    ("_class_table", _bump_identity_class, "las0pp", dict(n=4, p=2, r=(2, 1)),
+     '{"id":"las0pp","params":{"n":4,"p":2,"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":1,"lhs":"601/24","rhs":"25"}}'),
+    ("_class_table", _bump_identity_class, "mac", dict(n=4),
+     '{"id":"mac","params":{"n":4},"status":"failed",'
+     '"pair":0,"first_diff":{"at":0,"lhs":"27/32","rhs":"0"}}'),
+    # the multichoose chain's w_2 + 1 enters only binom2's right side, on binomial(X+j-1, j)
+    ("_merge_chain", lambda real: lambda species, sign: [w + (s == 2) for s, w in enumerate(real(species, sign))],
+     "binom2", dict(r1=2, r2=1),
+     '{"id":"binom2","params":{"r1":2,"r2":1},"status":"failed",'
+     '"pair":0,"first_diff":{"at":2,"lhs":"-2","rhs":"-1"}}'),
+    # d~_2 + 1 enters linbin's table, first compared with the product on binomial(X, k), pair 0
+    ("linearization_d", lambda real: lambda r, variant: real(r, variant)._replace(
+        values={**real(r, variant).values, 2: real(r, variant).values.get(2, 0) + 1}),
+     "linbin", dict(r=(2, 1)),
+     '{"id":"linbin","params":{"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":2,"lhs":"2","rhs":"3"}}'),
+], ids=["bigeq", "lemma1", "waring", "linm", "linlas", "las", "las0p", "las0pp", "mac", "binom2", "linbin"])
 def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
     monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
     report = verify(ident, **params)
@@ -375,7 +429,7 @@ def test_chain_pairs_run_within_the_merge_budget(monkeypatch):
     assert not coefficients._within_merge_budget((1,) * 1001)
     monkeypatch.setattr(identities, "_merge_chain", lambda species, sign: pytest.fail("the chain ran"))
     monkeypatch.setattr(identities, "linearization_d", lambda r, variant: CoeffTable(variant, r, {}))
-    monkeypatch.setattr(identities, "newton_sum", lambda *args: UPoly.zero())
+    monkeypatch.setattr(identities, "newton_coeffs", lambda p, start, step: ([], 1))
     for check in (identities._check_linm, identities._check_linbin, identities._check_linlas):
         assert len(check(Composition((1,) * 1001))) == 1, check.__name__
     # a fault in the chain fails linbin at (0, 3, 4) on that pair
@@ -419,13 +473,17 @@ def test_table_and_chain_pairs_share_no_code(monkeypatch):
 
 
 def test_integer_sides_take_no_newton_pass(monkeypatch):
-    # the lin ids expand only the table on binomial(X, k), bigeq its c and F forms; the
-    # chain, oracle and S sides (three pairs in all at these r) are integer lists on k
+    # one newton_coeffs pass per univariate left side: the lin ids' product, bigeq's c and
+    # F forms, lemma1's n+1 slices; the chain, oracle and S sides (three pairs in all at
+    # these r) are integer lists on k, and no right side is expanded into monomials
+    assert not hasattr(polybasis, "newton_sum")
     calls = []
-    real = identities.newton_sum
-    monkeypatch.setattr(identities, "newton_sum", lambda *args: calls.append(args) or real(*args))
-    for ident, params, want in (("linm", dict(r=(1, 2, 3)), 1), ("linbin", dict(r=(1, 2, 3)), 1),
-                                ("linlas", dict(r=(1, 2, 3)), 1), ("bigeq", dict(n=4, r=(2, 1)), 2)):
+    real = identities.newton_coeffs
+    monkeypatch.setattr(identities, "newton_coeffs", lambda *args: calls.append(args) or real(*args))
+    for ident, params, want in (("las", dict(n=4, r=(2, 1)), 1), ("linm", dict(r=(1, 2, 3)), 1),
+                                ("linbin", dict(r=(1, 2, 3)), 1), ("linlas", dict(r=(1, 2, 3)), 1),
+                                ("binom2", dict(r1=2, r2=3), 1), ("bigeq", dict(n=4, r=(2, 1)), 2),
+                                ("lemma1", dict(n=5), 6)):
         calls.clear()
         assert verify(ident, **params).verified and len(calls) == want, (ident, len(calls))
     # binom2's left side is one rising loop over both factors' shifts: no UPoly product
@@ -504,7 +562,7 @@ def test_class_table_matches_bigeq_loop():
     for n in range(1, 10):
         for r in iter_compositions(3, 2):
             if 0 not in r.parts:
-                assert identities._check_bigeq(n, r)[0][0] == _old_bigeq_lhs(n, r), (n, r)
+                assert identities._check_bigeq(n, r)[0][0] == _on_newton_basis(_old_bigeq_lhs(n, r), 1 - n, 1), (n, r)
 
 
 def _nonzero(p):
@@ -512,15 +570,19 @@ def _nonzero(p):
     return sum(1 for c in p.coeffs if c) if isinstance(p, UPoly) else len(p.terms)
 
 
+def _y_slice(p: MPoly, j: int) -> UPoly:
+    """The coefficient of y^j in a truncated MPoly in (X, y), a UPoly in X."""
+    return UPoly([p.coeff((l, j)) for l in range(p.caps[0] + 1)])
+
+
 def test_class_table_matches_mac_and_lemma1_loops():
+    # each left side on its Newton basis, binomial(X+n-1, j)
     for n in range(1, 15):
-        assert [lhs for lhs, _ in identities._check_mac(n)] == _old_mac_lhs(n), n
-        old = _old_lemma1_lhs(n)
+        old_mac = [_on_newton_basis(lhs, 1 - n, 1) for lhs in _old_mac_lhs(n)]
+        assert [lhs for lhs, _ in identities._check_mac(n)] == old_mac, n
+        old = _old_lemma1_lhs(n)  # caps (n-1, n): every term is in the box
         slices = [lhs for lhs, _ in identities._check_lemma1(n)]
-        assert len(slices) == n + 1 and all(lhs.degree < n for lhs in slices), n
-        for l, j in _box(old.caps):
-            assert slices[j].coeff(l) == old.coeff((l, j)), (n, l, j)
-        assert sum(map(_nonzero, slices)) == len(old.terms), n
+        assert slices == [_on_newton_basis(_y_slice(old, j), 1 - n, 1) for j in range(n + 1)], n
 
 
 def test_class_table_invariants():
@@ -632,16 +694,15 @@ def _old_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 def test_lemma1_slices_match_reference():
+    # slice j is the y^j coefficient of each side, on its Newton basis binomial(X+n-1, i);
+    # the reference's caps (n-1, n) hold every term, so the n+1 slices are all of it
     for n in range(1, 15):
         [ref] = _old_check_lemma1(n)
         slices = identities._check_lemma1(n)
         assert len(slices) == n + 1, n
         for side in (0, 1):
-            # every slice is a UPoly in X of degree below n, so the box is all of it
-            assert all(isinstance(pair[side], UPoly) and pair[side].degree < n for pair in slices), n
-            for l, j in _box(ref[side].caps):
-                assert slices[j][side].coeff(l) == ref[side].coeff((l, j)), (n, side, l, j)
-            assert sum(_nonzero(pair[side]) for pair in slices) == len(ref[side].terms), (n, side)
+            assert [pair[side] for pair in slices] == [
+                _on_newton_basis(_y_slice(ref[side], j), 1 - n, 1) for j in range(n + 1)], (n, side)
 
 
 def test_waring_slices_match_reference():
@@ -690,21 +751,29 @@ def test_waring_matches_parts_keyed_checker():
 
 
 def _plus_one(basis):
-    """The basis polynomial (or, for newton_sum, the whole expansion) plus 1:
-    a wrong right side for every checker below."""
+    """The basis polynomial plus 1, or for newton_coeffs the Newton pass with its
+    first numerator plus 1: a wrong side for every checker below."""
     def wrong(*args, **kwargs):
         p = basis(*args, **kwargs)
+        if isinstance(p, tuple):  # (nums, den) of one newton_coeffs pass
+            nums, den = p
+            return [nums[0] + 1, *nums[1:]], den
         return p + (UPoly.one() if isinstance(p, UPoly) else MPoly.const(p.caps, 1))
     return wrong
 
 
 @pytest.mark.parametrize("ident,basis,params", [
-    ("lemma1", "newton_sum", dict(n=4)),
+    ("lemma1", "newton_coeffs", dict(n=4)),
     ("waring", "homogeneous_h", dict(caps=(2, 1), t_max=3)),
-    ("las0p", "newton_sum", dict(n=4, r=Composition([2, 1]))),
-    ("las0pp", "newton_sum", dict(n=4, p=2, r=Composition([2, 1]))),
-    ("bigeq", "newton_sum", dict(n=4, r=Composition([2, 1]))),
+    ("las0p", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
+    ("las0pp", "newton_coeffs", dict(n=4, p=2, r=Composition([2, 1]))),
+    ("bigeq", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
     ("linm", "falling_poly", dict(r=Composition([2, 1]))),
+    # the one Newton pass is shared by every univariate pair: a fault in it fails each id
+    ("las", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
+    ("mac", "newton_coeffs", dict(n=4)),
+    ("binom2", "newton_coeffs", dict(r1=2, r2=3)),
+    ("linbin", "newton_coeffs", dict(r=Composition([2, 1]))),
 ])
 def test_wrong_basis_fails(monkeypatch, ident, basis, params):
     assert verify(ident, **params).verified
@@ -812,7 +881,7 @@ def test_las_inputs_match_per_entry_reference():
                 got, ref = identities._las_lhs(n, r, p), _ref_las_lhs(n, r, p)
                 assert (got.coeffs, got.den) == (ref.coeffs, ref.den), (n, r, p)
                 if p is not None:
-                    ref_pair = [(ref, identities.newton_sum(0, -1, *_over_lcm(_ref_las0pp_a(n, p, P))))]
+                    ref_pair = [(_on_newton_basis(ref, 0, -1), UPoly(_ref_las0pp_a(n, p, P)))]
                     assert _coeffs_den(identities._check_las0pp(n, p, r)) == _coeffs_den(ref_pair), (n, r, p)
 
 
@@ -900,7 +969,8 @@ def _ref_check_linm(r: Composition) -> List[Pair]:
     ints = UPoly([table.get(k, 0) for k in range(r.total + 1)])
     scale = math.prod(map(factorial, r.parts))  # every shape here is within RECURRENCE_STEPS_MAX
     chain = [Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))]
-    pairs: List[Pair] = [(lhs, from_falling_basis(table)), (ints, UPoly(chain))]
+    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), _on_newton_basis(from_falling_basis(table), 0, 1)),
+                         (ints, UPoly(chain))]
     if r.total <= 7:
         pairs.append((ints, UPoly([0] + [oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)])))
     return pairs
@@ -910,7 +980,7 @@ def _ref_check_linbin(r: Composition) -> List[Pair]:
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     table = linearization_d(r, "d_tilde").values  # on binomial(X, k), k = 0..|r|
     a = [table.get(k, 0) for k in range(r.total + 1)]
-    pairs: List[Pair] = [(lhs, newton_sum(0, 1, a)), (UPoly(a), UPoly(_ref_merge_chain(r.species, 1)))]
+    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), UPoly(a)), (UPoly(a), UPoly(_ref_merge_chain(r.species, 1)))]
     if r.total <= COVERING_K_MAX:  # k runs up to |r|
         pairs.append((UPoly(a), UPoly([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])))
     return pairs
@@ -921,7 +991,7 @@ def _ref_check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
     a = [table.get(k, 0) for k in range(r.total + 1)]
     chain = _ref_on_binomials(_ref_merge_chain(r.species, -1))  # moved onto binomial(X, k)
-    pairs: List[Pair] = [(lhs, newton_sum(0, 1, a)), (UPoly(a), UPoly(chain))]
+    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), UPoly(a)), (UPoly(a), UPoly(chain))]
     if r.total <= COVERING_K_MAX:
         oracle = [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)]
         pairs.append((UPoly(a), UPoly(oracle)))
@@ -943,7 +1013,7 @@ def _ref_check_bigeq(n: int, r: Composition) -> List[Pair]:
     form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
     form_s = (UPoly([k * math.prod(r.parts) * c.get(k, 0) for k in range(n + 1)]), UPoly([r.total * s for s in S]))
     form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(lhs, newton_sum(1 - n, 1, *_over_lcm(form_c))), form_s, (lhs, newton_sum(0, -1, form_f))]
+    return [(_on_newton_basis(lhs, 1 - n, 1), UPoly(form_c)), form_s, (_on_newton_basis(lhs, 0, -1), UPoly(form_f))]
 
 
 def test_bigeq_matches_per_entry_reference():

@@ -5,14 +5,17 @@ The references below are the basis constructors, `from_falling_basis`,
 the ten univariate checkers and the triangular `extract_c_from_las` as they
 were before `polybasis.newton_sum` / `newton_coeffs` existed, kept verbatim:
 each right side is one `sum` of basis(k).scale(a_k), every basis built on
-the rising-factorial product loop defined here.  The integer pairs, added
-later, are lists on k compared as polynomials in T: those of linm, linbin
-and linlas compare the table with the merge chain, whose weights come from
+the rising-factorial product loop defined here.  The checkers now compare
+each such pair on its Newton basis, so each reference pair is mapped there,
+at the nodes `NODES` gives, by the Fraction reference
+`test_polybasis._ref_newton_coeffs`.  The integer pairs, added later, are
+lists on k compared as polynomials in T: those of linm, linbin and linlas
+compare the table with the merge chain, whose weights come from
 `test_identities._ref_merge_chain`, one multinomial per term, and with the
 oracle counts; bigeq's compares k prod(r) c_k with |r| S_k.  Only the
 partition-sum left sides (`_las_lhs`, `_partition_sum`, `_class_table`,
 `_species_products`) are shared with the package; they do not touch the
-Newton pair.
+Newton pass.
 """
 
 import math
@@ -43,7 +46,7 @@ from genbinom.identities import (
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.polybasis import UPoly, from_falling_basis
 from test_identities import _ref_mchoose as _mchoose
-from test_identities import _ref_merge_chain, _ref_on_binomials
+from test_identities import _on_newton_basis, _ref_merge_chain, _ref_on_binomials
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +243,22 @@ REFERENCES = {
 }
 
 
+# id -> the (start, step) of each pair's Newton basis, from the checker's parameters;
+# None marks an integer pair, already two lists on k
+NODES = {
+    "las": lambda n, r: [(1 - n, 1)],
+    "bigeq": lambda n, r: [(1 - n, 1), None, (0, -1)],
+    "las0p": lambda n, r: [(0, -1)],
+    "las0pp": lambda n, p, r: [(0, -1)],
+    "mac": lambda n: [(1 - n, 1)] * 2,
+    "lemma1": lambda n: [(1 - n, 1)] * (n + 1),
+    "linm": lambda r: [(0, 1), None, None],
+    "linbin": lambda r: [(0, 1), None, None],
+    "linlas": lambda r: [(0, 1), None, None],
+    "binom2": lambda r1, r2: [(0, -1)],
+}
+
+
 def _grid(ident: str) -> List[dict]:
     """The id's sweep grid at n <= 8, m <= 3, r_i <= 3 (binom2: r1, r2 <= 12)."""
     grid_fn = identities._IDENTITIES[ident][1]
@@ -256,8 +275,10 @@ def test_right_sides_match_per_k_sums(ident):
         got = identities._IDENTITIES[ident][0](**params)
         want = REFERENCES[ident](**params)
         assert len(got) == len(want), (ident, params)
-        for (lhs, rhs), (ref_lhs, ref_rhs) in zip(got, want):
-            assert lhs == ref_lhs and rhs == ref_rhs, (ident, params)
+        for pair, ref, nodes in zip(got, want, NODES[ident](**params)):
+            if nodes is not None:
+                ref = tuple(_on_newton_basis(side, *nodes) for side in ref)
+            assert pair == ref, (ident, params)
 
 
 def test_extract_c_matches_back_substitution():

@@ -15,7 +15,6 @@ from genbinom.polybasis import (
     falling_poly,
     from_falling_basis,
     newton_coeffs,
-    newton_sum,
     rising_poly,
     shifted_binom_poly,
     to_falling_basis,
@@ -355,7 +354,8 @@ def test_rising_poly_matches_linear_factor_product():
 # ---------------------------------------------------------------------------
 
 # reference: the former newton_sum on a list of rationals, kept verbatim
-# (renamed); the package's newton_sum takes integer numerators over one den
+# (renamed); the package has no Newton sum since its identities compare Newton
+# coefficients, and from_falling_basis sums its one basis by Horner's rule
 def _ref_newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
     """sum_j a[j] prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
     binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
@@ -372,22 +372,6 @@ def _ref_newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
     return UPoly._of(acc, den * ratio)
 
 
-def _over_lcm(a: Sequence[Rat]) -> Tuple[List[int], int]:
-    """The rationals a as integer numerators over the lcm of their denominators,
-    the arguments newton_sum takes after its nodes."""
-    den = math.lcm(*(x.denominator for x in a))
-    return [x.numerator * (den // x.denominator) for x in a], den
-
-
-@given(st.sampled_from(["binomial", "multichoose", "shifted"]), st.integers(min_value=1, max_value=12),
-       st.lists(st.integers(), max_size=12), st.integers(min_value=1, max_value=10**6))
-def test_newton_sum_matches_fraction_reference(family, n, nums, den):
-    start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
-    got = newton_sum(start, step, nums, den)
-    want = _ref_newton_sum(start, step, [Fraction(x, den) for x in nums])
-    assert (got.coeffs, got.den) == (want.coeffs, want.den)
-
-
 def _newton_value(start: int, step: int, a, x: int) -> Fraction:
     """sum_j a[j] prod_{t<j} (x - start - t*step) / j!, term by term."""
     total, term = Fraction(0), Fraction(1)
@@ -402,7 +386,7 @@ def _newton_value(start: int, step: int, a, x: int) -> Fraction:
        st.integers(min_value=1, max_value=12))
 def test_newton_pair_round_trip_and_values(a, family, n):
     start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
-    p = newton_sum(start, step, *_over_lcm(a))
+    p = _ref_newton_sum(start, step, a)
     _assert_canonical(p)
     trimmed = list(a)
     while trimmed and not trimmed[-1]:
@@ -415,19 +399,24 @@ def test_newton_pair_round_trip_and_values(a, family, n):
 
 
 def test_newton_sum_families_are_the_bases():
+    # each family of Newton sums is its basis: the j-th basis polynomial has the unit
+    # vector e_j as its newton_coeffs
+    def on_basis(p, start, step):
+        return UPoly._of(*newton_coeffs(p, start, step))
+
     for j in range(9):
-        unit = [0] * j + [1]
-        assert newton_sum(0, 1, unit) == binom_poly(j)
-        assert newton_sum(0, -1, unit) == rising_poly(j).scale(Fraction(1, factorial(j)))
+        unit = UPoly._of([0] * j + [1])
+        assert on_basis(binom_poly(j), 0, 1) == unit
+        assert on_basis(rising_poly(j).scale(Fraction(1, factorial(j))), 0, -1) == unit
         for n in range(max(j, 1), 10):
-            assert newton_sum(1 - n, 1, unit) == shifted_binom_poly(n, n - j)
-    assert newton_sum(0, 1, []) == UPoly.zero() and newton_coeffs(UPoly.zero(), 0, 1) == ([], 1)
+            assert on_basis(shifted_binom_poly(n, n - j), 1 - n, 1) == unit
+    assert newton_coeffs(UPoly.zero(), 0, 1) == ([], 1)
 
 
 # reference: the former newton_coeffs, which returned one Fraction per
 # coefficient, kept verbatim (renamed); the package's returns (nums, den)
 def _ref_newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
-    """The a, one entry per coefficient of p, with newton_sum(start, step, a) == p
+    """The a, one entry per coefficient of p, with _ref_newton_sum(start, step, a) == p
     for a over their lcm: the numerators divided by X - s_0, the quotient by
     X - s_1, and so on, synthetically; the j-th remainder is a[j] den / j!."""
     nums, out, jfact = list(p.coeffs), [], 1
@@ -447,4 +436,4 @@ def test_newton_coeffs_integer_pair_matches_fraction_reference(coeffs, family, n
     nums, den = newton_coeffs(p, start, step)
     assert all(type(x) is int for x in nums) and type(den) is int and den == p.den
     assert [Fraction(x, den) for x in nums] == _ref_newton_coeffs(p, start, step)
-    assert newton_sum(start, step, nums, den) == p
+    assert _ref_newton_sum(start, step, [Fraction(x, den) for x in nums]) == p
