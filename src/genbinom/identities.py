@@ -67,11 +67,12 @@ the list itself, integer numerators over one denominator (|r| for las and
 bigeq's c form, lcm(1..n) for las0p, mac and lemma1, lcm(1..p) for las0pp),
 so no side builds a Fraction and the module imports no `fractions`.  bigeq's
 S form is the c form over |r|, k prod(r) c_k = |r| S_k.  The lin ids' table
-and chain sides come from two kernels that share no code.  Each lin id's
-product side is one `math.prod` of the basis constructors, which keep their
-own loops (linlas's are shifted_binom_poly(r_i, 0) = binomial(X+r_i-1,
-r_i)); binom2's two factors are one rising loop over both factors' shifts.
-No two sides share code.  The other checker inputs (species products,
+and chain sides come from two kernels that share no code.  linlas's and
+binom2's product side, prod_i binomial(X+r_i-1, r_i), is one rising loop
+over every factor's shifts 0..r_i-1, `_multichoose_product`, so neither
+takes a UPoly product; linm's and linbin's are one `math.prod` of
+`falling_poly` or `binom_poly`, which keep their own loops.  No two sides
+share code.  The other checker inputs (species products,
 partition sums, the las0pp coefficient lists) are whole integer runs,
 `math.comb` mapped over ranges and multiplied entrywise, built in this
 module: they share no code with the c_k routes they check.  las, las0p and
@@ -83,7 +84,11 @@ TABLE_SIZE_MAX by its grid (2 r_max when swept) and its checker; the ids
 whose instances build a table of length |r| (las, bigeq, linm, linbin,
 linlas) hold their grid's largest |r|, a fixed r's own or a swept grid's
 m_max * r_max, to it in their grids; las and bigeq hold |r| to it in their
-checkers too, before they list the partitions of n.
+checkers too, before they list the partitions of n.  The species products
+take one run of length n per nonzero species, so `_species_products` holds
+r to TABLE_SIZE_MAX species before any run, and the las0p and las0pp grids
+hold a fixed r to it (|r| bounds the species count, so las and bigeq imply
+it).
 
 waring takes one `c_table` per species multiset of its box (19 for caps
 (3,3,3), not one per point).  lambda runs over the conjugates of
@@ -171,8 +176,7 @@ from .oracles import (
     oracle_transversal_partitions,
 )
 from .partitions import ferrers_poly, partitions_of
-from .polybasis import (
-    UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, rising_poly, shifted_binom_poly)
+from .polybasis import UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, rising_poly
 from .series import MPoly, homogeneous_h
 
 
@@ -252,13 +256,23 @@ def _partition_sum(n: int, g: Iterable[int], p: int | None = None) -> List[int]:
     return [sum(map(mul, g, row)) for row in _class_table(n, p)[1:]]
 
 
+def _check_species_count(r: Composition | None) -> None:
+    """Hold a fixed r to TABLE_SIZE_MAX nonzero species, the bound of `_species_products`,
+    which builds one run per species (|r| bounds the count, so las and bigeq imply it)."""
+    if r is not None:
+        _check_table_size(len(r.species), "the species count of r")
+
+
 def _species_products(n: int, r: Composition) -> List[int]:
     """[0, P_1, ..., P_n], P_j = prod_k C(j+r_k-1, r_k) = prod_k rising(j, r_k)/r_k!:
-    one run of C(j+r_k-1, r_k), j = 1..n, per species, multiplied entrywise.  An
-    n over PARTITION_N_MAX raises ValueError first: every caller sums over its partitions."""
+    one run of C(j+r_k-1, r_k), j = 1..n, per nonzero species (a zero part's run is
+    all ones), multiplied entrywise.  An n over PARTITION_N_MAX, then more than
+    TABLE_SIZE_MAX species, raises ValueError first: every caller sums over the
+    partitions of n, and each species costs n ever-larger products."""
     _check_partition_budget(n)
+    _check_species_count(r)
     P = [1] * n
-    for rk in r.parts:
+    for rk in r.species:
         P = list(map(mul, P, map(math.comb, range(rk, n + rk), repeat(rk))))
     return [0, *P]
 
@@ -428,8 +442,9 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 # linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
-# through the CLI, one run each, linm takes 31 s, linbin 35 s and linlas 28 s (Python
-# 3.11, 2-core Xeon VM), too long to run on every CI push
+# through the CLI, linm and linbin take 29 s each (one run), too long to run on every
+# CI push, and linlas, whose product is binom2's rising loop, 4.1-6.6 s (nine runs,
+# binom2 3.0-4.7 s meanwhile; Python 3.11, 2-core Xeon VM whose speed drifts); CI runs it
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
@@ -455,9 +470,15 @@ def _check_linbin(r: Composition) -> List[Pair]:
     return [_newton_pair(lhs, 0, 1, dt), *_integer_pairs(dt, merged, oracle)]
 
 
+def _multichoose_product(parts: Sequence[int]) -> UPoly:
+    """prod_i binomial(X+r_i-1, r_i) = prod_i rising(X, r_i) / r_i!: one rising loop
+    over every factor's shifts 0..r_i-1, over prod_i r_i!."""
+    return UPoly._of(_linear_product(chain.from_iterable(map(range, parts))), math.prod(map(factorial, parts)))
+
+
 def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
-    lhs = math.prod((shifted_binom_poly(ri, 0) for ri in r.parts), start=UPoly.one())
+    lhs = _multichoose_product(r.parts)
     ct = [table.get(k, 0) for k in range(r.total + 1)]
     # the multichoose chain's weights, moved onto binomial(X, k)
     merged = [0, *_on_binomials(_merge_chain(r.species, -1))] if _within_merge_budget(r.species) else None
@@ -467,15 +488,12 @@ def _check_linlas(r: Composition) -> List[Pair]:
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     pair = Composition((r1, r2))  # the rule sweep's grid applies: no empty pair
-    r1, r2 = pair.parts
     # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 4.1-4.6 s cold through the CLI
-    # (three runs); in process the left side's rising loop takes 1.7 s, the Newton pass
-    # 2.0-2.3 s and the merge chain 2 ms (Python 3.11, 2-core Xeon VM); CI runs it
-    _check_table_size(r1 + r2, "r1 + r2")
-    # binomial(X+r1-1, r1) binomial(X+r2-1, r2): one rising loop over both factors' shifts
-    lhs = UPoly._of(_linear_product(chain(range(r1), range(r2))), factorial(r1) * factorial(r2))
-    return [_newton_pair(lhs, 0, -1, _merge_chain(pair.species, -1))]
+    # either; the largest accepted pair, (1000, 1000), takes 3.0-4.7 s cold through the CLI
+    # (six runs); in process the left side's rising loop takes 1.2-1.6 s, the Newton pass
+    # 1.4-1.8 s and the merge chain 1 ms (Python 3.11, 2-core Xeon VM); CI runs it
+    _check_table_size(pair.total, "r1 + r2")
+    return [_newton_pair(_multichoose_product(pair.parts), 0, -1, _merge_chain(pair.species, -1))]
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:
@@ -582,8 +600,9 @@ def _grid_r(comps, r, m_max, r_max, **_) -> Iterator[dict]:
     return (dict(r=q) for q in comps())
 
 
-def _grid_n_r(ns, comps, **_) -> Iterator[dict]:
-    return (dict(n=n, r=r) for n in _partition_ns(ns) for r in comps())
+def _grid_n_r(ns, comps, r=None, **_) -> Iterator[dict]:
+    _check_species_count(r)  # las0p's; las passes no r, its |r| bound implies this one
+    return (dict(n=n, r=q) for n in _partition_ns(ns) for q in comps())
 
 
 def _grid_las(ns, comps, r, m_max, r_max, **_) -> Iterator[dict]:
@@ -598,9 +617,10 @@ def _grid_bigeq(ns, comps, r, m_max, r_max, **_) -> Iterator[dict]:
     return (dict(n=n, r=q) for n in _partition_ns(ns) for q in comps() if 0 not in q.parts)
 
 
-def _grid_las0pp(ns, comps, p, **_) -> Iterator[dict]:
-    return (dict(n=n, p=q, r=r) for n in _partition_ns(ns) for q in ([p] if p else range(1, n + 1)) if q <= n
-            for r in comps())
+def _grid_las0pp(ns, comps, p, r, **_) -> Iterator[dict]:
+    _check_species_count(r)
+    return (dict(n=n, p=q, r=c) for n in _partition_ns(ns) for q in ([p] if p else range(1, n + 1)) if q <= n
+            for c in comps())
 
 
 def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:

@@ -298,6 +298,30 @@ def test_partition_budget_rejects_before_enumerating(monkeypatch):
     assert listed == []
 
 
+def test_species_count_rejected_before_any_run():
+    # las0p, las0pp and extract_c_from_las read one species run of length n per nonzero
+    # species: more than TABLE_SIZE_MAX species is rejected before any run (before, at
+    # n = 45, 10^5 ones took 35-43 s), by a direct call and by sweep's call itself
+    r = Composition([1] * 2001)
+    calls = [lambda: verify("las0p", n=3, r=r), lambda: verify("las0pp", n=3, p=1, r=r),
+             lambda: extract_c_from_las(3, r)]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="species count of r = 2001 is over the table budget"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10, peak
+    for ident in ("las0p", "las0pp"):
+        with pytest.raises(ValueError, match="species count of r = 2001"):
+            sweep(ident, n=3, r=r)
+    # zero parts are no species: their runs are all ones
+    assert verify("las0p", n=3, r=[0] * 3000 + [1]).verified
+    assert identities._species_products(4, Composition([0] * 3000 + [2])) == [0, 1, 3, 6, 10]
+
+
 def test_waring_budget_edge(monkeypatch):
     # the largest box, |caps| and t_max are accepted, one past any of them is
     # rejected by sweep and by verify before any c_table or product
@@ -486,9 +510,20 @@ def test_integer_sides_take_no_newton_pass(monkeypatch):
                                 ("lemma1", dict(n=5), 6)):
         calls.clear()
         assert verify(ident, **params).verified and len(calls) == want, (ident, len(calls))
-    # binom2's left side is one rising loop over both factors' shifts: no UPoly product
-    monkeypatch.setattr(UPoly, "__mul__", lambda a, b: pytest.fail("binom2 took a UPoly product"))
+    # binom2's and linlas's left side, prod_i binomial(X+r_i-1, r_i), is one rising loop
+    # over every factor's shifts, whatever the number of factors or zero parts: no UPoly product
+    monkeypatch.setattr(UPoly, "__mul__", lambda a, b: pytest.fail("a multichoose product took a UPoly product"))
     assert all(verify("binom2", r1=a, r2=b).verified for a, b in ((1, 0), (0, 3), (2, 1), (6, 7), (12, 12)))
+    assert verify("linlas", r=(3, 4, 5)).verified and verify("linlas", r=(2, 0, 1)).verified
+
+
+def test_multichoose_product_fault_fails_linlas_and_binom2(monkeypatch):
+    # both ids read one rising loop: a fault in it shows on each id's product pair
+    real = identities._linear_product
+    monkeypatch.setattr(identities, "_linear_product", lambda shifts: [c + (d == 0) for d, c in enumerate(real(shifts))])
+    for ident, params in (("linlas", dict(r=(2, 1))), ("binom2", dict(r1=2, r2=1))):
+        report = verify(ident, **params)
+        assert (report.status, report.pair) == ("failed", 0), ident
 
 
 # The partition loops the class-size table replaced, kept as references.

@@ -259,12 +259,18 @@ NODES = {
 }
 
 
+# linlas's product is one rising loop over every factor's shifts: shapes past the grid,
+# with more factors, zero padding and larger parts
+EXTRA = {"linlas": [dict(r=Composition(q)) for q in ((0, 5, 0, 4), (2, 2, 2, 2, 2), (1, 8), (12,))]}
+
+
 def _grid(ident: str) -> List[dict]:
-    """The id's sweep grid at n <= 8, m <= 3, r_i <= 3 (binom2: r1, r2 <= 12)."""
+    """The id's sweep grid at n <= 8, m <= 3, r_i <= 3 (binom2: r1, r2 <= 12), then its
+    `EXTRA` instances."""
     grid_fn = identities._IDENTITIES[ident][1]
     comps = list(iter_compositions(3, 3))
-    return list(grid_fn(ns=range(1, 9), comps=lambda: comps, p=None, r=None,
-                        m_max=3, r_max=12 if ident == "binom2" else 3, t_max=1))
+    return [*grid_fn(ns=range(1, 9), comps=lambda: comps, p=None, r=None,
+                     m_max=3, r_max=12 if ident == "binom2" else 3, t_max=1), *EXTRA.get(ident, [])]
 
 
 @pytest.mark.parametrize("ident", sorted(REFERENCES))
