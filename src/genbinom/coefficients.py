@@ -3,7 +3,7 @@
 The central quantity is the generalized binomial coefficient c_k(r),
 computable by several routes that must agree exactly; two pairs difference
 one table up to scale: explicit's L P_i / i is L/|r| times entiere's Q_i, and
-finite_diff's Delta^k f(0) is prod (r_l - 1)! times inclusion_exclusion's S_k.
+finite_diff's Delta^k f(0) is prod r_l! times inclusion_exclusion's c~_k.
 Each route is one kernel ``r -> [c_1, ..., c_|r|]`` that computes every entry
 in one exact integer pass: ``c_table`` returns its list and ``c_coeff(r, k)``
 reads entry k of it.  The kernels work on whole integer runs over i = 1..|r|:
@@ -28,9 +28,10 @@ O(|r|) entrywise products and powers per distinct size.
                        symmetric); multiplying by G is a prefix sum, one
                        ``accumulate`` per row of the fastest (largest) axis
                        and one slice sum per step of the others
-  inclusion_exclusion  |r| * S_k(r) / (k * prod r_j), S_k the differences
-                       of the seating counts F_0..F_|r|, F one product of
-                       the species' runs
+  inclusion_exclusion  |r| * S_k(r) / (k * prod r_j) = |r| c~_k / k: S_k, the
+                       differences of the seating counts F_0..F_|r|, is
+                       prod r_j c~_k, c~ the difference table of the
+                       species' multichoose runs
   finite_diff          Newton expansion of f(x) = prod (x)_{r_i}: integer
                        difference table of f(0..|r|), each rising factorial
                        run (x)_{r_i} = perm(x+r_i-1, r_i) from ``math.perm``
@@ -63,11 +64,13 @@ against TABLE_SIZE_MAX on its length (|r| or k), and a longer one raises
 ValueError.
 
 Results are ``CoeffTable``s, a NamedTuple of the family, r and its values,
-k -> int.  Also here: the round-table seating counts F_k/S_k/T_k (one run
-F_0..F_k written once, S its forward-difference table); the linearization
-tables d, d-tilde and c-tilde (one difference table of a species product of
-binomial runs, C(i, r_l) or C(i+r_l-1, r_l), that runs no c_k route and
-imports nothing from ``polybasis``); the merge chain
+k -> int.  Also here: the round-table seating counts F_k/S_k/T_k (F_k one
+product over the species, S_k = prod r_l c~_k read off the c~ table); the
+linearization tables d, d-tilde and c-tilde; and the one difference table that
+c~, d, d-tilde, inclusion_exclusion, finite_diff and S read,
+``_difference_table``: Delta^k g(0) of a species product g of one run kind,
+C(i, r_l), C(i+r_l-1, r_l) or finite_diff's perm(i+r_l-1, r_l), which runs no
+c_k route and imports nothing from ``polybasis``; the merge chain
 ``_merge_chain(species, sign)``, the one place of the two-factor rule
 b(x, a) b(x, b) = sum_l t_l b(x, a+b-l), merging one species at a time,
 smallest first, on b = C(x, .) at sign +1 (its weights are d-tilde) or on the
@@ -257,34 +260,24 @@ def check_positive_species(r: Composition) -> None:
         raise ValueError("a species with zero representatives cannot send a delegation")
 
 
-def _seating_f(species: Sequence[int], k_max: int) -> List[int]:
-    """F_0 .. F_k_max, F_k the product over the species of r_l * C(k+r_l-1, r_l)
-    seatings: prod r_l times the species' runs, with F_0 = 0 (no species is empty)."""
-    return [0, *_species_product(repeat(math.prod(species), k_max), species, lambda s: _multichoose_run(s, k_max))]
-
-
-def _seating_s(species: Sequence[int], k_max: int) -> List[int]:
-    """S_0 .. S_k_max: S_k = sum_i (-1)^(k-i) C(k, i) F_i = Delta^k F(0), the
-    binomial inverse of F, from one integer difference table."""
-    return forward_differences(_seating_f(species, k_max))
-
-
 def seating_counts(r: Composition, k: int, which: str) -> int:
     """F_k(r) or S_k(r): tuples of delegations seated around k chairs.
 
     Per species with r_l representatives there are r_l * C(k+r_l-1, r_l)
     seatings; F multiplies these, S additionally requires every chair to
-    be occupied and is the binomial-inverse alternating sum of F.
+    be occupied and is the binomial-inverse alternating sum of F, Delta^k F(0):
+    F is prod r_l times the c~ table's g, so S_k = prod r_l * c~_k.
     """
+    k = as_int(k)
     if k < 1:
         raise ValueError(f"seating_counts: k must be positive, got {k}")
     _check_table_size(k, "k")
     r = as_composition(r)
     check_positive_species(r)
     if which == "F":
-        return _seating_f(r.species, k)[k]
+        return math.prod(rl * math.comb(k + rl - 1, rl) for rl in r.parts)
     if which == "S":
-        return _seating_s(r.species, k)[k]
+        return math.prod(r.parts) * _difference_table(r.species, k, _multichoose_run)[k]
     raise ValueError(f"seating_counts: unknown kind {which!r}")
 
 
@@ -292,7 +285,7 @@ def t_coeff(r: Composition, k: int, j: int) -> int:
     """Surjective seatings with species j's delegation elder on chair k and
     every other species' eldest member seated, on its largest chair:
     S_k(r) * r_j / (k * r_1 ... r_m)."""
-    r = as_composition(r)
+    k, j, r = as_int(k), as_int(j), as_composition(r)
     if not 1 <= j <= r.m:
         raise ValueError(f"t_coeff: species index {j} out of range 1..{r.m}")
     return _exact([seating_counts(r, k, "S") * r.parts[j - 1]], [k * math.prod(r.parts)], k)[0]
@@ -315,6 +308,12 @@ def _species_product(start: Iterable[int], species: Sequence[int], run: Callable
         t = len(list(group))
         start = list(map(mul, start, run(s) if t == 1 else map(pow, run(s), repeat(t))))
     return start
+
+
+def _difference_table(species: Sequence[int], n: int, run: Callable[[int, int], Iterable[int]]) -> List[int]:
+    """Delta^k g(0), k = 0..n, g(i) = prod over the nonempty species s of run(s, n)'s
+    entry i for i = 1..n, and g(0) = 0: one integer difference table of one species product."""
+    return forward_differences([0, *_species_product(repeat(1, n), species, lambda s: run(s, n))])
 
 
 def _explicit(r: Composition) -> List[int]:
@@ -380,16 +379,16 @@ def _genfun(r: Composition) -> List[int]:
 
 
 def _inclusion_exclusion(r: Composition) -> List[int]:
-    # c_k = |r| S_k / (k prod r_j) over the nonzero species
-    return _scaled_by_total(r, _seating_s(r.species, r.total)[1:], math.prod(r.species))
+    # c_k = |r| S_k / (k prod r_j) over the nonzero species, and S_k = prod r_j c~_k
+    return _scaled_by_total(r, _difference_table(r.species, r.total, _multichoose_run)[1:])
 
 
 def _finite_diff(r: Composition) -> List[int]:
     # Newton coefficient A_k = Delta^k f(0) / k! of f(x) = prod (x)_{r_i}, from
     # the difference table of f(0..|r|); c_k = |r| (k-1)! A_k / prod r_i!
     # rising(x, r_i) = perm(x+r_i-1, r_i) for x >= 1; f(0) = 0 as some r_i > 0
-    f = _species_product(repeat(1, r.total), r.species, lambda s: map(math.perm, range(s, s + r.total), repeat(s)))
-    return _scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
+    f = _difference_table(r.species, r.total, lambda s, n: map(math.perm, range(s, s + n), repeat(s)))
+    return _scaled_by_total(r, f[1:], math.prod(map(factorial, r.species)))
 
 
 def _merge_chain(species: Sequence[int], sign: int) -> List[int]:
@@ -498,6 +497,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> int:
     the route's whole kernel; a caller needing several k should take
     ``c_table`` once.
     """
+    k = as_int(k)
     if k < 1:
         raise ValueError(f"c_coeff: k must be positive, got {k}")
     r = as_composition(r)
@@ -536,9 +536,8 @@ def linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
     _check_table_size(r.total, "|r|")
     if variant not in ("d", "d_tilde", "c_tilde"):
         raise ValueError(f"linearization_d: unknown variant {variant!r}")
-    # g(0) = 0 as some r_i > 0, and g(1..|r|) is one species product
     run = _multichoose_run if variant == "c_tilde" else lambda s, n: map(math.comb, range(1, n + 1), repeat(s))
-    vals = forward_differences([0, *_species_product(repeat(1, r.total), r.species, lambda s: run(s, r.total))])[1:]
+    vals = _difference_table(r.species, r.total, run)[1:]
     if variant == "d":  # prod falling(x, r_i) = prod r_i! g(x); k! as a running product
         vals = _exact(map(math.prod(map(factorial, r.species)).__mul__, vals), accumulate(range(1, r.total + 1), mul))
     return CoeffTable(variant, r, {k: v for k, v in enumerate(vals, 1) if v})

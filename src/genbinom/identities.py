@@ -69,9 +69,10 @@ so no side builds a Fraction and the module imports no `fractions`.  bigeq's
 S form is the c form over |r|, k prod(r) c_k = |r| S_k.  The lin ids' table
 and chain sides come from two kernels that share no code.  linlas's and
 binom2's product side, prod_i binomial(X+r_i-1, r_i), is one rising loop
-over every factor's shifts 0..r_i-1, `_multichoose_product`, so neither
-takes a UPoly product; linm's and linbin's are one `math.prod` of
-`falling_poly` or `binom_poly`, which keep their own loops.  No two sides
+over every factor's shifts 0..r_i-1, `_multichoose_product`, and linm's,
+prod_i falling(X, r_i), the same loop `_linear_product` over the shifts 0,
+-1, ..., 1-r_i, so none of the three takes a UPoly product; linbin's alone
+is one `math.prod` of `binom_poly`, which keeps its own loop.  No two sides
 share code.  The other checker inputs (species products,
 partition sums, the las0pp coefficient lists) are whole integer runs,
 `math.comb` mapped over ranges and multiplied entrywise, built in this
@@ -167,7 +168,7 @@ from .coefficients import (
     iter_compositions,
     linearization_d,
 )
-from .exactnum import binomial, factorial, forward_differences
+from .exactnum import as_int, binomial, factorial, forward_differences
 from .oracles import (
     COVERING_K_MAX,
     INJECTION_N_MAX,
@@ -176,7 +177,7 @@ from .oracles import (
     oracle_transversal_partitions,
 )
 from .partitions import ferrers_poly, partitions_of
-from .polybasis import UPoly, _linear_product, binom_poly, falling_poly, newton_coeffs, rising_poly
+from .polybasis import UPoly, _linear_product, binom_poly, newton_coeffs, rising_poly
 from .series import MPoly, homogeneous_h
 
 
@@ -442,14 +443,16 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 # linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
-# through the CLI, linm and linbin take 29 s each (one run), too long to run on every
-# CI push, and linlas, whose product is binom2's rising loop, 4.1-6.6 s (nine runs,
-# binom2 3.0-4.7 s meanwhile; Python 3.11, 2-core Xeon VM whose speed drifts); CI runs it
+# through the CLI, linm and linlas, whose products are binom2's loop over every factor's
+# shifts, take 3.3-4.1 s and 4.8-5.5 s (three runs each, binom2 2.7-3.7 s meanwhile;
+# Python 3.11, 2-core Xeon VM whose speed drifts), and CI runs both; linbin, whose
+# product is a math.prod of binom_poly, takes 27 s (one run) and is left out
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
     table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
-    lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
+    # falling(X, r_i) = prod_(a=1-r_i)^0 (X + a): one loop over every factor's shifts 0, -1, ..., 1-r_i
+    lhs = UPoly._of(_linear_product(chain.from_iterable(range(0, -ri, -1) for ri in r.parts)))
     d = [table.get(k, 0) for k in range(r.total + 1)]
     facts = list(accumulate(range(1, r.total + 1), mul, initial=1))  # k!, k = 0..|r|
     merged = None
@@ -463,6 +466,9 @@ def _check_linm(r: Composition) -> List[Pair]:
 
 def _check_linbin(r: Composition) -> List[Pair]:
     table = linearization_d(r, "d_tilde").values  # coefficients on binomial(X, k), k = 0..|r|
+    # the last UPoly product and Fraction among bench/selftest.py's cheap requests: until the
+    # committed performance record of ROADMAP item 1, it alone keeps that test's
+    # polybasis.upoly_mul.coeff_pairs and exactnum.fraction_new counts above 0, so it stays
     lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
     dt = [table.get(k, 0) for k in range(r.total + 1)]
     merged = _merge_chain(r.species, 1) if _within_merge_budget(r.species) else None
@@ -520,6 +526,8 @@ def verify(identity: str, **params) -> IdentityReport:
     takes = _PARAMS[identity]
     if params.keys() != set(takes):
         raise ValueError(f"{identity} takes the parameters {', '.join(takes)}; got {', '.join(params) or 'none'}")
+    # every parameter but a composition (r, waring's caps) is an integer
+    params = {name: v if name in ("r", "caps") else as_int(v) for name, v in params.items()}
     _check_n_p(params.get("n"), params.get("p"))
     if "r" in params:  # any sequence, checked as waring's caps are
         params["r"] = as_composition(params["r"])
@@ -557,8 +565,8 @@ def extract_c_from_las(n: int, r: Composition) -> CoeffTable:
     table and a smaller n its prefix: ``extract_c_from_las(2, (2, 1))``
     holds {1: 3, 2: 6}, and its ``value(3)`` reads 0 where c_3 = 3.
     """
+    n, r = as_int(n), as_composition(r)
     _check_n_p(n, None)
-    r = as_composition(r)
     nums, den = newton_coeffs(_las_lhs(n, r), 1 - n, 1)
     nums += [0] * n  # nums[n-k] / den on binomial(X+n-1, n-k)
     if any(nums[n:]):
@@ -709,6 +717,7 @@ def sweep(
     zero species), an oracle, partition-sum or table budget overrun or an empty
     grid (found by drawing its first instance) raises ValueError here, not
     midway through the returned iterator."""
+    n_max, m_max, r_max, t_max, n, p = (v if v is None else as_int(v) for v in (n_max, m_max, r_max, t_max, n, p))
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}; known: {', '.join(IDENTITY_IDS)}")
     grid_fn = _IDENTITIES[identity][1]

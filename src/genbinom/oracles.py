@@ -20,6 +20,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from typing import List, Tuple
 
 from .coefficients import Composition, as_composition, check_positive_species
+from .exactnum import as_int
 from .polybasis import UPoly
 
 INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! injections)
@@ -34,6 +35,7 @@ def oracle_transversal_partitions(r: Composition, k: int) -> int:
     lacks its species, or opens a new block while fewer than k are open; a
     block is the bitmask of the species it holds.  Each full assignment
     with k blocks is one counted partition."""
+    k = as_int(k)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     r = as_composition(r)
@@ -71,6 +73,7 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
     tuple, and each is completed with every selection of that species: a
     full tuple covers [k] when its union is the full mask.
     """
+    k = as_int(k)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if mode not in ("multiset", "set"):
@@ -112,6 +115,7 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
                for every other species, the species' eldest member seated
                and its delegation elder on the species' largest chair.
     """
+    k, j = as_int(k), None if j is None else as_int(j)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     r = as_composition(r)
@@ -156,6 +160,7 @@ def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
     A cycle is an orbit contained in the domain [n-k] and closed under f.
     n = k means the empty injection: one scenario, zero cycles, so 1.
     """
+    n, k = as_int(n), as_int(k)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= k <= n:

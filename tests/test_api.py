@@ -49,3 +49,40 @@ def test_entry_points_take_any_integer_sequence(name):
     assert call((2, 1)) == expected and call([2, 1]) == expected
     with pytest.raises(ValueError):
         call((2.5, 1))
+
+
+# every integer scalar of the public names, given a float or a numeric string: each is
+# read by `exactnum.as_int` before any check, so it raises ValueError, where it raised
+# TypeError from deep inside or was taken as it stood
+_NOT_INTEGERS = {
+    "verify n float": lambda: genbinom.verify("mac", n=2.5),
+    "verify n str": lambda: genbinom.verify("mac", n="3"),
+    "verify p": lambda: genbinom.verify("las0pp", n=3, p=1.0, r=(1,)),
+    "verify k": lambda: genbinom.verify("injections", n=3, k=1.5),
+    "verify t_max": lambda: genbinom.verify("waring", caps=(1, 1), t_max=2.0),
+    "verify r1": lambda: genbinom.verify("binom2", r1=2.0, r2=1),
+    "verify r2": lambda: genbinom.verify("binom2", r1=2, r2="1"),
+    "sweep n_max": lambda: genbinom.sweep("mac", n_max=2.5),
+    "sweep m_max": lambda: genbinom.sweep("linm", m_max=2.0),
+    "sweep r_max": lambda: genbinom.sweep("binom2", r_max="3"),
+    "sweep t_max": lambda: genbinom.sweep("waring", t_max=2.0),
+    "sweep n": lambda: genbinom.sweep("mac", n=3.0),
+    "sweep p": lambda: genbinom.sweep("las0pp", n=3, p=1.0, r=(1,)),
+    "c_coeff k": lambda: genbinom.c_coeff((2, 1), 2.0),
+    "seating_counts k": lambda: genbinom.seating_counts((2, 1), 2.0, "S"),
+    "t_coeff k": lambda: genbinom.t_coeff((2, 1), 2.0, 1),
+    "t_coeff j": lambda: genbinom.t_coeff((2, 1), 2, 1.0),
+    "extract_c_from_las n": lambda: genbinom.extract_c_from_las(3.0, (2, 1)),
+    "oracle_transversal_partitions k": lambda: genbinom.oracle_transversal_partitions((2, 1), 2.0),
+    "oracle_covering_choices k": lambda: genbinom.oracle_covering_choices((2, 1), 2.0, "set"),
+    "oracle_seatings k": lambda: genbinom.oracle_seatings((2, 1), 2.0, "S"),
+    "oracle_seatings j": lambda: genbinom.oracle_seatings((2, 1), 2, "T", j=1.0),
+    "oracle_injection_cycle_poly n": lambda: genbinom.oracle_injection_cycle_poly(3.0, 1),
+    "oracle_injection_cycle_poly k": lambda: genbinom.oracle_injection_cycle_poly(3, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_INTEGERS))
+def test_integer_scalars_are_read_at_the_boundary(case):
+    with pytest.raises(ValueError, match="expected an integer"):
+        _NOT_INTEGERS[case]()

@@ -816,6 +816,8 @@ def _bump(f, index):
 # r = (2, 1) leaves a remainder (for hyp3f2 both evaluator seeds, so k = 1 is
 # named first).  d's one division, prod r_i! dt_k / k!, is taken at r = (1, 1),
 # where prod r_i! = 1: at (2, 1) the bumped 2 (dt_2 + 1) is still divisible by 2!.
+# t_coeff's S_k is prod r_l c~_k, so t_k = c~_k r_j / k: it is taken at j = 2, as
+# r_1 = 2 would absorb the bumped c~_2 + 1 = 5 (5 * 2 / 2 leaves no remainder).
 _R = Composition([2, 1])
 _REMAINDER_CASES = {
     "explicit": ("forward_differences", 1, lambda: c_table(_R, "explicit")),
@@ -826,7 +828,7 @@ _REMAINDER_CASES = {
     "recurrence": ("_scaled_by_total", None, lambda: c_table(_R, "recurrence")),
     "hyp3f2": ("hypergeom_terminating", None, lambda: c_table(_R, "hyp3f2")),
     "d": ("forward_differences", 2, lambda: linearization_d(Composition([1, 1]), "d")),
-    "t_coeff": ("forward_differences", 2, lambda: t_coeff(_R, 2, 1)),
+    "t_coeff": ("forward_differences", 2, lambda: t_coeff(_R, 2, 2)),
 }
 
 
@@ -886,13 +888,16 @@ def test_explicit_and_entiere_difference_one_table():
 
 
 def test_finite_diff_is_scaled_inclusion_exclusion():
-    # rising(x, r) = (r-1)! r C(x+r-1, r), so finite_diff's f(x) = prod_l rising(x, r_l)
-    # is prod_l (r_l-1)! F_x and its Delta^k f(0) is prod_l (r_l-1)! S_k
+    # rising(x, r) = r! C(x+r-1, r), so finite_diff's f(x) = prod_l rising(x, r_l) is
+    # prod_l r_l! g(x), g the c~ table's species product, and its Delta^k f(0) is
+    # prod_l r_l! c~_k, which is prod_l (r_l-1)! S_k
     for r in iter_compositions(4, 4):
         f = [math.prod(rising(x, rl) for rl in r.parts) for x in range(r.total + 1)]
-        scale = math.prod(factorial(rl - 1) for rl in r.species)
-        s_k = coefficients._seating_s(r.species, r.total)
-        assert forward_differences(f) == [scale * s for s in s_k], r
+        ct = coefficients._difference_table(r.species, r.total, coefficients._multichoose_run)
+        assert forward_differences(f) == [math.prod(map(factorial, r.species)) * c for c in ct], r
+        if 0 not in r.parts:
+            scale = math.prod(factorial(rl - 1) for rl in r.species)
+            assert forward_differences(f)[1:] == [scale * seating_counts(r, k, "S") for k in range(1, r.total + 1)], r
 
 
 # The per-species loops as they stood before equal species were taken as one
@@ -965,7 +970,8 @@ def test_species_runs_match_per_species_loops():
         assert c_table(r, "entiere").values == dict(enumerate(_ref_entiere(r), 1)), r
         assert c_table(r, "finite_diff").values == dict(enumerate(_ref_finite_diff(r), 1)), r
         f = _ref_seating_f(r.species, r.total)
-        assert coefficients._seating_f(r.species, r.total) == f, r
+        ct = coefficients._difference_table(r.species, r.total, coefficients._multichoose_run)
+        assert [math.prod(r.species) * c for c in ct] == forward_differences(f), r
         want = coefficients._scaled_by_total(r, forward_differences(f)[1:], math.prod(r.species))
         assert c_table(r, "inclusion_exclusion").values == dict(enumerate(want, 1)), r
         for variant in ("d", "d_tilde"):

@@ -510,18 +510,20 @@ def test_integer_sides_take_no_newton_pass(monkeypatch):
                                 ("lemma1", dict(n=5), 6)):
         calls.clear()
         assert verify(ident, **params).verified and len(calls) == want, (ident, len(calls))
-    # binom2's and linlas's left side, prod_i binomial(X+r_i-1, r_i), is one rising loop
-    # over every factor's shifts, whatever the number of factors or zero parts: no UPoly product
-    monkeypatch.setattr(UPoly, "__mul__", lambda a, b: pytest.fail("a multichoose product took a UPoly product"))
+    # binom2's and linlas's left side, prod_i binomial(X+r_i-1, r_i), and linm's,
+    # prod_i falling(X, r_i), are one loop over every factor's shifts, whatever the
+    # number of factors or zero parts: no UPoly product
+    monkeypatch.setattr(UPoly, "__mul__", lambda a, b: pytest.fail("a linear-factor product took a UPoly product"))
     assert all(verify("binom2", r1=a, r2=b).verified for a, b in ((1, 0), (0, 3), (2, 1), (6, 7), (12, 12)))
-    assert verify("linlas", r=(3, 4, 5)).verified and verify("linlas", r=(2, 0, 1)).verified
+    for ident in ("linlas", "linm"):
+        assert verify(ident, r=(3, 4, 5)).verified and verify(ident, r=(2, 0, 1)).verified, ident
 
 
-def test_multichoose_product_fault_fails_linlas_and_binom2(monkeypatch):
-    # both ids read one rising loop: a fault in it shows on each id's product pair
+def test_linear_product_fault_fails_linm_linlas_and_binom2(monkeypatch):
+    # the three ids read one linear-factor loop: a fault in it shows on each id's product pair
     real = identities._linear_product
     monkeypatch.setattr(identities, "_linear_product", lambda shifts: [c + (d == 0) for d, c in enumerate(real(shifts))])
-    for ident, params in (("linlas", dict(r=(2, 1))), ("binom2", dict(r1=2, r2=1))):
+    for ident, params in (("linm", dict(r=(2, 1))), ("linlas", dict(r=(2, 1))), ("binom2", dict(r1=2, r2=1))):
         report = verify(ident, **params)
         assert (report.status, report.pair) == ("failed", 0), ident
 
@@ -803,8 +805,9 @@ def _plus_one(basis):
     ("las0p", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
     ("las0pp", "newton_coeffs", dict(n=4, p=2, r=Composition([2, 1]))),
     ("bigeq", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
-    ("linm", "falling_poly", dict(r=Composition([2, 1]))),
     # the one Newton pass is shared by every univariate pair: a fault in it fails each id
+    # (linm's product is the linear-factor loop, whose fault test is above)
+    ("linm", "newton_coeffs", dict(r=Composition([2, 1]))),
     ("las", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
     ("mac", "newton_coeffs", dict(n=4)),
     ("binom2", "newton_coeffs", dict(r1=2, r2=3)),
