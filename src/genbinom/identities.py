@@ -26,12 +26,14 @@ id's pairs, in order, with their basis (integer pairs marked *):
               companion, (-1)^(k-1) / k at j = n-k
   lemma1      one pair per power y^i, i = 0..n: pair i, (-1)^(k+i) C(k, i) / k
               on binomial(X+n-1, j), j = n-k
-  linm        k! d_k on binomial(X, k) against the product, then the d table
-              against the merge chain* and the transversal oracle*
+  linm        the product's falling(X, k) coefficients against the d table*,
+              then the table against the merge chain* and the transversal oracle*
   linbin      d~_k on binomial(X, k) against the product, then the table
               against the chain* and the covering oracle*
-  linlas      c~_k on binomial(X, k), then as linbin
-  binom2      the multichoose chain's weights on binomial(X+j-1, j)
+  linlas      the product's binomial(X, k) coefficients against the c~ table*,
+              then as linbin
+  binom2      the product's binomial(X+j-1, j) coefficients against the
+              multichoose chain's weights*
   waring      one pair per power t^l, l = 1..t_max: pair l-1
 
 A pair the instance lacks (the merge chain over RECURRENCE_STEPS_MAX merge
@@ -67,12 +69,18 @@ the list itself, integer numerators over one denominator (|r| for las and
 bigeq's c form, lcm(1..n) for las0p, mac and lemma1, lcm(1..p) for las0pp),
 so no side builds a Fraction and the module imports no `fractions`.  bigeq's
 S form is the c form over |r|, k prod(r) c_k = |r| S_k.  The lin ids' table
-and chain sides come from two kernels that share no code.  linlas's and
-binom2's product side, prod_i binomial(X+r_i-1, r_i), is one rising loop
-over every factor's shifts 0..r_i-1, `_multichoose_product`, and linm's,
-prod_i falling(X, r_i), the same loop `_linear_product` over the shifts 0,
--1, ..., 1-r_i, so none of the three takes a UPoly product; linbin's alone
-is one `math.prod` of `binom_poly`, which keeps its own loop.  No two sides
+and chain sides come from two kernels that share no code.  linm's, linlas's
+and binom2's product sides take no Newton pass: each is built on its table's
+own basis N_k = prod_{t<k} (X - sigma t) by one integer loop,
+`polybasis._linear_product`, which takes c_k to c_(k-1) + (a + sigma k) c_k
+per factor X + a.  linm's prod_i falling(X, r_i), over the shifts 0, -1,
+..., 1-r_i at sigma = +1, gives the d_k themselves; linlas's and binom2's
+prod_i binomial(X+r_i-1, r_i), over the shifts 0..r_i-1
+(`_multichoose_product`), gives k! a_k / prod_i r_i! by one checked
+division, the c~_k at sigma = +1 and the chain's weights at sigma = -1.  So
+all three are integer pairs and none takes a UPoly product; linbin's product
+alone is one `math.prod` of `binom_poly`, with its Newton pass.  The loop
+shares no code with the table kernels or the merge chain, and no two sides
 share code.  The other checker inputs (species products,
 partition sums, the las0pp coefficient lists) are whole integer runs,
 `math.comb` mapped over ranges and multiplied entrywise, built in this
@@ -126,7 +134,7 @@ the 102 keys the oracle budgets allow) keyed by the oracle and
 `Composition.species`, the sorted nonzero species sizes: an oracle count
 depends only on that multiset, so each permutation or zero padding of a
 composition reads one enumeration.  Each instance still builds
-its own table, chain and product polynomial and compares them with the
+its own table, chain and product side and compares them with the
 counts; none is inferred from another.  The oracles keep no memo: they are
 the ground truth, enumerating every object, and reusing a count is this
 checker's choice.  The memo calls them through this module's globals, so a
@@ -443,25 +451,24 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
 
 
 # linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
-# through the CLI, linm and linlas, whose products are binom2's loop over every factor's
-# shifts, take 3.3-4.1 s and 4.8-5.5 s (three runs each, binom2 2.7-3.7 s meanwhile;
-# Python 3.11, 2-core Xeon VM whose speed drifts), and CI runs both; linbin, whose
-# product is a math.prod of binom_poly, takes 27 s (one run) and is left out
+# through the CLI, linm and linlas, whose products are one linear-factor loop on the
+# table's own basis, take 1.0-1.5 s and 2.6-3.7 s (six runs each, binom2 0.5-0.7 s
+# meanwhile; Python 3.11, 2-core Xeon VM whose speed drifts), and CI runs both; linbin,
+# whose product is a math.prod of binom_poly, takes 27 s (one run) and is left out
 def _check_linm(r: Composition) -> List[Pair]:
     # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
     # rejects a huge |r| before the product is built
     table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
-    # falling(X, r_i) = prod_(a=1-r_i)^0 (X + a): one loop over every factor's shifts 0, -1, ..., 1-r_i
-    lhs = UPoly._of(_linear_product(chain.from_iterable(range(0, -ri, -1) for ri in r.parts)))
+    # falling(X, r_i) = prod_(a=1-r_i)^0 (X + a): one loop over every factor's shifts 0, -1, ...,
+    # 1-r_i on the falling basis (sigma = +1), whose coefficients are the d_k themselves
+    lhs = _linear_product(chain.from_iterable(range(0, -ri, -1) for ri in r.parts), 1)
     d = [table.get(k, 0) for k in range(r.total + 1)]
-    facts = list(accumulate(range(1, r.total + 1), mul, initial=1))  # k!, k = 0..|r|
     merged = None
     if _within_merge_budget(r.species):  # d_k = prod r_i! d~_k / k!
-        scale = math.prod(map(factorial, r.species))
+        scale, facts = math.prod(map(factorial, r.species)), accumulate(count(1), mul, initial=1)  # k!, k = 0..
         merged = _exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0)
     oracle = [0, *_oracle_counts("transversal", r.species)] if r.total <= TRANSVERSAL_T_MAX else None
-    # falling(k) = k! binomial(X, k)
-    return [_newton_pair(lhs, 0, 1, map(mul, d, facts)), *_integer_pairs(d, merged, oracle)]
+    return [*_integer_pairs(lhs, d), *_integer_pairs(d, merged, oracle)]
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
@@ -476,30 +483,35 @@ def _check_linbin(r: Composition) -> List[Pair]:
     return [_newton_pair(lhs, 0, 1, dt), *_integer_pairs(dt, merged, oracle)]
 
 
-def _multichoose_product(parts: Sequence[int]) -> UPoly:
-    """prod_i binomial(X+r_i-1, r_i) = prod_i rising(X, r_i) / r_i!: one rising loop
-    over every factor's shifts 0..r_i-1, over prod_i r_i!."""
-    return UPoly._of(_linear_product(chain.from_iterable(map(range, parts))), math.prod(map(factorial, parts)))
+def _multichoose_product(parts: Sequence[int], sigma: int) -> List[int]:
+    """The e_k, k = 0..|parts|, with prod_i binomial(X+r_i-1, r_i) = sum_k e_k N_k / k! on
+    N_k = prod_{t<k} (X - sigma t): the c~_k at sigma = +1, the multichoose chain's weights
+    at -1.  One linear-factor loop over every factor's shifts 0..r_i-1 on that basis gives
+    prod_i rising(X, r_i) = sum_k a_k N_k, and e_k = k! a_k / prod_i r_i! is one checked
+    division (ArithmeticError names k)."""
+    a = _linear_product(chain.from_iterable(map(range, parts)), sigma)
+    return _exact(map(mul, a, accumulate(count(1), mul, initial=1)), repeat(math.prod(map(factorial, parts))), 0)
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
     table = linearization_d(r, "c_tilde").values
-    lhs = _multichoose_product(r.parts)
+    lhs = _multichoose_product(r.parts, 1)
     ct = [table.get(k, 0) for k in range(r.total + 1)]
     # the multichoose chain's weights, moved onto binomial(X, k)
     merged = [0, *_on_binomials(_merge_chain(r.species, -1))] if _within_merge_budget(r.species) else None
     oracle = [0, *_oracle_counts("multiset", r.species)] if r.total <= COVERING_K_MAX else None
-    return [_newton_pair(lhs, 0, 1, ct), *_integer_pairs(ct, merged, oracle)]
+    return [*_integer_pairs(lhs, ct), *_integer_pairs(ct, merged, oracle)]
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:
     pair = Composition((r1, r2))  # the rule sweep's grid applies: no empty pair
-    # the product and its Newton pass have degree r1 + r2, held to TABLE_SIZE_MAX before
-    # either; the largest accepted pair, (1000, 1000), takes 3.0-4.7 s cold through the CLI
-    # (six runs); in process the left side's rising loop takes 1.2-1.6 s, the Newton pass
-    # 1.4-1.8 s and the merge chain 1 ms (Python 3.11, 2-core Xeon VM); CI runs it
+    # the product has degree r1 + r2, held to TABLE_SIZE_MAX before it is built; the
+    # largest accepted pair, (1000, 1000), takes 0.5-0.7 s cold through the CLI (six
+    # runs); in process the left side, its loop on the rising basis and one checked
+    # division, takes 0.4-0.5 s and the merge chain 1 ms (Python 3.11, 2-core Xeon VM);
+    # CI runs it
     _check_table_size(pair.total, "r1 + r2")
-    return [_newton_pair(_multichoose_product(pair.parts), 0, -1, _merge_chain(pair.species, -1))]
+    return _integer_pairs(_multichoose_product(pair.parts, -1), _merge_chain(pair.species, -1))
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:

@@ -2,20 +2,24 @@
 
 A `UPoly` is stored in FLINT's ``fmpq_poly`` layout: a tuple of integer
 numerators over one positive common denominator, kept in lowest terms, so
-all of its arithmetic is integer work.  The module also provides the
-factorial bases (falling, rising, shifted binomial), each its own product
-loop; `delta_at_zero`, the forward difference at zero as one alternating
-sum; and `newton_coeffs`, the one Newton expansion (synthetic division), which
+all of its arithmetic is integer work.  The module also provides
+`_linear_product`, a product of linear factors X + a built directly on a
+Newton basis prod_{t<k} (X - sigma t), one integer loop: on monomials
+(sigma = 0) it makes the factorial bases (falling, rising, shifted
+binomial), and on the falling (+1) or rising (-1) basis the product sides
+of the linearization identities, with no expansion pass.  It also provides
+`delta_at_zero`, the forward difference at zero as one alternating sum;
+and `newton_coeffs`, the one Newton expansion (synthetic division), which
 returns its coefficients in `UPoly`'s layout, integers over one denominator.
-The package's identities compare these coefficients, and `from_falling_basis`
-sums the falling basis back by Horner's rule.
+The package's other identities compare these coefficients, and
+`from_falling_basis` sums the falling basis back by Horner's rule.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 from typing import Dict, Iterable, List, Tuple
 
 from .exactnum import Rat, binomial, factorial
@@ -146,11 +150,14 @@ class UPoly:
         return f"UPoly({[str(self.coeff(d)) for d in range(len(self.coeffs))]})"
 
 
-def _linear_product(shifts: Iterable[int]) -> List[int]:
-    """The integer coefficients of prod_a (X + a) over the shifts a; none gives [1]."""
+def _linear_product(shifts: Iterable[int], sigma: int = 0) -> List[int]:
+    """The integer coefficients of prod_a (X + a) over the shifts a on the Newton
+    basis N_k = prod_{t<k} (X - sigma t): monomials at sigma = 0, falling(X, k) at
+    +1, rising(X, k) at -1; none gives [1].  X N_k = N_(k+1) + sigma k N_k, so one
+    factor maps c_k to c_(k-1) + (a + sigma k) c_k."""
     cs = [1]
-    for a in shifts:  # cs times (X + a)
-        cs = [a * c + b for c, b in zip(cs + [0], [0] + cs)]
+    for a in shifts:  # cs times (X + a): c_k's multiplier a + sigma k is count(a, sigma)'s k-th
+        cs = [s * c + b for s, c, b in zip(count(a, sigma), cs + [0], [0] + cs)]
     return cs
 
 

@@ -30,6 +30,12 @@ def _on_newton_basis(p: UPoly, start: int, step: int) -> UPoly:
     return UPoly(_ref_newton_coeffs(p, start, step))
 
 
+def _on_falling_basis(p: UPoly) -> UPoly:
+    """p's coefficients on falling(X, k) = k! binomial(X, k), as one UPoly in T: the
+    form in which linm compares its product with the d table."""
+    return UPoly([a / factorial(k) for k, a in enumerate(_ref_newton_coeffs(p, 0, 1))])
+
+
 def test_las_example():
     report = verify("las", n=2, r=Composition([1]))
     assert report.verified
@@ -497,19 +503,24 @@ def test_table_and_chain_pairs_share_no_code(monkeypatch):
 
 
 def test_integer_sides_take_no_newton_pass(monkeypatch):
-    # one newton_coeffs pass per univariate left side: the lin ids' product, bigeq's c and
-    # F forms, lemma1's n+1 slices; the chain, oracle and S sides (three pairs in all at
-    # these r) are integer lists on k, and no right side is expanded into monomials
+    # one newton_coeffs pass per univariate left side: linbin's product, bigeq's c and F
+    # forms, lemma1's n+1 slices; linm's, linlas's and binom2's products are built on their
+    # table's own basis, so they and the chain, oracle and S sides are integer lists on k
+    # (three pairs in all at these r), and no right side is expanded into monomials
     assert not hasattr(polybasis, "newton_sum")
     calls = []
     real = identities.newton_coeffs
     monkeypatch.setattr(identities, "newton_coeffs", lambda *args: calls.append(args) or real(*args))
-    for ident, params, want in (("las", dict(n=4, r=(2, 1)), 1), ("linm", dict(r=(1, 2, 3)), 1),
-                                ("linbin", dict(r=(1, 2, 3)), 1), ("linlas", dict(r=(1, 2, 3)), 1),
-                                ("binom2", dict(r1=2, r2=3), 1), ("bigeq", dict(n=4, r=(2, 1)), 2),
+    for ident, params, want in (("las", dict(n=4, r=(2, 1)), 1), ("linm", dict(r=(1, 2, 3)), 0),
+                                ("linbin", dict(r=(1, 2, 3)), 1), ("linlas", dict(r=(1, 2, 3)), 0),
+                                ("binom2", dict(r1=2, r2=3), 0), ("bigeq", dict(n=4, r=(2, 1)), 2),
                                 ("lemma1", dict(n=5), 6)):
         calls.clear()
         assert verify(ident, **params).verified and len(calls) == want, (ident, len(calls))
+    # every side of linm, linlas and binom2 is an integer list: a UPoly in T over 1
+    for pairs in (identities._check_linm(Composition((3, 0, 4))), identities._check_linlas(Composition((2, 1, 2))),
+                  identities._check_binom2(6, 7)):
+        assert pairs and all(side.den == 1 for pair in pairs for side in pair)
     # binom2's and linlas's left side, prod_i binomial(X+r_i-1, r_i), and linm's,
     # prod_i falling(X, r_i), are one loop over every factor's shifts, whatever the
     # number of factors or zero parts: no UPoly product
@@ -520,12 +531,20 @@ def test_integer_sides_take_no_newton_pass(monkeypatch):
 
 
 def test_linear_product_fault_fails_linm_linlas_and_binom2(monkeypatch):
-    # the three ids read one linear-factor loop: a fault in it shows on each id's product pair
+    # the three ids read one linear-factor loop: a fault in it shows on each id's product
+    # pair, or for linlas and binom2, whose loop output is divided by prod r_i! = 2 here,
+    # as the checked division's remainder at k = 0 when the fault is odd
     real = identities._linear_product
-    monkeypatch.setattr(identities, "_linear_product", lambda shifts: [c + (d == 0) for d, c in enumerate(real(shifts))])
-    for ident, params in (("linm", dict(r=(2, 1))), ("linlas", dict(r=(2, 1))), ("binom2", dict(r1=2, r2=1))):
-        report = verify(ident, **params)
-        assert (report.status, report.pair) == ("failed", 0), ident
+    for bump in (1, 2):
+        monkeypatch.setattr(identities, "_linear_product",
+                            lambda shifts, sigma: [c + bump * (d == 0) for d, c in enumerate(real(shifts, sigma))])
+        for ident, params in (("linm", dict(r=(2, 1))), ("linlas", dict(r=(2, 1))), ("binom2", dict(r1=2, r2=1))):
+            if bump == 1 and ident != "linm":
+                with pytest.raises(ArithmeticError, match=r"\bk=0\b"):
+                    verify(ident, **params)
+                continue
+            report = verify(ident, **params)
+            assert (report.status, report.pair, report.first_diff["at"]) == ("failed", 0, 0), (ident, bump)
 
 
 # The partition loops the class-size table replaced, kept as references.
@@ -805,18 +824,21 @@ def _plus_one(basis):
     ("las0p", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
     ("las0pp", "newton_coeffs", dict(n=4, p=2, r=Composition([2, 1]))),
     ("bigeq", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
-    # the one Newton pass is shared by every univariate pair: a fault in it fails each id
-    # (linm's product is the linear-factor loop, whose fault test is above)
+    # the one Newton pass is shared by every univariate pair that takes one: a fault in it
+    # fails each such id, and leaves linm, linlas and binom2 verified, whose products are
+    # the linear-factor loop on their table's own basis (its fault test is above)
     ("linm", "newton_coeffs", dict(r=Composition([2, 1]))),
     ("las", "newton_coeffs", dict(n=4, r=Composition([2, 1]))),
     ("mac", "newton_coeffs", dict(n=4)),
     ("binom2", "newton_coeffs", dict(r1=2, r2=3)),
     ("linbin", "newton_coeffs", dict(r=Composition([2, 1]))),
+    ("linlas", "newton_coeffs", dict(r=Composition([2, 1]))),
 ])
 def test_wrong_basis_fails(monkeypatch, ident, basis, params):
     assert verify(ident, **params).verified
     monkeypatch.setattr(identities, basis, _plus_one(getattr(identities, basis)))
-    assert verify(ident, **params).status == "failed"
+    own_basis = basis == "newton_coeffs" and ident in ("linm", "linlas", "binom2")
+    assert verify(ident, **params).status == ("verified" if own_basis else "failed")
 
 
 def test_partition_sum_and_waring_checkers_build_no_fraction(monkeypatch):
@@ -1007,8 +1029,7 @@ def _ref_check_linm(r: Composition) -> List[Pair]:
     ints = UPoly([table.get(k, 0) for k in range(r.total + 1)])
     scale = math.prod(map(factorial, r.parts))  # every shape here is within RECURRENCE_STEPS_MAX
     chain = [Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))]
-    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), _on_newton_basis(from_falling_basis(table), 0, 1)),
-                         (ints, UPoly(chain))]
+    pairs: List[Pair] = [(_on_falling_basis(lhs), _on_falling_basis(from_falling_basis(table))), (ints, UPoly(chain))]
     if r.total <= 7:
         pairs.append((ints, UPoly([0] + [oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)])))
     return pairs

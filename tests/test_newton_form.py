@@ -8,7 +8,9 @@ each right side is one `sum` of basis(k).scale(a_k), every basis built on
 the rising-factorial product loop defined here.  The checkers now compare
 each such pair on its Newton basis, so each reference pair is mapped there,
 at the nodes `NODES` gives, by the Fraction reference
-`test_polybasis._ref_newton_coeffs`.  The integer pairs, added later, are
+`test_polybasis._ref_newton_coeffs`; linm's product pair is mapped onto
+falling(X, k) itself, where the checker builds it, by
+`test_identities._on_falling_basis`.  The integer pairs, added later, are
 lists on k compared as polynomials in T: those of linm, linbin and linlas
 compare the table with the merge chain, whose weights come from
 `test_identities._ref_merge_chain`, one multinomial per term, and with the
@@ -46,7 +48,7 @@ from genbinom.identities import (
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
 from genbinom.polybasis import UPoly, from_falling_basis
 from test_identities import _ref_mchoose as _mchoose
-from test_identities import _on_newton_basis, _ref_merge_chain, _ref_on_binomials
+from test_identities import _on_falling_basis, _on_newton_basis, _ref_merge_chain, _ref_on_binomials
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +169,8 @@ def _table_list(r: Composition, variant: str) -> List[int]:
 
 def _check_linm(r: Composition) -> List[Pair]:
     lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    pairs: List[Pair] = [(lhs, _old_from_falling_basis(linearization_d(r, "d").values))]
+    falling = _old_from_falling_basis(linearization_d(r, "d").values)
+    pairs: List[Pair] = [(_on_falling_basis(lhs), _on_falling_basis(falling))]  # both on falling(X, k)
     # the merge chain's d_k = prod r_i! d~_k / k!, every shape of the grid being within
     # RECURRENCE_STEPS_MAX
     scale = math.prod(map(factorial, r.parts))
@@ -252,7 +255,7 @@ NODES = {
     "las0pp": lambda n, p, r: [(0, -1)],
     "mac": lambda n: [(1 - n, 1)] * 2,
     "lemma1": lambda n: [(1 - n, 1)] * (n + 1),
-    "linm": lambda r: [(0, 1), None, None],
+    "linm": lambda r: [None, None, None],
     "linbin": lambda r: [(0, 1), None, None],
     "linlas": lambda r: [(0, 1), None, None],
     "binom2": lambda r1, r2: [(0, -1)],

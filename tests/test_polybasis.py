@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from genbinom.coefficients import _merge_chain, iter_compositions, linearization_d
 from genbinom.exactnum import Rat, binomial, factorial, rising
 from genbinom.polybasis import (
     UPoly,
+    _linear_product,
     binom_poly,
     delta_at_zero,
     falling_poly,
@@ -437,3 +439,29 @@ def test_newton_coeffs_integer_pair_matches_fraction_reference(coeffs, family, n
     assert all(type(x) is int for x in nums) and type(den) is int and den == p.den
     assert [Fraction(x, den) for x in nums] == _ref_newton_coeffs(p, start, step)
     assert _ref_newton_sum(start, step, [Fraction(x, den) for x in nums]) == p
+
+
+@pytest.mark.parametrize("sigma", [-1, 0, 1])
+def test_linear_product_on_its_newton_basis(sigma):
+    # prod_a (X + a) on N_k = prod_{t<k} (X - sigma t), k! times, is the Newton pass of
+    # the monomial product at the nodes sigma t: shifts zero, negative, repeated, mixed
+    for shifts in ([], [0], [0, 0], [-3], [5, 5, 5, 5], [-2, -2, 0, 1], [2, -1, 2, 0, -7], range(-4, 5)):
+        a = _linear_product(shifts, sigma)
+        nums, den = newton_coeffs(UPoly._of(_linear_product(shifts)), 0, sigma)
+        assert den == 1 and [factorial(k) * x for k, x in enumerate(a)] == nums, (shifts, sigma)
+    assert _linear_product(range(3)) == _linear_product(range(3), 0) == [0, 2, 3, 1]
+
+
+def test_linear_product_gives_the_linearization_tables():
+    # over the falling shifts at sigma = +1 the loop is the d table itself; over the
+    # rising shifts it is prod r_i! c~_k / k! at sigma = +1 and prod r_i! w_j / j!, w the
+    # multichoose chain's weights, at sigma = -1
+    for r in iter_compositions(3, 4):
+        falling = [a for ri in r.parts for a in range(0, -ri, -1)]
+        rising_shifts = [a for ri in r.parts for a in range(ri)]
+        scale = math.prod(map(factorial, r.parts))
+        d, ct = ([linearization_d(r, v).values.get(k, 0) for k in range(r.total + 1)] for v in ("d", "c_tilde"))
+        assert _linear_product(falling, 1) == d, r
+        assert _linear_product(rising_shifts, 1) == [Fraction(scale * c, factorial(k)) for k, c in enumerate(ct)], r
+        w = _merge_chain(r.species, -1)
+        assert _linear_product(rising_shifts, -1) == [Fraction(scale * x, factorial(j)) for j, x in enumerate(w)], r
