@@ -268,9 +268,7 @@ def seating_counts(r: Composition, k: int, which: str) -> int:
     be occupied and is the binomial-inverse alternating sum of F, Delta^k F(0):
     F is prod r_l times the c~ table's g, so S_k = prod r_l * c~_k.
     """
-    k = as_int(k)
-    if k < 1:
-        raise ValueError(f"seating_counts: k must be positive, got {k}")
+    k = as_int(k, 1, "seating_counts: k")
     _check_table_size(k, "k")
     r = as_composition(r)
     check_positive_species(r)
@@ -497,9 +495,7 @@ def c_coeff(r: Composition, k: int, method: str = DEFAULT_C_METHOD) -> int:
     the route's whole kernel; a caller needing several k should take
     ``c_table`` once.
     """
-    k = as_int(k)
-    if k < 1:
-        raise ValueError(f"c_coeff: k must be positive, got {k}")
+    k = as_int(k, 1, "c_coeff: k")
     r = as_composition(r)
     kernel = _kernel(r, method)
     if k > r.total:

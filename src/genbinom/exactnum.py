@@ -17,14 +17,20 @@ from typing import Iterable, List, Sequence, Union
 Rat = Union[int, Fraction]
 
 
-def as_int(value) -> int:
+def as_int(value, low: int | None = None, what: str = "") -> int:
     """``value`` as an int, for anything that is an integer; a float, a
     string or any other non-integer raises ValueError instead of being
-    truncated or parsed."""
+    truncated or parsed.  Given a lower bound ``low``, 0 or 1, a smaller
+    value raises ValueError "<what> must be nonnegative, got <value>" (low 0)
+    or "<what> must be positive, got <value>" (low 1): the one reader of
+    every bounded integer argument."""
     try:
-        return index(value)
+        n = index(value)
     except TypeError:
         raise ValueError(f"expected an integer, got {value!r}") from None
+    if low is not None and n < low:
+        raise ValueError(f"{what} must be {'positive' if low else 'nonnegative'}, got {n}")
+    return n
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,23 +39,20 @@ def binomial(n: int, k: int) -> int:
     Returns 0 whenever k < 0 or k > n, so summation loops need no
     explicit range guards.
     """
-    if n < 0:
-        raise ValueError(f"binomial: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "binomial: n")
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
 
 
 def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "factorial: n")
     return math.factorial(n)
 
 
 def rising(x: Rat, n: int) -> Rat:
     """Rising factorial x(x+1)...(x+n-1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError(f"rising: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "rising: n")
     out: Rat = 1
     for i in range(n):
         out *= x + i
@@ -58,8 +61,7 @@ def rising(x: Rat, n: int) -> Rat:
 
 def falling(x: Rat, n: int) -> Rat:
     """Falling factorial x(x-1)...(x-n+1); the empty product (n = 0) is 1."""
-    if n < 0:
-        raise ValueError(f"falling: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "falling: n")
     out: Rat = 1
     for i in range(n):
         out *= x - i

@@ -7,14 +7,14 @@ equal rationals have equal (coeffs, den).  An identity p(X) = sum_j
 (nums_j / den) B_j on a Newton basis B_j = prod_{t<j} (X - s_t) / j!, s_t =
 start + t*step, is the pair (p's `newton_coeffs` at those nodes, nums / den):
 binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1) and binomial(X+n-1,
-j) at (1-n, 1).  An integer pair, two integer lists on k, has denominator 1.
-Two ids compare other pairs: injections two UPoly in X, and waring one MPoly
-pair in the x variables (truncated to the caps) per power of t.  A failed
-report names the first unequal pair, by its index in the checker's list, and
-the lowest index where its two sides differ, with the two exact values
-there: the basis index j of a Newton pair, the k of an integer pair, an
-X-degree for injections, or the smallest exponent vector for waring.  Each
-id's pairs, in order, with their basis (integer pairs marked *):
+j) at (1-n, 1).  An integer pair, two integer lists on k (on the X-degree d
+for injections), has denominator 1.  waring alone compares other pairs, one
+MPoly pair in the x variables (truncated to the caps) per power of t.  A
+failed report names the first unequal pair, by its index in the checker's
+list, and the lowest index where its two sides differ, with the two exact
+values there: the basis index j of a Newton pair, the k or d of an integer
+pair, or the smallest exponent vector for waring.  Each id's pairs, in
+order, with their basis (integer pairs marked *):
 
   las         c_k / |r| on binomial(X+n-1, j), j = n-k
   bigeq       the c form, n! prod(r) c_k / |r| on binomial(X+n-1, j), j = n-k;
@@ -35,6 +35,8 @@ id's pairs, in order, with their basis (integer pairs marked *):
   binom2      the product's binomial(X+j-1, j) coefficients against the
               multichoose chain's weights*
   waring      one pair per power t^l, l = 1..t_max: pair l-1
+  injections  the oracle's X^d coefficients against rising(X+k, n-k)'s*, one
+              `_linear_product` loop over the shifts k..n-1
 
 A pair the instance lacks (the merge chain over RECURRENCE_STEPS_MAX merge
 steps, an oracle over its budget) is left out, so the later ones move down.
@@ -88,7 +90,8 @@ module: they share no code with the c_k routes they check.  las, las0p and
 las0pp read one species sequence P_j per instance, and bigeq one F_j list,
 prod(r) times that sequence, whose one difference table gives its S_j.
 waring's caps and t_max have a budget, WARING_BOX_MAX and WARING_DEGREE_MAX,
-checked by its grid and its checker.  binom2's r1 + r2 is held to
+checked with the rule t_max >= 1 by one function that its grid and its
+checker both call.  binom2's r1 + r2 is held to
 TABLE_SIZE_MAX by its grid (2 r_max when swept) and its checker; the ids
 whose instances build a table of length |r| (las, bigeq, linm, linbin,
 linlas) hold their grid's largest |r|, a fixed r's own or a swept grid's
@@ -185,7 +188,7 @@ from .oracles import (
     oracle_transversal_partitions,
 )
 from .partitions import ferrers_poly, partitions_of
-from .polybasis import UPoly, _linear_product, binom_poly, newton_coeffs, rising_poly
+from .polybasis import UPoly, _linear_product, binom_poly, newton_coeffs
 from .series import MPoly, homogeneous_h
 
 
@@ -305,6 +308,9 @@ WARING_DEGREE_MAX = 30
 
 
 def _check_waring_budget(caps: Sequence[int], t_max: int) -> None:
+    """The rule on waring's parameters, read by its grid and its checker: t_max >= 1,
+    then the budget on the box, |caps| and t_max."""
+    as_int(t_max, 1, "waring: t_max")
     box = math.prod(c + 1 for c in caps)
     if box > WARING_BOX_MAX or sum(caps) > WARING_DEGREE_MAX or t_max > WARING_DEGREE_MAX:
         raise ValueError(
@@ -515,7 +521,8 @@ def _check_binom2(r1: int, r2: int) -> List[Pair]:
 
 
 def _check_injections(n: int, k: int) -> List[Pair]:
-    return [(oracle_injection_cycle_poly(n, k), rising_poly(n - k, shift=k))]
+    # the oracle first: its budget rejects a huge n before the loop runs
+    return _integer_pairs(oracle_injection_cycle_poly(n, k).coeffs, _linear_product(range(k, n)))
 
 
 def _check_n_p(n: int | None, p: int | None) -> None:
@@ -555,9 +562,9 @@ def verify(identity: str, **params) -> IdentityReport:
 
 def _first_diff(lhs, rhs) -> dict:
     """A failed report's `first_diff`: "at" the lowest index where an unequal
-    UPoly pair differs (a basis index j or k, or injections' X-degree), or an
-    MPoly pair's smallest differing exponent vector (a list), and the two
-    coefficients there as exact strings."""
+    UPoly pair differs (a Newton pair's basis index j, an integer pair's k or
+    injections' X-degree d), or an MPoly pair's smallest differing exponent
+    vector (a list), and the two coefficients there as exact strings."""
     if isinstance(lhs, MPoly):
         at = min(e for e in lhs.terms.keys() | rhs.terms.keys() if lhs.coeff(e) != rhs.coeff(e))
     else:
@@ -644,8 +651,6 @@ def _grid_las0pp(ns, comps, p, r, **_) -> Iterator[dict]:
 
 
 def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
-    if t_max < 1:
-        raise ValueError(f"waring: t_max must be positive, got {t_max}")
     # caps go through Composition, so negative or all-zero caps are rejected;
     # each is checked as it is built, so the box budget stops a large m_max by m = 9
     grid = []

@@ -35,9 +35,7 @@ def oracle_transversal_partitions(r: Composition, k: int) -> int:
     lacks its species, or opens a new block while fewer than k are open; a
     block is the bitmask of the species it holds.  Each full assignment
     with k blocks is one counted partition."""
-    k = as_int(k)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = as_int(k, 1, "k")
     r = as_composition(r)
     if r.total > 10:
         raise ValueError(f"budget exceeded: |E| = {r.total} > 10")
@@ -73,9 +71,7 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
     tuple, and each is completed with every selection of that species: a
     full tuple covers [k] when its union is the full mask.
     """
-    k = as_int(k)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    k = as_int(k, 1, "k")
     if mode not in ("multiset", "set"):
         raise ValueError(f"unknown mode {mode!r}")
     r = as_composition(r)
@@ -115,9 +111,8 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
                for every other species, the species' eldest member seated
                and its delegation elder on the species' largest chair.
     """
-    k, j = as_int(k), None if j is None else as_int(j)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    j = None if j is None else as_int(j)  # every type before any bound
+    k = as_int(k, 1, "k")
     r = as_composition(r)
     check_positive_species(r)
     if which not in ("F", "S", "T"):
@@ -160,9 +155,8 @@ def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
     A cycle is an orbit contained in the domain [n-k] and closed under f.
     n = k means the empty injection: one scenario, zero cycles, so 1.
     """
-    n, k = as_int(n), as_int(k)
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    k = as_int(k)  # every type before any bound
+    n = as_int(n, 1, "n")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
     if n > INJECTION_N_MAX:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import count, zip_longest
 from typing import Dict, Iterable, List, Tuple
 
-from .exactnum import Rat, binomial, factorial
+from .exactnum import Rat, as_int, binomial, factorial
 
 
 class UPoly:
@@ -163,15 +163,13 @@ def _linear_product(shifts: Iterable[int], sigma: int = 0) -> List[int]:
 
 def rising_poly(n: int, shift: int = 0) -> UPoly:
     """(X+shift)(X+shift+1)...(X+shift+n-1); n = 0 gives 1."""
-    if n < 0:
-        raise ValueError(f"rising_poly: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "rising_poly: n")
     return UPoly._of(_linear_product(range(shift, shift + n)))
 
 
 def falling_poly(n: int) -> UPoly:
     """X(X-1)...(X-n+1) = (X-n+1)...(X) as a polynomial; n = 0 gives 1."""
-    if n < 0:
-        raise ValueError(f"falling_poly: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "falling_poly: n")
     return rising_poly(n, shift=1 - n)
 
 
@@ -194,8 +192,7 @@ def delta_at_zero(p: UPoly, k: int) -> Fraction:
     Uses the alternating binomial sum sum_j (-1)^j C(k,j) p(k-j) in one
     pass instead of repeated shift-and-subtract.
     """
-    if k < 0:
-        raise ValueError(f"delta_at_zero: k must be nonnegative, got {k}")
+    k = as_int(k, 0, "delta_at_zero: k")
     acc = Fraction(0)
     for j in range(k + 1):
         acc += (-1) ** j * binomial(k, j) * p(k - j)

@@ -163,7 +163,6 @@ def homogeneous_h(n: int, caps: Sequence[int]) -> MPoly:
     """Complete homogeneous symmetric polynomial h_n, truncated to caps: the
     degree-n slice of the box, every exponent vector within the caps that
     sums to n, with coefficient 1."""
-    if n < 0:
-        raise ValueError(f"homogeneous_h: n must be nonnegative, got {n}")
+    n = as_int(n, 0, "homogeneous_h: n")
     caps = tuple(map(as_int, caps))
     return MPoly(caps, {e: 1 for e in product(*(range(c + 1) for c in caps)) if sum(e) == n})

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 import genbinom
+from genbinom.exactnum import binomial, factorial, falling, rising
+from genbinom.polybasis import UPoly, delta_at_zero, falling_poly, rising_poly
+from genbinom.series import homogeneous_h
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,9 +54,10 @@ def test_entry_points_take_any_integer_sequence(name):
         call((2.5, 1))
 
 
-# every integer scalar of the public names, given a float or a numeric string: each is
-# read by `exactnum.as_int` before any check, so it raises ValueError, where it raised
-# TypeError from deep inside or was taken as it stood
+# every integer scalar of the public names, and the bounded size argument of the building
+# blocks, given a float or a numeric string: each is read by `exactnum.as_int` before any
+# check, so it raises ValueError, where it raised TypeError from deep inside or was taken
+# as it stood
 _NOT_INTEGERS = {
     "verify n float": lambda: genbinom.verify("mac", n=2.5),
     "verify n str": lambda: genbinom.verify("mac", n="3"),
@@ -79,6 +83,14 @@ _NOT_INTEGERS = {
     "oracle_seatings j": lambda: genbinom.oracle_seatings((2, 1), 2, "T", j=1.0),
     "oracle_injection_cycle_poly n": lambda: genbinom.oracle_injection_cycle_poly(3.0, 1),
     "oracle_injection_cycle_poly k": lambda: genbinom.oracle_injection_cycle_poly(3, 1.0),
+    "binomial n": lambda: binomial(2.0, 1),
+    "factorial n": lambda: factorial(3.0),
+    "rising n": lambda: rising(2, 2.5),
+    "falling n": lambda: falling(2, 2.5),
+    "rising_poly n": lambda: rising_poly(2.5),
+    "falling_poly n": lambda: falling_poly(2.5),
+    "delta_at_zero k": lambda: delta_at_zero(UPoly((1,)), 1.5),
+    "homogeneous_h n": lambda: homogeneous_h(1.5, (2,)),
 }
 
 
@@ -86,3 +98,40 @@ _NOT_INTEGERS = {
 def test_integer_scalars_are_read_at_the_boundary(case):
     with pytest.raises(ValueError, match="expected an integer"):
         _NOT_INTEGERS[case]()
+
+
+# one integer below its lower bound per bounded argument, and the message it raises;
+# the last two read every argument's type before any bound
+_BELOW_BOUND = {
+    "binomial n": (lambda: binomial(-1, 0), "binomial: n must be nonnegative, got -1"),
+    "factorial n": (lambda: factorial(-2), "factorial: n must be nonnegative, got -2"),
+    "rising n": (lambda: rising(3, -1), "rising: n must be nonnegative, got -1"),
+    "falling n": (lambda: falling(3, -1), "falling: n must be nonnegative, got -1"),
+    "rising_poly n": (lambda: rising_poly(-1), "rising_poly: n must be nonnegative, got -1"),
+    "falling_poly n": (lambda: falling_poly(-3), "falling_poly: n must be nonnegative, got -3"),
+    "delta_at_zero k": (lambda: delta_at_zero(UPoly((1,)), -1), "delta_at_zero: k must be nonnegative, got -1"),
+    "homogeneous_h n": (lambda: homogeneous_h(-1, (2,)), "homogeneous_h: n must be nonnegative, got -1"),
+    "seating_counts k": (lambda: genbinom.seating_counts((2, 1), 0, "F"),
+                         "seating_counts: k must be positive, got 0"),
+    "c_coeff k": (lambda: genbinom.c_coeff((2, 1), -1), "c_coeff: k must be positive, got -1"),
+    "oracle_transversal_partitions k": (lambda: genbinom.oracle_transversal_partitions((2, 1), 0),
+                                        "k must be positive, got 0"),
+    "oracle_covering_choices k": (lambda: genbinom.oracle_covering_choices((2, 1), 0, "set"),
+                                  "k must be positive, got 0"),
+    "oracle_seatings k": (lambda: genbinom.oracle_seatings((2, 1), 0, "S"), "k must be positive, got 0"),
+    "oracle_injection_cycle_poly n": (lambda: genbinom.oracle_injection_cycle_poly(0, 0),
+                                      "n must be positive, got 0"),
+    "sweep waring t_max": (lambda: genbinom.sweep("waring", t_max=0), "waring: t_max must be positive, got 0"),
+    "oracle_injection_cycle_poly k type before n bound": (lambda: genbinom.oracle_injection_cycle_poly(0, 2.5),
+                                                          "expected an integer, got 2.5"),
+    "oracle_seatings j type before k bound": (lambda: genbinom.oracle_seatings((2, 1), 0, "T", j=1.0),
+                                              "expected an integer, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BELOW_BOUND))
+def test_bounded_integers_name_their_bound(case):
+    call, message = _BELOW_BOUND[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -343,6 +343,11 @@ def test_waring_budget_edge(monkeypatch):
                 call()
     with pytest.raises(ValueError, match="WARING_BOX_MAX = 256"):
         sweep("waring", m_max=5, r_max=3)
+    # t_max below 1 is one rule for both, read before any partition of a size
+    for t_max in (0, -1):
+        for call in (lambda: sweep("waring", t_max=t_max), lambda: verify("waring", caps=(2,), t_max=t_max)):
+            with pytest.raises(ValueError, match=f"^waring: t_max must be positive, got {t_max}$"):
+                call()
 
 
 def test_failed_check_end_to_end(monkeypatch, capsys):
@@ -424,7 +429,15 @@ def _bump_identity_class(real):
      "linbin", dict(r=(2, 1)),
      '{"id":"linbin","params":{"r":[2,1]},"status":"failed",'
      '"pair":0,"first_diff":{"at":2,"lhs":"2","rhs":"3"}}'),
-], ids=["bigeq", "lemma1", "waring", "linm", "linlas", "las", "las0p", "las0pp", "mac", "binom2", "linbin"])
+    # the oracle's X^1 coefficient + 1: injections compares two integer lists on the X-degree,
+    # the oracle's against rising(X+k, n-k)'s
+    ("oracle_injection_cycle_poly",
+     lambda real: lambda n, k: UPoly([c + (d == 1) for d, c in enumerate(real(n, k).coeffs)]),
+     "injections", dict(n=3, k=1),
+     '{"id":"injections","params":{"n":3,"k":1},"status":"failed",'
+     '"pair":0,"first_diff":{"at":1,"lhs":"4","rhs":"3"}}'),
+], ids=["bigeq", "lemma1", "waring", "linm", "linlas", "las", "las0p", "las0pp", "mac", "binom2", "linbin",
+        "injections"])
 def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
     monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
     report = verify(ident, **params)
@@ -482,6 +495,8 @@ def test_table_and_chain_pairs_share_no_code(monkeypatch):
     for ident in ("linm", "linbin", "linlas"):
         report = verify(ident, r=r)
         assert (report.status, report.pair) == ("failed", 0), ident
+    # binom2 reads no table: its product and chain sides pass the fault by
+    assert verify("binom2", r1=2, r2=1).verified and verify("binom2", r1=3, r2=4).verified
     assert {sign: coefficients._merge_chain(r.species, sign) for sign in (1, -1)} == chains
     monkeypatch.undo()
     # a chain fault, C(n, k) + 2 as in the recurrence route's remainder test
