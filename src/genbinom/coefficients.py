@@ -47,11 +47,22 @@ O(|r|) entrywise products and powers per distinct size.
                        step per k
 
 The default route, DEFAULT_C_METHOD, is inclusion_exclusion: the cheapest
-route that takes every shape.  The others stay as cross-checks, though not
-all independent ones: each pair above shares one table, so within a pair
-only the scaling differs.  inclusion_exclusion, finite_diff, genfun and
-recurrence end in one scaling step, ``_scaled_by_total``: c_k = |r| e_k /
-(k D) from their integers e_k.
+route that takes every shape.  The routes fall into four families by the
+kernels a fault reaches, and a route cross-checks those of the other
+families (tests/test_route_families.py faults each kernel and holds this
+table):
+
+  {explicit, entiere, finite_diff, inclusion_exclusion}
+                       forward_differences and _species_product, and for
+                       finite_diff and inclusion_exclusion _difference_table;
+                       each pair above differences one table up to scale
+  {recurrence}         _merge_chain and _on_binomials
+  {genfun}             _geom_minus_one_powers
+  {hyp3f2}             hypergeom_terminating and the three-term step
+
+Two scaling steps are shared across families: ``_exact`` by all seven
+routes, and ``_scaled_by_total``, c_k = |r| e_k / (k D) from the integers
+e_k, by inclusion_exclusion, finite_diff, genfun and recurrence.
 A route's shape rule is checked before its kernel runs, and breaking it
 raises ShapeError (a ValueError, not among the package's 17 public names):
 hyp3f2 needs at most two nonzero species (``_species_pair``, the one

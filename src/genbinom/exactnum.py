@@ -37,9 +37,10 @@ def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0.
 
     Returns 0 whenever k < 0 or k > n, so summation loops need no
-    explicit range guards.
+    explicit range guards; k is read as an integer first, so a float k
+    raises ValueError there too.
     """
-    n = as_int(n, 0, "binomial: n")
+    n, k = as_int(n, 0, "binomial: n"), as_int(k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
+from .exactnum import as_int
+
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
     """Yield (mults, length, z) for every partition of n exactly once, in
@@ -32,8 +34,10 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[T
     parts j - 1 and one remainder part.  Each pair keeps the length and z
     of the pairs up to it, so a step touches only the pairs it changes and
     no object is built.  n = 0 yields the empty partition; the fixed order
-    keeps sweep logs diffable.
+    keeps sweep logs diffable.  n and max_part are read by `as_int` first, so
+    a non-integer raises its ValueError, not the range rule's.
     """
+    n, max_part = as_int(n), None if max_part is None else as_int(max_part)
     if n < 0 or (max_part is not None and max_part < 1):
         raise ValueError(f"partitions_of: need n >= 0 and max_part >= 1, got n={n}, max_part={max_part}")
     mults: List[Tuple[int, int]] = []

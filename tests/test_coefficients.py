@@ -2,22 +2,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, floordiv, mul, sub
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference as ref
 from genbinom import coefficients
 from genbinom.coefficients import (
     C_METHODS,
-    CoeffTable,
     Composition,
     ShapeError,
-    as_composition,
     c_coeff,
     c_table,
     hypergeom_terminating,
@@ -26,9 +22,7 @@ from genbinom.coefficients import (
     seating_counts,
     t_coeff,
 )
-from genbinom.exactnum import Rat, binomial, factorial, forward_differences, multinomial, rising
-from genbinom.polybasis import UPoly, rising_poly, to_falling_basis
-from genbinom.series import MPoly, geom_inverse_product
+from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
 
 AGREEING = [m for m in C_METHODS if m != "hyp3f2"]
 
@@ -251,258 +245,42 @@ def test_route_memos_keyed_by_composition_only(method):
     assert sum(f.cache_info().misses for f in _memos()) == misses
 
 
+def _c_tilde_list(parts):
+    """c~_1..c~_|r|, which is [x^r] (G - 1)^k: k c_k / |r|."""
+    ct = ref.c_tilde(parts)
+    return [ct.get(k, 0) for k in range(1, sum(parts) + 1)]
+
+
 def test_dense_genfun_matches_mpoly_powers():
-    # reference: truncated MPoly powers of G - 1
+    # [x^caps] (G - 1)^k = sum_j (-1)^(k-j) C(k, j) [x^caps] G^j, and [x^caps] G^j is
+    # the species product P_j: the powers are the c~ table
     for m in range(1, 4):
         for caps in itertools.product(range(4), repeat=m):
-            base = geom_inverse_product(caps) - MPoly.const(caps, 1)
-            power, expected = MPoly.const(caps, 1), []
-            for _ in range(sum(caps)):
-                power = power * base
-                expected.append(power.coeff(caps))
-            assert coefficients._geom_minus_one_powers(caps) == tuple(expected), caps
-
-
-def _fraction_recurrence(parts, k):
-    """Reference: the merge recurrence on Fractions c_k(parts)."""
-    if len(parts) == 1:
-        return Fraction(binomial(parts[0], k))
-    r1, r2, rest = parts[0], parts[1], parts[2:]
-    acc = Fraction(0)
-    for l in range(min(r1, r2) + 1):
-        merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
-        coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
-        acc += coef * _fraction_recurrence(merged, k) / sum(merged)
-    return sum(parts) * acc
+            assert list(coefficients._geom_minus_one_powers(caps)) == _c_tilde_list(caps), caps
 
 
 def test_integer_recurrence_matches_fraction_recurrence():
     for r in iter_compositions(3, 3):
-        parts = tuple(sorted((p for p in r.parts if p > 0), reverse=True))
+        c = ref.c(r.parts)
         for k in range(1, r.total + 1):
-            assert c_coeff(r, k, "recurrence") == _fraction_recurrence(parts, k), (r, k)
-
-
-@lru_cache(maxsize=4096)
-def _merge_recurrence(parts: Tuple[int, ...]) -> Tuple[int, ...]:
-    """e_k(parts) = k c_k / |parts| for k = 1..|parts|, an integer, by merging
-    the first two species; parts are sorted descending without zeros."""
-    if len(parts) == 1:
-        n = parts[0]
-        return tuple(binomial(n - 1, k - 1) for k in range(1, n + 1))
-    r1, r2, rest = parts[0], parts[1], parts[2:]
-    acc = [0] * sum(parts)
-    for l in range(min(r1, r2) + 1):
-        merged = tuple(sorted((r1 + r2 - l,) + rest, reverse=True))
-        coef = (-1) ** l * multinomial(r1 + r2 - l, (l, r1 - l, r2 - l))
-        e = _merge_recurrence(merged)
-        acc[:len(e)] = map(add, acc, map(coef.__mul__, e))
-    return tuple(acc)
-
-
-def _sorted_merge_table(r):
-    """Reference: c_1..c_|r| from the sorted, memoized two-species merge."""
-    e = _merge_recurrence(tuple(sorted((p for p in r.parts if p > 0), reverse=True)))
-    return {k: Fraction(r.total * e[k - 1], k) for k in range(1, r.total + 1)}
+            assert c_coeff(r, k, "recurrence") == c[k], (r, k)
 
 
 def test_merge_chain_matches_sorted_merge_recurrence():
     large = [(20,) * 6, (12, 9, 7, 5), (30, 30, 30), (60,) * 4, (17, 13), (0, 6, 0, 3, 0)]
     for r in [*iter_compositions(3, 4), *map(Composition, large)]:
         values = c_table(r, "recurrence").values
-        assert values == _sorted_merge_table(r), r
+        assert values == ref.c(r.parts), r
         assert all(type(v) is int for v in values.values()), r
 
 
 def test_merge_chain_c_coeff_below_total():
     for parts in [(4, 1, 3), (0, 6, 0, 3, 0), (12, 9, 7, 5)]:
-        r = Composition(parts)
-        reference = _sorted_merge_table(r)
-        for k in range(1, r.total):
-            v = c_coeff(r, k, "recurrence")
-            assert v == reference[k] and type(v) is int, (parts, k)
+        c = ref.c(parts)
+        for k in range(1, sum(parts)):
+            v = c_coeff(parts, k, "recurrence")
+            assert v == c[k] and type(v) is int, (parts, k)
 
-
-# The per-k formulas the route kernels replaced, kept as references.
-
-def _old_hypergeom(numer, denom, z):
-    nums = [Fraction(a) for a in numer]
-    dens = [Fraction(b) for b in denom]
-    z = Fraction(z)
-    stops = [-a for a in nums if a.denominator == 1 and a <= 0]
-    if not stops:
-        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
-    nmax = int(min(stops))
-    for b in dens:
-        if b.denominator == 1 and 0 >= b > -nmax:
-            raise ZeroDivisionError(f"denominator parameter {b} hits zero within the summation range")
-    total = term = Fraction(1)
-    for j in range(nmax):
-        term = term * math.prod(a + j for a in nums) * z
-        term /= math.prod(b + j for b in dens) * (j + 1)
-        total += term
-    return total
-
-
-def _old_explicit(r, k):
-    acc = Fraction(0)
-    for i in range(1, k + 1):
-        term = Fraction((-1) ** (k - i) * binomial(k - 1, i - 1), i)
-        for rl in r.parts:
-            term *= binomial(rl + i - 1, rl)
-        acc += term
-    return r.total * acc
-
-
-def _old_entiere(r, k):
-    acc = 0
-    for j in range(r.m):
-        for i in range(1, k + 1):
-            term = (-1) ** (k - i) * binomial(k - 1, i - 1)
-            term *= binomial(i + r.parts[j] - 1, r.parts[j] - 1)
-            for l, rl in enumerate(r.parts):
-                if l != j:
-                    term *= binomial(rl + i - 1, rl)
-            acc += term
-    return Fraction(acc)
-
-
-def _old_inclusion_exclusion(r, k):
-    stripped = [p for p in r.parts if p > 0]
-    s = 0
-    for i in range(1, k + 1):
-        term = binomial(k, i)
-        for rl in stripped:
-            term *= rl * binomial(i + rl - 1, rl)
-        s += (-1) ** (k - i) * term
-    return Fraction(r.total * s, k * math.prod(stripped))
-
-
-def _old_finite_diff(r, k):
-    p = UPoly.one()
-    for ri in r.parts:
-        p = p * rising_poly(ri)
-    a = to_falling_basis(p).get(k, Fraction(0))
-    return r.total * factorial(k - 1) * a / math.prod(factorial(ri) for ri in r.parts)
-
-
-def _old_hyp3f2(r, k):
-    r1, r2 = (0, *r.species)[-2:]  # the nonzero species padded with zeros to a pair
-    val = _old_hypergeom([1 - k, r1 + 1, r2 + 1], [2, 1], 1)
-    return (-1) ** (k - 1) * (r1 + r2) * val
-
-
-# The integer-pair evaluator and the dense genfun step as they stood before
-# their runs were built whole, kept verbatim as references.
-
-def _loop_hypergeom(numer, denom, z):
-    nums = [(a.numerator, a.denominator) for a in numer]
-    dens = [(b.numerator, b.denominator) for b in denom]
-    stops = [-p for p, q in nums if q == 1 and p <= 0]
-    if not stops:
-        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
-    nmax = min(stops)
-    for p, q in dens:
-        if q == 1 and 0 >= p > -nmax:
-            raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
-    zn, zd = z.numerator, z.denominator
-    num_scale = zn * math.prod(q for _, q in dens)
-    den_scale = zd * math.prod(q for _, q in nums)
-    term = total = den = 1  # term / den is the current term, total / den the sum
-    for j in range(nmax):
-        step = den_scale * math.prod(p + j * q for p, q in dens) * (j + 1)
-        term = term * num_scale * math.prod(p + j * q for p, q in nums)
-        total = total * step + term
-        den *= step
-    return Fraction(total, den)
-
-
-# The evaluator as it stood with its term-ratio runs built whole, kept
-# verbatim as a reference.
-
-def _runs_hypergeom(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) -> Fraction:
-    """Exact value of pFq(numer; denom; z) for a terminating series.
-
-    Requires a nonpositive-integer numerator parameter (else ValueError).
-    A denominator parameter whose Pochhammer factor vanishes within the
-    summation range raises ZeroDivisionError.
-
-    Each parameter p/q enters the term ratio as p/q + j = (p + j q)/q, so
-    the ratios are integer runs a[j] / b[j] over j = 0..nmax-1, the terms
-    share the common denominator b[0] ... b[nmax-1], their numerators come
-    from prefix products of a and suffix products of b, and one Fraction
-    is built at the end.
-    """
-    nums = [(a.numerator, a.denominator) for a in numer]
-    dens = [(b.numerator, b.denominator) for b in denom]
-    stops = [-p for p, q in nums if q == 1 and p <= 0]
-    if not stops:
-        raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")
-    nmax = min(stops)
-    for p, q in dens:
-        if q == 1 and 0 >= p > -nmax:
-            raise ZeroDivisionError(f"denominator parameter {p} hits zero within the summation range")
-    zn, zd = z.numerator, z.denominator
-    # term j+1 / term j = a[j] / b[j], a and b built as whole runs: each
-    # parameter p/q contributes p, p + q, ..., p + (nmax - 1) q
-    a = [zn * math.prod(q for _, q in dens)] * nmax
-    for p, q in nums:
-        a = list(map(mul, a, range(p, p + nmax * q, q)))
-    b = list(map(mul, repeat(zd * math.prod(q for _, q in nums)), range(1, nmax + 1)))
-    for p, q in dens:
-        b = list(map(mul, b, range(p, p + nmax * q, q)))
-    # over den = b[0] ... b[nmax-1], term j is a[0] ... a[j-1] b[j] ... b[nmax-1]
-    heads = accumulate(a, mul, initial=1)
-    tails = list(accumulate(reversed(b), mul, initial=1))
-    return Fraction(sum(map(mul, heads, reversed(tails))), tails[-1])
-
-
-def _loop_times_geom_minus_one(q: List[int], radices: Sequence[int]) -> List[int]:
-    """q * (G - 1) truncated to the box, for q flat over the mixed-radix box
-    with the last axis fastest.  Multiplying by the truncated
-    G = 1/prod(1 - x_i) is a prefix sum along every axis."""
-    g = q[:]
-    size, stride = len(g), 1
-    for n in reversed(radices):
-        block = n * stride
-        for start in range(0, size, block):
-            for j in range(start + stride, start + block, stride):
-                g[j:j + stride] = map(add, g[j:j + stride], g[j - stride:j])
-        stride = block
-    return list(map(sub, g, q))
-
-
-@lru_cache(maxsize=None)
-def _loop_genfun_powers(caps):
-    """[x^caps] (G - 1)^k, k = 1..sum(caps), by the reference dense step over
-    the box in the given species order."""
-    radices = [c + 1 for c in caps]
-    q = [1] * math.prod(radices)
-    q[0] = 0
-    out = [q[-1]]
-    for _ in range(sum(caps) - 1):
-        q = _loop_times_geom_minus_one(q, radices)
-        out.append(q[-1])
-    return out
-
-
-def _old_genfun(r, k):
-    return Fraction(r.total * _loop_genfun_powers(r.parts)[k - 1], k)
-
-
-def _old_recurrence(r, k):
-    return _sorted_merge_table(r)[k]
-
-
-_OLD_ROUTES = {
-    "explicit": _old_explicit,
-    "entiere": _old_entiere,
-    "genfun": _old_genfun,
-    "inclusion_exclusion": _old_inclusion_exclusion,
-    "finite_diff": _old_finite_diff,
-    "recurrence": _old_recurrence,
-    "hyp3f2": _old_hyp3f2,
-}
 
 # route_crosscheck-sized compositions with m = 2, 3 and 5 and a zero species
 _KERNEL_CASES = list(iter_compositions(3, 4)) + [
@@ -516,14 +294,13 @@ def test_route_kernels_match_per_k_formulas(method):
     for r in _KERNEL_CASES:
         if method == "hyp3f2" and len(r.species) > 2:
             continue
-        # the reference genfun step takes about a microsecond per box step
-        if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > 10**6:
+        # genfun takes about a microsecond per box step: (9,)*5 and (20,)*6 are over its budget
+        if method == "genfun" and r.total * math.prod(p + 1 for p in r.parts) > coefficients.GENFUN_STEPS_MAX:
             continue
         table = c_table(r, method).values
         assert list(table) == list(range(1, r.total + 1))
-        for k, value in table.items():
-            expected = _OLD_ROUTES[method](r, k)
-            assert type(value) is int and value == expected, (r, method, k)
+        assert table == ref.c(r.parts), (r, method)
+        assert all(type(value) is int for value in table.values()), (r, method)
         k = r.total // 2 + 1  # a kernel run short of |r|
         assert c_coeff(r, k, method) == table[k]
 
@@ -579,16 +356,16 @@ def _boxes(draw):
 @example(([4, 4, 4, 4, 4], list(range(4**5))))  # m = 5
 def test_dense_genfun_step_matches_slice_loop(box):
     radices, q = box
-    assert coefficients._times_geom_minus_one(q, radices) == _loop_times_geom_minus_one(q, radices)
+    assert coefficients._times_geom_minus_one(q, radices) == ref.times_geom_minus_one(q, radices)
 
 
 def test_genfun_box_order_matches_species_order():
-    # the route takes the box over the sorted nonzero sizes; every other
-    # order of the species, zeros included, gives the same powers
+    # the route takes the box over the sorted nonzero sizes; the powers over the box
+    # in every other order of the species, zeros included, are the same
     for parts in [(4, 1, 3), (0, 6, 0, 3, 0), (2, 2, 1, 3), (5,)]:
-        expected = list(coefficients._geom_minus_one_powers(tuple(sorted(p for p in parts if p))))
+        expected = _c_tilde_list(parts)
         for perm in set(itertools.permutations(parts)):
-            assert _loop_genfun_powers(perm) == expected, perm
+            assert list(coefficients._geom_minus_one_powers(perm)) == expected, perm
 
 
 rational = st.fractions(max_denominator=9, min_value=-6, max_value=6)
@@ -603,15 +380,13 @@ rational = st.fractions(max_denominator=9, min_value=-6, max_value=6)
 def test_hypergeom_matches_termwise_fractions(n, numer, denom, z):
     numer = [-n] + numer
     try:
-        expected = _old_hypergeom(numer, denom, z)
+        expected = ref.hypergeom(numer, denom, z)
     except ZeroDivisionError:
         with pytest.raises(ZeroDivisionError):
             hypergeom_terminating(numer, denom, z)
         return
     value = hypergeom_terminating(numer, denom, z)
     assert type(value) is Fraction and value == expected
-    assert value == _loop_hypergeom(numer, denom, z)
-    assert value == _runs_hypergeom(numer, denom, z)
 
 
 def test_c_symmetry_and_zero_entries():
@@ -772,34 +547,15 @@ def test_chu_vandermonde():
                 assert lhs == Fraction(rising(Fraction(c) - a, n), rising(Fraction(c), n))
 
 
-# linearization_d as it stood when every table held Fractions, kept verbatim as
-# the reference but for its names: the recursion calls the reference itself,
-# and c_tilde reads the Fraction table of the sorted merge above
-def _old_linearization_d(r: Composition, variant: str = "d") -> CoeffTable:
-    r = as_composition(r)
-    if variant == "d":
-        diffs = forward_differences(
-            [math.prod(math.perm(x, ri) for ri in r.parts) for x in range(r.total + 1)]
-        )
-        vals = {k: Fraction(d, factorial(k)) for k, d in enumerate(diffs) if k and d}
-        return CoeffTable("d", r, vals)
-    if variant == "d_tilde":
-        base = _old_linearization_d(r, "d").values
-        denom = math.prod(factorial(ri) for ri in r.parts)
-        vals = {k: factorial(k) * a / denom for k, a in base.items()}
-        return CoeffTable("d_tilde", r, {k: v for k, v in vals.items() if v})
-    if variant == "c_tilde":
-        vals = {k: k * c / r.total for k, c in _sorted_merge_table(r).items()}
-        return CoeffTable("c_tilde", r, {k: v for k, v in vals.items() if v})
-    raise ValueError(f"linearization_d: unknown variant {variant!r}")
+_LINEARIZATIONS = {"d": ref.d, "d_tilde": ref.d_tilde, "c_tilde": ref.c_tilde}
 
 
 def test_linearization_tables_match_fraction_reference():
     for r in iter_compositions(4, 4):  # zero species included
-        for variant in ("d", "d_tilde", "c_tilde"):
-            got, want = linearization_d(r, variant), _old_linearization_d(r, variant)
-            assert got.family == want.family and got.values == want.values, (r, variant)
-            assert list(got.values) == list(want.values), (r, variant)
+        for variant, want in _LINEARIZATIONS.items():
+            got, want = linearization_d(r, variant), want(r.parts)
+            assert got.family == variant and got.values == want, (r, variant)
+            assert list(got.values) == list(want), (r, variant)
             assert all(type(v) is int for v in got.values.values()), (r, variant)
 
 
@@ -900,54 +656,6 @@ def test_finite_diff_is_scaled_inclusion_exclusion():
             assert forward_differences(f)[1:] == [scale * seating_counts(r, k, "S") for k in range(1, r.total + 1)], r
 
 
-# The per-species loops as they stood before equal species were taken as one
-# pow run, kept verbatim as references but for their names: one entrywise
-# product per species, t products for t equal species (entiere's, its product
-# rule over the double sum Q, two runs per species)
-def _ref_seating_f(parts: Sequence[int], k_max: int) -> List[int]:
-    f = [math.prod(parts)] * k_max
-    for rl in parts:
-        f = list(map(mul, f, coefficients._multichoose_run(rl, k_max)))
-    return [0] + f
-
-
-def _ref_explicit(r: Composition) -> List[int]:
-    lcm = math.lcm(*range(1, r.total + 1))
-    scaled = list(map(floordiv, repeat(lcm), range(1, r.total + 1)))
-    for rl in r.species:
-        scaled = list(map(mul, scaled, coefficients._multichoose_run(rl, r.total)))
-    return coefficients._exact(map(r.total.__mul__, forward_differences(scaled)), repeat(lcm))
-
-
-def _ref_finite_diff(r: Composition) -> List[int]:
-    f = [1] * r.total
-    for ri in r.species:
-        f = list(map(mul, f, map(math.perm, range(ri, ri + r.total), repeat(ri))))
-    return coefficients._scaled_by_total(r, forward_differences([0] + f)[1:], math.prod(map(factorial, r.species)))
-
-
-def _ref_entiere(r: Composition) -> List[int]:
-    p, q = [1] * r.total, [0] * r.total
-    for rl in r.species:
-        a, b = list(coefficients._multichoose_run(rl, r.total)), map(math.comb, range(rl, rl + r.total), repeat(rl - 1))
-        q = list(map(add, map(mul, q, a), map(mul, p, b)))
-        p = list(map(mul, p, a))
-    return forward_differences(q)
-
-
-def _ref_linearization_d(r: Composition, variant: str) -> dict:
-    f = [math.prod(math.perm(x, ri) for ri in r.species) for x in range(r.total + 1)]
-    dens = map(factorial, range(1, r.total + 1)) if variant == "d" else repeat(math.prod(map(factorial, r.species)))
-    vals = coefficients._exact(forward_differences(f)[1:], dens)
-    return {k: v for k, v in enumerate(vals, 1) if v}
-
-
-def _ref_c_tilde(r: Composition) -> dict:
-    # ct_k = k c_k / |r|, c_k from explicit's per-species loop
-    vals = coefficients._exact(map(mul, itertools.count(1), _ref_explicit(r)), repeat(r.total))
-    return {k: v for k, v in enumerate(vals, 1) if v}
-
-
 def _many_species_shapes(count: int, seed: int) -> List[Composition]:
     """Seeded shapes of up to 2000 parts, |r| at most 442: a run of ones and a run
     of one other size mixed with up to three distinct sizes, padded with zeros
@@ -966,21 +674,17 @@ def test_species_runs_match_per_species_loops():
     # equal species taken as one pow run give the per-species loops' tables: the
     # run-product routes, d, d~, c~, and the seating counts F and S
     for r in [*iter_compositions(4, 4), *_many_species_shapes(30, 32), Composition((400, 600)), Composition((100, 150))]:
-        assert c_table(r, "explicit").values == dict(enumerate(_ref_explicit(r), 1)), r
-        assert c_table(r, "entiere").values == dict(enumerate(_ref_entiere(r), 1)), r
-        assert c_table(r, "finite_diff").values == dict(enumerate(_ref_finite_diff(r), 1)), r
-        f = _ref_seating_f(r.species, r.total)
+        c = ref.c(r.parts)
+        for method in ("explicit", "entiere", "finite_diff", "inclusion_exclusion"):
+            assert c_table(r, method).values == c, (r, method)
         ct = coefficients._difference_table(r.species, r.total, coefficients._multichoose_run)
-        assert [math.prod(r.species) * c for c in ct] == forward_differences(f), r
-        want = coefficients._scaled_by_total(r, forward_differences(f)[1:], math.prod(r.species))
-        assert c_table(r, "inclusion_exclusion").values == dict(enumerate(want, 1)), r
-        for variant in ("d", "d_tilde"):
-            assert linearization_d(r, variant).values == _ref_linearization_d(r, variant), (r, variant)
-        assert linearization_d(r, "c_tilde").values == _ref_c_tilde(r), r
+        assert ct == [0, *_c_tilde_list(r.parts)], r
+        for variant, want in _LINEARIZATIONS.items():
+            assert linearization_d(r, variant).values == want(r.parts), (r, variant)
         if 0 not in r.parts:
             k = min(r.total, 9)
-            assert seating_counts(r, k, "F") == _ref_seating_f(r.parts, k)[k], r
-            assert seating_counts(r, k, "S") == forward_differences(_ref_seating_f(r.parts, k))[k], r
+            assert seating_counts(r, k, "F") == ref.seating_f(r.parts, k), r
+            assert seating_counts(r, k, "S") == ref.seating_s(r.parts, k), r
 
 
 def test_linearization_tables_run_no_c_route(monkeypatch):
@@ -992,6 +696,5 @@ def test_linearization_tables_run_no_c_route(monkeypatch):
     for method in C_METHODS:
         monkeypatch.setitem(coefficients._KERNELS, method, no_route)
     for r in [*iter_compositions(3, 3), Composition((0, 5, 7)), Composition((1,) * 12), Composition((3, 3, 3, 8))]:
-        for variant in ("d", "d_tilde"):
-            assert linearization_d(r, variant).values == _ref_linearization_d(r, variant), (r, variant)
-        assert linearization_d(r, "c_tilde").values == _ref_c_tilde(r), r
+        for variant, want in _LINEARIZATIONS.items():
+            assert linearization_d(r, variant).values == want(r.parts), (r, variant)

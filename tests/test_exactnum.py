@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference as ref
 from genbinom.coefficients import Composition
 from genbinom.exactnum import (
     binomial,
@@ -30,6 +31,13 @@ def test_binomial_values():
 def test_binomial_negative_n_rejected():
     with pytest.raises(ValueError):
         binomial(-1, 0)
+
+
+@pytest.mark.parametrize("k", [4.5, -0.5, 1.5])
+def test_binomial_reads_k_as_an_integer(k):
+    # outside 0..n a float k gave 0, inside it a bare TypeError from math.comb
+    with pytest.raises(ValueError, match=f"^expected an integer, got {k}$"):
+        binomial(3, k)
 
 
 def test_factorial_family_values():
@@ -73,8 +81,7 @@ def test_multinomial():
 @given(st.lists(st.integers(min_value=-10**30, max_value=10**30), max_size=12))
 def test_forward_differences_is_alternating_sum(values):
     # Delta^k f(0) = sum_j (-1)^(k-j) C(k, j) f(j), one entry per value
-    assert forward_differences(values) == [
-        sum((-1) ** (k - j) * binomial(k, j) * values[j] for j in range(k + 1)) for k in range(len(values))]
+    assert forward_differences(values) == ref.alternating_sums(values)
 
 
 @given(rats, rats, st.integers(min_value=0, max_value=6))

@@ -4,36 +4,33 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product as _cartesian
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Tuple
 
 import pytest
 
+import reference as ref
 from genbinom import coefficients, identities, polybasis
 from genbinom.cli import main
-from genbinom.coefficients import CoeffTable, Composition, c_coeff, c_table, iter_compositions, linearization_d, seating_counts
-from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
+from genbinom.coefficients import CoeffTable, Composition, c_coeff, c_table, iter_compositions, linearization_d
+from genbinom.exactnum import binomial, factorial, forward_differences, rising
 from genbinom.identities import IDENTITY_IDS, Pair, _class_table, extract_c_from_las, sweep, verify
 from genbinom.oracles import COVERING_K_MAX, oracle_covering_choices, oracle_transversal_partitions
-from genbinom.partitions import ferrers_choose, partitions_of
-from genbinom.polybasis import UPoly, binom_poly, falling_poly, from_falling_basis, rising_poly, shifted_binom_poly
+from genbinom.partitions import partitions_of
+from genbinom.polybasis import UPoly
 from genbinom.series import MPoly, homogeneous_h
-from test_partitions import partition_objects, z_mu
-from test_polybasis import _ref_newton_coeffs
 
 
-def _on_newton_basis(p: UPoly, start: int, step: int) -> UPoly:
-    """p's coefficients on the Newton basis prod_{t<j} (X - s_t) / j!, s_t = start +
-    t*step, by the Fraction reference `_ref_newton_coeffs`, as one UPoly in T: the
-    form in which a checker compares a univariate side."""
-    return UPoly(_ref_newton_coeffs(p, start, step))
+def _on_newton_basis(nums, den: int, start: int, step: int) -> UPoly:
+    """The polynomial sum_d nums[d] X^d / den on the Newton basis prod_{t<j} (X - s_t) / j!,
+    s_t = start + t*step, by the reference Newton pass, as one UPoly in T: the form in
+    which a checker compares a univariate side."""
+    return UPoly(ref.newton_coeffs(nums, start, step, den))
 
 
-def _on_falling_basis(p: UPoly) -> UPoly:
-    """p's coefficients on falling(X, k) = k! binomial(X, k), as one UPoly in T: the
-    form in which linm compares its product with the d table."""
-    return UPoly([a / factorial(k) for k, a in enumerate(_ref_newton_coeffs(p, 0, 1))])
+def _las_left(n: int, r: Composition, p: int | None = None) -> UPoly:
+    """The las left side, the reference partition sum over r's species products, over n!."""
+    return UPoly([Fraction(s, factorial(n)) for s in ref.partition_sum(n, ref.species_products(r.parts, n), p)])
 
 
 def test_las_example():
@@ -562,98 +559,64 @@ def test_linear_product_fault_fails_linm_linlas_and_binom2(monkeypatch):
             assert (report.status, report.pair, report.first_diff["at"]) == ("failed", 0, 0), (ident, bump)
 
 
-# The partition loops the class-size table replaced, kept as references.
-
-def _old_las_lhs(n, r, weight=None):
-    """sum over |mu| = n of weight(mu) * X^(l(mu)-1) / z_mu *
-    sum_i prod_k rising(mu_i, r_k)/r_k!."""
-    coeffs = [Fraction(0)] * max(n, 1)
-    rfact = [factorial(rk) for rk in r.parts]
-    for mu in partition_objects(n):
-        inner = Fraction(0)
-        for part in mu.parts:
-            term = Fraction(1)
-            for rk, fk in zip(r.parts, rfact):
-                term *= Fraction(rising(part, rk), fk)
-            inner += term
-        w = inner / z_mu(mu)
-        if weight is not None:
-            w *= weight(mu)
-        coeffs[mu.length - 1] += w
-    return UPoly(coeffs)
-
-
-def _seating_f1(j, rl):
-    """Seatings of one species with rl representatives at a j-chair table."""
-    return j * binomial(j + rl - 1, rl - 1)
-
-
-def _old_bigeq_lhs(n, r):
-    coeffs = [Fraction(0)] * max(n, 1)
-    for mu in partition_objects(n):
-        inner = 0
-        for part in mu.parts:
-            inner += math.prod(_seating_f1(part, rl) for rl in r.parts)
-        coeffs[mu.length - 1] += Fraction(factorial(n) * inner, z_mu(mu))
-    return UPoly(coeffs)
-
-
-def _old_mac_lhs(n):
-    body = [Fraction(0)] * (n + 1)
-    deriv = [Fraction(0)] * max(n, 1)
-    for mu in partition_objects(n):
-        body[mu.length] += Fraction(1, z_mu(mu))
-        deriv[mu.length - 1] += Fraction(mu.length, z_mu(mu))
-    return [UPoly(body), UPoly(deriv)]
-
-
-def _old_lemma1_lhs(n):
-    caps = (max(n - 1, 0), n)
-    lhs = MPoly.zero(caps)
-    for mu in partition_objects(n):
-        ypoly = {}
-        for part in mu.parts:
-            ypoly[(0, part)] = ypoly.get((0, part), Fraction(0)) + 1
-        ypoly[(0, 0)] = ypoly.get((0, 0), Fraction(0)) - mu.length
-        xfac = MPoly(caps, {(mu.length - 1, 0): Fraction(1, z_mu(mu))})
-        lhs = lhs + xfac * MPoly(caps, ypoly)
-    return lhs
-
+# The left sides against the partition sums of tests/reference.py, one loop over the
+# partitions of n with z_mu.
 
 def test_class_table_matches_las_loop():
     for n in range(1, 10):
         for r in iter_compositions(3, 2):
-            assert identities._las_lhs(n, r) == _old_las_lhs(n, r), (n, r)
+            assert identities._las_lhs(n, r) == _las_left(n, r), (n, r)
             for p in range(1, n + 1):
-                expected = _old_las_lhs(n, r, weight=lambda mu: ferrers_choose(tuple(mu.mults.items()), p))
-                assert identities._las_lhs(n, r, p) == expected, (n, p, r)
+                assert identities._las_lhs(n, r, p) == _las_left(n, r, p), (n, p, r)
 
 
 def test_class_table_matches_bigeq_loop():
     for n in range(1, 10):
         for r in iter_compositions(3, 2):
             if 0 not in r.parts:
-                assert identities._check_bigeq(n, r)[0][0] == _on_newton_basis(_old_bigeq_lhs(n, r), 1 - n, 1), (n, r)
+                F = [0] + [ref.seating_f(r.parts, j) for j in range(1, n + 1)]
+                assert identities._check_bigeq(n, r)[0][0] == _on_newton_basis(ref.partition_sum(n, F), 1, 1 - n, 1), (n, r)
 
 
-def _nonzero(p):
-    """Stored nonzero coefficients of a UPoly or an MPoly."""
-    return sum(1 for c in p.coeffs if c) if isinstance(p, UPoly) else len(p.terms)
+def test_bigeq_matches_per_entry_reference():
+    # every pair from per-entry references on a second route: F_j = prod(r) P_j from the
+    # species products, S_k = Delta^k F(0) by the alternating sum, and c_k(r)
+    for n in range(1, 17):
+        for r in iter_compositions(3, 3):
+            if 0 in r.parts:
+                continue
+            rprod, c = math.prod(r.parts), ref.c(r.parts)
+            F = [rprod * x for x in ref.species_products(r.parts, n)]
+            lhs = ref.partition_sum(n, F)
+            form_c = UPoly([Fraction(c.get(k, 0) * factorial(n) * rprod, r.total) for k in range(n, 0, -1)])
+            form_s = (UPoly([k * rprod * c.get(k, 0) for k in range(n + 1)]), UPoly([r.total * s for s in ref.alternating_sums(F)]))
+            form_f = UPoly([Fraction(factorial(n) * F[k], k) for k in range(n, 0, -1)])
+            assert identities._check_bigeq(n, r) == [
+                (_on_newton_basis(lhs, 1, 1 - n, 1), form_c), form_s, (_on_newton_basis(lhs, 1, 0, -1), form_f)], (n, r)
 
 
-def _y_slice(p: MPoly, j: int) -> UPoly:
-    """The coefficient of y^j in a truncated MPoly in (X, y), a UPoly in X."""
-    return UPoly([p.coeff((l, j)) for l in range(p.caps[0] + 1)])
+def test_lemma1_slices_match_reference():
+    # slice j is the y^j coefficient of each side, so the slices weighted by y^j give the
+    # side at y: on the left the partition sum with g_i = y^i - 1, on the right
+    # sum_k (y-1)^k / k on binomial(X+n-1, n-k); the n+1 points y = 0..n fix every slice
+    for n in range(1, 15):
+        slices = identities._check_lemma1(n)
+        assert len(slices) == n + 1, n
+        for y in range(n + 1):
+            lhs, rhs = (sum((pair[side].scale(y**j) for j, pair in enumerate(slices)), UPoly.zero()) for side in (0, 1))
+            assert lhs == _on_newton_basis(ref.partition_sum(n, [y**i - 1 for i in range(n + 1)]), factorial(n), 1 - n, 1), (n, y)
+            assert rhs == UPoly([Fraction((y - 1) ** k, k) for k in range(n, 0, -1)]), (n, y)
 
 
 def test_class_table_matches_mac_and_lemma1_loops():
     # each left side on its Newton basis, binomial(X+n-1, j)
     for n in range(1, 15):
-        old_mac = [_on_newton_basis(lhs, 1 - n, 1) for lhs in _old_mac_lhs(n)]
-        assert [lhs for lhs, _ in identities._check_mac(n)] == old_mac, n
-        old = _old_lemma1_lhs(n)  # caps (n-1, n): every term is in the box
+        nfact, sums = factorial(n), ref.partition_sum(n, [1] * (n + 1))  # g = 1: l(mu) X^(l-1)
+        body = [0] + [Fraction(s, nfact * l) for l, s in enumerate(sums, 1)]  # its integral, X^l
+        mac = [_on_newton_basis(body, 1, 1 - n, 1), _on_newton_basis(sums, nfact, 1 - n, 1)]
+        assert [lhs for lhs, _ in identities._check_mac(n)] == mac, n
         slices = [lhs for lhs, _ in identities._check_lemma1(n)]
-        assert slices == [_on_newton_basis(_y_slice(old, j), 1 - n, 1) for j in range(n + 1)], n
+        assert slices == [_on_newton_basis(col, nfact, 1 - n, 1) for col in ref.y_slices(n)], n
 
 
 def test_class_table_invariants():
@@ -669,156 +632,41 @@ def test_class_table_invariants():
             assert all(not any(row) for row in identities._class_table(n, p)[p + 1:]), (n, p)
 
 
-# The per-p class-size table the one-pass (n, weighted) tables replaced, kept
-# verbatim but for reading partitions through `partition_objects`, which
-# expands the package's `partitions_of`.  That enumerator and `ferrers_choose`
-# are each checked against their former versions in test_partitions.py; its
-# z_mu is the reference kept there.
-
-@lru_cache(maxsize=256)
-def _old_class_table(n: int, p: int | None = None) -> Tuple[Tuple[int, ...], ...]:
-    """T[l][j] = sum over mu |- n, l(mu) = l of w(mu) * m_j(mu) * n!/z_mu, for
-    j <= n + 1 - l, the largest part; w = ferrers_choose(., p), or 1 if p is
-    None.  Memoized by (n, p): sweeps repeat each (n, p) across compositions."""
-    nfact = factorial(n)
-    table = [[0] * (n + 2 - l) for l in range(n + 1)]
-    for mu in partition_objects(n):
-        w = nfact // z_mu(mu) * (1 if p is None else ferrers_choose(tuple(mu.mults.items()), p))
-        row = table[mu.length]
-        for part, mult in mu.mults.items():
-            row[part] += w * mult
-    return tuple(tuple(row) for row in table)
-
-
 def test_class_tables_match_per_p_reference():
     for n in range(1, 29):
-        assert identities._class_table(n) == _old_class_table(n), n
+        assert identities._class_table(n) == ref.class_table(n), n
     for n in range(1, 16):
         for p in range(1, n + 1):
-            assert identities._class_table(n, p) == _old_class_table(n, p), (n, p)
+            assert identities._class_table(n, p) == ref.class_table(n, p), (n, p)
 
 
-# The lemma1 and waring checkers as they were before each became one pair per
-# power of its extra variable, kept verbatim: one truncated MPoly pair, lemma1
-# in (X, y) with its UPoly bases embedded, waring in (t,) + caps with every
-# h_lambda lifted by t^l(lambda).
-
-def _embed(p: UPoly, caps: Tuple[int, ...], var: int) -> MPoly:
-    terms = {}
-    for d in range(p.degree + 1):
-        c = p.coeff(d)
-        if c:
-            e = [0] * len(caps)
-            e[var] = d
-            terms[tuple(e)] = c
-    return MPoly(caps, terms)
-
-
-def _old_check_lemma1(n: int) -> List[Pair]:
-    # sum over mu |- n of X^(l(mu)-1) / z_mu * (sum_i y^mu_i - l(mu)), in (X, y)
-    caps = (n - 1, n)
-    nfact = factorial(n)
-    terms = {}
-    for l, row in enumerate(_class_table(n)[1:]):
-        terms.update({(l, j): Fraction(t, nfact) for j, t in enumerate(row) if t})
-        terms[(l, 0)] = Fraction(-sum(row), nfact)
-    lhs = MPoly(caps, terms)
-    rhs = MPoly.zero(caps)
-    ym1 = MPoly(caps, {(0, 1): 1, (0, 0): -1})
-    power = MPoly.const(caps, 1)  # (y - 1)^k, one product per k
-    for k in range(1, n + 1):
-        power = power * ym1
-        rhs = rhs + _embed(shifted_binom_poly(n, k), caps, 0) * power.scale(Fraction(1, k))
-    return [(lhs, rhs)]
-
-
-def _box(caps: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    yield from _cartesian(*(range(c + 1) for c in caps))
-
-
-def _old_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
-    caps = tuple(int(c) for c in caps)
-    full = (t_max,) + caps
-    terms = {}
-    for parts in _box(caps):
-        if sum(parts) == 0:
-            continue
-        r = Composition(parts)
-        c = c_table(r).values
-        for k in range(1, min(t_max, r.total) + 1):
-            terms[(k,) + parts] = c[k]
-    lhs = MPoly(full, terms)
-    rhs = MPoly.zero(full)
-    for size in range(1, sum(caps) + 1):
-        for lam in partition_objects(size):
-            if lam.length > t_max:
-                continue
-            coef = Fraction(size * factorial(lam.length - 1))
-            for mult in lam.mults.values():
-                coef /= factorial(mult)
-            hpart = MPoly.const(caps, 1)
-            for part in lam.parts:
-                hpart = hpart * homogeneous_h(part, caps)
-            lifted = MPoly(full, {(lam.length,) + e: c for e, c in hpart.terms.items()})
-            rhs = rhs + lifted.scale(coef)
-    return [(lhs, rhs)]
-
-
-def test_lemma1_slices_match_reference():
-    # slice j is the y^j coefficient of each side, on its Newton basis binomial(X+n-1, i);
-    # the reference's caps (n-1, n) hold every term, so the n+1 slices are all of it
-    for n in range(1, 15):
-        [ref] = _old_check_lemma1(n)
-        slices = identities._check_lemma1(n)
-        assert len(slices) == n + 1, n
-        for side in (0, 1):
-            assert [pair[side] for pair in slices] == [
-                _on_newton_basis(_y_slice(ref[side], j), 1 - n, 1) for j in range(n + 1)], (n, side)
+def _waring_sides(caps: Tuple[int, ...], t_max: int) -> List[Pair]:
+    """waring's pairs from the references, for l = 1..t_max: c_l(e), and the coefficient
+    of t^l x^e in the sum over lambda of |lambda| (l-1)! / prod_j m_j! t^l h_lambda, at
+    every point e of the caps box."""
+    box = [e for e in _cartesian(*(range(c + 1) for c in caps)) if any(e)]
+    left, right = {e: ref.c(e) for e in box}, {e: ref.waring_right(e) for e in box}
+    return [(MPoly(caps, {e: left[e].get(l, 0) for e in box}), MPoly(caps, {e: right[e].get(l, 0) for e in box}))
+            for l in range(1, t_max + 1)]
 
 
 def test_waring_slices_match_reference():
+    # one pair per power t^l, l = 1..t_max; here the left sides
     for caps in iter_compositions(3, 3):
-        for t_max in range(1, 6):
-            [ref] = _old_check_waring(caps.parts, t_max)
+        sides = _waring_sides(caps.parts, 6)
+        for t_max in range(1, 7):
             slices = identities._check_waring(caps.parts, t_max)
             assert len(slices) == t_max, (caps, t_max)
-            for side in (0, 1):
-                assert all(pair[side].caps == caps.parts for pair in slices), (caps, t_max)
-                for e in _box(ref[side].caps):
-                    got = slices[e[0] - 1][side].coeff(e[1:]) if e[0] else 0
-                    assert got == ref[side].coeff(e), (caps, t_max, side, e)
-                assert sum(_nonzero(pair[side]) for pair in slices) == len(ref[side].terms), (caps, t_max)
-
-
-# The waring checker as it was when it keyed h_lambda by the parts of a
-# `Partition`, kept verbatim but for reading partitions through
-# `partition_objects`.
-
-def _parts_check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
-    # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
-    # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
-    caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
-    tables = [(parts, c_table(Composition(parts)).values)
-              for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)]
-    h = {j: homogeneous_h(j, caps) for j in range(1, sum(caps) + 1)}
-    # h_lambda by parts: lambda less its last part has a smaller size, so it is
-    # already here and each h_lambda is one product
-    h_lam = {(): MPoly.const(caps, 1)}
-    rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
-    for size in h:
-        for lam in partition_objects(size):
-            if lam.length <= t_max:
-                h_lam[lam.parts] = h_lam[lam.parts[:-1]] * h[lam.parts[-1]]
-                coef = Fraction(size * factorial(lam.length - 1), math.prod(map(factorial, lam.mults.values())))
-                rhs[lam.length] = rhs[lam.length] + h_lam[lam.parts].scale(coef)
-    return [(MPoly(caps, {parts: c.get(l, 0) for parts, c in tables}), rhs[l]) for l in rhs]
+            assert [lhs for lhs, _ in slices] == [lhs for lhs, _ in sides[:t_max]], (caps, t_max)
 
 
 def test_waring_matches_parts_keyed_checker():
+    # the right sides, h_lambda keyed by the multiplicity form of lambda
     for caps in iter_compositions(3, 3):
+        sides = _waring_sides(caps.parts, 6)
         for t_max in range(1, 7):
             got = identities._check_waring(caps.parts, t_max)
-            assert got == _parts_check_waring(caps.parts, t_max), (caps, t_max)
+            assert [rhs for _, rhs in got] == [rhs for _, rhs in sides[:t_max]], (caps, t_max)
 
 
 def _plus_one(basis):
@@ -882,82 +730,25 @@ def test_partition_sum_and_waring_checkers_build_no_fraction(monkeypatch):
     assert made == []
 
 
-# The checker inputs as they were built with one call per entry, kept verbatim
-# as references for the integer runs that replaced them.
-
-def _ref_partition_sum(n: int, g: Sequence[int], p: int | None = None) -> List[int]:
-    return [sum(gj * t for gj, t in zip(g, row)) for row in _class_table(n, p)[1:]]
-
-
-def _ref_species_products(n: int, r: Composition) -> List[int]:
-    return [0] + [math.prod(binomial(j + rk - 1, rk) for rk in r.parts) for j in range(1, n + 1)]
-
-
-def _ref_las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | None = None) -> UPoly:
-    g = _ref_species_products(n, r) if P is None else P
-    return UPoly(_ref_partition_sum(n, g, p)).scale(Fraction(1, factorial(n)))
-
-
-def _ref_mchoose(a: int, q: int) -> int:
-    """Multisets of size q from a >= 0 symbols: C(a+q-1, q); (0, 0) -> 1."""
-    return math.comb(a + q - 1, q) if a else int(q == 0)
-
-
-def _ref_las0pp_a(n: int, p: int, P: Sequence[int]) -> List[Fraction]:
-    return [Fraction(sum(binomial(j - 1, k - 1) * _ref_mchoose(p - k, n - p - j + k) * P[j]
-                         for j in range(k, n - p + k + 1)), k)
-            for k in range(p, 0, -1)]  # indexed by p-k, on binomial(X+p-k-1, p-k)
-
-
-def _ref_two_factor(r1: int, r2: int, sign: int) -> List[int]:
-    # a[i] = sign^l multinomial(i, (l, r1-l, r2-l)) at l = r1+r2-i <= min(r1, r2), else 0
-    return [sign ** (r1 + r2 - i) * multinomial(i, (r1 + r2 - i, i - r2, i - r1)) if i >= max(r1, r2) else 0
-            for i in range(r1 + r2 + 1)]
-
-
-def _ref_merge_chain(species: Sequence[int], sign: int) -> List[int]:
-    # the weights of the product of b(x, r_i), b(x, n) = C(x, n) at sign +1 or C(x+n-1, n)
-    # at sign -1, folding in one species at a time by `_ref_two_factor` on the dict of weights
-    first, *rest = species
-    w = {first: 1}
-    for b in rest:
-        merged = {}
-        for a, wa in w.items():
-            for i, t in enumerate(_ref_two_factor(a, b, sign)):
-                merged[i] = merged.get(i, 0) + wa * t
-        w = merged
-    return [w.get(s, 0) for s in range(sum(species) + 1)]
-
-
-def _ref_on_binomials(w: Sequence[int]) -> List[int]:
-    # sum_s w_s C(x+s-1, s) on C(x, k): C(x+s-1, s) = sum_k C(s-1, k-1) C(x, k) for s >= 1
-    return [w[0]] + [sum(w[s] * binomial(s - 1, k - 1) for s in range(k, len(w))) for k in range(1, len(w))]
-
-
-def _coeffs_den(pairs):
-    return [((a.coeffs, a.den), (b.coeffs, b.den)) for a, b in pairs]
-
-
 def test_mchoose_is_rising_over_factorial():
     # multisets of size q from a symbols, the las0pp right side's weights
     for a in range(9):
         for q in range(9):
-            assert _ref_mchoose(a, q) == rising(a, q) // factorial(q), (a, q)
+            assert ref.mchoose(a, q) == rising(a, q) // factorial(q), (a, q)
 
 
 def test_las_inputs_match_per_entry_reference():
+    # the las0pp pairs at these n, r and p are checked with the other ids' pairs, in
+    # test_newton_form.py
     for n in range(1, 21):
         for r in iter_compositions(3, 3):
             P = identities._species_products(n, r)
-            assert P == _ref_species_products(n, r), (n, r)
+            assert P == ref.species_products(r.parts, n), (n, r)
             assert all(type(x) is int for x in P), (n, r)
             for p in (None, *range(1, n + 1)):
-                assert identities._partition_sum(n, P, p) == _ref_partition_sum(n, P, p), (n, r, p)
-                got, ref = identities._las_lhs(n, r, p), _ref_las_lhs(n, r, p)
-                assert (got.coeffs, got.den) == (ref.coeffs, ref.den), (n, r, p)
-                if p is not None:
-                    ref_pair = [(_on_newton_basis(ref, 0, -1), UPoly(_ref_las0pp_a(n, p, P)))]
-                    assert _coeffs_den(identities._check_las0pp(n, p, r)) == _coeffs_den(ref_pair), (n, r, p)
+                sums = ref.partition_sum(n, P, p)
+                assert identities._partition_sum(n, P, p) == sums, (n, r, p)
+                assert identities._las_lhs(n, r, p) == UPoly([Fraction(s, factorial(n)) for s in sums]), (n, r, p)
 
 
 def test_two_factor_matches_per_entry_reference():
@@ -969,16 +760,16 @@ def test_two_factor_matches_per_entry_reference():
             for sign in (1, -1):
                 if species:
                     got = coefficients._merge_chain(species, sign)
-                    assert got == _ref_two_factor(r1, r2, sign), (r1, r2, sign)
+                    assert got == ref.two_factor(r1, r2, sign), (r1, r2, sign)
                     assert all(type(x) is int for x in got), (r1, r2, sign)
     for r in [*iter_compositions(4, 4), Composition((12, 9, 7, 5))]:
         for sign in (1, -1):
-            assert coefficients._merge_chain(r.species, sign) == _ref_merge_chain(r.species, sign), (r, sign)
+            assert coefficients._merge_chain(r.species, sign) == ref.merge_weights(r.species, sign), (r, sign)
 
 
 # The oracle sides of linm, linbin and linlas read one memo keyed by the sorted
 # nonzero species sizes; below, its premise, its bound, a wrong oracle seen
-# through it, and the checkers as they were, calling the oracles per instance.
+# through it, and the checkers against the oracles called per instance.
 
 _ORACLE_KINDS = {"transversal": identities.TRANSVERSAL_T_MAX, "set": COVERING_K_MAX, "multiset": COVERING_K_MAX}
 
@@ -1016,6 +807,21 @@ def test_oracle_memo_never_evicts(cold_oracle_memo):
     assert info.currsize == info.misses == 12 + 12 + 13
 
 
+def test_oracle_memo_checkers_match_per_instance_reference(cold_oracle_memo):
+    # each side against the reference table, but the oracle side, read from the memo by
+    # sorted nonzero species, against the oracle called on the instance itself
+    cases = (("linm", ref.d, lambda r, k: oracle_transversal_partitions(r, k), identities.TRANSVERSAL_T_MAX),
+             ("linbin", ref.d_tilde, lambda r, k: oracle_covering_choices(r, k, "set"), COVERING_K_MAX),
+             ("linlas", ref.c_tilde, lambda r, k: oracle_covering_choices(r, k, "multiset"), COVERING_K_MAX))
+    for r in [*iter_compositions(4, 2), *iter_compositions(3, 3)]:
+        for ident, table, oracle, k_max in cases:
+            side = UPoly([table(r.parts).get(k, 0) for k in range(r.total + 1)])
+            want = [(side, side)] * 2
+            if r.total <= k_max:
+                want.append((side, UPoly([0] + [oracle(r, k) for k in range(1, r.total + 1)])))
+            assert getattr(identities, "_check_" + ident)(r) == want, (ident, r)
+
+
 def _off_by_one_at(oracle, k_wrong):
     def wrong(r, k, *mode):
         return oracle(r, k, *mode) + (k == k_wrong)
@@ -1033,65 +839,3 @@ def test_wrong_oracle_fails_through_the_memo(monkeypatch, cold_oracle_memo, iden
     monkeypatch.setattr(identities, oracle, _off_by_one_at(getattr(identities, oracle), 2))
     for r in ((1, 0, 2), (2, 1), (0, 1, 2)):  # one key, read from the memo after the first
         assert verify(ident, r=r).status == "failed", r
-
-
-# the table against the product first, then the table against the chain and the
-# oracle as integer lists on k = 0..|r|, each one UPoly in T of den 1
-
-def _ref_check_linm(r: Composition) -> List[Pair]:
-    lhs = math.prod((falling_poly(ri) for ri in r.parts), start=UPoly.one())
-    table = linearization_d(r, "d").values
-    ints = UPoly([table.get(k, 0) for k in range(r.total + 1)])
-    scale = math.prod(map(factorial, r.parts))  # every shape here is within RECURRENCE_STEPS_MAX
-    chain = [Fraction(scale * w, factorial(k)) for k, w in enumerate(_ref_merge_chain(r.species, 1))]
-    pairs: List[Pair] = [(_on_falling_basis(lhs), _on_falling_basis(from_falling_basis(table))), (ints, UPoly(chain))]
-    if r.total <= 7:
-        pairs.append((ints, UPoly([0] + [oracle_transversal_partitions(r, k) for k in range(1, r.total + 1)])))
-    return pairs
-
-
-def _ref_check_linbin(r: Composition) -> List[Pair]:
-    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
-    table = linearization_d(r, "d_tilde").values  # on binomial(X, k), k = 0..|r|
-    a = [table.get(k, 0) for k in range(r.total + 1)]
-    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), UPoly(a)), (UPoly(a), UPoly(_ref_merge_chain(r.species, 1)))]
-    if r.total <= COVERING_K_MAX:  # k runs up to |r|
-        pairs.append((UPoly(a), UPoly([0] + [oracle_covering_choices(r, k, "set") for k in range(1, r.total + 1)])))
-    return pairs
-
-
-def _ref_check_linlas(r: Composition) -> List[Pair]:
-    lhs = math.prod((rising_poly(ri).scale(Fraction(1, factorial(ri))) for ri in r.parts), start=UPoly.one())
-    table = linearization_d(r, "c_tilde").values
-    a = [table.get(k, 0) for k in range(r.total + 1)]
-    chain = _ref_on_binomials(_ref_merge_chain(r.species, -1))  # moved onto binomial(X, k)
-    pairs: List[Pair] = [(_on_newton_basis(lhs, 0, 1), UPoly(a)), (UPoly(a), UPoly(chain))]
-    if r.total <= COVERING_K_MAX:
-        oracle = [0] + [oracle_covering_choices(r, k, "multiset") for k in range(1, r.total + 1)]
-        pairs.append((UPoly(a), UPoly(oracle)))
-    return pairs
-
-
-def test_oracle_memo_checkers_match_per_instance_reference(cold_oracle_memo):
-    for r in [*iter_compositions(4, 2), *iter_compositions(3, 3)]:
-        for check, ref in ((identities._check_linm, _ref_check_linm), (identities._check_linbin, _ref_check_linbin),
-                           (identities._check_linlas, _ref_check_linlas)):
-            assert _coeffs_den(check(r)) == _coeffs_den(ref(r)), (check.__name__, r)
-
-
-def _ref_check_bigeq(n: int, r: Composition) -> List[Pair]:
-    # the checker with F_j taken from one seating_counts call per j
-    F = [0] + [seating_counts(r, j, "F") for j in range(1, n + 1)]
-    lhs = UPoly(identities._partition_sum(n, F))
-    nfact, c, S = factorial(n), c_table(r).values, forward_differences(F)  # S_k = Delta^k F(0)
-    form_c = [Fraction(c.get(k, 0) * nfact * math.prod(r.parts), r.total) for k in range(n, 0, -1)]
-    form_s = (UPoly([k * math.prod(r.parts) * c.get(k, 0) for k in range(n + 1)]), UPoly([r.total * s for s in S]))
-    form_f = [nfact // k * F[k] for k in range(n, 0, -1)]
-    return [(_on_newton_basis(lhs, 1 - n, 1), UPoly(form_c)), form_s, (_on_newton_basis(lhs, 0, -1), UPoly(form_f))]
-
-
-def test_bigeq_matches_per_entry_reference():
-    for n in range(1, 17):
-        for r in iter_compositions(3, 3):
-            if 0 not in r.parts:
-                assert _coeffs_den(identities._check_bigeq(n, r)) == _coeffs_den(_ref_check_bigeq(n, r)), (n, r)

@@ -1,9 +1,9 @@
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, product
-from typing import Iterator, List, Sequence
+from itertools import product
 
 import pytest
 
+import reference as ref
 from genbinom.coefficients import (
     Composition,
     c_coeff,
@@ -13,7 +13,6 @@ from genbinom.coefficients import (
     t_coeff,
 )
 from genbinom.oracles import (
-    COVERING_K_MAX,
     oracle_covering_choices,
     oracle_injection_cycle_poly,
     oracle_seatings,
@@ -147,83 +146,19 @@ def test_injection_budget_and_validation():
         oracle_injection_cycle_poly(0, 0)
 
 
-# The oracles before their bitmask rewrite, kept verbatim as references.
-
-def _set_partitions(items: Sequence) -> Iterator[List[list]]:
-    """All set partitions, via restricted-growth strings."""
-    n = len(items)
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            blocks: List[list] = [[] for _ in range(mx + 1)]
-            for j, b in enumerate(a):
-                blocks[b].append(items[j])
-            yield blocks
-            return
-        for b in range(mx + 2):
-            a[i] = b
-            yield from rec(i + 1, max(mx, b))
-
-    yield from rec(1, 0)
-
-
-def _old_oracle_transversal_partitions(r: Composition, k: int) -> int:
-    """Partitions of the disjoint union E = [r_1] + ... + [r_m] into exactly
-    k nonempty blocks, each block meeting every species at most once."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    elements = [(sp, idx) for sp, rl in enumerate(r.parts) for idx in range(1, rl + 1)]
-    if len(elements) > 10:
-        raise ValueError(f"budget exceeded: |E| = {len(elements)} > 10")
-    count = 0
-    for blocks in _set_partitions(elements):
-        if len(blocks) != k:
-            continue
-        if all(len({sp for sp, _ in block}) == len(block) for block in blocks):
-            count += 1
-    return count
-
-
-def _old_oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
-    """Tuples of selections from [k], one per species, covering all of [k].
-
-    mode "multiset": species l picks a multiset of size r_l (repeats allowed).
-    mode "set":      species l picks an r_l-subset (0 if some r_l > k).
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if mode not in ("multiset", "set"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if r.total > 8 or k > COVERING_K_MAX:
-        raise ValueError(f"budget exceeded: need |r| <= 8 and k <= {COVERING_K_MAX}, got |r|={r.total}, k={k}")
-    if mode == "set" and any(rl > k for rl in r.parts):
-        return 0
-    universe = range(1, k + 1)
-    pick = combinations_with_replacement if mode == "multiset" else combinations
-    full = set(universe)
-    count = 0
-    for choice in product(*(list(pick(universe, rl)) for rl in r.parts)):
-        union = set()
-        for sel in choice:
-            union.update(sel)
-        if union == full:
-            count += 1
-    return count
-
+# The oracles against the tables they count, from their defining alternating sums
+# (tests/reference.py): transversal partitions d_k, covering sets d~_k, covering
+# multisets c~_k, each 0 past |r|.
 
 def test_transversal_matches_set_partition_reference():
     for r in iter_compositions(4, 4):
         if r.total > 7:
             continue
-        for oracle in (oracle_transversal_partitions, _old_oracle_transversal_partitions):
-            with pytest.raises(ValueError):
-                oracle(r, 0)
+        with pytest.raises(ValueError):
+            oracle_transversal_partitions(r, 0)
+        d = ref.d(r.parts)
         for k in range(1, r.total + 2):
-            assert oracle_transversal_partitions(r, k) == _old_oracle_transversal_partitions(r, k), (r, k)
+            assert oracle_transversal_partitions(r, k) == d.get(k, 0), (r, k)
 
 
 def test_covering_matches_set_union_reference():
@@ -233,7 +168,7 @@ def test_covering_matches_set_union_reference():
     for r in comps:
         if r.total > 6:
             continue
+        tables = {"set": ref.d_tilde(r.parts), "multiset": ref.c_tilde(r.parts)}
         for k in range(1, 7):
-            for mode in ("set", "multiset"):
-                expected = _old_oracle_covering_choices(r, k, mode)
-                assert oracle_covering_choices(r, k, mode) == expected, (r, k, mode)
+            for mode, table in tables.items():
+                assert oracle_covering_choices(r, k, mode) == table.get(k, 0), (r, k, mode)

@@ -1,71 +1,22 @@
 from fractions import Fraction
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Tuple
 
 import pytest
 
-from genbinom.exactnum import as_int, binomial, factorial
+import reference as ref
+from genbinom.exactnum import binomial, factorial
 from genbinom.partitions import ferrers_choose, partitions_of
 from genbinom.polybasis import UPoly, shifted_binom_poly
 
 
-# The package's former partition object, kept verbatim as the reference that
-# the old loops and the recursion below are written against.
-
-class Partition:
-    """Weakly decreasing positive parts with cached multiplicities."""
-
-    __slots__ = ("parts", "n", "length", "mults")
-
-    def __init__(self, parts: Sequence[int] = ()):
-        parts = tuple(map(as_int, parts))
-        for a, b in zip(parts, parts[1:]):
-            if a < b:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
-        if parts and parts[-1] <= 0:
-            raise ValueError(f"parts must be positive: {parts}")
-        self.parts: Tuple[int, ...] = parts
-        self.n: int = sum(parts)
-        self.length: int = len(parts)
-        mults: Dict[int, int] = {}
-        for p in parts:
-            mults[p] = mults.get(p, 0) + 1
-        self.mults = mults
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
-
-    def __str__(self) -> str:
-        """Comma-separated decreasing part list, e.g. "3,1,1"."""
-        return ",".join(str(p) for p in self.parts)
+def _parts(mults) -> Tuple[int, ...]:
+    """The weakly decreasing parts of the partition with (part, multiplicity) pairs mults."""
+    return tuple(part for part, mult in mults for _ in range(mult))
 
 
-def partition_objects(n: int) -> Iterator[Partition]:
-    """Each multiplicity form that `partitions_of` yields, as a `Partition`."""
-    for mults, _, _ in partitions_of(n):
-        yield Partition([part for part, mult in mults for _ in range(mult)])
-
-
-def z_mu(mu: Partition) -> int:
-    """Centralizer size prod_i i^{m_i(mu)} * m_i(mu)!: the reference for the
-    z that `partitions_of` carries step to step."""
-    out = 1
-    for part, mult in mu.mults.items():
-        out *= part**mult
-        for j in range(2, mult + 1):
-            out *= j
-    return out
+def _mults(mu) -> Tuple[Tuple[int, int], ...]:
+    """The (part, multiplicity) pairs of the weakly decreasing parts mu."""
+    return tuple((part, mu.count(part)) for part in dict.fromkeys(mu))
 
 
 def count_partitions_dp(n):
@@ -82,7 +33,7 @@ def count_partitions_dp(n):
 
 
 def test_partitions_of_4_order():
-    got = [p.parts for p in partition_objects(4)]
+    got = [_parts(mults) for mults, _, _ in partitions_of(4)]
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
 
 
@@ -109,10 +60,10 @@ def test_partition_statistics_consistent():
 
 
 def test_z_mu_values():
-    assert z_mu(Partition([2, 1, 1])) == 4
+    assert ref.z((2, 1, 1)) == 4
     for n in range(1, 7):
-        assert z_mu(Partition([1] * n)) == factorial(n)
-        assert z_mu(Partition([n])) == n
+        assert ref.z((1,) * n) == factorial(n)
+        assert ref.z((n,)) == n
 
 
 def test_macdonald_weighted_sum():
@@ -160,68 +111,19 @@ def test_ferrers_choose_at_zero():
             assert ferrers_choose(mults, 0) == 0
 
 
-# The descending-parts recursion and the truncated Ferrers product that the
-# multiplicity-form enumerator and `ferrers_poly` replaced, kept verbatim.
-
-def _old_partitions_of(n: int):
-    """Yield every partition of n exactly once, in reverse-lexicographic order.
-
-    n = 0 yields the single empty partition.  The descending-parts recursion
-    makes the order deterministic, which keeps sweep logs diffable.
-    """
-    if n < 0:
-        raise ValueError(f"partitions_of: n must be nonnegative, got {n}")
-
-    def gen(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in gen(remaining - part, part):
-                yield (part,) + rest
-
-    for parts in gen(n, n):
-        yield Partition(parts)
-
-
-def _mul_trunc(a: list, b: list, cap: int) -> list:
-    out = [0] * min(len(a) + len(b) - 1, cap + 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > cap:
-                break
-            out[i + j] += ca * cb
-    return out
-
-
-def _old_ferrers_choose(mu: Partition, p: int) -> int:
-    if p < 0 or p < mu.length or p > mu.n:
-        # fewer picks than rows, or more picks than cells
-        return 0
-    poly = [1]
-    for part, mult in sorted(mu.mults.items()):
-        row = [binomial(part, j) for j in range(part + 1)]
-        row[0] -= 1  # (1+x)^part - 1
-        for _ in range(mult):
-            poly = _mul_trunc(poly, row, p)
-    return poly[p] if p < len(poly) else 0
-
-
 def test_partitions_of_matches_recursion_reference():
     for n in range(21):
         got = [mults for mults, _, _ in partitions_of(n)]
-        assert got == [tuple(mu.mults.items()) for mu in _old_partitions_of(n)], n
+        assert got == [_mults(mu) for mu in ref.partitions(n)], n
 
 
 def test_partition_mults_statistics():
     for n in range(21):
         rows = list(partitions_of(n))
-        expected = list(_old_partitions_of(n))
+        expected = list(ref.partitions(n))
         assert len(rows) == len(expected), n
         for (_, length, z), mu in zip(rows, expected):
-            assert (length, z) == (mu.length, z_mu(mu)), (n, mu)
+            assert (length, z) == (len(mu), ref.z(mu)), (n, mu)
 
 
 def test_partition_mults_rejects_negative():
@@ -232,7 +134,7 @@ def test_partition_mults_rejects_negative():
 def _conjugate(mults) -> Tuple[int, ...]:
     """The parts of the conjugate of the partition with (part, multiplicity)
     pairs mults: its i-th part counts the parts >= i."""
-    parts = [part for part, mult in mults for _ in range(mult)]
+    parts = _parts(mults)
     return tuple(sum(1 for q in parts if q >= i) for i in range(1, (parts or [0])[0] + 1))
 
 
@@ -241,19 +143,29 @@ def test_max_part_walks_the_bounded_suffix():
     # unbounded order whose parts are <= t, with the same length and z; their
     # conjugates are exactly the partitions with at most t parts
     for n in range(26):
-        full = list(partitions_of(n))
+        full, every = list(partitions_of(n)), list(ref.partitions(n))
         for t in range(1, 27):
             got = list(partitions_of(n, t))
             assert got == full[len(full) - len(got):], (n, t)
             assert got == [row for row in full if all(part <= t for part, _ in row[0])], (n, t)
-            at_most_t = {tuple(mu.parts) for mu in partition_objects(n) if mu.length <= t}
+            at_most_t = {mu for mu in every if len(mu) <= t}
             assert {_conjugate(mults) for mults, _, _ in got} == at_most_t, (n, t)
     with pytest.raises(ValueError):
         next(partitions_of(3, 0))
 
 
+@pytest.mark.parametrize("args", [(2.5,), (3, 1.5), ("3",), (3, "2")])
+def test_partitions_of_reads_integers(args):
+    # n and max_part are read as integers before the range rule, which keeps its message
+    # for values of the right type
+    with pytest.raises(ValueError, match="^expected an integer, got "):
+        next(partitions_of(*args))
+    with pytest.raises(ValueError, match="^partitions_of: need n >= 0 and max_part >= 1, got n=3, max_part=0$"):
+        next(partitions_of(3, 0))
+
+
 def test_ferrers_choose_matches_truncated_product():
     for n in range(13):
-        for mu in partition_objects(n):
+        for mu in ref.partitions(n):
             for p in range(-1, n + 2):
-                assert ferrers_choose(tuple(mu.mults.items()), p) == _old_ferrers_choose(mu, p), (mu, p)
+                assert ferrers_choose(_mults(mu), p) == ref.ferrers_choose(mu, p), (mu, p)

@@ -1,14 +1,14 @@
 import math
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, List, Sequence, Tuple
+from typing import List
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genbinom.coefficients import _merge_chain, iter_compositions, linearization_d
-from genbinom.exactnum import Rat, binomial, factorial, rising
+import reference as ref
+from genbinom.coefficients import iter_compositions
+from genbinom.exactnum import binomial, factorial, rising
 from genbinom.polybasis import (
     UPoly,
     _linear_product,
@@ -79,11 +79,7 @@ def test_falling_basis_round_trip(coeffs):
 
 @given(st.lists(rational, max_size=8), st.lists(rational, max_size=8))
 def test_mul_matches_fraction_convolution(a, b):
-    expected = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            expected[i + j] += x * y
-    assert UPoly(a) * UPoly(b) == UPoly(expected)
+    assert UPoly(a) * UPoly(b) == UPoly(ref.poly_mul(a, b))
 
 
 @given(st.lists(rational, max_size=4), st.integers(min_value=0, max_value=9))
@@ -94,21 +90,14 @@ def test_pow_matches_repeated_product(coeffs, e):
     assert p**e == expected
 
 
-def _falling_basis_by_deltas(p):
-    """Reference Newton coefficients: one delta_at_zero per k."""
-    out = {}
-    for k in range(p.degree + 1):
-        a = delta_at_zero(p, k) / factorial(k)
-        if a:
-            out[k] = a
-    return out
-
-
 @given(st.lists(st.fractions(max_denominator=30, min_value=-50, max_value=50), max_size=12))
 def test_to_falling_basis_matches_delta_reference(coeffs):
+    # A_k = Delta^k p(0) / k!: the Newton coefficients on binomial(X, k), over k!
     p = UPoly(coeffs)
+    a = ref.newton_coeffs(coeffs, 0, 1)
+    assert [delta_at_zero(p, k) for k in range(len(a))] == a
     newton = to_falling_basis(p)
-    assert newton == _falling_basis_by_deltas(p)
+    assert newton == {k: ak / factorial(k) for k, ak in enumerate(a) if ak}
     assert all(isinstance(a, Fraction) for a in newton.values())
 
 
@@ -165,133 +154,9 @@ def test_exponential_collapse_to_rising():
             assert product[i] == rising_poly(i, shift=k).scale(Fraction(1, factorial(i)))
 
 
-# ---------------------------------------------------------------------------
-# reference: the former Fraction-tuple UPoly, kept verbatim (renamed
-# RefUPoly) but for its pretty-printer, gone with UPoly's, and the former
-# rising_poly as a product of linear factors
-# ---------------------------------------------------------------------------
-
-def _integer_coeffs(p: "RefUPoly") -> Tuple[int, List[int]]:
-    """(den, coefficients of den * p), den the lcm of p's denominators."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in p.coeffs]
-
-
-class RefUPoly:
-    """Polynomial in one indeterminate, coefficients indexed by degree.
-
-    Trailing zero coefficients are stripped; the zero polynomial has an
-    empty coefficient tuple.  Instances are immutable and hashable.
-    Products are convolved in integers over a common denominator.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "RefUPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "RefUPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "RefUPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
-
-    def coeff(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return Fraction(0)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RefUPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "RefUPoly") -> "RefUPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RefUPoly(
-            (self.coeff(d) + other.coeff(d) for d in range(n))
-        )
-
-    def __neg__(self) -> "RefUPoly":
-        return RefUPoly((-c for c in self.coeffs))
-
-    def __sub__(self, other: "RefUPoly") -> "RefUPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RefUPoly":
-        if not isinstance(other, RefUPoly):
-            return self.scale(other)
-        if not self.coeffs or not other.coeffs:
-            return RefUPoly()
-        den_a, a = _integer_coeffs(self)
-        den_b, b = _integer_coeffs(other)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        den = den_a * den_b
-        return RefUPoly(Fraction(c, den) for c in out)
-
-    def __rmul__(self, other) -> "RefUPoly":
-        return self.scale(other)
-
-    def scale(self, value: Rat) -> "RefUPoly":
-        return RefUPoly((c * value for c in self.coeffs))
-
-    def __pow__(self, e: int) -> "RefUPoly":
-        if e < 0:
-            raise ValueError(f"negative power: {e}")
-        out, base = RefUPoly.one(), self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    def __call__(self, x: Rat) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __repr__(self) -> str:
-        return f"UPoly({[str(c) for c in self.coeffs]})"
-
-
-def _ref_rising_poly(n: int, shift: int = 0) -> RefUPoly:
-    out = RefUPoly.one()
-    for i in range(n):
-        out = out * RefUPoly((shift + i, 1))
-    return out
-
-
-def _matches(p: UPoly, ref: RefUPoly) -> bool:
-    return p.degree == ref.degree and all(p.coeff(d) == c for d, c in enumerate(ref.coeffs))
+def _fractions(p: UPoly) -> List[Fraction]:
+    """p's coefficients as Fractions, lowest degree first, as the reference holds them."""
+    return [p.coeff(d) for d in range(p.degree + 1)]
 
 
 def _assert_canonical(p: UPoly) -> None:
@@ -310,15 +175,16 @@ coeff_lists = st.lists(st.one_of(small_rational, st.integers(-20, 20)), max_size
 @given(coeff_lists, coeff_lists, small_rational, small_rational)
 def test_integer_layout_matches_fraction_reference(a, b, value, x):
     p, q = UPoly(a), UPoly(b)
-    rp, rq = RefUPoly(a), RefUPoly(b)
-    for got, want in ((p, rp), (q, rq), (p + q, rp + rq), (p - q, rp - rq), (-p, -rp),
-                      (p * q, rp * rq), (p.scale(value), rp.scale(value)), (p * value, rp * value),
-                      (p ** 2, rp ** 2)):
+    rp, rq = ref.poly(a), ref.poly(b)
+    rneg = [-c for c in rq]
+    for got, want in ((p, rp), (q, rq), (p + q, ref.poly_add(rp, rq)), (p - q, ref.poly_add(rp, rneg)),
+                      (-p, [-c for c in rp]), (p * q, ref.poly_mul(rp, rq)), (p.scale(value), ref.poly_mul(rp, [value])),
+                      (p * value, ref.poly_mul(rp, [value])), (p ** 2, ref.poly_mul(rp, rp))):
         _assert_canonical(got)
-        assert _matches(got, want)
-        assert repr(got) == repr(want)
-        assert got(x) == want(x) and isinstance(got(x), Fraction)
-        assert got.coeff(-1) == want.coeff(-1) and got.coeff(9) == want.coeff(9)
+        assert _fractions(got) == want
+        assert repr(got) == f"UPoly({[str(c) for c in want]})"
+        assert got(x) == ref.poly_value(want, x) and isinstance(got(x), Fraction)
+        assert got.coeff(-1) == 0 and got.coeff(9) == (want[9] if len(want) > 9 else 0)
     assert (p == q) == (rp == rq)
     if p == q:
         assert hash(p) == hash(q)
@@ -346,7 +212,7 @@ def test_rising_poly_matches_linear_factor_product():
             p = rising_poly(n, shift)
             _assert_canonical(p)
             assert p.den == 1
-            assert _matches(p, _ref_rising_poly(n, shift)), (n, shift)
+            assert _fractions(p) == ref.linear_product(range(shift, shift + n)), (n, shift)
     with pytest.raises(ValueError):
         rising_poly(-1)
 
@@ -355,49 +221,19 @@ def test_rising_poly_matches_linear_factor_product():
 # the Newton-form pair, against a direct Fraction evaluation of its sum
 # ---------------------------------------------------------------------------
 
-# reference: the former newton_sum on a list of rationals, kept verbatim
-# (renamed); the package has no Newton sum since its identities compare Newton
-# coefficients, and from_falling_basis sums its one basis by Horner's rule
-def _ref_newton_sum(start: int, step: int, a: Sequence[Rat]) -> UPoly:
-    """sum_j a[j] prod_{t<j} (X - s_t) / j! at the nodes s_t = start + t*step:
-    binomial(X, j) at (0, 1), binomial(X+j-1, j) at (0, -1), binomial(X+n-1, j)
-    at (1-n, 1).  Horner's rule on the integers b_j = a[j] L d!/j!, with L the
-    lcm of a's denominators and d = len(a) - 1, then one division by L d!."""
-    den = math.lcm(*(x.denominator for x in a))
-    acc: List[int] = []
-    ratio = 1  # d!/j!
-    for j in range(len(a) - 1, -1, -1):
-        b = a[j].numerator * (den // a[j].denominator) * ratio
-        s = start + j * step
-        acc = [x - s * y for x, y in zip([b] + acc, acc + [0])]  # acc * (X - s) + b
-        ratio *= j or 1
-    return UPoly._of(acc, den * ratio)
-
-
-def _newton_value(start: int, step: int, a, x: int) -> Fraction:
-    """sum_j a[j] prod_{t<j} (x - start - t*step) / j!, term by term."""
-    total, term = Fraction(0), Fraction(1)
-    for j, aj in enumerate(a):
-        if j:
-            term = term * (x - start - (j - 1) * step) / j
-        total += aj * term
-    return total
-
-
 @given(st.lists(rational, max_size=10), st.sampled_from(["binomial", "multichoose", "shifted"]),
        st.integers(min_value=1, max_value=12))
 def test_newton_pair_round_trip_and_values(a, family, n):
     start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
-    p = _ref_newton_sum(start, step, a)
+    want = ref.newton_sum(a, start, step)
+    p = UPoly(want)
     _assert_canonical(p)
-    trimmed = list(a)
-    while trimmed and not trimmed[-1]:
-        trimmed.pop()
+    trimmed = ref.poly(a)
     assert p.degree == len(trimmed) - 1  # basis j has leading coefficient 1/j!
     nums, den = newton_coeffs(p, start, step)
     assert [Fraction(x, den) for x in nums] == trimmed
     for x in range(-4, 9):
-        assert p(x) == _newton_value(start, step, a, x), x
+        assert p(x) == ref.poly_value(want, x), x
 
 
 def test_newton_sum_families_are_the_bases():
@@ -415,30 +251,14 @@ def test_newton_sum_families_are_the_bases():
     assert newton_coeffs(UPoly.zero(), 0, 1) == ([], 1)
 
 
-# reference: the former newton_coeffs, which returned one Fraction per
-# coefficient, kept verbatim (renamed); the package's returns (nums, den)
-def _ref_newton_coeffs(p: UPoly, start: int, step: int) -> List[Fraction]:
-    """The a, one entry per coefficient of p, with _ref_newton_sum(start, step, a) == p
-    for a over their lcm: the numerators divided by X - s_0, the quotient by
-    X - s_1, and so on, synthetically; the j-th remainder is a[j] den / j!."""
-    nums, out, jfact = list(p.coeffs), [], 1
-    for j in range(len(nums)):
-        jfact *= j or 1
-        s = start + j * step
-        carries = list(accumulate(reversed(nums), lambda acc, c: acc * s + c))
-        out.append(Fraction(carries.pop() * jfact, p.den))
-        nums = carries[::-1]
-    return out
-
-
 @given(coeff_lists, st.sampled_from(["binomial", "multichoose", "shifted"]), st.integers(min_value=1, max_value=12))
 def test_newton_coeffs_integer_pair_matches_fraction_reference(coeffs, family, n):
     start, step = {"binomial": (0, 1), "multichoose": (0, -1), "shifted": (1 - n, 1)}[family]
     p = UPoly(coeffs)
     nums, den = newton_coeffs(p, start, step)
     assert all(type(x) is int for x in nums) and type(den) is int and den == p.den
-    assert [Fraction(x, den) for x in nums] == _ref_newton_coeffs(p, start, step)
-    assert _ref_newton_sum(start, step, [Fraction(x, den) for x in nums]) == p
+    assert [Fraction(x, den) for x in nums] == ref.newton_coeffs(p.coeffs, start, step, p.den)
+    assert UPoly(ref.newton_sum([Fraction(x, den) for x in nums], start, step)) == p
 
 
 @pytest.mark.parametrize("sigma", [-1, 0, 1])
@@ -460,8 +280,8 @@ def test_linear_product_gives_the_linearization_tables():
         falling = [a for ri in r.parts for a in range(0, -ri, -1)]
         rising_shifts = [a for ri in r.parts for a in range(ri)]
         scale = math.prod(map(factorial, r.parts))
-        d, ct = ([linearization_d(r, v).values.get(k, 0) for k in range(r.total + 1)] for v in ("d", "c_tilde"))
+        d, ct = ([table(r.parts).get(k, 0) for k in range(r.total + 1)] for table in (ref.d, ref.c_tilde))
         assert _linear_product(falling, 1) == d, r
         assert _linear_product(rising_shifts, 1) == [Fraction(scale * c, factorial(k)) for k, c in enumerate(ct)], r
-        w = _merge_chain(r.species, -1)
+        w = ref.merge_weights(r.species, -1)
         assert _linear_product(rising_shifts, -1) == [Fraction(scale * x, factorial(j)) for j, x in enumerate(w)], r
