@@ -38,7 +38,7 @@ O(|r|) entrywise products and powers per distinct size.
   recurrence           prod mc(x, r_i) = sum_s w_s mc(x, s), mc the multichoose,
                        from the merge chain at sign -1 (below); then the
                        integers k c_k / |r| = sum_s w_s C(s-1, k-1), one
-                       Horner pass
+                       prefix-sum pass per k
   hyp3f2               c_k = (-1)^(k-1) |r| 3F2(1-k, r_1+1, r_2+1; 2, 1; 1)
                        (at most two nonzero species, (r_1, r_2) the species
                        padded with zeros to a pair): c_1, c_2 from the
@@ -427,10 +427,11 @@ def _merge_chain(species: Sequence[int], sign: int) -> List[int]:
 
 def _on_binomials(w: Sequence[int]) -> List[int]:
     """e_1..e_S with sum_s w_s C(x+s-1, s) = sum_k e_k C(x, k), S = len(w) - 1:
-    e_k = sum_s w_s C(s-1, k-1) = [y^(k-1)] sum_s w_s (1 + y)^(s-1), by Horner in (1 + y)."""
-    e: List[int] = []
-    for ws in reversed(w[1:]):
-        e = list(map(add, [ws] + e, e + [0]))
+    e_k = sum_s w_s C(s-1, k-1).  Pass k takes the prefix sums of pass k-1's list less
+    its last entry, the first pass those of w_S..w_1, and that last entry is e_k."""
+    e, v = [], w[:0:-1]
+    while v:
+        e.append((v := list(accumulate(v))).pop())
     return e
 
 

@@ -40,12 +40,17 @@ order, with their basis (integer pairs marked *):
 
 A pair the instance lacks (the merge chain over RECURRENCE_STEPS_MAX merge
 steps, an oracle over its budget) is left out, so the later ones move down.
+linm, linbin and linlas share one table/chain/oracle body, `_lin_sides`: it
+builds the table on k = 0..|r| first (so TABLE_SIZE_MAX rejects a huge |r|
+before anything else), then the chain side and the oracle side, and pairs
+the table with each as integers; each checker adds only its product pair,
+pair 0, and its chain side, a function of the species.
 The merge chain is ``coefficients._merge_chain``, the two-factor rule
 b(x, a) b(x, b) = sum_l t_l b(x, a+b-l) folded over the species: at sign +1
 its weights are the d~ table itself (linm's d_k = prod r_i! d~_k / k!, one
-checked division), at sign -1 the multichoose weights, which one Horner pass
-moves onto binomial(X, k) for linlas and which binom2's right side reads
-directly.  It takes the sorted nonzero species, so it applies whatever the
+checked division, `_d_from_chain`), at sign -1 the multichoose weights, which
+one prefix-sum pass per k moves onto binomial(X, k) for linlas and which
+binom2's right side reads directly.  It takes the sorted nonzero species, so it applies whatever the
 zero padding or order of r, at every shape within the budget
 (``coefficients._within_merge_budget``, recurrence's rule).  Supported
 identity ids:
@@ -456,37 +461,48 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     return [(MPoly(caps, {parts: tables[s].get(l, 0) for parts, s in points.items()}), rhs[l]) for l in rhs]
 
 
-# linm, linbin and linlas take any |r| up to TABLE_SIZE_MAX; at (1000, 1000), cold
-# through the CLI, linm and linlas, whose products are one linear-factor loop on the
-# table's own basis, take 1.0-1.5 s and 2.6-3.7 s (six runs each, binom2 0.5-0.7 s
-# meanwhile; Python 3.11, 2-core Xeon VM whose speed drifts), and CI runs both; linbin,
-# whose product is a math.prod of binom_poly, takes 27 s (one run) and is left out
+# linm, linbin and linlas share one table/chain/oracle body, `_lin_sides`: it builds the
+# table on k = 0..|r| first, so its TABLE_SIZE_MAX check rejects a huge |r| before anything
+# else is built, then the chain and oracle sides, each an integer pair with the table; each
+# checker puts its own product pair before them, as pair 0.  They take any |r| up to
+# TABLE_SIZE_MAX; at (1000, 1000), cold through the CLI, linm and linlas, whose products
+# are one linear-factor loop on the table's own basis, take 1.0-1.5 s and 2.6-3.7 s (six
+# runs each, binom2 0.5-0.7 s meanwhile; Python 3.11, 2-core Xeon VM whose speed drifts),
+# and CI runs both; linbin, whose product is a math.prod of binom_poly, takes 27 s (one
+# run) and is left out
+def _lin_sides(r: Composition, variant: str, chain_side, kind: str, oracle_max: int) -> Tuple[List[int], List[Pair]]:
+    """The `linearization_d` table of this variant on k = 0..|r|, and its integer pairs
+    with chain_side(species), the merge chain's side, within `_within_merge_budget` and
+    with the oracle of this kind (`_oracle_counts`, k = 1..|r|, so a k budget holds |r|)
+    at |r| <= oracle_max; a side the instance lacks is left out."""
+    values = linearization_d(r, variant).values
+    table = [values.get(k, 0) for k in range(r.total + 1)]
+    merged = chain_side(r.species) if _within_merge_budget(r.species) else None
+    oracle = [0, *_oracle_counts(kind, r.species)] if r.total <= oracle_max else None
+    return table, _integer_pairs(table, merged, oracle)
+
+
+def _d_from_chain(species: Sequence[int]) -> List[int]:
+    """d_k = prod r_i! d~_k / k!, k = 0..|r|, off the merge chain's weights at sign +1,
+    the d~_k: one checked division (ArithmeticError names k)."""
+    scale, facts = math.prod(map(factorial, species)), accumulate(count(1), mul, initial=1)  # k!, k = 0..
+    return _exact(map(scale.__mul__, _merge_chain(species, 1)), facts, 0)
+
+
 def _check_linm(r: Composition) -> List[Pair]:
-    # the table comes first in linm, linbin and linlas: its TABLE_SIZE_MAX check
-    # rejects a huge |r| before the product is built
-    table = linearization_d(r, "d").values  # falling(k) coefficients, k = 0..|r|
+    d, pairs = _lin_sides(r, "d", _d_from_chain, "transversal", TRANSVERSAL_T_MAX)  # falling(k) coefficients
     # falling(X, r_i) = prod_(a=1-r_i)^0 (X + a): one loop over every factor's shifts 0, -1, ...,
     # 1-r_i on the falling basis (sigma = +1), whose coefficients are the d_k themselves
-    lhs = _linear_product(chain.from_iterable(range(0, -ri, -1) for ri in r.parts), 1)
-    d = [table.get(k, 0) for k in range(r.total + 1)]
-    merged = None
-    if _within_merge_budget(r.species):  # d_k = prod r_i! d~_k / k!
-        scale, facts = math.prod(map(factorial, r.species)), accumulate(count(1), mul, initial=1)  # k!, k = 0..
-        merged = _exact(map(scale.__mul__, _merge_chain(r.species, 1)), facts, 0)
-    oracle = [0, *_oracle_counts("transversal", r.species)] if r.total <= TRANSVERSAL_T_MAX else None
-    return [*_integer_pairs(lhs, d), *_integer_pairs(d, merged, oracle)]
+    return [*_integer_pairs(_linear_product(chain.from_iterable(range(0, -ri, -1) for ri in r.parts), 1), d), *pairs]
 
 
 def _check_linbin(r: Composition) -> List[Pair]:
-    table = linearization_d(r, "d_tilde").values  # coefficients on binomial(X, k), k = 0..|r|
+    # d~_k, the coefficients on binomial(X, k), and the chain's weights at sign +1 themselves
+    dt, pairs = _lin_sides(r, "d_tilde", lambda s: _merge_chain(s, 1), "set", COVERING_K_MAX)
     # the last UPoly product and Fraction among bench/selftest.py's cheap requests: until the
     # committed performance record of ROADMAP item 1, it alone keeps that test's
     # polybasis.upoly_mul.coeff_pairs and exactnum.fraction_new counts above 0, so it stays
-    lhs = math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one())
-    dt = [table.get(k, 0) for k in range(r.total + 1)]
-    merged = _merge_chain(r.species, 1) if _within_merge_budget(r.species) else None
-    oracle = [0, *_oracle_counts("set", r.species)] if r.total <= COVERING_K_MAX else None  # k up to |r|
-    return [_newton_pair(lhs, 0, 1, dt), *_integer_pairs(dt, merged, oracle)]
+    return [_newton_pair(math.prod((binom_poly(ri) for ri in r.parts), start=UPoly.one()), 0, 1, dt), *pairs]
 
 
 def _multichoose_product(parts: Sequence[int], sigma: int) -> List[int]:
@@ -500,13 +516,9 @@ def _multichoose_product(parts: Sequence[int], sigma: int) -> List[int]:
 
 
 def _check_linlas(r: Composition) -> List[Pair]:
-    table = linearization_d(r, "c_tilde").values
-    lhs = _multichoose_product(r.parts, 1)
-    ct = [table.get(k, 0) for k in range(r.total + 1)]
-    # the multichoose chain's weights, moved onto binomial(X, k)
-    merged = [0, *_on_binomials(_merge_chain(r.species, -1))] if _within_merge_budget(r.species) else None
-    oracle = [0, *_oracle_counts("multiset", r.species)] if r.total <= COVERING_K_MAX else None
-    return [*_integer_pairs(lhs, ct), *_integer_pairs(ct, merged, oracle)]
+    # c~_k, and the multichoose chain's weights moved onto binomial(X, k)
+    ct, pairs = _lin_sides(r, "c_tilde", lambda s: [0, *_on_binomials(_merge_chain(s, -1))], "multiset", COVERING_K_MAX)
+    return [*_integer_pairs(_multichoose_product(r.parts, 1), ct), *pairs]
 
 
 def _check_binom2(r1: int, r2: int) -> List[Pair]:

@@ -24,7 +24,11 @@ from .exactnum import as_int
 from .polybasis import UPoly
 
 INJECTION_N_MAX = 7  # largest n oracle_injection_cycle_poly enumerates (n!/k! injections)
+TRANSVERSAL_E_MAX = 10  # largest |E| = |r| oracle_transversal_partitions enumerates (set partitions of E)
+COVERING_R_MAX = 8  # largest |r| oracle_covering_choices enumerates (one selection per species element)
 COVERING_K_MAX = 6  # largest k oracle_covering_choices enumerates (binomial(k, r_l) picks per species)
+SEATING_K_MAX = 4  # largest k oracle_seatings enumerates (chairs at the table)
+SEATING_R_MAX = 3  # largest r_l oracle_seatings enumerates (delegations of one species)
 
 
 def oracle_transversal_partitions(r: Composition, k: int) -> int:
@@ -37,8 +41,8 @@ def oracle_transversal_partitions(r: Composition, k: int) -> int:
     with k blocks is one counted partition."""
     k = as_int(k, 1, "k")
     r = as_composition(r)
-    if r.total > 10:
-        raise ValueError(f"budget exceeded: |E| = {r.total} > 10")
+    if r.total > TRANSVERSAL_E_MAX:
+        raise ValueError(f"budget exceeded: |E| = {r.total} > {TRANSVERSAL_E_MAX}")
     species = [1 << sp for sp, rl in enumerate(r.parts) for _ in range(rl)]
     blocks: List[int] = []
 
@@ -75,8 +79,9 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
     if mode not in ("multiset", "set"):
         raise ValueError(f"unknown mode {mode!r}")
     r = as_composition(r)
-    if r.total > 8 or k > COVERING_K_MAX:
-        raise ValueError(f"budget exceeded: need |r| <= 8 and k <= {COVERING_K_MAX}, got |r|={r.total}, k={k}")
+    if r.total > COVERING_R_MAX or k > COVERING_K_MAX:
+        raise ValueError(f"budget exceeded: need |r| <= {COVERING_R_MAX} and k <= {COVERING_K_MAX}, "
+                         f"got |r|={r.total}, k={k}")
     if mode == "set" and any(rl > k for rl in r.parts):
         return 0
     pick = combinations_with_replacement if mode == "multiset" else combinations
@@ -120,8 +125,8 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
     if which == "T":
         if j is None or not 1 <= j <= r.m:
             raise ValueError(f"T needs a species index 1..{r.m}, got {j}")
-    if k > 4 or any(rl > 3 for rl in r.parts):
-        raise ValueError(f"budget exceeded: need k <= 4 and r_l <= 3, got k={k}, r={r}")
+    if k > SEATING_K_MAX or any(rl > SEATING_R_MAX for rl in r.parts):
+        raise ValueError(f"budget exceeded: need k <= {SEATING_K_MAX} and r_l <= {SEATING_R_MAX}, got k={k}, r={r}")
     per_species = [_species_seatings(rl, k) for rl in r.parts]
     full = set(range(1, k + 1))
     count = 0

@@ -340,3 +340,10 @@ def merge_weights(species, sign):
                 merged[i] += wa * t
         w = merged
     return w
+
+
+def binomial_move(w):
+    """e_1..e_S with sum_s w_s C(x+s-1, s) = sum_k e_k C(x, k), S = len(w) - 1: by
+    Vandermonde C(x+s-1, s) = sum_k C(s-1, k-1) C(x, k) for s >= 1, so e_k = sum_s w_s
+    C(s-1, k-1); w_0 multiplies C(x-1, 0) = 1 and is left out."""
+    return [sum(ws * math.comb(s - 1, k - 1) for s, ws in enumerate(w) if s) for k in range(1, len(w))]

@@ -282,6 +282,18 @@ def test_merge_chain_c_coeff_below_total():
             assert v == c[k] and type(v) is int, (parts, k)
 
 
+def test_on_binomials_matches_its_definition():
+    # e_k = sum_s w_s C(s-1, k-1), k = 1..S, on signed weights whose w_0 must not count
+    rng = random.Random(54)
+    for length in range(1, 61):
+        w = [rng.choice((-1, 1)) * rng.randrange(1, 10**6)] + [rng.randrange(-10**6, 10**6) for _ in range(length - 1)]
+        assert coefficients._on_binomials(w) == ref.binomial_move(w), w
+    # the chain's multichoose weights it reads in recurrence and linlas
+    for species in [(1,) * 300, (50,) * 20]:
+        w = coefficients._merge_chain(species, -1)
+        assert coefficients._on_binomials(w) == ref.binomial_move(w), species[:2]
+
+
 # route_crosscheck-sized compositions with m = 2, 3 and 5 and a zero species
 _KERNEL_CASES = list(iter_compositions(3, 4)) + [
     Composition(p) for p in [(20,) * 6, (12, 9, 7, 5), (17, 13),

@@ -433,8 +433,40 @@ def _bump_identity_class(real):
      "injections", dict(n=3, k=1),
      '{"id":"injections","params":{"n":3,"k":1},"status":"failed",'
      '"pair":0,"first_diff":{"at":1,"lhs":"4","rhs":"3"}}'),
+    # the three lin ids share one table/chain/oracle body and add their own product pair: each
+    # fault below enters one side, so the failed pair is that side's index, in the order
+    # product (0), chain (1), oracle (2), and the table is always the product pair's right side
+    # and the other pairs' left side.  The table entry k = 2, + 1, fails the product pair
+    ("linearization_d", lambda real: lambda r, variant: real(r, variant)._replace(
+        values={**real(r, variant).values, 2: real(r, variant).values.get(2, 0) + 1}),
+     "linm", dict(r=(2, 1)),
+     '{"id":"linm","params":{"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":2,"lhs":"2","rhs":"3"}}'),
+    ("linearization_d", lambda real: lambda r, variant: real(r, variant)._replace(
+        values={**real(r, variant).values, 2: real(r, variant).values.get(2, 0) + 1}),
+     "linlas", dict(r=(2, 1)),
+     '{"id":"linlas","params":{"r":[2,1]},"status":"failed",'
+     '"pair":0,"first_diff":{"at":2,"lhs":"4","rhs":"5"}}'),
+    # the chain's w_1 + 1 is linbin's d~_1 itself, and linlas's e_1 once moved onto binomial(X, k)
+    ("_merge_chain", lambda real: lambda species, sign: [w + (s == 1) for s, w in enumerate(real(species, sign))],
+     "linbin", dict(r=(2, 1)),
+     '{"id":"linbin","params":{"r":[2,1]},"status":"failed",'
+     '"pair":1,"first_diff":{"at":1,"lhs":"0","rhs":"1"}}'),
+    ("_merge_chain", lambda real: lambda species, sign: [w + (s == 1) for s, w in enumerate(real(species, sign))],
+     "linlas", dict(r=(2, 1)),
+     '{"id":"linlas","params":{"r":[2,1]},"status":"failed",'
+     '"pair":1,"first_diff":{"at":1,"lhs":"1","rhs":"2"}}'),
+    # the oracle's count at k = 2, + 1: the transversal and the set covering oracles
+    ("_oracle_counts", lambda real: lambda kind, parts: tuple(v + (k == 2) for k, v in enumerate(real(kind, parts), 1)),
+     "linm", dict(r=(2, 1)),
+     '{"id":"linm","params":{"r":[2,1]},"status":"failed",'
+     '"pair":2,"first_diff":{"at":2,"lhs":"2","rhs":"3"}}'),
+    ("_oracle_counts", lambda real: lambda kind, parts: tuple(v + (k == 2) for k, v in enumerate(real(kind, parts), 1)),
+     "linbin", dict(r=(2, 1)),
+     '{"id":"linbin","params":{"r":[2,1]},"status":"failed",'
+     '"pair":2,"first_diff":{"at":2,"lhs":"2","rhs":"3"}}'),
 ], ids=["bigeq", "lemma1", "waring", "linm", "linlas", "las", "las0p", "las0pp", "mac", "binom2", "linbin",
-        "injections"])
+        "injections", "linm-table", "linlas-table", "linbin-chain", "linlas-chain", "linm-oracle", "linbin-oracle"])
 def test_failure_names_pair_and_first_diff(monkeypatch, name, bump, ident, params, line):
     monkeypatch.setattr(identities, name, bump(getattr(identities, name)))
     report = verify(ident, **params)

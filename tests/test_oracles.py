@@ -12,6 +12,7 @@ from genbinom.coefficients import (
     seating_counts,
     t_coeff,
 )
+from genbinom import oracles
 from genbinom.oracles import (
     oracle_covering_choices,
     oracle_injection_cycle_poly,
@@ -43,6 +44,28 @@ def test_transversal_budget_rejects_before_listing_elements():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**10, peak
+
+
+@pytest.mark.parametrize("budget, value, call, message", [
+    ("TRANSVERSAL_E_MAX", 10, lambda: oracle_transversal_partitions((11,), 2), "budget exceeded: |E| = 11 > 10"),
+    ("COVERING_R_MAX", 8, lambda: oracle_covering_choices((5, 4), 2, "set"),
+     "budget exceeded: need |r| <= 8 and k <= 6, got |r|=9, k=2"),
+    ("COVERING_K_MAX", 6, lambda: oracle_covering_choices((2,), 7, "multiset"),
+     "budget exceeded: need |r| <= 8 and k <= 6, got |r|=2, k=7"),
+    ("SEATING_K_MAX", 4, lambda: oracle_seatings((1,), 5, "F"),
+     "budget exceeded: need k <= 4 and r_l <= 3, got k=5, r=1"),
+    ("SEATING_R_MAX", 3, lambda: oracle_seatings((4, 1), 2, "S"),
+     "budget exceeded: need k <= 4 and r_l <= 3, got k=2, r=4,1"),
+    ("INJECTION_N_MAX", 7, lambda: oracle_injection_cycle_poly(8, 0), "budget exceeded: n = 8 > 7"),
+], ids=["transversal-E", "covering-r", "covering-k", "seating-k", "seating-r", "injection-n"])
+def test_each_budget_is_one_name(monkeypatch, budget, value, call, message):
+    # one past the budget raises this message; with the one name raised, the same call runs
+    assert getattr(oracles, budget) == value
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+    monkeypatch.setattr(oracles, budget, value + 1)
+    call()
 
 
 def test_transversal_matches_linearization():
