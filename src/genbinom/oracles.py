@@ -7,8 +7,15 @@ truth for the closed forms at tiny scale.  "No shortcuts" means every
 counted object is enumerated and tested one at a time, and no closed form
 or count of a class of objects stands in for them.  Pruning is allowed
 only where a partial assignment already breaks the definition (a block
-holding a species twice, more than k blocks).  Budgets are hard errors; an
-oracle never returns a partial count.
+holding a species twice, more than k blocks, one species' seating that
+breaks T's rule for that species).  Budgets are hard errors; an oracle
+never returns a partial count.
+
+Selections and seatings hold their chairs (elements of [k]) as bitmasks,
+and a tuple covers [k] when its masks OR to the full mask.  T's rules
+each concern one species, so they filter that species' seatings before
+the product.  Injections count each cycle at its least element: the walk
+from it is the one walk that closes on its start.
 
 Conventions shared with the closed forms: species elements are labeled
 1..r_l, and "eldest" always means the largest label.
@@ -16,7 +23,9 @@ Conventions shared with the closed forms: species elements are labeled
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import or_
 from typing import List, Tuple
 
 from .coefficients import Composition, as_composition, check_positive_species
@@ -94,17 +103,16 @@ def oracle_covering_choices(r: Composition, k: int, mode: str) -> int:
     return sum(u | mask == full for u in unions for mask in last)
 
 
-def _species_seatings(rl: int, k: int) -> List[Tuple[frozenset, frozenset, int]]:
-    """All (delegation, chair set, elder's chair) triples for one species:
-    a nonempty delegation D of [rl], |D| chairs A of [k], and the chair
-    taken by the delegation's elder."""
-    out = []
-    for a in range(1, min(rl, k) + 1):
-        for deleg in combinations(range(1, rl + 1), a):
-            for chairs in combinations(range(1, k + 1), a):
-                for elder_chair in chairs:
-                    out.append((frozenset(deleg), frozenset(chairs), elder_chair))
-    return out
+def _species_seatings(rl: int, k: int) -> List[Tuple[Tuple[int, ...], int, int]]:
+    """All (delegation, chair mask, elder's chair) triples for one species:
+    a nonempty delegation D of [rl], the bitmask of |D| chairs of [k]
+    (chair c is bit c - 1), and the chair taken by the delegation's elder,
+    as its bit c - 1."""
+    return [(deleg, sum(1 << c for c in chairs), elder_chair)
+            for a in range(1, min(rl, k) + 1)
+            for deleg in combinations(range(1, rl + 1), a)
+            for chairs in combinations(range(k), a)
+            for elder_chair in chairs]
 
 
 def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) -> int:
@@ -115,6 +123,10 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
     which "T": as S, with the delegation elder of species j on chair k and,
                for every other species, the species' eldest member seated
                and its delegation elder on the species' largest chair.
+
+    Each of T's rules is broken by one species alone, so each filters its
+    species' seatings before the product; a tuple then counts for S and T
+    when its chair masks OR to the full mask.
     """
     j = None if j is None else as_int(j)  # every type before any bound
     k = as_int(k, 1, "k")
@@ -122,36 +134,18 @@ def oracle_seatings(r: Composition, k: int, which: str, j: int | None = None) ->
     check_positive_species(r)
     if which not in ("F", "S", "T"):
         raise ValueError(f"unknown kind {which!r}")
-    if which == "T":
-        if j is None or not 1 <= j <= r.m:
-            raise ValueError(f"T needs a species index 1..{r.m}, got {j}")
+    if which == "T" and (j is None or not 1 <= j <= r.m):
+        raise ValueError(f"T needs a species index 1..{r.m}, got {j}")
     if k > SEATING_K_MAX or any(rl > SEATING_R_MAX for rl in r.parts):
         raise ValueError(f"budget exceeded: need k <= {SEATING_K_MAX} and r_l <= {SEATING_R_MAX}, got k={k}, r={r}")
     per_species = [_species_seatings(rl, k) for rl in r.parts]
-    full = set(range(1, k + 1))
-    count = 0
-    for combo in product(*per_species):
-        if which in ("S", "T"):
-            occupied = set()
-            for _, chairs, _ in combo:
-                occupied.update(chairs)
-            if occupied != full:
-                continue
-        if which == "T":
-            assert j is not None
-            if combo[j - 1][2] != k:
-                continue
-            ok = True
-            for l, (deleg, chairs, elder_chair) in enumerate(combo, start=1):
-                if l == j:
-                    continue
-                if r.parts[l - 1] not in deleg or elder_chair != max(chairs):
-                    ok = False
-                    break
-            if not ok:
-                continue
-        count += 1
-    return count
+    if which == "T":
+        per_species = [[(deleg, mask, elder) for deleg, mask, elder in seatings
+                        if (elder == k - 1 if l == j else rl in deleg and elder == mask.bit_length() - 1)]
+                       for l, (rl, seatings) in enumerate(zip(r.parts, per_species), start=1)]
+    full = (1 << k) - 1
+    return sum(which == "F" or reduce(or_, (mask for _, mask, _ in combo)) == full
+               for combo in product(*per_species))
 
 
 def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
@@ -169,17 +163,13 @@ def oracle_injection_cycle_poly(n: int, k: int) -> UPoly:
     dom = n - k
     coeffs = [0] * (dom + 1)
     for image in permutations(range(1, n + 1), dom):  # f(i) = image[i - 1]
-        seen = set()
         cycles = 0
         for start in range(1, dom + 1):
-            if start in seen:
-                continue
-            # walk f from start until it leaves the domain or meets a seen element;
-            # f is injective, so a walk that meets itself closes back on start
-            seen.add(start)
+            # count each cycle at its least element: f is injective, so the walk
+            # from a cycle's least element closes on it, and every other walk
+            # leaves the domain or falls below its start first
             x = image[start - 1]
-            while x <= dom and x not in seen:
-                seen.add(x)
+            while start < x <= dom:
                 x = image[x - 1]
             cycles += x == start
         coeffs[cycles] += 1

@@ -98,6 +98,7 @@ def ferrers_choose(mults: Sequence[Tuple[int, int]], p: int) -> int:
     For the empty partition the product is empty, so p = 0 gives 1 and every
     p > 0 gives 0.
     """
+    p = as_int(p)
     n = sum(part * mult for part, mult in mults)
     if p < 0 or p < sum(mult for _, mult in mults) or p > n:
         # fewer picks than rows, or more picks than cells

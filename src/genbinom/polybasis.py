@@ -163,6 +163,7 @@ def _linear_product(shifts: Iterable[int], sigma: int = 0) -> List[int]:
 
 def rising_poly(n: int, shift: int = 0) -> UPoly:
     """(X+shift)(X+shift+1)...(X+shift+n-1); n = 0 gives 1."""
+    shift = as_int(shift)  # every type before any bound
     n = as_int(n, 0, "rising_poly: n")
     return UPoly._of(_linear_product(range(shift, shift + n)))
 
@@ -176,6 +177,7 @@ def falling_poly(n: int) -> UPoly:
 def shifted_binom_poly(n: int, k: int) -> UPoly:
     """binomial(X+n-1, n-k) = (X+k)...(X+n-1)/(n-k)! as a polynomial of
     degree n-k, for 0 <= k <= n."""
+    n, k = as_int(n), as_int(k)
     if not 0 <= k <= n:
         raise ValueError(f"shifted_binom_poly: need 0 <= k <= n, got n={n}, k={k}")
     return UPoly._of(list(rising_poly(n - k, shift=k).coeffs), factorial(n - k))

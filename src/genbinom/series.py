@@ -46,6 +46,14 @@ class MPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
+    def _of(cls, caps: Expt, terms: Dict[Expt, Rat]) -> "MPoly":
+        """The polynomial with these checked caps and these nonzero terms
+        within them, taken unvalidated; terms is consumed."""
+        out = cls.__new__(cls)
+        out.caps, out.terms = caps, terms
+        return out
+
+    @classmethod
     def zero(cls, caps: Sequence[int]) -> "MPoly":
         return cls(caps)
 
@@ -85,14 +93,10 @@ class MPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out = MPoly(self.caps)
-        out.terms = terms
-        return out
+        return MPoly._of(self.caps, terms)
 
     def __neg__(self) -> "MPoly":
-        out = MPoly(self.caps)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MPoly._of(self.caps, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -113,15 +117,10 @@ class MPoly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        out = MPoly(caps)
-        out.terms = terms
-        return out
+        return MPoly._of(caps, terms)
 
     def scale(self, value: Rat) -> "MPoly":
-        out = MPoly(self.caps)
-        if value:
-            out.terms = {e: c * value for e, c in self.terms.items()}
-        return out
+        return MPoly._of(self.caps, {e: c * value for e, c in self.terms.items()} if value else {})
 
     def __pow__(self, e: int) -> "MPoly":
         if e < 0:

@@ -8,7 +8,8 @@ import pytest
 
 import genbinom
 from genbinom.exactnum import binomial, factorial, falling, rising
-from genbinom.polybasis import UPoly, delta_at_zero, falling_poly, rising_poly
+from genbinom.partitions import ferrers_choose
+from genbinom.polybasis import UPoly, delta_at_zero, falling_poly, rising_poly, shifted_binom_poly
 from genbinom.series import homogeneous_h
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -98,6 +99,24 @@ _NOT_INTEGERS = {
 def test_integer_scalars_are_read_at_the_boundary(case):
     with pytest.raises(ValueError, match="expected an integer"):
         _NOT_INTEGERS[case]()
+
+
+# integer arguments read before any arithmetic on them, so that the message names
+# the value passed, not a value formed from it
+_NAMED_NOT_INTEGERS = {
+    "ferrers_choose p": (lambda: ferrers_choose(((2, 1),), 1.5), 1.5),
+    "rising_poly shift": (lambda: rising_poly(2, 0.5), 0.5),
+    "shifted_binom_poly n": (lambda: shifted_binom_poly(3.0, 1), 3.0),
+    "shifted_binom_poly k": (lambda: shifted_binom_poly(3, 1.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAMED_NOT_INTEGERS))
+def test_non_integers_name_the_value_passed(case):
+    call, value = _NAMED_NOT_INTEGERS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"expected an integer, got {value!r}"
 
 
 # one integer below its lower bound per bounded argument, and the message it raises;

@@ -132,8 +132,9 @@ def test_seating_validation():
 
 
 def test_seatings_match_closed_forms():
-    for r in (q for q in iter_compositions(3, 2) if 0 not in q.parts):
-        for k in range(1, 4):
+    # the whole budget: 1-3 species of sizes 1..SEATING_R_MAX, k = 1..SEATING_K_MAX
+    for r in (q for q in iter_compositions(3, oracles.SEATING_R_MAX) if 0 not in q.parts):
+        for k in range(1, oracles.SEATING_K_MAX + 1):
             assert oracle_seatings(r, k, "F") == seating_counts(r, k, "F"), (r, k)
             assert oracle_seatings(r, k, "S") == seating_counts(r, k, "S"), (r, k)
             for j in range(1, r.m + 1):
@@ -141,8 +142,8 @@ def test_seatings_match_closed_forms():
 
 
 def test_turnstile_sum_equals_c():
-    for r in (q for q in iter_compositions(3, 2) if 0 not in q.parts):
-        for k in range(1, min(r.total, 3) + 1):
+    for r in (q for q in iter_compositions(3, oracles.SEATING_R_MAX) if 0 not in q.parts):
+        for k in range(1, oracles.SEATING_K_MAX + 1):
             total = sum(oracle_seatings(r, k, "T", j=j) for j in range(1, r.m + 1))
             assert total == c_coeff(r, k), (r, k)
 
@@ -155,7 +156,7 @@ def test_injection_cycles_examples():
 
 
 def test_injection_cycles_closed_form():
-    for n in range(1, 7):
+    for n in range(1, oracles.INJECTION_N_MAX + 1):
         for k in range(n + 1):
             assert oracle_injection_cycle_poly(n, k) == rising_poly(n - k, shift=k), (n, k)
 
