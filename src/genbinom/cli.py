@@ -57,26 +57,17 @@ def composition(text: str) -> Composition:
     return Composition([_count(run) for run in text.split(",")])
 
 
-def _emit_table(values: Dict[int, int], fmt: str) -> None:
-    keys = sorted(values)
+def _emit(values: Dict[int, int], fmt: str, k: int | None = None) -> None:
+    """Print the table, or with k only its entry k: JSON of decimal strings, csv
+    rows under ``k,value``, or text rows ``k value`` (the value alone for one k)."""
+    keys = sorted(values) if k is None else [k]
     if fmt == "json":
-        print(json.dumps({str(k): str(values[k]) for k in keys}, separators=(",", ":")))
+        shown = {str(key): str(values[key]) for key in keys}
+        print(json.dumps(shown if k is None else shown[str(k)], separators=(",", ":")))
     elif fmt == "csv":
-        print("k,value")
-        for k in keys:
-            print(f"{k},{values[k]}")
+        print("k,value", *(f"{key},{values[key]}" for key in keys), sep="\n")
     else:
-        for k in keys:
-            print(f"{k} {values[k]}")
-
-
-def _emit_scalar(k: int, v: int, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(str(v)))
-    elif fmt == "csv":
-        _emit_table({k: v}, fmt)
-    else:
-        print(v)
+        print(*(values[key] if k is not None else f"{key} {values[key]}" for key in keys), sep="\n")
 
 
 def cmd_coeff(args: argparse.Namespace) -> int:
@@ -87,10 +78,7 @@ def cmd_coeff(args: argparse.Namespace) -> int:
     bad = [k for k, v in values.items() if k <= args.r.total and v < 1]
     if bad:
         raise ArithmeticError(f"c_k({args.r}) is not a positive integer at k={bad}")
-    if args.k is None:
-        _emit_table(values, args.format)
-    else:
-        _emit_scalar(args.k, values[args.k], args.format)
+    _emit(values, args.format, args.k)
     return 0
 
 
@@ -109,7 +97,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_linearize(args: argparse.Namespace) -> int:
     table = linearization_d(args.r, _BASIS_VARIANTS[args.basis])
-    _emit_table(table.values, args.format)
+    _emit(table.values, args.format)
     return 0
 
 

@@ -154,7 +154,10 @@ class Composition:
     __slots__ = ("parts", "m", "total", "species")  # species: the nonzero parts, sorted
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(map(as_int, parts))
+        try:
+            parts = tuple(map(as_int, parts))
+        except TypeError:  # as_int raises only ValueError, so parts is not iterable
+            raise ValueError(f"a composition is a sequence of integers, got {parts!r}") from None
         if not parts:
             raise ValueError("composition needs at least one entry")
         if any(p < 0 for p in parts):

@@ -33,6 +33,15 @@ def as_int(value, low: int | None = None, what: str = "") -> int:
     return n
 
 
+def as_rat(value, what: str) -> Rat:
+    """``value`` itself if it is an int or a Fraction; a float, a string or any
+    other value raises ValueError "<what> must be int or Fraction, got <value>"
+    instead of being converted: the one check of every exact coefficient."""
+    if not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} must be int or Fraction, got {value!r}")
+    return value
+
+
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0.
 

@@ -108,12 +108,11 @@ hold a fixed r to it (|r| bounds the species count, so las and bigeq imply
 it).
 
 waring takes one `c_table` per species multiset of its box (19 for caps
-(3,3,3), not one per point).  lambda runs over the conjugates of
-`partitions_of(size, t_max)`, so no partition with more than t_max parts is
-visited; each h_lambda, keyed by its multiplicity form, is one product from h
-of lambda less one copy of its smallest part, and its weight
-|lambda| (l-1)! / prod m_j! is one checked integer division, raising
-ArithmeticError naming lambda on a remainder.
+(3,3,3), not one per point).  lambda runs over `partitions_of(size)`, those
+with more than t_max parts skipped; each h_lambda, keyed by its multiplicity
+form, is one product from h of lambda less one copy of its smallest part, and
+its weight |lambda| (l-1)! / prod m_j! is one checked integer division,
+raising ArithmeticError naming lambda on a remainder.
 
 `extract_c_from_las` reads c_1..c_n off the partition sum by one
 `newton_coeffs` pass at the nodes 1-n, 2-n, ...: each c_k = |r| nums[n-k] /
@@ -301,13 +300,14 @@ def _las_lhs(n: int, r: Composition, p: int | None = None, P: Sequence[int] | No
 
 
 # waring builds one c_table per species multiset of its box, prod(cap_i + 1)
-# points, then enumerates the partitions of each size up to |caps| with at most
-# t_max parts, as conjugates of those with parts <= t_max, and takes one
-# truncated MPoly product per partition.  A box over WARING_BOX_MAX, or a |caps|
-# or t_max over WARING_DEGREE_MAX, is rejected before any of it.  The largest accepted
-# instances, cold, take 1.8 s: caps (15, 15) or (10, 20) at t_max 30; (15, 15)
-# at t_max 4, as the CLI runs it, takes 0.3 s.  Over budget, (3,3,3,3,3,3) at
-# t_max 4 took 24 s and (63,) 23 s (Python 3.11, 2-core Xeon VM).
+# points, then walks the partitions of each size up to |caps|, skips those with
+# more than t_max parts, and takes one truncated MPoly product per partition
+# kept.  A box over WARING_BOX_MAX, or a |caps| or t_max over WARING_DEGREE_MAX,
+# is rejected before any of it.  The largest accepted instances, caps (15, 15)
+# or (10, 20) at t_max 30, take 0.84-1.25 s in process after the import; (15, 15)
+# at t_max 4 takes 0.17-0.18 s there and 0.25 s cold through the CLI, and (30,)
+# at t_max 4 0.05 s (three runs each).  Over budget, (3,3,3,3,3,3) at t_max 4
+# took 24 s and (63,) 23 s (Python 3.11, 2-core Xeon VM).
 WARING_BOX_MAX = 256
 WARING_DEGREE_MAX = 30
 
@@ -444,17 +444,15 @@ def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
     # h_lambda by multiplicity form: lambda less one copy of its smallest part
     # has a smaller size, so it is already here and each h_lambda is one product
     h_lam = {(): MPoly.const(caps, 1)}
-    rhs = {l: MPoly.zero(caps) for l in range(1, t_max + 1)}
+    rhs = {l: MPoly(caps) for l in range(1, t_max + 1)}
     for size in h:
-        # lambda = mu', at most t_max parts: its parts are the running counts of mu's, their
-        # multiplicities the gaps between mu's parts, and l(lambda) is mu's largest part
-        for mu, _, _ in partitions_of(size, t_max):
-            gaps = [a - b for (a, _), (b, _) in zip(mu, mu[1:] + ((0, 0),))]
-            mults, length = tuple(zip(accumulate(m for _, m in mu), gaps))[::-1], mu[0][0]
+        for mults, length, _ in partitions_of(size):
+            if length > t_max:
+                continue
             part, mult = mults[-1]
             less = mults[:-1] + ((part, mult - 1),) if mult > 1 else mults[:-1]
             h_lam[mults] = h_lam[less] * h[part]
-            coef, rem = divmod(size * factorial(length - 1), math.prod(map(factorial, gaps)))
+            coef, rem = divmod(size * factorial(length - 1), math.prod(factorial(m) for _, m in mults))
             if rem:
                 raise ArithmeticError(f"waring: |lambda| (l-1)!/prod m_j! is not an integer at lambda = {mults}")
             rhs[length] = rhs[length] + h_lam[mults].scale(coef)

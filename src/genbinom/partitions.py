@@ -20,13 +20,10 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 from .exactnum import as_int
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
+def partitions_of(n: int) -> Iterator[Tuple[Tuple[Tuple[int, int], ...], int, int]]:
     """Yield (mults, length, z) for every partition of n exactly once, in
     reverse-lexicographic order: mults lists the (part, multiplicity) pairs
     by decreasing part, length is l(mu) and z the centralizer size z_mu.
-    A max_part t >= 1 keeps those with parts <= t, the conjugates of those
-    with at most t parts: the walk starts at (t^q, rest), n = q t + rest, the
-    first of them in this order, so it visits only their suffix.
 
     This is the multiplicity form of Zoghbi and Stojmenovic's ZS1 (1998;
     Knuth, TAOCP 4A, 7.2.1.4): the next partition takes one copy of the
@@ -34,12 +31,10 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[T
     parts j - 1 and one remainder part.  Each pair keeps the length and z
     of the pairs up to it, so a step touches only the pairs it changes and
     no object is built.  n = 0 yields the empty partition; the fixed order
-    keeps sweep logs diffable.  n and max_part are read by `as_int` first, so
-    a non-integer raises its ValueError, not the range rule's.
+    keeps sweep logs diffable.  n is read by `as_int`, so a non-integer
+    raises its ValueError, not the range rule's.
     """
-    n, max_part = as_int(n), None if max_part is None else as_int(max_part)
-    if n < 0 or (max_part is not None and max_part < 1):
-        raise ValueError(f"partitions_of: need n >= 0 and max_part >= 1, got n={n}, max_part={max_part}")
+    n = as_int(n, 0, "partitions_of: n")
     mults: List[Tuple[int, int]] = []
     prefix = [(0, 1)]  # (length, z) of mults[:i], i = 0..len(mults)
 
@@ -52,12 +47,8 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Tuple[Tuple[T
         prefix.pop()
         return mults.pop()
 
-    top = min(max_part or n, n)
-    if top:
-        q, rest = divmod(n, top)
-        push(top, q)
-        if rest:
-            push(rest, 1)
+    if n:
+        push(n, 1)
     while True:
         yield (tuple(mults), *prefix[-1])
         ones = pop()[1] if mults and mults[-1][0] == 1 else 0

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import count, zip_longest
 from typing import Dict, Iterable, List, Tuple
 
-from .exactnum import Rat, as_int, binomial, factorial
+from .exactnum import Rat, as_int, as_rat, binomial, factorial
 
 
 class UPoly:
@@ -40,10 +40,7 @@ class UPoly:
     __slots__ = ("coeffs", "den")
 
     def __init__(self, coeffs: Iterable[Rat] = ()):
-        cs = list(coeffs)
-        for c in cs:  # exact values only: a float or string is not converted
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError(f"UPoly coefficients must be int or Fraction, got {c!r}")
+        cs = [as_rat(c, "UPoly coefficients") for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         self._set([c.numerator * (den // c.denominator) for c in cs], den)
 
@@ -64,10 +61,6 @@ class UPoly:
         out = cls.__new__(cls)
         out._set(nums, den)
         return out
-
-    @classmethod
-    def zero(cls) -> "UPoly":
-        return cls()
 
     @classmethod
     def one(cls) -> "UPoly":
@@ -121,6 +114,7 @@ class UPoly:
         return UPoly._of(out, self.den * other.den)
 
     def scale(self, value: Rat) -> "UPoly":
+        value = as_rat(value, "UPoly.scale: value")
         num, den = value.numerator, value.denominator
         return UPoly._of([c * num for c in self.coeffs], self.den * den)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .exactnum import Rat, as_int
+from .exactnum import Rat, as_int, as_rat
 
 Expt = Tuple[int, ...]
 
@@ -38,7 +38,7 @@ class MPoly:
                 raise ValueError(f"negative exponent: {e}")
             if any(x > cap for x, cap in zip(e, caps)):
                 raise ValueError(f"exponent {e} beyond caps {caps}")
-            if c:
+            if as_rat(c, "MPoly coefficients"):
                 clean[e] = c
         self.caps = caps
         self.terms = clean
@@ -52,10 +52,6 @@ class MPoly:
         out = cls.__new__(cls)
         out.caps, out.terms = caps, terms
         return out
-
-    @classmethod
-    def zero(cls, caps: Sequence[int]) -> "MPoly":
-        return cls(caps)
 
     @classmethod
     def const(cls, caps: Sequence[int], value: Rat) -> "MPoly":
@@ -120,6 +116,7 @@ class MPoly:
         return MPoly._of(caps, terms)
 
     def scale(self, value: Rat) -> "MPoly":
+        value = as_rat(value, "MPoly.scale: value")
         return MPoly._of(self.caps, {e: c * value for e, c in self.terms.items()} if value else {})
 
     def __pow__(self, e: int) -> "MPoly":

@@ -53,6 +53,9 @@ def test_entry_points_take_any_integer_sequence(name):
     assert call((2, 1)) == expected and call([2, 1]) == expected
     with pytest.raises(ValueError):
         call((2.5, 1))
+    for not_a_sequence in (5, None):  # a ValueError naming the value, not iter's TypeError
+        with pytest.raises(ValueError, match=f"^a composition is a sequence of integers, got {not_a_sequence}$"):
+            call(not_a_sequence)
 
 
 # every integer scalar of the public names, and the bounded size argument of the building

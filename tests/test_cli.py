@@ -196,18 +196,25 @@ def test_exit_codes_come_from_exception_types(capsys, monkeypatch):
         assert (code, out, err) == (want, "", "error: raised in the kernel\n"), exc
 
 
-def test_coeff_csv(capsys):
-    code, out, _ = run(capsys, "coeff", "--r", "2,1", "--format", "csv")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "k,value"
-    assert lines[1:] == ["1,3", "2,6", "3,3"]
+# the exact stdout of each table the CLI prints at r = 2,1, in json, csv and text: c_k's
+# table, one entry, one entry past |r| (0), and the three linearization tables
+_STDOUT = {
+    "coeff": ('{"1":"3","2":"6","3":"3"}\n', "k,value\n1,3\n2,6\n3,3\n", "1 3\n2 6\n3 3\n"),
+    "coeff --k 2": ('"6"\n', "k,value\n2,6\n", "6\n"),
+    "coeff --k 9": ('"0"\n', "k,value\n9,0\n", "0\n"),
+    "linearize --basis falling": ('{"2":"2","3":"1"}\n', "k,value\n2,2\n3,1\n", "2 2\n3 1\n"),
+    "linearize --basis binom": ('{"2":"2","3":"3"}\n', "k,value\n2,2\n3,3\n", "2 2\n3 3\n"),
+    "linearize --basis rising_over_binom": ('{"1":"1","2":"4","3":"3"}\n', "k,value\n1,1\n2,4\n3,3\n",
+                                            "1 1\n2 4\n3 3\n"),
+}
 
 
-def test_coeff_text(capsys):
-    code, out, _ = run(capsys, "coeff", "--r", "3", "--format", "text")
-    assert code == 0
-    assert out.strip().splitlines() == ["1 3", "2 3", "3 1"]
+@pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+@pytest.mark.parametrize("line", _STDOUT)
+def test_stdout_per_format(capsys, line, fmt):
+    command, *options = line.split()
+    expected = _STDOUT[line][("json", "csv", "text").index(fmt)]
+    assert run(capsys, command, "--r", "2,1", *options, "--format", fmt) == (0, expected, "")
 
 
 def test_coeff_json_round_trip(capsys):

@@ -635,7 +635,7 @@ def test_lemma1_slices_match_reference():
         slices = identities._check_lemma1(n)
         assert len(slices) == n + 1, n
         for y in range(n + 1):
-            lhs, rhs = (sum((pair[side].scale(y**j) for j, pair in enumerate(slices)), UPoly.zero()) for side in (0, 1))
+            lhs, rhs = (sum((pair[side].scale(y**j) for j, pair in enumerate(slices)), UPoly()) for side in (0, 1))
             assert lhs == _on_newton_basis(ref.partition_sum(n, [y**i - 1 for i in range(n + 1)]), factorial(n), 1 - n, 1), (n, y)
             assert rhs == UPoly([Fraction((y - 1) ** k, k) for k in range(n, 0, -1)]), (n, y)
 

@@ -102,7 +102,7 @@ def test_to_falling_basis_matches_delta_reference(coeffs):
 
 
 def test_to_falling_basis_zero_and_constant():
-    assert to_falling_basis(UPoly.zero()) == {}
+    assert to_falling_basis(UPoly()) == {}
     assert to_falling_basis(UPoly((Fraction(-7, 3),))) == {0: Fraction(-7, 3)}
 
 
@@ -115,14 +115,14 @@ def test_newton_coefficient_count():
 def test_rising_in_falling_basis_closed_form():
     # (X)_n = sum_j C(n,j) * (j)_(n-j) * falling(j), exactly, n <= 8
     for n in range(9):
-        rhs = UPoly.zero()
+        rhs = UPoly()
         for j in range(n + 1):
             rhs = rhs + falling_poly(j).scale(binomial(n, j) * rising(j, n - j))
         assert rising_poly(n) == rhs
 
 
 def _series_mul(a, b, cap):
-    out = [UPoly.zero() for _ in range(cap + 1)]
+    out = [UPoly() for _ in range(cap + 1)]
     for i, pa in enumerate(a):
         if not pa:
             continue
@@ -137,10 +137,10 @@ def test_exponential_collapse_to_rising():
     # exp(X * sum t^i/i) * (sum t^i)^k agrees with coefficients (X+k)_i / i!
     cap = 8
     x = UPoly((0, 1))
-    log_inv = [UPoly.zero()] + [UPoly.one().scale(Fraction(1, i)) for i in range(1, cap + 1)]
+    log_inv = [UPoly()] + [UPoly.one().scale(Fraction(1, i)) for i in range(1, cap + 1)]
     xlog = [p * x for p in log_inv]
-    expseries = [UPoly.one()] + [UPoly.zero()] * cap
-    power = [UPoly.one()] + [UPoly.zero()] * cap
+    expseries = [UPoly.one()] + [UPoly()] * cap
+    power = [UPoly.one()] + [UPoly()] * cap
     for j in range(1, cap + 1):
         power = _series_mul(power, xlog, cap)
         for i in range(cap + 1):
@@ -188,7 +188,7 @@ def test_integer_layout_matches_fraction_reference(a, b, value, x):
     assert (p == q) == (rp == rq)
     if p == q:
         assert hash(p) == hash(q)
-    assert (p - p) == UPoly.zero() and hash(p - p) == hash(UPoly.zero())
+    assert (p - p) == UPoly() and hash(p - p) == hash(UPoly())
 
 
 def test_canonical_form():
@@ -199,11 +199,22 @@ def test_canonical_form():
     assert (p.coeffs, p.den) == ((2, 12, -2), 3)
     assert (p.scale(Fraction(3, 2)).coeffs, p.scale(Fraction(3, 2)).den) == ((1, 6, -1), 1)
     assert p.scale(3) == UPoly((2, 12, -2))
-    assert (UPoly.zero().coeffs, UPoly.zero().den) == ((), 1)
-    assert UPoly((0, 0)) == UPoly.zero() and not UPoly((Fraction(0, 5),))
-    assert (p - p).den == 1 and p.scale(0) == UPoly.zero()
+    assert (UPoly().coeffs, UPoly().den) == ((), 1)
+    assert UPoly((0, 0)) == UPoly() and not UPoly((Fraction(0, 5),))
+    assert (p - p).den == 1 and p.scale(0) == UPoly()
     for q in (half, p, p * p, p + half, p.scale(Fraction(-5, 7)), UPoly((0, 1)) ** 3):
         _assert_canonical(q)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: UPoly((1, 2)).scale(0.5),
+    lambda: UPoly((1, 2)) * "2",
+], ids=["scale", "mul"])
+def test_scaling_is_exact(make):
+    # a scale factor is an int or a Fraction, as a coefficient is: a float or a string
+    # raises ValueError instead of an AttributeError from inside
+    with pytest.raises(ValueError, match="^UPoly.* must be int or Fraction, got "):
+        make()
 
 
 def test_rising_poly_matches_linear_factor_product():
@@ -248,7 +259,7 @@ def test_newton_sum_families_are_the_bases():
         assert on_basis(rising_poly(j).scale(Fraction(1, factorial(j))), 0, -1) == unit
         for n in range(max(j, 1), 10):
             assert on_basis(shifted_binom_poly(n, n - j), 1 - n, 1) == unit
-    assert newton_coeffs(UPoly.zero(), 0, 1) == ([], 1)
+    assert newton_coeffs(UPoly(), 0, 1) == ([], 1)
 
 
 @given(coeff_lists, st.sampled_from(["binomial", "multichoose", "shifted"]), st.integers(min_value=1, max_value=12))

@@ -20,7 +20,7 @@ def test_truncated_power_two_vars():
 
 def test_add_cancels():
     p = MPoly((2, 2), {(1, 0): Fraction(2, 3), (2, 1): -5})
-    assert p + (-p) == MPoly.zero((2, 2))
+    assert p + (-p) == MPoly((2, 2))
     assert not (p - p)
 
 
@@ -31,6 +31,20 @@ def test_caps_enforced_on_construction():
         MPoly((1, 1), {(1,): 1})  # wrong arity
     with pytest.raises(ValueError):
         MPoly((1,), {(-1,): 1})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MPoly((2,), {(1,): 0.5}),
+    lambda: MPoly((2,), {(1,): "1"}),
+    lambda: MPoly.const((2,), 0.5),
+    lambda: MPoly((2,), {(1,): 1}) * 0.5,
+    lambda: MPoly((2,), {(1,): 1}).scale(0.5),
+], ids=["float term", "str term", "const", "mul", "scale"])
+def test_coefficients_are_exact(make):
+    # every coefficient, stored or scaled by, is an int or a Fraction: a float or a
+    # string raises ValueError instead of being stored
+    with pytest.raises(ValueError, match="^MPoly.* must be int or Fraction, got "):
+        make()
 
 
 def test_mismatched_caps_rejected():
