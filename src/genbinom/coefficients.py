@@ -110,14 +110,15 @@ tables.  The benchmark's ``coefficients.memo.*`` counters read this memo.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, groupby, repeat
 from itertools import product as _cartesian
 from operator import add, floordiv, itemgetter, mul, sub
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
-from .exactnum import Rat, as_int, binomial, factorial, forward_differences
+from .exactnum import Rat, as_int, as_rat, binomial, factorial, forward_differences
 
 DEFAULT_C_METHOD = "inclusion_exclusion"
 # genfun's budget on |r| * prod(r_i + 1), its box steps at 0.6 to 1.4 us each (Python 3.11,
@@ -149,15 +150,19 @@ class ShapeError(ValueError):
 
 
 class Composition:
-    """Tuple of nonnegative species sizes with positive total."""
+    """Tuple of nonnegative species sizes with positive total, read from an
+    ordered sequence of integers (a list, a tuple, a range).  Species are
+    indexed by position, so anything that is not a ``collections.abc.Sequence``
+    raises ValueError: a set, a mapping or an iterator too, whose iteration
+    order is not the caller's."""
 
     __slots__ = ("parts", "m", "total", "species")  # species: the nonzero parts, sorted
 
     def __init__(self, parts: Sequence[int]):
-        try:
-            parts = tuple(map(as_int, parts))
-        except TypeError:  # as_int raises only ValueError, so parts is not iterable
-            raise ValueError(f"a composition is a sequence of integers, got {parts!r}") from None
+        # the common sequences first: the ABC check alone takes 0.2-0.4 us (Python 3.11, 2-core VM)
+        if not isinstance(parts, (tuple, list, range, Sequence)):
+            raise ValueError(f"a composition is a sequence of integers, got {parts!r}")
+        parts = tuple(map(as_int, parts))
         if not parts:
             raise ValueError("composition needs at least one entry")
         if any(p < 0 for p in parts):
@@ -183,18 +188,18 @@ class Composition:
 
 
 def as_composition(r: Composition | Sequence[int]) -> Composition:
-    """r itself if it is a Composition, else r's entries checked as one; the
-    public entry points take either."""
+    """r itself if it is a Composition, else the ordered sequence r read by
+    `Composition`, the one composition reader; the public entry points take either."""
     return r if isinstance(r, Composition) else Composition(r)
 
 
 def iter_compositions(m_max: int, r_max: int) -> Iterator[Composition]:
     """All compositions with 1 <= m <= m_max and 0 <= r_i <= r_max,
-    positive total, in deterministic order (length, then lexicographic)."""
-    for m in range(1, m_max + 1):
-        for parts in _cartesian(range(r_max + 1), repeat=m):
-            if sum(parts) > 0:
-                yield Composition(parts)
+    positive total, in deterministic order (length, then lexicographic).
+    Both bounds are read by `as_int` when called, before the first one is drawn."""
+    m_max, r_max = as_int(m_max), as_int(r_max)
+    return (Composition(parts) for m in range(1, m_max + 1) for parts in _cartesian(range(r_max + 1), repeat=m)
+            if any(parts))
 
 
 class CoeffTable(NamedTuple):
@@ -205,7 +210,8 @@ class CoeffTable(NamedTuple):
     values: Dict[int, int]
 
     def value(self, k: int) -> int:
-        return self.values.get(k, 0)
+        """Entry k, 0 if not stored; k is read by `as_int`, so 1.0 or "1" raises ValueError."""
+        return self.values.get(as_int(k), 0)
 
 
 def _check_table_size(n: int, name: str) -> None:
@@ -237,6 +243,7 @@ def _exact(nums: Iterable[int], dens: Iterable[int], k0: int = 1) -> List[int]:
 def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) -> Fraction:
     """Exact value of pFq(numer; denom; z) for a terminating series.
 
+    Each parameter and z is read by `as_rat`: an int or a Fraction, else ValueError.
     Requires a nonpositive-integer numerator parameter (else ValueError).
     A denominator parameter whose Pochhammer factor vanishes within the
     summation range raises ZeroDivisionError.
@@ -245,8 +252,9 @@ def hypergeom_terminating(numer: Sequence[Rat], denom: Sequence[Rat], z: Rat) ->
     one factor (p + j q)/q; Horner's rule from the last term keeps the sum as
     one integer pair.
     """
-    nums = [(a.numerator, a.denominator) for a in numer]
-    dens = [(b.numerator, b.denominator) for b in denom]
+    nums = [(a.numerator, a.denominator) for a in map(as_rat, numer, repeat("hypergeom_terminating: numer"))]
+    dens = [(b.numerator, b.denominator) for b in map(as_rat, denom, repeat("hypergeom_terminating: denom"))]
+    z = as_rat(z, "hypergeom_terminating: z")
     stops = [-p for p, q in nums if q == 1 and p <= 0]
     if not stops:
         raise ValueError("series does not terminate: no nonpositive-integer numerator parameter")

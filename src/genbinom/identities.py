@@ -432,10 +432,10 @@ def _check_lemma1(n: int) -> List[Pair]:
     return pairs
 
 
-def _check_waring(caps: Sequence[int], t_max: int) -> List[Pair]:
+def _check_waring(caps: Composition, t_max: int) -> List[Pair]:
     # sum over x^r in the caps box of sum_k c_k(r) t^k against sum over lambda of
     # |lambda| (l-1)! / prod_j m_j! * t^l(lambda) * h_lambda: one MPoly pair per power t^l
-    caps = Composition(caps).parts  # the rule sweep's grid applies: no empty box
+    caps = caps.parts  # read by verify as r is, so the box is never empty
     _check_waring_budget(caps, t_max)
     # c_k(r) reads only r's species: one c_table per species multiset, (3,3,3) 19, not 63
     points = {parts: Composition(parts).species for parts in _cartesian(*(range(c + 1) for c in caps)) if any(parts)}
@@ -546,20 +546,23 @@ def _check_n_p(n: int | None, p: int | None) -> None:
 def verify(identity: str, **params) -> IdentityReport:
     """Check one identity instance; exact equality decides the verdict.  The
     params are exactly the named parameters of the id's checker: n and r for
-    las, caps and t_max for waring, r1 and r2 for binom2, and so on.  An
-    unknown id, a missing or extra parameter (checked before the checker
-    runs), an ``r`` that is not a composition, or an instance with no pair
-    to compare raises ValueError."""
+    las, caps and t_max for waring, r1 and r2 for binom2, and so on.  Each is
+    read once, the integers by `as_int`, then the n/p rule, then the
+    compositions (r, waring's caps) by `as_composition` from an ordered
+    sequence, and the report's params show the values the checker ran, a
+    composition as the list of its parts.  An unknown id, a missing or extra
+    parameter (checked before the checker runs), a parameter that does not
+    read, or an instance with no pair to compare raises ValueError."""
     if identity not in _IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     takes = _PARAMS[identity]
     if params.keys() != set(takes):
         raise ValueError(f"{identity} takes the parameters {', '.join(takes)}; got {', '.join(params) or 'none'}")
-    # every parameter but a composition (r, waring's caps) is an integer
-    params = {name: v if name in ("r", "caps") else as_int(v) for name, v in params.items()}
-    _check_n_p(params.get("n"), params.get("p"))
-    if "r" in params:  # any sequence, checked as waring's caps are
-        params["r"] = as_composition(params["r"])
+    # every parameter but a composition (r, waring's caps) is an integer: the integers are
+    # read first, then the n/p rule applies, then the compositions are read
+    ints = {name: as_int(v) for name, v in params.items() if name not in ("r", "caps")}
+    _check_n_p(ints.get("n"), ints.get("p"))
+    params = {name: ints[name] if name in ints else as_composition(v) for name, v in params.items()}
     shown = {k: list(v.parts) if isinstance(v, Composition) else v for k, v in params.items()}
     pairs = _IDENTITIES[identity][0](**params)
     if not pairs:  # comparing nothing verifies nothing
@@ -666,7 +669,7 @@ def _grid_waring(r, m_max, r_max, t_max, **_) -> List[dict]:
     grid = []
     for c in [r] if r is not None else (Composition((r_max,) * m) for m in range(1, m_max + 1)):
         _check_waring_budget(c.parts, t_max)
-        grid.append(dict(caps=c.parts, t_max=t_max))
+        grid.append(dict(caps=c, t_max=t_max))
     return grid
 
 

@@ -72,6 +72,8 @@ class UPoly:
         return len(self.coeffs) - 1
 
     def coeff(self, d: int) -> Fraction:
+        """The coefficient of X^d, 0 beyond the degree; d is read by `as_int`."""
+        d = as_int(d)
         if 0 <= d < len(self.coeffs):
             return Fraction(self.coeffs[d], self.den)
         return Fraction(0)

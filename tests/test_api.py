@@ -1,12 +1,14 @@
 """The top-level API is the README's "Python API" list, and its example runs."""
 
 import doctest
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import genbinom
+from genbinom.coefficients import hypergeom_terminating, iter_compositions
 from genbinom.exactnum import binomial, factorial, falling, rising
 from genbinom.partitions import ferrers_choose
 from genbinom.polybasis import UPoly, delta_at_zero, falling_poly, rising_poly, shifted_binom_poly
@@ -29,7 +31,7 @@ def test_all_is_the_readme_list():
 
 def test_readme_example_runs():
     failed, attempted = doctest.testfile(str(README), module_relative=False)
-    assert (failed, attempted) == (0, 4)
+    assert (failed, attempted) == (0, 5)
 
 
 # every public entry point that takes a composition r, called at r
@@ -50,15 +52,37 @@ _TAKES_R = {
 def test_entry_points_take_any_integer_sequence(name):
     call = _TAKES_R[name]
     expected = call(genbinom.Composition([2, 1]))
-    assert call((2, 1)) == expected and call([2, 1]) == expected
+    assert call((2, 1)) == expected and call([2, 1]) == expected and call(range(2, 0, -1)) == expected
     with pytest.raises(ValueError):
         call((2.5, 1))
     for not_a_sequence in (5, None):  # a ValueError naming the value, not iter's TypeError
         with pytest.raises(ValueError, match=f"^a composition is a sequence of integers, got {not_a_sequence}$"):
             call(not_a_sequence)
+    # species are indexed by position: a set, a mapping or an iterator has no order of the
+    # caller's, so it is no composition, though it iterates over integers
+    for unordered in ({2, 1}, {2: 0, 1: 0}, iter([2, 1])):
+        with pytest.raises(ValueError, match="^a composition is a sequence of integers, got "):
+            call(unordered)
 
 
-# every integer scalar of the public names, and the bounded size argument of the building
+def test_t_coeff_reads_no_set():
+    # a set iterates in its own order, {3, 10} as (10, 3), whose T_5 is not that of (3, 10)
+    assert genbinom.t_coeff((3, 10), 5, 1) == 7560 and genbinom.t_coeff((10, 3), 5, 1) == 25200
+    with pytest.raises(ValueError, match="^a composition is a sequence of integers, got "):
+        genbinom.t_coeff({3, 10}, 5, 1)
+
+
+def test_verify_reads_caps_as_a_composition():
+    # waring's caps take r's reader, so the report shows the parts its checker ran
+    report = genbinom.verify("waring", caps=range(1, 3), t_max=2)
+    line = json.loads(report.to_json_line())
+    assert line == {"id": "waring", "params": {"caps": [1, 2], "t_max": 2}, "status": "verified"}
+    assert report.params == genbinom.verify("waring", caps=(1, 2), t_max=2).params
+    with pytest.raises(ValueError, match="^a composition is a sequence of integers, got "):
+        genbinom.verify("waring", caps={2: "x", 1: "y"}, t_max=2)
+
+
+# every integer scalar of the public names, and the integer arguments of the building
 # blocks, given a float or a numeric string: each is read by `exactnum.as_int` before any
 # check, so it raises ValueError, where it raised TypeError from deep inside or was taken
 # as it stood
@@ -80,6 +104,8 @@ _NOT_INTEGERS = {
     "seating_counts k": lambda: genbinom.seating_counts((2, 1), 2.0, "S"),
     "t_coeff k": lambda: genbinom.t_coeff((2, 1), 2.0, 1),
     "t_coeff j": lambda: genbinom.t_coeff((2, 1), 2, 1.0),
+    "CoeffTable.value k float": lambda: genbinom.c_table((2, 1)).value(1.0),
+    "CoeffTable.value k str": lambda: genbinom.c_table((2, 1)).value("1"),
     "extract_c_from_las n": lambda: genbinom.extract_c_from_las(3.0, (2, 1)),
     "oracle_transversal_partitions k": lambda: genbinom.oracle_transversal_partitions((2, 1), 2.0),
     "oracle_covering_choices k": lambda: genbinom.oracle_covering_choices((2, 1), 2.0, "set"),
@@ -95,6 +121,8 @@ _NOT_INTEGERS = {
     "falling_poly n": lambda: falling_poly(2.5),
     "delta_at_zero k": lambda: delta_at_zero(UPoly((1,)), 1.5),
     "homogeneous_h n": lambda: homogeneous_h(1.5, (2,)),
+    "iter_compositions m_max": lambda: iter_compositions("1", 2),
+    "UPoly.coeff d": lambda: UPoly((1,)).coeff(0.5),
 }
 
 
@@ -112,6 +140,20 @@ _NAMED_NOT_INTEGERS = {
     "shifted_binom_poly n": (lambda: shifted_binom_poly(3.0, 1), 3.0),
     "shifted_binom_poly k": (lambda: shifted_binom_poly(3, 1.0), 1.0),
 }
+
+
+# the exact values of the building blocks, each read by `exactnum.as_rat`: a float raises
+# ValueError, where it raised AttributeError from deep inside
+_NOT_EXACT = {
+    "hypergeom_terminating numer": lambda: hypergeom_terminating([-1.0], [1], 1),
+    "hypergeom_terminating z": lambda: hypergeom_terminating([-1], [1], 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_EXACT))
+def test_exact_values_are_read_at_the_boundary(case):
+    with pytest.raises(ValueError, match="^hypergeom_terminating: .* must be int or Fraction, got "):
+        _NOT_EXACT[case]()
 
 
 @pytest.mark.parametrize("case", sorted(_NAMED_NOT_INTEGERS))

@@ -22,7 +22,7 @@ from genbinom.coefficients import (
     seating_counts,
     t_coeff,
 )
-from genbinom.exactnum import binomial, factorial, forward_differences, multinomial, rising
+from genbinom.exactnum import binomial, factorial, forward_differences, rising
 
 AGREEING = [m for m in C_METHODS if m != "hyp3f2"]
 
@@ -484,7 +484,8 @@ def test_two_species_d_tilde_closed_form():
         for r2 in range(1, 5):
             table = linearization_d(Composition([r1, r2]), "d_tilde")
             for k in range(min(r1, r2) + 1):
-                expected = multinomial(r1 + r2 - k, (k, r1 - k, r2 - k))
+                # the multinomial (r1+r2-k; k, r1-k, r2-k) as C(r1+r2-k, k) C(r1+r2-2k, r1-k)
+                expected = math.comb(r1 + r2 - k, k) * math.comb(r1 + r2 - 2 * k, r1 - k)
                 assert table.value(r1 + r2 - k) == expected
 
 
@@ -498,8 +499,8 @@ def test_two_species_c_tilde_closed_form():
                 shared = k1 + k2 - k
                 if shared < 0 or shared > min(k1, k2):
                     continue
-                total += (
-                    multinomial(k, (shared, k1 - shared, k2 - shared))
+                total += (  # the multinomial (k; shared, k1-shared, k2-shared), k = k1 + k2 - shared
+                    math.comb(k, shared) * math.comb(k - shared, k1 - shared)
                     * binomial(r1 - 1, k1 - 1)
                     * binomial(r2 - 1, k2 - 1)
                 )

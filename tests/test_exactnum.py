@@ -112,6 +112,6 @@ def test_constructors_reject_non_integers(build):
         build()
 
 
-def test_partition_mults_names_itself():
+def test_partitions_of_error_names_itself():
     with pytest.raises(ValueError, match="^partitions_of:"):
         next(partitions_of(-1))

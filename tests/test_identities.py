@@ -687,7 +687,7 @@ def test_waring_slices_match_reference():
     for caps in iter_compositions(3, 3):
         sides = _waring_sides(caps.parts, 6)
         for t_max in range(1, 7):
-            slices = identities._check_waring(caps.parts, t_max)
+            slices = identities._check_waring(caps, t_max)
             assert len(slices) == t_max, (caps, t_max)
             assert [lhs for lhs, _ in slices] == [lhs for lhs, _ in sides[:t_max]], (caps, t_max)
 
@@ -697,7 +697,7 @@ def test_waring_matches_parts_keyed_checker():
     for caps in iter_compositions(3, 3):
         sides = _waring_sides(caps.parts, 6)
         for t_max in range(1, 7):
-            got = identities._check_waring(caps.parts, t_max)
+            got = identities._check_waring(caps, t_max)
             assert [rhs for _, rhs in got] == [rhs for _, rhs in sides[:t_max]], (caps, t_max)
 
 

@@ -6,7 +6,7 @@ import pytest
 import reference as ref
 from genbinom.exactnum import binomial, factorial
 from genbinom.partitions import ferrers_choose, partitions_of
-from genbinom.polybasis import UPoly, shifted_binom_poly
+from genbinom.polybasis import UPoly
 
 
 def _parts(mults) -> Tuple[int, ...]:
@@ -67,12 +67,12 @@ def test_z_mu_values():
 
 
 def test_macdonald_weighted_sum():
-    # sum over |mu|=n of X^l(mu)/z_mu equals binomial(X+n-1, n)
+    # sum over |mu|=n of X^l(mu)/z_mu equals binomial(X+n-1, n) = X (X+1) ... (X+n-1) / n!
     for n in range(1, 13):
         acc = UPoly()
         for _, length, z in partitions_of(n):
             acc = acc + UPoly([0] * length + [Fraction(1, z)])
-        assert acc == shifted_binom_poly(n, 0)
+        assert acc == UPoly(ref.linear_product(range(n))).scale(Fraction(1, factorial(n)))
 
 
 def test_ferrers_choose_values():
@@ -117,7 +117,7 @@ def test_partitions_of_matches_recursion_reference():
         assert got == [_mults(mu) for mu in ref.partitions(n)], n
 
 
-def test_partition_mults_statistics():
+def test_partitions_of_lengths_and_z_match_the_reference():
     for n in range(21):
         rows = list(partitions_of(n))
         expected = list(ref.partitions(n))
@@ -126,7 +126,7 @@ def test_partition_mults_statistics():
             assert (length, z) == (len(mu), ref.z(mu)), (n, mu)
 
 
-def test_partition_mults_rejects_negative():
+def test_partitions_of_rejects_negative():
     with pytest.raises(ValueError):
         next(partitions_of(-1))
 

@@ -247,9 +247,9 @@ def test_newton_pair_round_trip_and_values(a, family, n):
         assert p(x) == ref.poly_value(want, x), x
 
 
-def test_newton_sum_families_are_the_bases():
-    # each family of Newton sums is its basis: the j-th basis polynomial has the unit
-    # vector e_j as its newton_coeffs
+def test_newton_coeffs_of_each_basis_polynomial_are_a_unit_vector():
+    # the j-th polynomial of each Newton basis has the unit vector e_j as its newton_coeffs;
+    # binomial(X+n-1, j) is (X+n-j) ... (X+n-1) / j!
     def on_basis(p, start, step):
         return UPoly._of(*newton_coeffs(p, start, step))
 
@@ -258,7 +258,8 @@ def test_newton_sum_families_are_the_bases():
         assert on_basis(binom_poly(j), 0, 1) == unit
         assert on_basis(rising_poly(j).scale(Fraction(1, factorial(j))), 0, -1) == unit
         for n in range(max(j, 1), 10):
-            assert on_basis(shifted_binom_poly(n, n - j), 1 - n, 1) == unit
+            shifted = UPoly(ref.linear_product(range(n - j, n))).scale(Fraction(1, factorial(j)))
+            assert on_basis(shifted, 1 - n, 1) == unit
     assert newton_coeffs(UPoly(), 0, 1) == ([], 1)
 
 
